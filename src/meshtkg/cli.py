@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import config as cfg
 from . import evaluation as ev
@@ -49,8 +50,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--loss-mode", choices=cfg.LOSS_MODES, dest="loss_mode")
     parser.add_argument("--dtype", choices=("float32", "float64"))
     parser.add_argument("--embeddings", help="semantic embedding file (default: synthetic)")
-    parser.add_argument("--gate-input", choices=("structural", "semantic", "concatenated"),
-                        dest="gate_input")
+    parser.add_argument("--gate-input", choices=cfg.GATE_INPUTS, dest="gate_input")
     for flag in ("disable-semantic", "disable-structural", "disable-event-aware",
                  "disable-prediction-expert"):
         parser.add_argument(f"--{flag}", action="store_const", const=True,
@@ -169,46 +169,46 @@ def cmd_train(args) -> int:
     return 0
 
 
+# eval and analyze take the switches of the forward pass only
+ABLATION_FLAGS = tuple(f.name for f in fields(AblationConfig))
+
+
 def _eval_setup(args):
     model, header = training.load_checkpoint(args.checkpoint)
-    stored = dict(header["config"])
-    stored.update({"dataset": args.dataset or stored.get("dataset", "")})
-    for key in ("out", "embeddings"):
-        value = getattr(args, key, None)
-        if value is not None:
-            stored[key] = value
-    config = cfg.RunConfig(**stored)
-    config.validate()
+    flags = {key: getattr(args, key, None)
+             for key in ("dataset", "out", "embeddings", *ABLATION_FLAGS)}
+    try:
+        stored = dict(header["config"])
+        stored.update({key: value for key, value in flags.items() if value is not None})
+        config = cfg.RunConfig(**stored)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise training.CheckpointError(
+            f"{args.checkpoint}: bad run configuration in the header ({exc!r})") from None
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise CliError(str(exc))
     if not config.dataset:
         raise CliError("no dataset given and none recorded in the checkpoint")
     vocab, train, valid, test = _load_data(config)
-    if vocab.num_entities != model.num_entities or vocab.num_relations != model.num_relations:
+    spec = model.spec
+    if vocab.num_entities != spec.num_entities or vocab.num_relations != spec.num_relations:
         raise CliError(
-            f"checkpoint was trained for |E|={model.num_entities}, |R|={model.num_relations}; "
+            f"checkpoint was trained for |E|={spec.num_entities}, |R|={spec.num_relations}; "
             f"dataset has |E|={vocab.num_entities}, |R|={vocab.num_relations}"
         )
     sem = _semantic_table(config, vocab)
+    if sem.dim != spec.llm_dim:
+        raise DatasetError(f"{sem.source}: embedding width {sem.dim} does not match the "
+                           f"checkpoint's llm_dim {spec.llm_dim}")
     return model, config, vocab, train, valid, test, sem
-
-
-def _ablation_flags(args, config) -> AblationConfig:
-    return AblationConfig(
-        disable_semantic=bool(getattr(args, "disable_semantic", None) or config.disable_semantic),
-        disable_structural=bool(getattr(args, "disable_structural", None) or config.disable_structural),
-        disable_event_aware=bool(getattr(args, "disable_event_aware", None) or config.disable_event_aware),
-        disable_prediction_expert=bool(
-            getattr(args, "disable_prediction_expert", None) or config.disable_prediction_expert
-        ),
-        gate_input=config.gate_input,
-    )
 
 
 def cmd_eval(args) -> int:
     model, config, vocab, train, valid, test, sem = _eval_setup(args)
     _write_echo(config)
-    ablation = _ablation_flags(args, config)
     result = ev.evaluate(model, vocab, train, valid, test, sem,
-                         ablation=ablation, split=args.split)
+                         ablation=AblationConfig.from_config(config), split=args.split)
     text = ev.format_reports(result.named_reports())
     print(text, end="")
     _write(os.path.join(config.out, "metrics.txt"), text)
@@ -221,7 +221,7 @@ def cmd_analyze(args) -> int:
     model, config, vocab, train, valid, test, sem = _eval_setup(args)
     _write_echo(config)
     result = ev.evaluate(model, vocab, train, valid, test, sem,
-                         ablation=_ablation_flags(args, config), split=args.split)
+                         ablation=AblationConfig.from_config(config), split=args.split)
     print(result.gate_stats.to_text(), end="")
     _write(os.path.join(config.out, "gate_stats.txt"), result.gate_stats.to_text())
     return 0
@@ -269,7 +269,7 @@ def cmd_sweep(args) -> int:
         _write(os.path.join(run_cfg.out, "training.log"),
                "".join(line + "\n" for line in result.log_lines))
         eval_result = ev.evaluate(result.model, vocab, train, valid, test, sem,
-                                  ablation=training._ablation_from(run_cfg))
+                                  ablation=AblationConfig.from_config(run_cfg))
         report = eval_result.overall
         rows.append(f"{tag}\t{100 * report.mrr:.2f}\t{100 * report.hits3:.2f}\t{100 * report.hits10:.2f}")
         print(rows[-1])
@@ -311,10 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
         p.add_argument("--embeddings")
         p.add_argument("--split", choices=("valid", "test"), default="test")
-        for flag in ("disable-semantic", "disable-structural", "disable-event-aware",
-                     "disable-prediction-expert"):
-            p.add_argument(f"--{flag}", action="store_const", const=True,
-                           dest=flag.replace("-", "_"))
+        for name in ABLATION_FLAGS:
+            p.add_argument(f"--{name.replace('_', '-')}", action="store_const", const=True,
+                           dest=name)
     p = sub.add_parser("sweep", help="omega or (M,N) hyperparameter sweep")
     common(p)
     p.add_argument("--omega-list", help="comma-separated omega values")

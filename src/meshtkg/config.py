@@ -30,6 +30,7 @@ PROFILES = {
 }
 
 LOSS_MODES = ("cross_entropy", "literal")
+GATE_INPUTS = ("structural", "semantic", "concatenated")
 
 
 @dataclass
@@ -87,8 +88,8 @@ class RunConfig:
             raise ValueError(f"profile must be one of {tuple(PROFILES)}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
-        if self.gate_input not in ("structural", "semantic", "concatenated"):
-            raise ValueError("gate_input must be structural, semantic, or concatenated")
+        if self.gate_input not in GATE_INPUTS:
+            raise ValueError(f"gate_input must be one of {GATE_INPUTS}")
         if self.disable_semantic and self.disable_structural:
             raise ValueError("cannot disable both the semantic and the structural path")
 

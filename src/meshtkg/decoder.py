@@ -65,10 +65,6 @@ def decode(params: ConvTransEParams, h: Tensor, r: Tensor, *,
     """
     if h.shape != r.shape or h.shape[-1] != params.dim:
         raise ValueError(f"expected two (batch, {params.dim}) inputs, got {h.shape} and {r.shape}")
-    single = h.values.ndim == 1
-    if single:
-        h = ad.reshape(h, (1, params.dim))
-        r = ad.reshape(r, (1, params.dim))
     batch, d = h.shape
     stacked = ad.concat(
         [ad.reshape(h, (batch, 1, d)), ad.reshape(r, (batch, 1, d))], axis=1
@@ -78,5 +74,4 @@ def decode(params: ConvTransEParams, h: Tensor, r: Tensor, *,
     fmap = ad.relu(fmap)
     fmap = ad.dropout(fmap, params.dropout, gen, train)
     flat = ad.reshape(fmap, (batch, params.channels * d))
-    out = ad.add(ad.matmul(flat, params.proj), params.proj_bias)
-    return ad.reshape(out, (d,)) if single else out
+    return ad.add(ad.matmul(flat, params.proj), params.proj_bias)

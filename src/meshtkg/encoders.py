@@ -188,12 +188,6 @@ def encode_structural(params: StructuralEncoderParams, edges: list, t: int,
     return H, R
 
 
-def l2_normalize_rows(values: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Unit-length rows, for inspection and similarity probes (not autodiff)."""
-    norms = np.sqrt((values * values).sum(axis=-1, keepdims=True))
-    return values / np.maximum(norms, eps)
-
-
 # ---------------------------------------------------------------------------
 # prompt emission
 

@@ -18,7 +18,7 @@ from scipy import stats as sps
 
 from . import history
 from .autodiff import Tensor
-from .encoders import SemanticEmbeddingTable, adapt, snapshot_edges
+from .encoders import SemanticEmbeddingTable, adapt, encode_structural, snapshot_edges
 from .model import AblationConfig, MeshModel, forward_queries
 from .tkg import TemporalKG, Vocabulary, add_inverse_relations, merge
 
@@ -230,8 +230,6 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond_edges: li
     timestamp can be cached across calls via `encode_cache` because the
     evaluation-mode encoder is a pure function of its frozen parameters.
     """
-    from .encoders import encode_structural  # local to avoid a heavy import at module load
-
     ablation = ablation or AblationConfig()
     ablation.validate()
     dtype = model.encoder.entity_emb.dtype

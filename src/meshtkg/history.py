@@ -55,10 +55,6 @@ def build_index(facts) -> FrequencyIndex:
     return index
 
 
-def indicator(index: FrequencyIndex, s: int, r: int, o: int, t: int) -> int:
-    return index.indicator(s, r, o, t)
-
-
 def _query_counts(index: FrequencyIndex, s: int, r: int) -> Counter:
     # Pair counters win whenever any training fact carries (s, r);
     # otherwise fall back to subject-only interaction counts.

@@ -12,7 +12,7 @@ logits and probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,25 +20,74 @@ from . import autodiff as ad
 from . import decoder as dec
 from . import encoders as enc
 from .autodiff import Tensor
+from .config import GATE_INPUTS
 
-GATE_INPUTS = ("structural", "semantic", "concatenated")
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """The architecture: every size and switch that fixes the parameter
+    shapes. Derived once per run and stored verbatim in checkpoints, so a
+    saved model is rebuilt from this record alone."""
+
+    num_entities: int
+    num_relations: int       # before inverse augmentation
+    dim: int
+    llm_dim: int             # width of the semantic embedding rows
+    adapter_hidden: int
+    channels: int
+    kernel_width: int
+    layers: int
+    window: int
+    dropout: float
+    num_historical: int      # M
+    num_nonhistorical: int   # N
+    gate_input: str
+    dtype: str               # "float32" or "float64"
+
+    def __post_init__(self):
+        if self.num_historical < 1 or self.num_nonhistorical < 1:
+            raise ValueError("need at least one historical and one non-historical expert")
+        if self.gate_input not in GATE_INPUTS:
+            raise ValueError(f"gate_input must be one of {GATE_INPUTS}")
+        # numpy dtypes are accepted; the record keeps the JSON-friendly name
+        object.__setattr__(self, "dtype", np.dtype(self.dtype).name)
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError("dtype must be float32 or float64")
+
+    @classmethod
+    def from_config(cls, config, num_entities: int, num_relations: int,
+                    llm_dim: int) -> "ModelSpec":
+        """Sizes from the run configuration (fields of the same name), the
+        vocabulary, and the width of the semantic table actually loaded."""
+        shared = {f.name: getattr(config, f.name) for f in fields(cls) if hasattr(config, f.name)}
+        shared.update(num_entities=num_entities, num_relations=num_relations, llm_dim=llm_dim)
+        return cls(**shared)
+
+    @property
+    def num_experts(self) -> int:
+        return self.num_historical + self.num_nonhistorical
+
+    @property
+    def gate_dim(self) -> int:
+        return 2 * self.dim if self.gate_input == "concatenated" else self.dim
 
 
 @dataclass
 class AblationConfig:
-    """Forward-pass and training switches for the ablation grid."""
+    """Forward-pass switches for the ablation grid."""
 
     disable_semantic: bool = False
     disable_structural: bool = False
-    disable_event_aware: bool = False      # training-only: drops the expert losses
     disable_prediction_expert: bool = False  # final query = plain mean of expert outputs
-    gate_input: str = "structural"         # consumed at model build time
+
+    @classmethod
+    def from_config(cls, config) -> "AblationConfig":
+        """The switches of a run configuration (fields of the same name)."""
+        return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
     def validate(self) -> None:
         if self.disable_semantic and self.disable_structural:
             raise ValueError("cannot disable both the semantic and the structural path")
-        if self.gate_input not in GATE_INPUTS:
-            raise ValueError(f"gate_input must be one of {GATE_INPUTS}")
 
 
 @dataclass
@@ -107,9 +156,8 @@ def fuse(alphas: Tensor, expert_outputs: list, num_historical: int) -> Tensor:
     every expert count; float addition is not associative, so a flat fold
     would break that identity.
     """
-    his = _weighted_sum(alphas, expert_outputs, 0, num_historical)
-    nhis = _weighted_sum(alphas, expert_outputs, num_historical, len(expert_outputs))
-    return ad.add(his, nhis)
+    return ad.add(partial_fuse(alphas, expert_outputs, "his", num_historical),
+                  partial_fuse(alphas, expert_outputs, "nhis", num_historical))
 
 
 def partial_fuse(alphas: Tensor, expert_outputs: list, kind: str, num_historical: int) -> Tensor:
@@ -140,11 +188,7 @@ def score_logits(q: Tensor, entity_table: Tensor) -> Tensor:
     """Pre-sigmoid scores of every entity: q . H^T, shape (batch, |E|)."""
     if q.shape[-1] != entity_table.shape[-1]:
         raise ValueError(f"query dim {q.shape[-1]} vs entity table dim {entity_table.shape[-1]}")
-    single = q.values.ndim == 1
-    if single:
-        q = ad.reshape(q, (1, q.shape[0]))
-    logits = ad.matmul(q, ad.transpose(entity_table))
-    return ad.reshape(logits, (logits.shape[1],)) if single else logits
+    return ad.matmul(q, ad.transpose(entity_table))
 
 
 def score(q: Tensor, entity_table: Tensor) -> Tensor:
@@ -158,23 +202,13 @@ def score(q: Tensor, entity_table: Tensor) -> Tensor:
 
 @dataclass
 class MeshModel:
-    num_entities: int
-    num_relations: int  # before inverse augmentation
-    dim: int
-    llm_dim: int
-    num_historical: int      # M
-    num_nonhistorical: int   # N
-    gate_input: str
+    spec: ModelSpec
     encoder: enc.StructuralEncoderParams
     adapters: enc.AdapterParams
     decoder_g: dec.ConvTransEParams
     decoder_l: dec.ConvTransEParams
     gates: ExpertGateParams
     prediction: PredictionExpertParams
-
-    @property
-    def num_experts(self) -> int:
-        return self.num_historical + self.num_nonhistorical
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = self.encoder.named_parameters()
@@ -189,32 +223,23 @@ class MeshModel:
         return sorted(self.encoder.named_parameters().keys())
 
 
-def init_model(*, num_entities: int, num_relations: int, dim: int, llm_dim: int,
-               adapter_hidden: int, channels: int, kernel_width: int, layers: int,
-               window: int, dropout: float, num_historical: int, num_nonhistorical: int,
-               gate_input: str, gen: np.random.Generator, dtype=np.float32) -> MeshModel:
-    if num_historical < 1 or num_nonhistorical < 1:
-        raise ValueError("need at least one historical and one non-historical expert")
-    if gate_input not in GATE_INPUTS:
-        raise ValueError(f"gate_input must be one of {GATE_INPUTS}")
-    gate_dim = 2 * dim if gate_input == "concatenated" else dim
-    num_experts = num_historical + num_nonhistorical
+def init_model(spec: ModelSpec | None = None, gen: np.random.Generator = None,
+               **arch) -> MeshModel:
+    """A freshly initialised model for `spec`; the spec's fields may be
+    passed as keywords instead."""
+    if spec is None:
+        spec = ModelSpec(**arch)
+    s, dtype = spec, spec.dtype
     return MeshModel(
-        num_entities=num_entities,
-        num_relations=num_relations,
-        dim=dim,
-        llm_dim=llm_dim,
-        num_historical=num_historical,
-        num_nonhistorical=num_nonhistorical,
-        gate_input=gate_input,
+        spec=spec,
         encoder=enc.init_structural_encoder(
-            num_entities, 2 * num_relations, dim, layers, window, dropout, gen, dtype
+            s.num_entities, 2 * s.num_relations, s.dim, s.layers, s.window, s.dropout, gen, dtype
         ),
-        adapters=enc.init_adapters(llm_dim, adapter_hidden, dim, gen, dtype),
-        decoder_g=dec.init_conv_transe(dim, channels, kernel_width, dropout, gen, dtype),
-        decoder_l=dec.init_conv_transe(dim, channels, kernel_width, dropout, gen, dtype),
-        gates=init_expert_gates(gate_dim, num_experts, dtype),
-        prediction=init_prediction_expert(gate_dim, num_experts, dtype),
+        adapters=enc.init_adapters(s.llm_dim, s.adapter_hidden, s.dim, gen, dtype),
+        decoder_g=dec.init_conv_transe(s.dim, s.channels, s.kernel_width, s.dropout, gen, dtype),
+        decoder_l=dec.init_conv_transe(s.dim, s.channels, s.kernel_width, s.dropout, gen, dtype),
+        gates=init_expert_gates(s.gate_dim, s.num_experts, dtype),
+        prediction=init_prediction_expert(s.gate_dim, s.num_experts, dtype),
     )
 
 
@@ -271,7 +296,8 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
             alphas=None, expert_alphas=[], score_table=H_g,
         )
 
-    base_rel = np.asarray(r_idx) % model.num_relations
+    spec = model.spec
+    base_rel = np.asarray(r_idx) % spec.num_relations
     h_l = enc.adapt_rows(model.adapters, "entity", sem.entity[np.asarray(s_idx)], dtype)
     r_l = enc.adapt_rows(model.adapters, "relation", sem.relation[base_rel], dtype)
     q_s = dec.decode(model.decoder_l, h_l, r_l, train=train, gen=gen)
@@ -285,11 +311,9 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
             alphas=None, expert_alphas=[], score_table=table,
         )
 
-    # gate_input is an architecture property baked in at model build time;
-    # the ablation flag of the same name only selects it there
-    if model.gate_input == "structural":
+    if spec.gate_input == "structural":
         gate = q_g
-    elif model.gate_input == "semantic":
+    elif spec.gate_input == "semantic":
         gate = q_s
     else:
         gate = ad.concat([q_g, q_s], axis=-1)
@@ -302,15 +326,15 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
         expert_outputs.append(q_i)
 
     if ablation.disable_prediction_expert:
-        batch = q_g.shape[0] if q_g.values.ndim == 2 else 1
-        flat = np.full((batch, model.num_experts), 1.0 / model.num_experts, dtype=dtype)
+        flat = np.full((q_g.shape[0], spec.num_experts), 1.0 / spec.num_experts, dtype=dtype)
         alphas = Tensor(flat)  # fixed uniform weights; the sum is the plain mean
     else:
         alphas = prediction_weights(model.prediction, gate)
 
-    q = fuse(alphas, expert_outputs, model.num_historical)
-    q_his = partial_fuse(alphas, expert_outputs, "his", model.num_historical)
-    q_nhis = partial_fuse(alphas, expert_outputs, "nhis", model.num_historical)
+    # q = q_his + q_nhis is the same op sequence as fuse, built once
+    q_his = partial_fuse(alphas, expert_outputs, "his", spec.num_historical)
+    q_nhis = partial_fuse(alphas, expert_outputs, "nhis", spec.num_historical)
+    q = ad.add(q_his, q_nhis)
     return QueryBundle(
         q_g=q_g, q_s=q_s, q=q, q_his=q_his, q_nhis=q_nhis,
         alphas=alphas, expert_alphas=expert_alphas, score_table=H_g,

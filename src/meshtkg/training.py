@@ -18,7 +18,7 @@ logits. Both share every other moving part.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,9 +33,16 @@ from .encoders import (
     snapshot_edges,
 )
 from .evaluation import build_filter_sets, compute_metrics, ranked_queries
-from .history import FrequencyIndex, build_index
-from .model import AblationConfig, MeshModel, forward_queries, init_model, score_logits
-from .tkg import TemporalKG, Vocabulary, add_inverse_relations, merge
+from .history import build_index
+from .model import (
+    AblationConfig,
+    MeshModel,
+    ModelSpec,
+    forward_queries,
+    init_model,
+    score_logits,
+)
+from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
 
 
 def major_loss(pred: Tensor, targets, mode: str) -> Tensor:
@@ -94,17 +101,6 @@ class TrainResult:
     stage0_losses: list
     best_valid_mrr: float | None
     best_epoch: int | None
-    encode_cache: dict = field(default_factory=dict)
-
-
-def _ablation_from(config: RunConfig) -> AblationConfig:
-    return AblationConfig(
-        disable_semantic=config.disable_semantic,
-        disable_structural=config.disable_structural,
-        disable_event_aware=config.disable_event_aware,
-        disable_prediction_expert=config.disable_prediction_expert,
-        gate_input=config.gate_input,
-    )
 
 
 def _snapshot_batches(tkg: TemporalKG):
@@ -117,9 +113,26 @@ def _snapshot_batches(tkg: TemporalKG):
     return batches
 
 
-def _check_finite(loss: Tensor, stage: str, epoch: int, t: int) -> None:
-    if not np.isfinite(loss.values):
-        raise NumericError(f"non-finite loss in {stage}, epoch {epoch}, timestamp {t}")
+def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
+                 stage: str, epoch: int) -> float:
+    """One pass over the snapshot batches with one Adam step per batch.
+
+    `batch_loss(t, s_idx, r_idx, o_idx)` builds the summed batch loss on
+    the step's tape; only `params` receive gradients and move. Returns the
+    mean loss per query.
+    """
+    total, count = 0.0, 0
+    for t, s_idx, r_idx, o_idx in batches:
+        with ad.Tape() as tape:
+            loss = batch_loss(t, s_idx, r_idx, o_idx)
+            if not np.isfinite(loss.values):
+                raise NumericError(f"non-finite loss in {stage}, epoch {epoch}, timestamp {t}")
+            ad.zero_grads(params)
+            ad.backward(loss, tape)
+        ad.adam_step(params, adam)
+        total += loss.item()
+        count += len(o_idx)
+    return total / max(count, 1)
 
 
 def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
@@ -127,8 +140,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
                 verbose=None) -> TrainResult:
     """Run both training stages and keep the best-validation parameters."""
     config.validate()
-    dtype = np.float32 if config.dtype == "float32" else np.float64
-    ablation = _ablation_from(config)
+    ablation = AblationConfig.from_config(config)
 
     train_aug, vocab_aug = add_inverse_relations(train_tkg, vocab)
     valid_aug, _ = add_inverse_relations(valid_tkg, vocab)
@@ -138,49 +150,27 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     index_train = build_index(train_aug.facts())
     valid_filters = build_filter_sets(train_aug, valid_aug)
 
-    model = init_model(
-        num_entities=vocab.num_entities,
-        num_relations=vocab.num_relations,
-        dim=config.dim,
-        llm_dim=sem.dim,
-        adapter_hidden=config.adapter_hidden,
-        channels=config.channels,
-        kernel_width=config.kernel_width,
-        layers=config.layers,
-        window=config.window,
-        dropout=config.dropout,
-        num_historical=config.num_historical,
-        num_nonhistorical=config.num_nonhistorical,
-        gate_input=config.gate_input,
-        gen=rng.stream(config.seed, rng.INIT),
-        dtype=dtype,
-    )
+    spec = ModelSpec.from_config(config, vocab.num_entities, vocab.num_relations, sem.dim)
+    model = init_model(spec, rng.stream(config.seed, rng.INIT))
 
     named = model.named_parameters()
     stage0_losses: list[float] = []
 
     # stage 0: structural encoder (plus its decoder) on link prediction
     if not ablation.disable_structural and config.epochs_stage0 > 0:
-        names0 = [n for n in named if n.startswith(("encoder.", "decoder_g."))]
-        params0 = [named[n] for n in names0]
+        params0 = [t for n, t in named.items() if n.startswith(("encoder.", "decoder_g."))]
         adam0 = ad.init_adam(params0, lr=config.learning_rate)
         gen0 = rng.stream(config.seed, rng.DROPOUT, 0)
+
+        def stage0_loss(t, s_idx, r_idx, o_idx):
+            H, R = encode_structural(model.encoder, edges_train, t, train=True, gen=gen0)
+            q_g = decode(model.decoder_g, ad.gather_rows(H, s_idx),
+                         ad.gather_rows(R, r_idx), train=True, gen=gen0)
+            return major_loss(score_logits(q_g, H), o_idx, "cross_entropy")
+
         for epoch in range(1, config.epochs_stage0 + 1):
-            total, count = 0.0, 0
-            for t, s_idx, r_idx, o_idx in batches:
-                with ad.Tape() as tape:
-                    H, R = encode_structural(model.encoder, edges_train, t, train=True, gen=gen0)
-                    q_g = decode(model.decoder_g, ad.gather_rows(H, s_idx),
-                                 ad.gather_rows(R, r_idx), train=True, gen=gen0)
-                    logits = score_logits(q_g, H)
-                    loss = major_loss(logits, o_idx, "cross_entropy")
-                    _check_finite(loss, "stage 0", epoch, t)
-                    ad.zero_grads(params0)
-                    ad.backward(loss, tape)
-                ad.adam_step(params0, adam0)
-                total += loss.item()
-                count += len(o_idx)
-            stage0_losses.append(total / max(count, 1))
+            stage0_losses.append(_train_epoch(batches, stage0_loss, params0, adam0,
+                                              "stage 0", epoch))
             if verbose:
                 verbose(f"stage0 epoch {epoch}: loss {stage0_losses[-1]:.6f}")
 
@@ -193,21 +183,34 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     params1 = [named[n] for n in names1]
     adam1 = ad.init_adam(params1, lr=config.learning_rate)
     gen1 = rng.stream(config.seed, rng.DROPOUT, 1)
-    omega = 0.0 if ablation.disable_event_aware else config.omega
+    omega = 0.0 if config.disable_event_aware else config.omega
     use_experts = not (ablation.disable_semantic or ablation.disable_structural)
+    literal = config.loss_mode == "literal"
 
-    # the frozen encoder makes per-timestamp output a constant: cache it
-    train_cache: dict[int, tuple] = {}
+    # the frozen encoder makes per-timestamp output a constant: encode each
+    # training timestamp once, off the tape
+    encoded: dict[int, tuple] = {}
+    if not ablation.disable_structural and config.epochs_stage1 > 0:
+        encoded = {t: encode_structural(model.encoder, edges_train, t) for t, *_ in batches}
     valid_cache: dict[int, tuple] = {}
 
-    def encoded(t):
-        if ablation.disable_structural:
-            return None, None
-        if t not in train_cache:
-            H, R = encode_structural(model.encoder, edges_train, t)
-            train_cache[t] = (H.values, R.values)
-        H_v, R_v = train_cache[t]
-        return Tensor(H_v), Tensor(R_v)
+    def stage1_loss(t, s_idx, r_idx, o_idx):
+        H, R = encoded.get(t, (None, None))
+        bundle = forward_queries(model, H, R, sem, s_idx, r_idx,
+                                 train=True, gen=gen1, ablation=ablation)
+        pred = ad.sigmoid(bundle.logits) if literal else bundle.logits
+        loss = major_loss(pred, o_idx, config.loss_mode)
+        if use_experts and omega > 0.0:
+            lh_raw, ln_raw = bundle.partial_logits()
+            if literal:
+                lh_raw, ln_raw = ad.sigmoid(lh_raw), ad.sigmoid(ln_raw)
+            indicators = [
+                index_train.indicator(int(s), int(r), int(o), t)
+                for s, r, o in zip(s_idx, r_idx, o_idx)
+            ]
+            l_his, l_nhis = expert_losses(lh_raw, ln_raw, o_idx, indicators, config.loss_mode)
+            loss = total_loss(loss, l_his, l_nhis, omega)
+        return loss
 
     log_lines: list[str] = []
     best_mrr: float | None = None
@@ -215,38 +218,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     best_state: dict | None = None
 
     for epoch in range(1, config.epochs_stage1 + 1):
-        total, count = 0.0, 0
-        for t, s_idx, r_idx, o_idx in batches:
-            H, R = encoded(t)
-            with ad.Tape() as tape:
-                bundle = forward_queries(
-                    model, H, R, sem, s_idx, r_idx,
-                    train=True, gen=gen1, ablation=ablation,
-                )
-                if config.loss_mode == "literal":
-                    pred = ad.sigmoid(bundle.logits)
-                else:
-                    pred = bundle.logits
-                loss = major_loss(pred, o_idx, config.loss_mode)
-                if use_experts and omega > 0.0:
-                    lh_raw, ln_raw = bundle.partial_logits()
-                    if config.loss_mode == "literal":
-                        lh_raw, ln_raw = ad.sigmoid(lh_raw), ad.sigmoid(ln_raw)
-                    indicators = [
-                        index_train.indicator(int(s), int(r), int(o), t)
-                        for s, r, o in zip(s_idx, r_idx, o_idx)
-                    ]
-                    l_his, l_nhis = expert_losses(lh_raw, ln_raw, o_idx, indicators,
-                                                  config.loss_mode)
-                    loss = total_loss(loss, l_his, l_nhis, omega)
-                _check_finite(loss, "stage 1", epoch, t)
-                ad.zero_grads(params1)
-                ad.backward(loss, tape)
-            ad.adam_step(params1, adam1)
-            total += loss.item()
-            count += len(o_idx)
-        train_loss = total / max(count, 1)
-
+        train_loss = _train_epoch(batches, stage1_loss, params1, adam1, "stage 1", epoch)
         results, _, _ = ranked_queries(
             model, sem, edges_cond_valid, valid_aug, valid_filters,
             ablation=ablation, encode_cache=valid_cache,
@@ -277,7 +249,6 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
         stage0_losses=stage0_losses,
         best_valid_mrr=best_mrr,
         best_epoch=best_epoch,
-        encode_cache=train_cache,
     )
 
 
@@ -285,78 +256,71 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
 # checkpoints
 
 CHECKPOINT_MAGIC = "meshckpt"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
-ARCH_KEYS = (
-    "dim", "llm_dim", "adapter_hidden", "channels", "kernel_width", "layers",
-    "window", "dropout", "num_historical", "num_nonhistorical", "gate_input",
-)
+
+class CheckpointError(DatasetError, ValueError):
+    """A checkpoint file that cannot be read back into a model."""
 
 
 def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
                     frozen_names: list, seed: int) -> None:
-    """Versioned container: JSON header line, then float32 little-endian
-    parameter blobs in manifest order."""
+    """Versioned container: JSON header line (model spec, run configuration,
+    parameter manifest), then float32 little-endian parameter blobs in
+    manifest order."""
     named = model.named_parameters()
-    manifest = [{"name": n, "shape": list(t.values.shape)} for n, t in named.items()]
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
+        "spec": asdict(model.spec),
         "config": config.to_dict(),
-        "vocab": {
-            "num_entities": model.num_entities,
-            "num_relations": model.num_relations,
-        },
         "seed": seed,
         "frozen": list(frozen_names),
-        "params": manifest,
+        "params": [{"name": n, "shape": list(t.values.shape)} for n, t in named.items()],
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        for n, _ in ((m["name"], m) for m in manifest):
-            fh.write(np.ascontiguousarray(named[n].values, dtype="<f4").tobytes())
+        for tensor in named.values():
+            fh.write(np.ascontiguousarray(tensor.values, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str):
-    """Rebuild the model from a checkpoint; returns (model, header)."""
+    """Rebuild the model from a checkpoint's spec and blobs; returns
+    (model, header). Raises CheckpointError for anything unreadable."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a model checkpoint")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+        line = fh.readline()
         blob = fh.read()
-    cfg = header["config"]
-    dtype = np.float32 if cfg.get("dtype", "float32") == "float32" else np.float64
-    model = init_model(
-        num_entities=header["vocab"]["num_entities"],
-        num_relations=header["vocab"]["num_relations"],
-        dim=cfg["dim"],
-        llm_dim=cfg["llm_dim"],
-        adapter_hidden=cfg["adapter_hidden"],
-        channels=cfg["channels"],
-        kernel_width=cfg["kernel_width"],
-        layers=cfg["layers"],
-        window=cfg["window"],
-        dropout=cfg["dropout"],
-        num_historical=cfg["num_historical"],
-        num_nonhistorical=cfg["num_nonhistorical"],
-        gate_input=cfg["gate_input"],
-        gen=rng.stream(0, rng.INIT),
-        dtype=dtype,
-    )
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint header ({exc})") from None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path} is not a model checkpoint")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    try:
+        spec = ModelSpec(**header["spec"])
+        model = init_model(spec, rng.stream(0, rng.INIT))
+        manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad checkpoint header ({exc!r})") from None
     named = model.named_parameters()
-    offset = 0
-    for entry in header["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in named:
-            raise ValueError(f"checkpoint parameter {name} does not fit this architecture")
-        size = int(np.prod(shape)) if shape else 1
-        raw = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-        offset += size * 4
+    names = [name for name, _ in manifest]
+    if len(set(names)) != len(names) or set(names) != set(named):
+        missing = sorted(set(named) - set(names))
+        extra = sorted({n for n in names if names.count(n) > 1 or n not in named})
+        raise CheckpointError(f"{path}: parameter manifest does not fit the spec "
+                              f"(missing {missing}, unknown or repeated {extra})")
+    for name, shape in manifest:
         if named[name].values.shape != shape:
-            raise ValueError(f"checkpoint shape {shape} for {name} does not match model")
-        named[name].values = raw.reshape(shape).astype(dtype)
-    if offset != len(blob):
-        raise ValueError(f"{path}: trailing bytes after the declared parameters")
+            raise CheckpointError(f"{path}: shape {shape} for {name} does not match the spec")
+    expected = 4 * sum(t.values.size for t in named.values())
+    if len(blob) != expected:
+        raise CheckpointError(f"{path}: {len(blob)} parameter bytes, the manifest declares {expected}")
+    offset = 0
+    for name, shape in manifest:
+        size = named[name].values.size
+        raw = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
+        named[name].values = raw.reshape(shape).astype(spec.dtype)
+        offset += 4 * size
     return model, header

@@ -1,8 +1,12 @@
+import json
+import math
 import os
 
 import pytest
 
+from meshtkg import training
 from meshtkg.cli import run
+from meshtkg.encoders import save_semantic_embeddings, synthetic_embeddings
 
 from conftest import micro_config
 
@@ -79,6 +83,14 @@ class TestDataCommands:
 
 
 @pytest.fixture(scope="module")
+def narrow_embeddings(synth_dataset, tmp_path_factory):
+    """An 8-wide embedding file, narrower than any profile's llm_dim."""
+    path = str(tmp_path_factory.mktemp("emb") / "narrow.emb")
+    save_semantic_embeddings(path, synthetic_embeddings(synth_dataset["vocab"], 8, seed=5))
+    return path
+
+
+@pytest.fixture(scope="module")
 def train_dir(synth_dataset, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("cli_train"))
     assert run(["train", synth_dataset["dir"], *micro_flags(out)]) == 0
@@ -126,6 +138,26 @@ class TestTrainEvalCommands:
         assert run(["eval", ckpt, synth_dataset["dir"], "--out", out_a]) == 0
         assert run(["eval", ckpt, synth_dataset["dir"], "--out", out_b, "--disable-semantic"]) == 0
         assert read(os.path.join(out_a, "metrics.tsv")) != read(os.path.join(out_b, "metrics.tsv"))
+
+    def test_adapters_sized_from_embedding_file(self, synth_dataset, narrow_embeddings, tmp_path):
+        # the file's width, not llm_dim, sizes the adapters; eval must rebuild them
+        out = str(tmp_path / "narrow")
+        argv = ["train", synth_dataset["dir"], "--embeddings", narrow_embeddings,
+                *micro_flags(out, llm_dim=64, epochs_stage0=1, epochs_stage1=1)]
+        assert run(argv) == 0
+        out_ev = str(tmp_path / "narrow_eval")
+        ckpt = os.path.join(out, "checkpoint.mesh")
+        assert run(["eval", ckpt, synth_dataset["dir"], "--out", out_ev]) == 0
+        assert os.path.exists(os.path.join(out_ev, "metrics.tsv"))
+
+    def test_eval_embedding_width_mismatch_is_data_error(self, synth_dataset, train_dir,
+                                                         narrow_embeddings, tmp_path, capsys):
+        ckpt = os.path.join(train_dir, "checkpoint.mesh")
+        code = run(["eval", ckpt, synth_dataset["dir"], "--out", str(tmp_path / "ev"),
+                    "--embeddings", narrow_embeddings])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data error:") and err.count("\n") == 1
 
     def test_env_override(self, synth_dataset, tmp_path, monkeypatch):
         out = str(tmp_path / "envrun")
@@ -190,3 +222,69 @@ class TestSweep:
         assert run(["sweep", synth_dataset["dir"], "--out", out]) == 2
         assert run(["sweep", synth_dataset["dir"], "--out", out,
                     "--omega-list", "1.0", "--mn-grid", "1x1"]) == 2
+
+
+def _edit_header(edit):
+    """A fault that rewrites the header (and possibly the blob) of a good checkpoint."""
+    def fault(raw):
+        line, blob = raw.split(b"\n", 1)
+        header = json.loads(line)
+        blob = edit(header, blob)
+        return json.dumps(header).encode() + b"\n" + blob
+    return fault
+
+
+def _set(key, value):
+    def edit(header, blob):
+        header[key] = value
+        return blob
+    return _edit_header(edit)
+
+
+def _drop_spec_key(header, blob):
+    del header["spec"]["dim"]
+    return blob
+
+
+def _first_param_bytes(header, blob):
+    return blob[:4 * math.prod(header["params"][0]["shape"])]
+
+
+def _omit_param(header, blob):
+    first = _first_param_bytes(header, blob)
+    del header["params"][0]
+    return blob[len(first):]
+
+
+def _repeat_param(header, blob):
+    first = _first_param_bytes(header, blob)
+    header["params"].append(header["params"][0])
+    return blob + first
+
+
+CHECKPOINT_FAULTS = {
+    "truncated header": lambda raw: raw[:40],
+    "non-utf8 header": lambda raw: b"\xff\xfe" + raw,
+    "wrong magic": _set("format", "npz"),
+    "wrong version": _set("version", 1),
+    "missing spec key": _edit_header(_drop_spec_key),
+    "short blob": lambda raw: raw[:-4],
+    "over-long blob": lambda raw: raw + bytes(4),
+    "omitted parameter": _edit_header(_omit_param),
+    "repeated parameter": _edit_header(_repeat_param),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_bad_checkpoint_exits_3(fault, synth_dataset, train_dir, tmp_path, capsys):
+    with open(os.path.join(train_dir, "checkpoint.mesh"), "rb") as fh:
+        raw = fh.read()
+    path = str(tmp_path / "bad.mesh")
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_FAULTS[fault](raw))
+    with pytest.raises(training.CheckpointError):
+        training.load_checkpoint(path)
+    code = run(["eval", path, synth_dataset["dir"], "--out", str(tmp_path / "ev")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and err.count("\n") == 1

@@ -30,16 +30,6 @@ def test_output_length_is_d(channels, width, d, np_gen):
     assert q.shape == (3, d)
 
 
-def test_single_vector_roundtrip(np_gen):
-    params = init_conv_transe(4, 2, 3, 0.0, np_gen)
-    h = np_gen.standard_normal(4)
-    r = np_gen.standard_normal(4)
-    single = decode(params, Tensor(h), Tensor(r))
-    batched = decode(params, Tensor(h[None, :]), Tensor(r[None, :]))
-    assert single.shape == (4,)
-    assert np.allclose(single.values, batched.values[0])
-
-
 def test_hand_computed_convolution_and_projection():
     # C=2, w=3, d=4; kernel 0 averages the two channels at the center tap,
     # kernel 1 shifts channel 0 one step right

@@ -219,9 +219,6 @@ class TestEvaluate:
         # ablated paths genuinely change the scores
         assert [r.filtered_rank for r in no_sem.results] != [r.filtered_rank for r in base.results]
         assert [r.filtered_rank for r in no_struct.results] != [r.filtered_rank for r in base.results]
-        # event-aware flag is training-only: evaluation ignores it
-        no_ea = evaluate(model, ablation=AblationConfig(disable_event_aware=True), **kwargs)
-        assert [r.filtered_rank for r in no_ea.results] == [r.filtered_rank for r in base.results]
 
     def test_mean_fusion_equals_prediction_expert_at_gate_zero(self, synth_dataset, trained):
         """With zero-initialized gates and M=N=1, averaging expert outputs and

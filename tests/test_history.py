@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from meshtkg.history import (
     build_index,
     dataset_stats,
-    indicator,
     naive_predict,
     naive_rank,
 )
@@ -25,7 +24,7 @@ class TestFrequencyIndex:
     def test_empty(self):
         index = build_index([])
         assert index.frequency(0, 0, 0, 10) == 0
-        assert indicator(index, 0, 0, 0, 10) == 0
+        assert index.indicator(0, 0, 0, 10) == 0
 
     def test_strict_inequality(self):
         index = build_index([Quadruple(1, 2, 3, 0), Quadruple(1, 2, 3, 4)])
@@ -35,8 +34,8 @@ class TestFrequencyIndex:
 
     def test_same_timestamp_not_historical(self):
         index = build_index([Quadruple(0, 0, 1, 3)])
-        assert indicator(index, 0, 0, 1, 3) == 0
-        assert indicator(index, 0, 0, 1, 4) == 1
+        assert index.indicator(0, 0, 1, 3) == 0
+        assert index.indicator(0, 0, 1, 4) == 1
 
     def test_against_brute_force_scan(self, np_gen):
         facts = random_facts(np_gen, 200, 10, 4, 15)
@@ -57,7 +56,7 @@ class TestFrequencyIndex:
         index = build_index(facts)
         freqs = [index.frequency(0, 0, 0, t) for t in range(12)]
         assert all(a <= b for a, b in zip(freqs, freqs[1:]))
-        flags = [indicator(index, 0, 0, 0, t) for t in range(12)]
+        flags = [index.indicator(0, 0, 0, t) for t in range(12)]
         assert all(a <= b for a, b in zip(flags, flags[1:]))
 
     def test_counters_sum_to_corpus(self, np_gen):

@@ -171,9 +171,10 @@ def small_model(np_gen=None, **overrides):
 
 def small_inputs(model, seed=0):
     gen = np.random.default_rng(seed)
-    H_g = Tensor(gen.standard_normal((model.num_entities, model.dim)))
-    R_g = Tensor(gen.standard_normal((2 * model.num_relations, model.dim)))
-    sem = synthetic_embeddings(make_vocab(model.num_entities, model.num_relations), model.llm_dim, seed=1)
+    spec = model.spec
+    H_g = Tensor(gen.standard_normal((spec.num_entities, spec.dim)))
+    R_g = Tensor(gen.standard_normal((2 * spec.num_relations, spec.dim)))
+    sem = synthetic_embeddings(make_vocab(spec.num_entities, spec.num_relations), spec.llm_dim, seed=1)
     s_idx = np.array([0, 3, 6])
     r_idx = np.array([0, 4, 2])  # includes an inverse relation id
     return H_g, R_g, sem, s_idx, r_idx
@@ -184,7 +185,7 @@ class TestForwardQueries:
         model = small_model()
         H_g, R_g, sem, s_idx, r_idx = small_inputs(model)
         bundle = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
-        assert bundle.q.shape == (3, model.dim)
+        assert bundle.q.shape == (3, model.spec.dim)
         assert bundle.alphas.shape == (3, 2)
         # zero-initialized gates: every weight is exactly 0.5 and each expert
         # output is the even blend of the two query views
@@ -224,7 +225,7 @@ class TestForwardQueries:
             model, None, None, sem, s_idx, r_idx, ablation=AblationConfig(disable_structural=True)
         )
         assert bundle.q is bundle.q_s
-        assert bundle.score_table.shape == (model.num_entities, model.dim)
+        assert bundle.score_table.shape == (model.spec.num_entities, model.spec.dim)
 
     def test_conflicting_ablation_rejected(self):
         with pytest.raises(ValueError):

@@ -172,6 +172,7 @@ class TestCheckpoint:
         save_checkpoint(path, result.model, trained["config"], result.frozen_names, 1)
         loaded, header = load_checkpoint(path)
         assert header["frozen"] == result.frozen_names
+        assert loaded.spec == result.model.spec
         a = result.model.named_parameters()
         b = loaded.named_parameters()
         assert set(a) == set(b)

@@ -89,9 +89,14 @@ def _load_data(config: cfg.RunConfig):
 
 
 def _semantic_table(config: cfg.RunConfig, vocab):
+    """The semantic rows; `config.llm_dim` then records their width, which
+    sizes the adapters whatever width the configuration asked for."""
     if config.embeddings:
-        return load_semantic_embeddings(config.embeddings, vocab)
-    return synthetic_embeddings(vocab, config.llm_dim, config.synthetic_seed)
+        sem = load_semantic_embeddings(config.embeddings, vocab)
+    else:
+        sem = synthetic_embeddings(vocab, config.llm_dim, config.synthetic_seed)
+    config.llm_dim = sem.dim
+    return sem
 
 
 def _write(path, text):
@@ -153,9 +158,9 @@ def cmd_emit_prompts(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve(args, dataset=args.dataset)
-    _write_echo(config)
     vocab, train, valid, test = _load_data(config)
     sem = _semantic_table(config, vocab)
+    _write_echo(config)
     result = training.train_model(
         config, vocab, train, valid, sem,
         verbose=(print if args.verbose else None),
@@ -246,8 +251,7 @@ def cmd_sweep(args) -> int:
             raise CliError(f"bad --omega-list value: {args.omega_list!r}")
     else:
         settings = [("mn", _parse_mn(v)) for v in args.mn_grid.split(",") if v]
-    _write_echo(config)
-    rows = ["setting\tMRR\tH@3\tH@10"]
+    runs = []
     for kind, value in settings:
         run_cfg = cfg.RunConfig(**config.to_dict())
         if kind == "omega":
@@ -257,10 +261,17 @@ def cmd_sweep(args) -> int:
             run_cfg.num_historical, run_cfg.num_nonhistorical = value
             tag = f"m{value[0]}n{value[1]}"
         run_cfg.out = os.path.join(config.out, tag)
-        run_cfg.validate()
-        _write_echo(run_cfg)
+        try:
+            run_cfg.validate()
+        except ValueError as exc:
+            raise CliError(f"sweep setting {tag}: {exc}")
+        runs.append((tag, run_cfg))
+    _write_echo(config)
+    rows = ["setting\tMRR\tH@3\tH@10"]
+    for tag, run_cfg in runs:
         vocab, train, valid, test = _load_data(run_cfg)
         sem = _semantic_table(run_cfg, vocab)
+        _write_echo(run_cfg)
         result = training.train_model(run_cfg, vocab, train, valid, sem)
         training.save_checkpoint(
             os.path.join(run_cfg.out, "checkpoint.mesh"),

@@ -125,15 +125,10 @@ def init_structural_encoder(num_entities: int, num_relations_aug: int, dim: int,
 
 
 def snapshot_edges(tkg: TemporalKG) -> list:
-    """Per-timestamp (subject, relation, object) index arrays."""
-    out = []
-    for snap in tkg.snapshots:
-        if snap:
-            arr = np.array([(q.s, q.r, q.o) for q in snap], dtype=np.int64)
-            out.append((arr[:, 0], arr[:, 1], arr[:, 2]))
-        else:
-            out.append(None)
-    return out
+    """Per-timestamp (subject, relation, object) index arrays, None where
+    the graph has no facts."""
+    return [(rows[:, 0], rows[:, 1], rows[:, 2]) if len(rows) else None
+            for rows in tkg.snapshots()]
 
 
 def encode_structural(params: StructuralEncoderParams, edges: list, t: int,

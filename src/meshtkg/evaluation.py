@@ -10,7 +10,6 @@ scores (logits vs probabilities) yields identical metrics.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import history
 from .autodiff import Tensor
 from .encoders import SemanticEmbeddingTable, adapt, encode_structural, snapshot_edges
 from .model import AblationConfig, MeshModel, forward_queries
-from .tkg import TemporalKG, Vocabulary, add_inverse_relations, merge
+from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
 
 
 @dataclass
@@ -193,13 +192,38 @@ def gate_statistics(alpha_his, alpha_nhis) -> GateStats:
 # ---------------------------------------------------------------------------
 # full-split evaluation
 
-def build_filter_sets(*tkgs: TemporalKG) -> dict:
-    """(s, r, t) -> set of true objects, over the given (augmented) graphs."""
-    filters: dict = defaultdict(set)
-    for tkg in tkgs:
-        for q in tkg.facts():
-            filters[(q.s, q.r, q.t)].add(q.o)
-    return filters
+def filtered_ranks(scores: np.ndarray, queries: np.ndarray, known: np.ndarray):
+    """Raw and time-aware-filtered ranks of one snapshot's true objects,
+    equal query by query to :func:`rank_query`'s.
+
+    `scores` is (B, |E|) for the B (s, r, o, t) rows of `queries`; `known`
+    holds every true fact at their timestamp. Each query's filter is the
+    distinct objects of the known rows that share its (s, r), its own
+    object left out.
+    """
+    batch, num_entities = scores.shape
+    s_o = scores[np.arange(batch), queries[:, 2]][:, None]
+    greater = np.count_nonzero(scores > s_o, axis=1)
+    ties = np.count_nonzero(scores == s_o, axis=1) - 1
+    known_pairs = history.pack(known[:, 0], known[:, 1])
+    order = np.argsort(known_pairs)
+    i, j = history.matching(known_pairs[order], history.pack(queries[:, 0], queries[:, 1]))
+    i, other = np.divmod(np.unique(i * num_entities + known[order[j], 2]), num_entities)
+    keep = other != queries[i, 2]
+    i, f_scores = i[keep], scores[i[keep], other[keep]]
+    greater_f = np.bincount(i[f_scores > s_o[i, 0]], minlength=batch)
+    ties_f = np.bincount(i[f_scores == s_o[i, 0]], minlength=batch)
+    raw = 1.0 + greater + 0.5 * ties
+    filtered = 1.0 + (greater - greater_f) + 0.5 * (ties - ties_f)
+    return raw, filtered
+
+
+def _results(queries: np.ndarray, ranks: list, indicators) -> list[RankResult]:
+    """One result per query row from the per-snapshot (raw, filtered) ranks."""
+    raw, filtered = (np.concatenate(column) for column in zip(*ranks))
+    s, r, o, t = queries.T.tolist()
+    tags = [None] * len(s) if indicators is None else indicators.tolist()
+    return list(map(RankResult, s, r, t, o, raw.tolist(), filtered.tolist(), tags))
 
 
 @dataclass
@@ -219,34 +243,34 @@ class EvalResult:
 
 
 def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond_edges: list,
-                   query_tkg: TemporalKG, filters: dict,
-                   index: history.FrequencyIndex | None = None,
+                   query_tkg: TemporalKG, known: TemporalKG,
+                   indicators: np.ndarray | None = None,
                    ablation: AblationConfig | None = None,
                    encode_cache: dict | None = None,
                    collect_alpha: bool = False):
-    """Rank every query of `query_tkg` (already inverse-augmented).
+    """Rank every query of `query_tkg` (already inverse-augmented), with
+    each query's filter taken from `known`'s facts at its timestamp.
 
-    Returns (results, alpha_his, alpha_nhis). The encoder output per
-    timestamp can be cached across calls via `encode_cache` because the
-    evaluation-mode encoder is a pure function of its frozen parameters.
+    `indicators`, aligned with `query_tkg.array`, tags each result as
+    historical (1) or not (0). Returns (results, alpha_his, alpha_nhis).
+    The encoder output per timestamp can be cached across calls via
+    `encode_cache` because the evaluation-mode encoder is a pure function
+    of its frozen parameters.
     """
     ablation = ablation or AblationConfig()
     ablation.validate()
     dtype = model.encoder.entity_emb.dtype
-    results: list[RankResult] = []
-    alpha_his: list[float] = []
-    alpha_nhis: list[float] = []
 
     sem_table = None
     if ablation.disable_structural:
         h_l, _ = adapt(sem, model.adapters, dtype)
         sem_table = Tensor(h_l.values)
 
-    for t in query_tkg.timestamps():
-        snap = query_tkg.snapshots[t]
-        s_idx = np.fromiter((q.s for q in snap), dtype=np.int64)
-        r_idx = np.fromiter((q.r for q in snap), dtype=np.int64)
-        o_idx = [q.o for q in snap]
+    known_at = known.snapshots()
+    ranks, alphas = [], []
+    for t, rows in enumerate(query_tkg.snapshots()):
+        if not len(rows):
+            continue
         if ablation.disable_structural:
             H = R = None
         elif encode_cache is not None and t in encode_cache:
@@ -256,20 +280,32 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond_edges: li
             if encode_cache is not None:
                 encode_cache[t] = (H.values, R.values)
         bundle = forward_queries(
-            model, H, R, sem, s_idx, r_idx,
+            model, H, R, sem, rows[:, 0], rows[:, 1],
             train=False, ablation=ablation, semantic_entity_table=sem_table,
         )
-        scores = bundle.logits.values
-        alphas = bundle.alphas.values if (collect_alpha and bundle.alphas is not None) else None
-        for i, q in enumerate(snap):
-            filter_out = filters.get((q.s, q.r, q.t), ()) if filters else ()
-            filter_out = [e for e in filter_out if e != q.o]
-            raw, filtered = rank_query(scores[i], q.o, filter_out)
-            ind = index.indicator(q.s, q.r, q.o, q.t) if index is not None else None
-            results.append(RankResult(q.s, q.r, q.t, q.o, raw, filtered, ind))
-            if alphas is not None and ind is not None:
-                (alpha_his if ind == 1 else alpha_nhis).append(float(alphas[i, 0]))
-    return results, alpha_his, alpha_nhis
+        ranks.append(filtered_ranks(bundle.logits.values, rows, known_at[t]))
+        if collect_alpha and bundle.alphas is not None:
+            alphas.append(bundle.alphas.values[:, 0])
+    results = _results(query_tkg.array, ranks, indicators)
+    if not alphas or indicators is None:
+        return results, [], []
+    alpha = np.concatenate(alphas)
+    return results, alpha[indicators == 1].tolist(), alpha[indicators == 0].tolist()
+
+
+def _query_split(vocab: Vocabulary, train: TemporalKG, valid: TemporalKG, test: TemporalKG,
+                 split: str):
+    """The three splits inverse-augmented, their union (which supplies every
+    filter), the queried split and its historical indicators."""
+    if split not in ("valid", "test"):
+        raise ValueError(f"split must be 'valid' or 'test', got {split!r}")
+    augmented = [add_inverse_relations(tkg, vocab)[0] for tkg in (train, valid, test)]
+    query = augmented[2 if split == "test" else 1]
+    if not query.num_facts:
+        raise DatasetError(f"the {split} split has no facts to rank")
+    known = merge(*augmented)
+    indicators = history.build_index(known.array).indicator(*query.array.T)
+    return augmented, known, query, indicators
 
 
 def evaluate(model: MeshModel, vocab: Vocabulary, train: TemporalKG, valid: TemporalKG,
@@ -279,22 +315,10 @@ def evaluate(model: MeshModel, vocab: Vocabulary, train: TemporalKG, valid: Temp
     """Evaluate one split with time-aware filtering, split metrics, and gate
     statistics. The encoder conditions on every fact that precedes each
     query timestamp, across all splits."""
-    ablation = ablation or AblationConfig()
-    train_aug, vocab_aug = add_inverse_relations(train, vocab)
-    valid_aug, _ = add_inverse_relations(valid, vocab)
-    test_aug, _ = add_inverse_relations(test, vocab)
-    if split == "test":
-        cond = merge(train_aug, valid_aug, test_aug)
-        query_tkg = test_aug
-    elif split == "valid":
-        cond = merge(train_aug, valid_aug)
-        query_tkg = valid_aug
-    else:
-        raise ValueError(f"split must be 'valid' or 'test', got {split!r}")
-    filters = build_filter_sets(train_aug, valid_aug, test_aug)
-    index = history.build_index(merge(train_aug, valid_aug, test_aug).facts())
+    augmented, known, query, indicators = _query_split(vocab, train, valid, test, split)
+    cond = known if split == "test" else merge(*augmented[:2])
     results, a_his, a_nhis = ranked_queries(
-        model, sem, snapshot_edges(cond), query_tkg, filters, index,
+        model, sem, snapshot_edges(cond), query, known, indicators,
         ablation=ablation, encode_cache=encode_cache, collect_alpha=True,
     )
     overall = compute_metrics([r.filtered_rank for r in results])
@@ -306,22 +330,14 @@ def evaluate(model: MeshModel, vocab: Vocabulary, train: TemporalKG, valid: Temp
 def evaluate_naive(vocab: Vocabulary, train: TemporalKG, valid: TemporalKG,
                    test: TemporalKG, split: str = "test") -> EvalResult:
     """Frequency-ranking baseline under the same filtered protocol."""
-    train_aug, _ = add_inverse_relations(train, vocab)
-    valid_aug, _ = add_inverse_relations(valid, vocab)
-    test_aug, _ = add_inverse_relations(test, vocab)
-    query_tkg = test_aug if split == "test" else valid_aug
-    index = history.build_index(train_aug.facts())
-    classify = history.build_index(merge(train_aug, valid_aug, test_aug).facts())
-    filters = build_filter_sets(train_aug, valid_aug, test_aug)
-    results = []
-    for q in query_tkg.facts():
-        filter_out = [e for e in filters.get((q.s, q.r, q.t), ()) if e != q.o]
-        rank = history.naive_rank(index, q.s, q.r, q.o, filter_out)
-        raw = history.naive_rank(index, q.s, q.r, q.o)
-        results.append(
-            RankResult(q.s, q.r, q.t, q.o, float(raw), float(rank),
-                       classify.indicator(q.s, q.r, q.o, q.t))
-        )
+    augmented, known, query, indicators = _query_split(vocab, train, valid, test, split)
+    counts = history.build_index(augmented[0].array)
+    ranks = [
+        filtered_ranks(history.naive_scores(counts, rows[:, 0], rows[:, 1], vocab.num_entities),
+                       rows, known_rows)
+        for rows, known_rows in zip(query.snapshots(), known.snapshots())
+    ]
+    results = _results(query.array, ranks, indicators)
     overall = compute_metrics([r.filtered_rank for r in results])
     his_report, nhis_report = split_metrics(results)
     return EvalResult(overall, his_report, nhis_report, GateStats(), results)

@@ -13,98 +13,98 @@ training and is surprisingly competitive on repetitive event streams.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tkg import Quadruple, TemporalKG, Vocabulary
+from .tkg import TemporalKG, Vocabulary
+
+ID_BITS = 20                           # per packed id field: ids below 2**20
+NO_KEY = np.iinfo(np.int64).max        # above every packed key
+
+
+def pack(*columns) -> np.ndarray:
+    """One int64 key per row from up to three id columns (scalars or arrays)."""
+    key = np.int64(0)
+    for col in np.broadcast_arrays(*columns):
+        col = col.astype(np.int64)
+        if col.size and (col.min() < 0 or col.max() >= 1 << ID_BITS):
+            raise ValueError(f"ids must lie in 0..{(1 << ID_BITS) - 1} to be packed")
+        key = (key << ID_BITS) | col
+    return key
+
+
+def matching(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with sorted_keys[j] == keys[i], grouped by i."""
+    lo = np.searchsorted(sorted_keys, keys, "left")
+    n = np.searchsorted(sorted_keys, keys, "right") - lo
+    i = np.repeat(np.arange(len(keys)), n)
+    return i, np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
 
 
 class FrequencyIndex:
-    """Occurrence lists per triple plus object counters for ranking.
+    """Sorted packed keys over a fact array: per triple, its occurrence
+    times; per (s, r) pair and per subject, the objects seen with it.
 
-    Immutable after :func:`build_index`; queries are O(log occurrences).
+    Immutable after :func:`build_index`; every query takes arrays (or
+    scalars) and costs O(log N) per element.
     """
 
-    def __init__(self):
-        self.triple_times: dict[tuple[int, int, int], list[int]] = defaultdict(list)
-        self.pair_counts: dict[tuple[int, int], Counter] = defaultdict(Counter)
-        self.subject_counts: dict[int, Counter] = defaultdict(Counter)
-        self.num_facts = 0
+    def __init__(self, facts):
+        facts = np.asarray(facts, dtype=np.int64).reshape(-1, 4)
+        s, r, o, t = facts.T
+        triples, run = np.unique(pack(s, r, o), return_inverse=True)
+        # each triple's occurrence times as one ascending run of stamps
+        self.span = int(t.max(initial=0)) + 1
+        self.triples = np.append(triples, NO_KEY)
+        self.stamps = np.sort(run.reshape(-1) * self.span + t)
+        pairs = pack(s, r)
+        pair_order = np.argsort(pairs, kind="stable")
+        self.pairs, self.pair_objects = pairs[pair_order], o[pair_order]
+        subject_order = np.argsort(s, kind="stable")
+        self.subjects, self.subject_objects = s[subject_order], o[subject_order]
 
-    def frequency(self, s: int, r: int, o: int, t: int) -> int:
+    def frequency(self, s, r, o, t):
         """Occurrences of (s, r, o) at timestamps strictly below t."""
-        times = self.triple_times.get((s, r, o))
-        if not times:
-            return 0
-        return bisect_left(times, t)
+        key = pack(s, r, o)
+        run = np.searchsorted(self.triples, key)
+        below = (np.searchsorted(self.stamps, run * self.span + np.clip(t, 0, self.span))
+                 - np.searchsorted(self.stamps, run * self.span))
+        return np.where(self.triples[run] == key, below, 0)
 
-    def indicator(self, s: int, r: int, o: int, t: int) -> int:
-        return 1 if self.frequency(s, r, o, t) > 0 else 0
+    def indicator(self, s, r, o, t):
+        """1 where (s, r, o) occurred before t (a historical event), else 0."""
+        return (self.frequency(s, r, o, t) > 0).astype(np.int64)
 
 
 def build_index(facts) -> FrequencyIndex:
-    index = FrequencyIndex()
-    for q in facts:
-        insort(index.triple_times[(q.s, q.r, q.o)], q.t)
-        index.pair_counts[(q.s, q.r)][q.o] += 1
-        index.subject_counts[q.s][q.o] += 1
-        index.num_facts += 1
-    return index
+    return FrequencyIndex(facts)
 
 
-def _query_counts(index: FrequencyIndex, s: int, r: int) -> Counter:
-    # Pair counters win whenever any training fact carries (s, r);
-    # otherwise fall back to subject-only interaction counts.
-    counts = index.pair_counts.get((s, r))
-    if counts:
-        return counts
-    return index.subject_counts.get(s, Counter())
+def _object_counts(sorted_keys, objects, keys, num_entities: int) -> np.ndarray:
+    i, j = matching(sorted_keys, keys)
+    flat = np.bincount(i * num_entities + objects[j], minlength=len(keys) * num_entities)
+    return flat.reshape(len(keys), num_entities)
+
+
+def naive_scores(index: FrequencyIndex, s, r, num_entities: int) -> np.ndarray:
+    """(B, |E|) frequency-baseline scores for the queries (s_b, r_b, ?).
+
+    Candidates order by how often they were seen with (s, r); if the pair
+    was never seen, by how often with s under any relation; ties by id.
+    Every score in a row is distinct, so ranks have no ties.
+    """
+    s, r = np.atleast_1d(s, r)
+    counts = _object_counts(index.pairs, index.pair_objects, pack(s, r), num_entities)
+    unseen = ~counts.any(axis=1)
+    counts[unseen] = _object_counts(index.subjects, index.subject_objects, s[unseen],
+                                    num_entities)
+    return counts * num_entities - np.arange(num_entities)
 
 
 def naive_predict(index: FrequencyIndex, s: int, r: int, num_entities: int) -> np.ndarray:
     """Full candidate ranking for (s, r, ?): descending count, then id."""
-    counts = _query_counts(index, s, r)
-    scores = np.zeros(num_entities, dtype=np.int64)
-    for o, c in counts.items():
-        scores[o] = c
-    order = np.lexsort((np.arange(num_entities), -scores))
-    return order
-
-
-def naive_rank(index: FrequencyIndex, s: int, r: int, o: int, filter_out=()) -> int:
-    """Rank of ``o`` in the naive ordering without materializing it.
-
-    ``filter_out`` entities (other known true objects) are deleted from
-    the candidate list before ranking. Runs in O(nonzero counts) instead
-    of O(|E| log |E|), which matters on the larger benchmarks.
-    """
-    counts = _query_counts(index, s, r)
-    c_o = counts.get(o, 0)
-    ahead = 0
-    if c_o > 0:
-        for e, c in counts.items():
-            if c > c_o or (c == c_o and e < o):
-                ahead += 1
-    else:
-        # zero-count candidates sit after every positive count, ordered by id
-        positive = 0
-        positive_below = 0
-        for e, c in counts.items():
-            if c > 0:
-                positive += 1
-                if e < o:
-                    positive_below += 1
-        ahead = positive + (o - positive_below)
-    for e in filter_out:
-        if e == o:
-            continue
-        c_e = counts.get(e, 0)
-        if c_e > c_o or (c_e == c_o and e < o):
-            ahead -= 1
-    return ahead + 1
+    return np.argsort(-naive_scores(index, s, r, num_entities)[0])
 
 
 @dataclass
@@ -152,10 +152,8 @@ def dataset_stats(vocab: Vocabulary, train: TemporalKG, valid: TemporalKG, test:
     A test fact counts as historical when its triple occurred at any
     earlier timestamp in any split.
     """
-    index = build_index(
-        q for tkg in (train, valid, test) for q in tkg.facts()
-    )
-    historical = sum(index.indicator(q.s, q.r, q.o, q.t) for q in test.facts())
+    index = build_index(np.concatenate([tkg.array for tkg in (train, valid, test)]))
+    historical = int(index.indicator(*test.array.T).sum())
     n_test = test.num_facts
     return StatsReport(
         num_entities=vocab.num_entities,

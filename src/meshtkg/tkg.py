@@ -15,8 +15,11 @@ integers 0..T-1.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from . import rng
 
@@ -61,38 +64,37 @@ class Vocabulary:
         return len(self.relation_names)
 
 
-@dataclass
 class TemporalKG:
-    """Facts grouped into per-timestamp snapshots.
+    """One split's facts as a single (N, 4) int64 array of (s, r, o, t) rows
+    sorted by t.
 
-    ``snapshots[k]`` holds exactly the quadruples with t = k; timestamps
-    with no facts in this split hold an empty list. The list is trimmed
-    at the split's last populated timestamp.
+    The sort is stable: within a timestamp, rows keep the order in which
+    they were given. That order fixes the batches, and so every dropout
+    draw, loss and rank downstream. ``facts`` is either such an array, in
+    any row order, or per-timestamp lists of quadruples (``facts[k]``
+    holding those with t = k), which are packed once.
     """
 
-    snapshots: list[list[Quadruple]] = field(default_factory=list)
-    split: str = "merged"
+    def __init__(self, facts=(), split: str = "merged"):
+        if not isinstance(facts, np.ndarray):
+            facts = list(chain.from_iterable(facts))
+        facts = np.asarray(facts, dtype=np.int64).reshape(-1, 4)
+        self.array = facts[np.argsort(facts[:, 3], kind="stable")]
+        self.split = split
 
     @property
     def num_facts(self) -> int:
-        return sum(len(snap) for snap in self.snapshots)
+        return len(self.array)
 
-    def facts(self) -> Iterator[Quadruple]:
-        for snap in self.snapshots:
-            yield from snap
-
-    def timestamps(self) -> list[int]:
-        """Timestamps that actually carry facts, ascending."""
-        return [t for t, snap in enumerate(self.snapshots) if snap]
-
-
-def _group_snapshots(facts, split: str) -> TemporalKG:
-    if not facts:
-        return TemporalKG([], split)
-    snapshots: list[list[Quadruple]] = [[] for _ in range(max(q.t for q in facts) + 1)]
-    for q in facts:
-        snapshots[q.t].append(q)
-    return TemporalKG(snapshots, split)
+    def snapshots(self, rows: np.ndarray | None = None) -> list[np.ndarray]:
+        """Per-timestamp blocks of the facts, or of any per-fact array
+        aligned with them: element k holds the rows with t = k (empty where
+        the split has no facts), up to the last populated timestamp."""
+        rows = self.array if rows is None else rows
+        t = self.array[:, 3]
+        if not len(t):
+            return []
+        return np.split(rows, np.searchsorted(t, np.arange(1, t[-1] + 1)))
 
 
 def _read_id_file(path: str) -> list[str]:
@@ -154,23 +156,20 @@ def _read_fact_file(path: str, num_entities: int, num_relations: int):
                 raise ParseError(path, lineno, f"timestamp {t} decreases after {prev_t}")
             prev_t = t
             rows.append((s, r, o, t))
-    return rows
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def _normalize_timestamps(split_rows: dict[str, list]) -> tuple[dict[str, list[Quadruple]], int]:
-    """Map raw timestamps to dense 0..T-1 over the union of all splits."""
-    raw = sorted({t for rows in split_rows.values() for (_, _, _, t) in rows})
-    if not raw:
-        return {name: [] for name in split_rows}, 0
-    gaps = [b - a for a, b in zip(raw, raw[1:]) if b > a]
-    step = min(gaps) if gaps else 1
-    scaled = sorted({(t - raw[0]) // step for t in raw})
-    dense = {v: i for i, v in enumerate(scaled)}
-    out = {
-        name: [Quadruple(s, r, o, dense[(t - raw[0]) // step]) for (s, r, o, t) in rows]
-        for name, rows in split_rows.items()
-    }
-    return out, len(scaled)
+def _normalize_timestamps(splits: dict[str, np.ndarray]) -> int:
+    """Map raw timestamps to dense 0..T-1 over the union of all splits, in
+    place; returns T."""
+    raw = np.unique(np.concatenate([rows[:, 3] for rows in splits.values()]))
+    if not len(raw):
+        return 0
+    step = int(np.diff(raw).min()) if len(raw) > 1 else 1
+    levels = np.unique((raw - raw[0]) // step)
+    for rows in splits.values():
+        rows[:, 3] = np.searchsorted(levels, (rows[:, 3] - raw[0]) // step)
+    return len(levels)
 
 
 def load_dataset(directory: str, time_granularity: str = "unknown"):
@@ -181,18 +180,15 @@ def load_dataset(directory: str, time_granularity: str = "unknown"):
     """
     entity_names = _read_id_file(os.path.join(directory, "entity2id.txt"))
     relation_names = _read_id_file(os.path.join(directory, "relation2id.txt"))
-    raw = {
+    splits = {
         split: _read_fact_file(
             os.path.join(directory, f"{split}.txt"), len(entity_names), len(relation_names)
         )
         for split in ("train", "valid", "test")
     }
-    normalized, num_timestamps = _normalize_timestamps(raw)
+    num_timestamps = _normalize_timestamps(splits)
     vocab = Vocabulary(entity_names, relation_names, num_timestamps, time_granularity)
-    train = _group_snapshots(normalized["train"], "train")
-    valid = _group_snapshots(normalized["valid"], "valid")
-    test = _group_snapshots(normalized["test"], "test")
-    return vocab, train, valid, test
+    return (vocab, *(TemporalKG(rows, split) for split, rows in splits.items()))
 
 
 def write_dataset(directory: str, vocab: Vocabulary, train, valid, test) -> None:
@@ -206,24 +202,18 @@ def write_dataset(directory: str, vocab: Vocabulary, train, valid, test) -> None
             fh.write(f"{name}\t{i}\n")
     for tkg in (train, valid, test):
         with open(os.path.join(directory, f"{tkg.split}.txt"), "w", encoding="utf-8") as fh:
-            for q in tkg.facts():
-                fh.write(f"{q.s}\t{q.r}\t{q.o}\t{q.t}\n")
+            np.savetxt(fh, tkg.array, fmt="%d", delimiter="\t")
 
 
 def merge(*tkgs: TemporalKG) -> TemporalKG:
-    """Union of several splits as one graph (snapshot-aligned)."""
-    length = max((len(t.snapshots) for t in tkgs), default=0)
-    snapshots: list[list[Quadruple]] = [[] for _ in range(length)]
-    for tkg in tkgs:
-        for t, snap in enumerate(tkg.snapshots):
-            snapshots[t].extend(snap)
-    while snapshots and not snapshots[-1]:
-        snapshots.pop()
-    return TemporalKG(snapshots, "merged")
+    """Union of several splits as one graph; within a timestamp, rows
+    follow the argument order."""
+    return TemporalKG(np.concatenate([tkg.array for tkg in tkgs]), "merged")
 
 
 def add_inverse_relations(tkg: TemporalKG, vocab: Vocabulary):
-    """Append the mirror (o, r+|R|, s, t) of every fact to its snapshot.
+    """Add the mirror (o, r+|R|, s, t) of every fact; within a timestamp the
+    originals come first, then their mirrors in the same order.
 
     The relation vocabulary doubles, with mirrored names suffixed
     "_inverse". Calling this on an already-augmented graph is an error.
@@ -235,18 +225,14 @@ def add_inverse_relations(tkg: TemporalKG, vocab: Vocabulary):
         names[half + i] == names[i] + "_inverse" for i in range(half)
     ):
         raise ValueError("relation vocabulary is already inverse-augmented; cannot augment twice")
-    for q in tkg.facts():
-        if q.r >= num_rel:
-            raise ValueError("graph already contains inverse relation ids; cannot augment twice")
-    snapshots = []
-    for snap in tkg.snapshots:
-        mirrored = [Quadruple(q.o, q.r + num_rel, q.s, q.t) for q in snap]
-        snapshots.append(snap + mirrored)
+    if np.any(tkg.array[:, 1] >= num_rel):
+        raise ValueError("graph already contains inverse relation ids; cannot augment twice")
+    mirrors = tkg.array[:, [2, 1, 0, 3]] + np.array([0, num_rel, 0, 0])
     new_vocab = replace(
         vocab,
         relation_names=vocab.relation_names + [n + "_inverse" for n in vocab.relation_names],
     )
-    return TemporalKG(snapshots, tkg.split), new_vocab
+    return TemporalKG(np.concatenate([tkg.array, mirrors]), tkg.split), new_vocab
 
 
 def truncate_and_resplit(vocab: Vocabulary, train, valid, test, max_timestamps: int,
@@ -257,24 +243,21 @@ def truncate_and_resplit(vocab: Vocabulary, train, valid, test, max_timestamps: 
     if max_timestamps < 3:
         raise ValueError("need at least 3 timestamps to form three splits")
     merged = merge(train, valid, test)
-    snapshots = merged.snapshots[:max_timestamps]
-    total = len(snapshots)
+    total = min(max_timestamps, len(merged.snapshots()))
     train_end = max(1, int(total * train_frac))
     valid_end = max(train_end + 1, int(total * (train_frac + valid_frac)))
     valid_end = min(valid_end, total - 1)
+    t = merged.array[:, 3]
 
-    def slice_split(start, stop, split):
-        padded = [[] for _ in range(start)] + [list(s) for s in snapshots[start:stop]]
-        while padded and not padded[-1]:
-            padded.pop()
-        return TemporalKG(padded, split)
+    def cut(start, stop, split):
+        return TemporalKG(merged.array[(t >= start) & (t < stop)], split)
 
     new_vocab = replace(vocab, num_timestamps=total)
     return (
         new_vocab,
-        slice_split(0, train_end, "train"),
-        slice_split(train_end, valid_end, "valid"),
-        slice_split(valid_end, total, "test"),
+        cut(0, train_end, "train"),
+        cut(train_end, valid_end, "valid"),
+        cut(valid_end, total, "test"),
     )
 
 
@@ -282,16 +265,9 @@ def drop_history_fraction(tkg: TemporalKG, fraction: float, seed: int) -> Tempor
     """Remove floor(fraction * |F|) facts uniformly at random (seeded)."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    total = tkg.num_facts
-    n_drop = int(fraction * total)
-    if n_drop == 0:
-        return TemporalKG([list(snap) for snap in tkg.snapshots], tkg.split)
-    gen = rng.stream(seed, rng.DROP_HISTORY)
-    dropped = set(gen.choice(total, size=n_drop, replace=False).tolist())
-    snapshots = []
-    pos = 0
-    for snap in tkg.snapshots:
-        kept = [q for i, q in enumerate(snap, start=pos) if i not in dropped]
-        pos += len(snap)
-        snapshots.append(kept)
-    return TemporalKG(snapshots, tkg.split)
+    keep = np.ones(tkg.num_facts, dtype=bool)
+    n_drop = int(fraction * tkg.num_facts)
+    if n_drop:
+        gen = rng.stream(seed, rng.DROP_HISTORY)
+        keep[gen.choice(tkg.num_facts, size=n_drop, replace=False)] = False
+    return TemporalKG(tkg.array[keep], tkg.split)

@@ -32,7 +32,7 @@ from .encoders import (
     encode_structural,
     snapshot_edges,
 )
-from .evaluation import build_filter_sets, compute_metrics, ranked_queries
+from .evaluation import compute_metrics, ranked_queries
 from .history import build_index
 from .model import (
     AblationConfig,
@@ -103,16 +103,6 @@ class TrainResult:
     best_epoch: int | None
 
 
-def _snapshot_batches(tkg: TemporalKG):
-    """Per-timestamp query batches: (t, s_idx, r_idx, o_idx)."""
-    batches = []
-    for t in tkg.timestamps():
-        snap = tkg.snapshots[t]
-        arr = np.array([(q.s, q.r, q.o) for q in snap], dtype=np.int64)
-        batches.append((t, arr[:, 0], arr[:, 1], arr[:, 2]))
-    return batches
-
-
 def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
                  stage: str, epoch: int) -> float:
     """One pass over the snapshot batches with one Adam step per batch.
@@ -142,13 +132,16 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     config.validate()
     ablation = AblationConfig.from_config(config)
 
+    if config.epochs_stage1 > 0 and not valid_tkg.num_facts:
+        raise DatasetError("the valid split has no facts; stage 1 keeps the epoch "
+                           "with the best validation MRR")
+
     train_aug, vocab_aug = add_inverse_relations(train_tkg, vocab)
     valid_aug, _ = add_inverse_relations(valid_tkg, vocab)
+    seen = merge(train_aug, valid_aug)
     edges_train = snapshot_edges(train_aug)
-    edges_cond_valid = snapshot_edges(merge(train_aug, valid_aug))
-    batches = _snapshot_batches(train_aug)
-    index_train = build_index(train_aug.facts())
-    valid_filters = build_filter_sets(train_aug, valid_aug)
+    edges_cond_valid = snapshot_edges(seen)
+    batches = [(t, *edges) for t, edges in enumerate(edges_train) if edges is not None]
 
     spec = ModelSpec.from_config(config, vocab.num_entities, vocab.num_relations, sem.dim)
     model = init_model(spec, rng.stream(config.seed, rng.INIT))
@@ -187,11 +180,16 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     use_experts = not (ablation.disable_semantic or ablation.disable_structural)
     literal = config.loss_mode == "literal"
 
-    # the frozen encoder makes per-timestamp output a constant: encode each
-    # training timestamp once, off the tape
+    # the frozen encoder and the fixed training facts make each timestamp's
+    # encoding and historical indicators constants: compute them once, the
+    # encodings off the tape
     encoded: dict[int, tuple] = {}
-    if not ablation.disable_structural and config.epochs_stage1 > 0:
-        encoded = {t: encode_structural(model.encoder, edges_train, t) for t, *_ in batches}
+    historical: list = []
+    if config.epochs_stage1 > 0:
+        historical = train_aug.snapshots(
+            build_index(train_aug.array).indicator(*train_aug.array.T))
+        if not ablation.disable_structural:
+            encoded = {t: encode_structural(model.encoder, edges_train, t) for t, *_ in batches}
     valid_cache: dict[int, tuple] = {}
 
     def stage1_loss(t, s_idx, r_idx, o_idx):
@@ -204,11 +202,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
             lh_raw, ln_raw = bundle.partial_logits()
             if literal:
                 lh_raw, ln_raw = ad.sigmoid(lh_raw), ad.sigmoid(ln_raw)
-            indicators = [
-                index_train.indicator(int(s), int(r), int(o), t)
-                for s, r, o in zip(s_idx, r_idx, o_idx)
-            ]
-            l_his, l_nhis = expert_losses(lh_raw, ln_raw, o_idx, indicators, config.loss_mode)
+            l_his, l_nhis = expert_losses(lh_raw, ln_raw, o_idx, historical[t], config.loss_mode)
             loss = total_loss(loss, l_his, l_nhis, omega)
         return loss
 
@@ -220,10 +214,10 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     for epoch in range(1, config.epochs_stage1 + 1):
         train_loss = _train_epoch(batches, stage1_loss, params1, adam1, "stage 1", epoch)
         results, _, _ = ranked_queries(
-            model, sem, edges_cond_valid, valid_aug, valid_filters,
+            model, sem, edges_cond_valid, valid_aug, seen,
             ablation=ablation, encode_cache=valid_cache,
         )
-        valid_mrr = compute_metrics([r.filtered_rank for r in results]).mrr if results else 0.0
+        valid_mrr = compute_metrics([r.filtered_rank for r in results]).mrr
         log_lines.append(f"{epoch}\t{train_loss:.6f}\t{valid_mrr:.6f}")
         if verbose:
             verbose(f"stage1 epoch {epoch}: loss {train_loss:.6f} valid MRR {valid_mrr:.6f}")

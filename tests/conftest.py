@@ -13,14 +13,13 @@ def make_vocab(num_entities, num_relations, num_timestamps=0):
 
 
 def group(facts, split="train"):
-    """Group quadruples into a TemporalKG (facts need not be sorted)."""
-    facts = [Quadruple(*f) for f in facts]
-    if not facts:
-        return TemporalKG([], split)
-    snapshots = [[] for _ in range(max(f.t for f in facts) + 1)]
-    for f in facts:
-        snapshots[f.t].append(f)
-    return TemporalKG(snapshots, split)
+    """Pack (s, r, o, t) tuples into a TemporalKG (facts need not be sorted)."""
+    return TemporalKG(np.array(facts, dtype=np.int64).reshape(-1, 4), split)
+
+
+def quads(tkg):
+    """The facts of a TemporalKG as quadruples, in row order."""
+    return [Quadruple(*row) for row in tkg.array.tolist()]
 
 
 def random_facts(gen, n, num_entities, num_relations, num_timestamps):

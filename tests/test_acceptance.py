@@ -399,10 +399,10 @@ def test_criterion_9_determinism_and_roundtrip(synth_dataset, tmp_path):
     from meshtkg.encoders import encode_structural
 
     bit_exact = True
-    for t in test_aug.timestamps():
-        snap = test_aug.snapshots[t]
-        s_idx = np.array([q.s for q in snap])
-        r_idx = np.array([q.r for q in snap])
+    for t, snap in enumerate(test_aug.snapshots()):
+        if not len(snap):
+            continue
+        s_idx, r_idx = snap[:, 0], snap[:, 1]
         scores = []
         for m in (result.model, loaded):
             H, R = encode_structural(m.encoder, cond, t)

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from meshtkg import training
@@ -45,7 +47,7 @@ class TestDataCommands:
         from meshtkg.tkg import load_dataset
 
         _, train, _, _ = load_dataset(os.path.join(out, "dataset"))
-        assert sorted(train.facts()) == sorted(synth_dataset["train"].facts())
+        assert np.array_equal(train.array, synth_dataset["train"].array)
 
     def test_prepare_with_drop_history(self, synth_dataset, tmp_path):
         out = str(tmp_path / "o")
@@ -149,6 +151,10 @@ class TestTrainEvalCommands:
         ckpt = os.path.join(out, "checkpoint.mesh")
         assert run(["eval", ckpt, synth_dataset["dir"], "--out", out_ev]) == 0
         assert os.path.exists(os.path.join(out_ev, "metrics.tsv"))
+        # both echoes and the stored configuration name the width the model ran at
+        for echo_dir in (out, out_ev):
+            assert "\nllm_dim = 8\n" in read(os.path.join(echo_dir, "config.echo"))
+        assert training.load_checkpoint(ckpt)[1]["config"]["llm_dim"] == 8
 
     def test_eval_embedding_width_mismatch_is_data_error(self, synth_dataset, train_dir,
                                                          narrow_embeddings, tmp_path, capsys):
@@ -217,11 +223,48 @@ class TestSweep:
         rows = read(os.path.join(out, "sweep.tsv")).strip().split("\n")
         assert rows[1].startswith("m1n1\t") and rows[2].startswith("m2n1\t")
 
+    @pytest.mark.parametrize("axis", [["--mn-grid", "1x1,0x1"], ["--omega-list=0.5,-1"]])
+    def test_bad_setting_rejected_before_any_run(self, synth_dataset, tmp_path, capsys, axis):
+        out = str(tmp_path / "badset")
+        assert run(["sweep", synth_dataset["dir"], *micro_flags(out), *axis]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     def test_sweep_needs_exactly_one_axis(self, synth_dataset, tmp_path):
         out = str(tmp_path / "bad")
         assert run(["sweep", synth_dataset["dir"], "--out", out]) == 2
         assert run(["sweep", synth_dataset["dir"], "--out", out,
                     "--omega-list", "1.0", "--mn-grid", "1x1"]) == 2
+
+
+@pytest.fixture(scope="module")
+def checkpoint(train_dir):
+    return os.path.join(train_dir, "checkpoint.mesh")
+
+
+# each command, and the split that is emptied under it
+EMPTY_SPLIT_FAULTS = {
+    "eval": ("test", lambda ds, ckpt, out: ["eval", ckpt, ds, "--out", out]),
+    "eval --split valid": ("valid", lambda ds, ckpt, out: ["eval", ckpt, ds, "--out", out,
+                                                           "--split", "valid"]),
+    "naive": ("test", lambda ds, ckpt, out: ["naive", ds, "--out", out]),
+    "naive --split valid": ("valid", lambda ds, ckpt, out: ["naive", ds, "--out", out,
+                                                            "--split", "valid"]),
+    "train": ("valid", lambda ds, ckpt, out: ["train", ds, *micro_flags(out)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_SPLIT_FAULTS))
+def test_empty_split_exits_3(case, synth_dataset, checkpoint, tmp_path, capsys):
+    split, argv = EMPTY_SPLIT_FAULTS[case]
+    ds = str(tmp_path / "ds")
+    shutil.copytree(synth_dataset["dir"], ds)
+    open(os.path.join(ds, f"{split}.txt"), "w").close()
+    code = run(argv(ds, checkpoint, str(tmp_path / "out")))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and err.count("\n") == 1
 
 
 def _edit_header(edit):

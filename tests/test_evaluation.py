@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshtkg.evaluation import (
     GateStats,
     MetricsReport,
     RankResult,
-    build_filter_sets,
     compute_metrics,
     evaluate,
     evaluate_naive,
+    filtered_ranks,
     format_reports,
     gate_statistics,
     rank_query,
@@ -18,7 +20,7 @@ from meshtkg.evaluation import (
 from meshtkg.model import AblationConfig
 from meshtkg.tkg import add_inverse_relations
 
-from conftest import group
+from conftest import group, quads
 
 
 def oracle_rank(scores, o, filter_out=()):
@@ -152,10 +154,32 @@ class TestGateStatistics:
 
 class TestFilterSets:
     def test_collects_same_timestamp_objects(self):
-        tkg = group([(0, 0, 1, 3), (0, 0, 2, 3), (0, 0, 3, 4)])
-        filters = build_filter_sets(tkg)
-        assert filters[(0, 0, 3)] == {1, 2}
-        assert filters[(0, 0, 4)] == {3}
+        known = group([(0, 0, 1, 3), (0, 0, 2, 3), (0, 0, 3, 4)]).snapshots()
+        scores = np.array([[0.0, 5.0, 4.0, 3.0, 1.0]])
+        # at t=3 the true objects 1 and 2 outrank object 3 and are filtered out
+        raw, filtered = filtered_ranks(scores, np.array([[0, 0, 3, 3]]), known[3])
+        assert (raw[0], filtered[0]) == (3.0, 1.0)
+        # at t=4 object 3 is the only true object, so nothing is filtered
+        raw, filtered = filtered_ranks(scores, np.array([[0, 0, 3, 4]]), known[4])
+        assert (raw[0], filtered[0]) == (3.0, 3.0)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_snapshot_ranks_match_rank_query(self, data):
+        """The per-snapshot kernel equals `rank_query` query by query, with
+        quantised scores forcing ties and repeated (s, r, o) rows."""
+        num_entities = data.draw(st.integers(1, 7))
+        fact = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, num_entities - 1))
+        known = data.draw(st.lists(fact, min_size=1, max_size=16))
+        queries = data.draw(st.lists(st.sampled_from(known), min_size=1, max_size=10))
+        levels = data.draw(st.lists(st.integers(0, 3), min_size=len(queries) * num_entities,
+                                    max_size=len(queries) * num_entities))
+        scores = np.array(levels, dtype=np.float32).reshape(len(queries), num_entities)
+        rows = np.array([(*q, 5) for q in queries])
+        raw, filtered = filtered_ranks(scores, rows, np.array([(*k, 5) for k in known]))
+        for i, (s, r, o) in enumerate(queries):
+            filter_out = sorted({ko for ks, kr, ko in known if (ks, kr) == (s, r)} - {o})
+            assert (raw[i], filtered[i]) == rank_query(scores[i], o, filter_out)
 
 
 class TestEvaluate:
@@ -173,18 +197,17 @@ class TestEvaluate:
         train_aug, _ = add_inverse_relations(trained["train"], vocab)
         valid_aug, _ = add_inverse_relations(trained["valid"], vocab)
         test_aug, _ = add_inverse_relations(trained["test"], vocab)
-        cond = snapshot_edges(merge(train_aug, valid_aug, test_aug))
-        filters = build_filter_sets(train_aug, valid_aug, test_aug)
-        index = build_index(merge(train_aug, valid_aug, test_aug).facts())
+        known = merge(train_aug, valid_aug, test_aug)
+        cond = snapshot_edges(known)
+        index = build_index(known.array)
 
         # one query at a time, in a different batching regime
         scripted = []
-        for t in test_aug.timestamps():
-            for q in test_aug.snapshots[t]:
-                single = group([tuple(q)], "test")
-                res, _, _ = ranked_queries(trained["result"].model, trained["sem"], cond,
-                                           single, filters, index)
-                scripted.append(res[0])
+        for q in quads(test_aug):
+            single = group([q], "test")
+            res, _, _ = ranked_queries(trained["result"].model, trained["sem"], cond,
+                                       single, known, index.indicator(*single.array.T))
+            scripted.append(res[0])
         assert len(scripted) == len(result.results)
         got = sorted((r.s, r.r, r.t, r.o, r.filtered_rank) for r in result.results)
         want = sorted((r.s, r.r, r.t, r.o, r.filtered_rank) for r in scripted)

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshtkg.evaluation import filtered_ranks
 from meshtkg.history import (
     build_index,
     dataset_stats,
     naive_predict,
-    naive_rank,
+    naive_scores,
 )
 from meshtkg.tkg import Quadruple
 
-from conftest import group, make_vocab, random_facts
+from conftest import group, make_vocab, quads, random_facts
 
 
 def brute_frequency(facts, s, r, o, t):
@@ -59,11 +60,38 @@ class TestFrequencyIndex:
         flags = [index.indicator(0, 0, 0, t) for t in range(12)]
         assert all(a <= b for a, b in zip(flags, flags[1:]))
 
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2),
+                              st.integers(0, 5)), max_size=30),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2),
+                              st.integers(0, 6)), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_indicator_matches_brute_force(self, facts, queries):
+        """One vectorised call equals "any occurrence at an earlier t"."""
+        index = build_index(facts)
+        got = index.indicator(*np.array(queries).T)
+        want = [int(any(f[:3] == q[:3] and f[3] < q[3] for f in facts)) for q in queries]
+        assert got.tolist() == want
+
     def test_counters_sum_to_corpus(self, np_gen):
         facts = random_facts(np_gen, 157, 6, 3, 9)
         index = build_index(facts)
-        assert sum(sum(c.values()) for c in index.pair_counts.values()) == 157
-        assert sum(sum(c.values()) for c in index.subject_counts.values()) == 157
+        pairs = np.array(sorted({(q.s, q.r) for q in facts}))
+        subjects = np.unique(pairs[:, 0])
+
+        def counts(s, r):
+            # scores are count * |E| - id
+            return (naive_scores(index, s, r, 6) + np.arange(6)) // 6
+
+        assert counts(pairs[:, 0], pairs[:, 1]).sum() == 157
+        # relation 3 never occurs, so every subject falls back to its own counts
+        assert counts(subjects, np.full(len(subjects), 3)).sum() == 157
+
+
+def naive_rank(index, s, r, o, filter_out=()):
+    """The baseline's filtered rank of o as `evaluate_naive` computes it."""
+    known = np.array([(s, r, e, 0) for e in filter_out], dtype=np.int64).reshape(-1, 4)
+    _, filtered = filtered_ranks(naive_scores(index, s, r, 8), np.array([[s, r, o, 0]]), known)
+    return filtered[0]
 
 
 def oracle_naive_order(facts, s, r, num_entities):
@@ -107,7 +135,7 @@ class TestNaiveBaseline:
         index = build_index(facts)
         for _ in range(40):
             s, r, o = (int(np_gen.integers(8)), int(np_gen.integers(3)), int(np_gen.integers(8)))
-            order = list(naive_predict(index, s, r, num_entities=8))
+            order = oracle_naive_order(facts, s, r, 8)
             assert naive_rank(index, s, r, o) == order.index(o) + 1
 
     def test_naive_rank_filtering(self, np_gen):
@@ -116,7 +144,7 @@ class TestNaiveBaseline:
         for _ in range(40):
             s, r, o = (int(np_gen.integers(8)), int(np_gen.integers(3)), int(np_gen.integers(8)))
             filter_out = {int(e) for e in np_gen.integers(8, size=3)} - {o}
-            order = [e for e in naive_predict(index, s, r, num_entities=8) if e not in filter_out]
+            order = [e for e in oracle_naive_order(facts, s, r, 8) if e not in filter_out]
             assert naive_rank(index, s, r, o, filter_out) == order.index(o) + 1
 
 
@@ -136,10 +164,10 @@ class TestDatasetStats:
         valid = group(random_facts(np_gen, 5, 5, 2, 8), "valid")
         test = group(random_facts(np_gen, 30, 5, 2, 10), "test")
         report = dataset_stats(vocab, train, valid, test)
-        everything = list(train.facts()) + list(valid.facts()) + list(test.facts())
+        everything = quads(train) + quads(valid) + quads(test)
         expected = sum(
             1
-            for q in test.facts()
+            for q in quads(test)
             if any(
                 p.s == q.s and p.r == q.r and p.o == q.o and p.t < q.t for p in everything
             )

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from meshtkg.tkg import (
@@ -13,7 +14,7 @@ from meshtkg.tkg import (
     write_dataset,
 )
 
-from conftest import group, make_vocab
+from conftest import group, make_vocab, quads
 
 
 def write_lines(path, lines):
@@ -44,7 +45,7 @@ class TestLoadDataset:
         ]
         d = make_dir(tmp_path, rows)
         vocab, train, valid, test = load_dataset(d)
-        assert [len(s) for s in train.snapshots] == [2, 3, 1]
+        assert [len(s) for s in train.snapshots()] == [2, 3, 1]
         assert vocab.num_entities == 5
         assert vocab.num_relations == 3
         assert vocab.num_timestamps == 3
@@ -53,7 +54,7 @@ class TestLoadDataset:
     def test_empty_train(self, tmp_path):
         d = make_dir(tmp_path, [])
         _, train, _, _ = load_dataset(d)
-        assert train.snapshots == []
+        assert train.snapshots() == []
         assert train.num_facts == 0
 
     def test_timestamp_normalization_by_step(self, tmp_path):
@@ -61,15 +62,15 @@ class TestLoadDataset:
         rows = [(0, 0, 1, 24), (1, 0, 2, 48), (2, 0, 3, 96)]
         d = make_dir(tmp_path, rows)
         vocab, train, _, _ = load_dataset(d)
-        assert sorted(q.t for q in train.facts()) == [0, 1, 2]
+        assert sorted(q.t for q in quads(train)) == [0, 1, 2]
         assert vocab.num_timestamps == 3
 
     def test_shared_time_axis_across_splits(self, tmp_path):
         d = make_dir(tmp_path, [(0, 0, 1, 0)], valid=[(1, 0, 2, 5)], test=[(2, 0, 3, 10)])
         vocab, train, valid, test = load_dataset(d)
-        assert next(train.facts()).t == 0
-        assert next(valid.facts()).t == 1
-        assert next(test.facts()).t == 2
+        assert quads(train)[0].t == 0
+        assert quads(valid)[0].t == 1
+        assert quads(test)[0].t == 2
         assert vocab.num_timestamps == 3
 
     def test_trailing_columns_ignored(self, tmp_path):
@@ -126,16 +127,16 @@ class TestLoadDataset:
         write_dataset(str(out), vocab, train, valid, test)
         _, train2, valid2, test2 = load_dataset(str(out))
         for a, b in ((train, train2), (valid, valid2), (test, test2)):
-            assert sorted(a.facts()) == sorted(b.facts())
+            assert sorted(quads(a)) == sorted(quads(b))
 
     def test_snapshot_partition(self, tmp_path, np_gen):
         from conftest import random_facts
 
         facts = random_facts(np_gen, 80, 6, 2, 10)
         tkg = group(facts)
-        assert sorted(tkg.facts()) == sorted(Quadruple(*f) for f in facts)
-        for t, snap in enumerate(tkg.snapshots):
-            assert all(q.t == t for q in snap)
+        assert sorted(quads(tkg)) == sorted(Quadruple(*f) for f in facts)
+        for t, snap in enumerate(tkg.snapshots()):
+            assert np.all(snap[:, 3] == t)
 
 
 class TestInverseRelations:
@@ -143,7 +144,7 @@ class TestInverseRelations:
         vocab = make_vocab(3, 3)
         tkg = group([(0, 1, 2, 5)])
         aug, vocab2 = add_inverse_relations(tkg, vocab)
-        assert aug.snapshots[5] == [Quadruple(0, 1, 2, 5), Quadruple(2, 4, 0, 5)]
+        assert aug.snapshots()[5].tolist() == [[0, 1, 2, 5], [2, 4, 0, 5]]
         assert vocab2.num_relations == 6
         assert vocab2.relation_names[4] == "rel1_inverse"
 
@@ -161,7 +162,7 @@ class TestInverseRelations:
         aug, _ = add_inverse_relations(group(facts), vocab)
         assert aug.num_facts == 20
         originals = sorted(Quadruple(*f) for f in facts)
-        mirrors = [q for q in aug.facts() if q.r >= 4]
+        mirrors = [q for q in quads(aug) if q.r >= 4]
         remapped = sorted(Quadruple(q.o, q.r - 4, q.s, q.t) for q in mirrors)
         assert remapped == originals
 
@@ -176,7 +177,7 @@ class TestDropHistory:
     def test_fraction_zero_identity(self):
         tkg = group([(0, 0, 1, 0), (1, 0, 2, 1)])
         out = drop_history_fraction(tkg, 0.0, seed=1)
-        assert list(out.facts()) == list(tkg.facts())
+        assert list(quads(out)) == list(quads(tkg))
 
     def test_fraction_one_empties(self):
         tkg = group([(0, 0, 1, 0), (1, 0, 2, 1)])
@@ -190,9 +191,9 @@ class TestDropHistory:
         a = drop_history_fraction(tkg, 0.5, seed=7)
         b = drop_history_fraction(tkg, 0.5, seed=7)
         assert a.num_facts == 50
-        assert list(a.facts()) == list(b.facts())
+        assert list(quads(a)) == list(quads(b))
         c = drop_history_fraction(tkg, 0.5, seed=8)
-        assert list(c.facts()) != list(a.facts())
+        assert list(quads(c)) != list(quads(a))
 
     def test_fraction_out_of_range(self):
         with pytest.raises(ValueError):
@@ -204,4 +205,19 @@ def test_merge_unions_snapshots():
     b = group([(2, 0, 3, 1)], "valid")
     merged = merge(a, b)
     assert merged.num_facts == 3
-    assert [len(s) for s in merged.snapshots] == [1, 1, 1]
+    assert [len(s) for s in merged.snapshots()] == [1, 1, 1]
+
+
+def test_row_order_within_timestamp():
+    # batches, dropout draws and ranks follow this order, so it must not move
+    a = group([(0, 0, 1, 1), (1, 1, 2, 0), (2, 0, 3, 1)], "train")
+    aug, _ = add_inverse_relations(a, make_vocab(5, 2))
+    assert aug.array.tolist() == [
+        [1, 1, 2, 0], [2, 3, 1, 0],                            # t=0: original, mirror
+        [0, 0, 1, 1], [2, 0, 3, 1], [1, 2, 0, 1], [3, 2, 2, 1],  # t=1: originals, mirrors
+    ]
+    b = group([(4, 1, 0, 1), (3, 0, 4, 0)], "valid")
+    assert merge(b, a).array.tolist() == [
+        [3, 0, 4, 0], [1, 1, 2, 0],                            # t=0: b's rows, then a's
+        [4, 1, 0, 1], [0, 0, 1, 1], [2, 0, 3, 1],
+    ]

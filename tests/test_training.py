@@ -13,7 +13,9 @@ from meshtkg.training import (
     train_model,
 )
 
-from conftest import micro_config
+from meshtkg.tkg import DatasetError
+
+from conftest import group, micro_config
 
 
 class TestMajorLoss:
@@ -129,6 +131,21 @@ class TestTrainModel:
         for w in result.model.gates.weights:
             assert np.all(w.values == 0.0)
         assert np.all(result.model.prediction.w.values == 0.0)
+
+    def test_empty_valid_split(self, synth_dataset, tmp_path):
+        # stage 1 needs validation facts to pick its epoch; without stage 1 none are read
+        empty = group([], "valid")
+        for epochs_stage1 in (0, 1):
+            config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=1,
+                                  epochs_stage1=epochs_stage1)
+            sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim,
+                                       config.synthetic_seed)
+            args = (config, synth_dataset["vocab"], synth_dataset["train"], empty, sem)
+            if epochs_stage1:
+                with pytest.raises(DatasetError, match="valid split has no facts"):
+                    train_model(*args)
+            else:
+                assert train_model(*args).best_epoch is None
 
     def test_identical_seed_identical_logs(self, synth_dataset, tmp_path):
         runs = []

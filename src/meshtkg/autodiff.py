@@ -18,6 +18,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 
 class NumericError(Exception):
@@ -291,12 +292,7 @@ def pick_last(a: Tensor, index) -> Tensor:
 # nonlinearities
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.values
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = expit(a.values)
     return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
@@ -315,7 +311,7 @@ def leaky_relu(a: Tensor, slope: float) -> Tensor:
     out = np.where(x > 0, x, slope * x)
     return _record(
         "leaky_relu", (a,), out,
-        lambda g: (g * np.where(x > 0, 1.0, slope),),
+        lambda g: (np.where(x > 0, g, g * slope),),
     )
 
 
@@ -341,16 +337,25 @@ def softmax(a: Tensor) -> Tensor:
     return _record("softmax", (a,), out, backward_fn)
 
 
-def log_softmax(a: Tensor) -> Tensor:
+def pick_log_softmax(a: Tensor, index) -> Tensor:
+    """Fused softmax cross-entropy: out[i] = log_softmax(a)[i, index[i]] for a
+    2-D tensor, with one exp pass; the gradient is g * (onehot - softmax)."""
+    index = np.asarray(index, dtype=np.int64)
     x = a.values
+    rows = np.arange(x.shape[0])
     shifted = x - x.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
+    picked = shifted[rows, index]
+    e = np.exp(shifted, out=shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    out = picked - np.log(total[:, 0])
 
     def backward_fn(g):
-        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
+        ga = e / total
+        ga *= -g[:, None]
+        ga[rows, index] += g
+        return (ga,)
 
-    return _record("log_softmax", (a,), out, backward_fn)
+    return _record("pick_log_softmax", (a,), out, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -370,19 +375,61 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     w = kv.shape[2]
     if w % 2 != 1:
         raise ValueError("same padding needs an odd kernel width")
+    batch, cin, length = xv.shape
     pad = w // 2
     xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, w, axis=2)  # (B, Cin, L, w)
-    out = np.einsum("bilw,oiw->bol", windows, kv)
+    # im2col: cols[b, i, k, l] = xp[b, i, l + k], one column per output position
+    cols = np.empty((batch, cin, w, length), dtype=xv.dtype)
+    for k in range(w):
+        cols[:, :, k] = xp[:, :, k:k + length]
+    cols = cols.reshape(batch, cin * w, length)
+    kmat = kv.reshape(kv.shape[0], cin * w)
+    out = np.matmul(kmat, cols)
 
     def backward_fn(g):
-        gk = np.einsum("bol,bilw->oiw", g, windows)
-        gp = np.pad(g, ((0, 0), (0, 0), (pad, pad)))
-        gwin = np.lib.stride_tricks.sliding_window_view(gp, w, axis=2)  # (B, Cout, L, w)
-        gx = np.einsum("bolw,oiw->bil", gwin, kv[:, :, ::-1])
-        return (gx, gk)
+        gk = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(kv.shape)
+        gcols = np.matmul(kmat.T, g).reshape(batch, cin, w, length)
+        gp = np.zeros_like(xp)
+        for k in range(w):
+            gp[:, :, k:k + length] += gcols[:, :, k]
+        return (gp[:, :, pad:pad + length], gk)
 
     return _record("conv1d", (x, kernels), out, backward_fn)
+
+
+def gru(x: Tensor, h: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """Fused gated recurrent cell, recorded as one node.
+
+    Gate order along the last axis of wx (in, 3d), wh (d, 3d) and b (3d,):
+    update z, reset r, candidate n.
+        z = sigmoid(x Wx_z + h Wh_z + b_z),  r = sigmoid(x Wx_r + h Wh_r + b_r)
+        n = tanh(x Wx_n + r * (h Wh_n) + b_n),  out = (1 - z) * n + z * h
+    """
+    d = wh.values.shape[0]
+    hv = h.values
+    xa = x.values @ wx.values
+    ha = hv @ wh.values
+    z = expit(xa[:, :d] + ha[:, :d] + b.values[:d])
+    r = expit(xa[:, d:2 * d] + ha[:, d:2 * d] + b.values[d:2 * d])
+    ha_n = ha[:, 2 * d:]
+    n = np.tanh(xa[:, 2 * d:] + r * ha_n + b.values[2 * d:])
+    out = (-z + 1.0) * n + z * hv
+
+    def backward_fn(g):
+        gn = g * (1.0 - z) * (1.0 - n * n)
+        gz = g * (hv - n) * z * (1.0 - z)
+        gr = gn * ha_n * r * (1.0 - r)
+        gxa = np.concatenate([gz, gr, gn], axis=1)
+        gha = np.concatenate([gz, gr, gn * r], axis=1)
+        return (
+            gxa @ wx.values.T,
+            gha @ wh.values.T + g * z,
+            x.values.T @ gxa,
+            hv.T @ gha,
+            gxa.sum(axis=0),
+        )
+
+    return _record("gru", (x, h, wx, wh, b), out, backward_fn)
 
 
 def dropout(a: Tensor, p: float, gen: np.random.Generator | None, train: bool) -> Tensor:
@@ -391,7 +438,7 @@ def dropout(a: Tensor, p: float, gen: np.random.Generator | None, train: bool) -
         return a
     if gen is None:
         raise ValueError("train-mode dropout needs a generator")
-    keep = (gen.random(a.values.shape) >= p).astype(a.values.dtype) / (1.0 - p)
+    keep = (gen.random(a.values.shape, dtype=np.float32) >= p).astype(a.values.dtype) / (1.0 - p)
     out = a.values * keep
     return _record("dropout", (a,), out, lambda g: (g * keep,))
 

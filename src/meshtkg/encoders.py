@@ -62,18 +62,7 @@ def init_gru(in_dim: int, hidden: int, gen: np.random.Generator, dtype=np.float3
 
 
 def gru_cell(params: GruParams, x: Tensor, h: Tensor) -> Tensor:
-    d = params.hidden
-    xa = ad.matmul(x, params.wx)
-    ha = ad.matmul(h, params.wh)
-    z = ad.sigmoid(ad.add(ad.add(ad.slice_last(xa, 0, d), ad.slice_last(ha, 0, d)),
-                          ad.slice_last(params.b, 0, d)))
-    r = ad.sigmoid(ad.add(ad.add(ad.slice_last(xa, d, 2 * d), ad.slice_last(ha, d, 2 * d)),
-                          ad.slice_last(params.b, d, 2 * d)))
-    n = ad.tanh(ad.add(ad.add(ad.slice_last(xa, 2 * d, 3 * d),
-                              ad.mul(r, ad.slice_last(ha, 2 * d, 3 * d))),
-                       ad.slice_last(params.b, 2 * d, 3 * d)))
-    one_minus_z = ad.shift(ad.neg(z), 1.0)
-    return ad.add(ad.mul(one_minus_z, n), ad.mul(z, h))
+    return ad.gru(x, h, params.wx, params.wh, params.b)
 
 
 # ---------------------------------------------------------------------------

@@ -244,9 +244,11 @@ def truncate_and_resplit(vocab: Vocabulary, train, valid, test, max_timestamps: 
         raise ValueError("need at least 3 timestamps to form three splits")
     merged = merge(train, valid, test)
     total = min(max_timestamps, len(merged.snapshots()))
-    train_end = max(1, int(total * train_frac))
-    valid_end = max(train_end + 1, int(total * (train_frac + valid_frac)))
-    valid_end = min(valid_end, total - 1)
+    if total < 3:
+        raise DatasetError(f"need at least 3 timestamps to form three splits, the data has {total}")
+    # each split keeps at least one timestamp
+    train_end = min(max(1, int(total * train_frac)), total - 2)
+    valid_end = min(max(train_end + 1, int(total * (train_frac + valid_frac))), total - 1)
     t = merged.array[:, 3]
 
     def cut(start, stop, split):

@@ -55,7 +55,7 @@ def major_loss(pred: Tensor, targets, mode: str) -> Tensor:
     if mode == "literal":
         return ad.neg(ad.tensor_sum(ad.pick_last(pred, targets)))
     if mode == "cross_entropy":
-        return ad.neg(ad.tensor_sum(ad.pick_last(ad.log_softmax(pred), targets)))
+        return ad.neg(ad.tensor_sum(ad.pick_log_softmax(pred, targets)))
     raise ValueError(f"unknown loss mode {mode!r}")
 
 
@@ -73,7 +73,7 @@ def expert_losses(pred_his: Tensor, pred_nhis: Tensor, targets, indicators,
         if mode == "literal":
             return ad.pick_last(pred, targets)
         if mode == "cross_entropy":
-            return ad.pick_last(ad.log_softmax(pred), targets)
+            return ad.pick_log_softmax(pred, targets)
         raise ValueError(f"unknown loss mode {mode!r}")
 
     l_his = ad.neg(ad.tensor_sum(ad.mul(picked(pred_his), Tensor(ind))))

@@ -92,7 +92,9 @@ def primitive_cases(gen):
         ("leaky_relu", lambda a: ad.tensor_sum(ad.leaky_relu(a, 0.1)), [rnd(gen, 2, 3)]),
         ("rrelu", lambda a: ad.tensor_sum(ad.rrelu(a)), [rnd(gen, 2, 3)]),
         ("softmax", lambda a: ad.tensor_sum(ad.mul(a, ad.softmax(a))), [rnd(gen, 2, 3)]),
-        ("log_softmax", lambda a: ad.tensor_sum(ad.mul(a, ad.log_softmax(a))), [rnd(gen, 2, 3)]),
+        ("pick_log_softmax", lambda a: ad.tensor_sum(ad.tanh(ad.pick_log_softmax(a, pick_idx))), [rnd(gen, 2, 4)]),
+        ("gru", lambda x, h, wx, wh, b: ad.tensor_sum(ad.tanh(ad.gru(x, h, wx, wh, b))),
+         [rnd(gen, 2, 3), rnd(gen, 2, 2), rnd(gen, 3, 6), rnd(gen, 2, 6), rnd(gen, 6)]),
         ("conv1d", lambda x, k: ad.tensor_sum(ad.sigmoid(ad.conv1d(x, k))), [rnd(gen, 2, 2, 5), rnd(gen, 3, 2, 3)]),
         ("mean", lambda a: ad.tensor_mean(ad.sigmoid(a)), [rnd(gen, 2, 3)]),
     ]
@@ -106,6 +108,26 @@ def test_every_primitive_passes_grad_check():
         if err >= 1e-4:
             failures.append((name, err))
     assert not failures, f"gradient mismatches: {failures}"
+
+
+def test_every_primitive_keeps_float32():
+    """Forward outputs and every backward gradient stay in the input dtype;
+    one float64 gradient would push the rest of a float32 backward pass
+    into float64."""
+    gen = np.random.default_rng(7)
+    widened = []
+    for name, fn, inputs in primitive_cases(gen):
+        inputs = [param(x.values.astype(np.float32)) for x in inputs]
+        with Tape() as tape:
+            fn(*inputs)
+        for node in tape.nodes:
+            out = node.output.values
+            g = gen.standard_normal(out.shape).astype(np.float32)
+            grads = [gx for gx in node.backward_fn(g) if gx is not None]
+            dtypes = {out.dtype} | {np.asarray(gx).dtype for gx in grads}
+            if dtypes != {np.dtype(np.float32)}:
+                widened.append((name, node.op, sorted(map(str, dtypes))))
+    assert not widened, f"ops leaving float32: {widened}"
 
 
 class TestGradCheck:
@@ -177,6 +199,14 @@ class TestOpSemantics:
         k2 = Tensor(np.array([[[1.0, 0.0, 0.0]]]))  # shift: y[l] = x[l-1]
         y2 = ad.conv1d(x, k2).values
         assert np.allclose(y2, [[[0.0, 1.0, 2.0, 3.0]]])
+
+    def test_pick_log_softmax_matches_log_softmax_oracle(self):
+        x = np.random.default_rng(5).standard_normal((4, 6)) * 5
+        idx = np.array([5, 0, 3, 3])
+        shifted = x - x.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        got = ad.pick_log_softmax(Tensor(x), idx).values
+        assert np.allclose(got, logp[np.arange(4), idx], atol=1e-12)
 
     def test_conv1d_rejects_even_width(self):
         with pytest.raises(ValueError, match="odd"):

@@ -60,6 +60,19 @@ class TestDataCommands:
         assert train.num_facts == original - int(0.5 * original)
         assert test.num_facts == synth_dataset["test"].num_facts  # only train is thinned
 
+    def test_prepare_too_few_timestamps_exits_3(self, tiny_dataset_dir, tmp_path, capsys):
+        ds = str(tmp_path / "one_timestamp")
+        shutil.copytree(tiny_dataset_dir, ds)
+        with open(os.path.join(ds, "train.txt"), "w", encoding="utf-8") as fh:
+            fh.write("0\t0\t1\t0\n1\t0\t2\t0\n")
+        for split in ("valid", "test"):
+            open(os.path.join(ds, f"{split}.txt"), "w").close()
+        out = str(tmp_path / "o")
+        assert run(["prepare", ds, "--out", out, "--max-timestamps", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert not os.path.exists(os.path.join(out, "dataset", "test.txt"))
+
     def test_naive(self, synth_dataset, tmp_path, capsys):
         out = str(tmp_path / "o")
         assert run(["naive", synth_dataset["dir"], "--out", out]) == 0

@@ -14,6 +14,7 @@ from meshtkg.encoders import (
     encode_structural,
     gru_cell,
     init_adapters,
+    init_gru,
     init_structural_encoder,
     load_semantic_embeddings,
     save_semantic_embeddings,
@@ -126,7 +127,54 @@ class TestStructuralEncoder:
         assert grad_check(fn, [ent, rel], eps=1e-5) < 1e-4
 
 
+def composed_gru_cell(params: GruParams, x: Tensor, h: Tensor) -> Tensor:
+    """The cell spelled out in primitive ops; oracle for the fused `ad.gru`."""
+    d = params.hidden
+    xa = ad.matmul(x, params.wx)
+    ha = ad.matmul(h, params.wh)
+    z = ad.sigmoid(ad.add(ad.add(ad.slice_last(xa, 0, d), ad.slice_last(ha, 0, d)),
+                          ad.slice_last(params.b, 0, d)))
+    r = ad.sigmoid(ad.add(ad.add(ad.slice_last(xa, d, 2 * d), ad.slice_last(ha, d, 2 * d)),
+                          ad.slice_last(params.b, d, 2 * d)))
+    n = ad.tanh(ad.add(ad.add(ad.slice_last(xa, 2 * d, 3 * d),
+                              ad.mul(r, ad.slice_last(ha, 2 * d, 3 * d))),
+                       ad.slice_last(params.b, 2 * d, 3 * d)))
+    one_minus_z = ad.shift(ad.neg(z), 1.0)
+    return ad.add(ad.mul(one_minus_z, n), ad.mul(z, h))
+
+
 class TestGruCell:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_forward_matches_composed_bit_for_bit(self, dtype):
+        gen = np.random.default_rng(11)
+        cell = init_gru(6, 4, gen, dtype=dtype)
+        cell.b.values[...] = gen.standard_normal(12)
+        x = Tensor(gen.standard_normal((9, 6)).astype(dtype))
+        h = Tensor(gen.standard_normal((9, 4)).astype(dtype))
+        fused = gru_cell(cell, x, h).values
+        assert fused.dtype == dtype
+        assert np.array_equal(fused, composed_gru_cell(cell, x, h).values)
+
+    def test_fused_gradients_match_composed(self):
+        gen = np.random.default_rng(12)
+        cell = init_gru(3, 2, gen, dtype=np.float64)
+        cell.b.values[...] = gen.standard_normal(6)
+        inputs = [param(gen.standard_normal((4, 3))), param(gen.standard_normal((4, 2)))]
+        weights = gen.standard_normal((4, 2))
+
+        def grads(cell_fn):
+            tensors = inputs + [cell.wx, cell.wh, cell.b]
+            for t in tensors:
+                t.grad = None
+            with ad.Tape() as tape:
+                out = cell_fn(cell, *inputs)
+                ad.backward(ad.tensor_sum(ad.mul(out, Tensor(weights))), tape)
+            return [t.grad for t in tensors]
+
+        for fused, composed in zip(grads(gru_cell), grads(composed_gru_cell)):
+            assert fused.shape == composed.shape
+            assert np.max(np.abs(fused - composed) / np.maximum(1.0, np.abs(composed))) < 1e-10
+
     def test_hand_computed_step(self):
         d = 2
         cell = GruParams(

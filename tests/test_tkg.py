@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meshtkg.tkg import (
+    DatasetError,
     LoadError,
     ParseError,
     Quadruple,
@@ -11,6 +12,7 @@ from meshtkg.tkg import (
     drop_history_fraction,
     load_dataset,
     merge,
+    truncate_and_resplit,
     write_dataset,
 )
 
@@ -221,3 +223,24 @@ def test_row_order_within_timestamp():
         [3, 0, 4, 0], [1, 1, 2, 0],                            # t=0: b's rows, then a's
         [4, 1, 0, 1], [0, 0, 1, 1], [2, 0, 3, 1],
     ]
+
+
+class TestTruncateAndResplit:
+    @staticmethod
+    def stream(num_timestamps):
+        facts = [(0, 0, 1, t) for t in range(num_timestamps)] + [(1, 0, 2, 0)]
+        return group(facts, "train"), group([], "valid"), group([], "test")
+
+    @pytest.mark.parametrize("num_timestamps", [1, 2])
+    def test_too_few_timestamps_rejected(self, num_timestamps):
+        with pytest.raises(DatasetError, match="at least 3 timestamps"):
+            truncate_and_resplit(make_vocab(3, 1), *self.stream(num_timestamps), 3)
+
+    @pytest.mark.parametrize("num_timestamps", [3, 4, 5, 6, 10, 11])
+    def test_three_nonempty_consecutive_splits(self, num_timestamps):
+        vocab, *splits = truncate_and_resplit(
+            make_vocab(3, 1), *self.stream(num_timestamps), 100)
+        assert vocab.num_timestamps == num_timestamps
+        times = [sorted(set(split.array[:, 3].tolist())) for split in splits]
+        assert all(times), f"empty split: {times}"
+        assert times[0] + times[1] + times[2] == list(range(num_timestamps))

@@ -512,9 +512,8 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def init_adam(params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params, lr: float = 1e-3) -> AdamState:
+    state = AdamState(lr=lr)
     state.m = [np.zeros_like(p.values) for p in params]
     state.v = [np.zeros_like(p.values) for p in params]
     return state

@@ -9,6 +9,7 @@ bit for bit (same seed, same streams).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -66,18 +67,24 @@ class RunConfig:
     gate_input: str = "structural"
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"config field {f.name} must be finite")
         positive = (
             "dim", "llm_dim", "adapter_hidden", "channels", "kernel_width",
             "layers", "num_historical", "num_nonhistorical", "learning_rate",
         )
+        # range checks are written so that NaN fails them
         for name in positive:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"config field {name} must be positive")
-        for name in ("window", "epochs_stage0", "epochs_stage1", "max_timestamps"):
-            if getattr(self, name) < 0:
+        for name in ("window", "epochs_stage0", "epochs_stage1", "max_timestamps", "omega"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"config field {name} must be >= 0")
-        if self.omega < 0:
-            raise ValueError("omega must be >= 0")
+        if self.kernel_width % 2 == 0:
+            raise ValueError("kernel_width must be odd")
+        if self.max_timestamps in (1, 2):
+            raise ValueError("max_timestamps must be 0 (no cap) or at least 3 (one per split)")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if not 0.0 <= self.drop_history <= 1.0:

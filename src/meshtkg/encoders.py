@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng
 from .autodiff import Tensor
-from .tkg import DatasetError, TemporalKG, Vocabulary
+from .tkg import DatasetError, Vocabulary
 
 
 # ---------------------------------------------------------------------------
@@ -113,37 +113,24 @@ def init_structural_encoder(num_entities: int, num_relations_aug: int, dim: int,
     )
 
 
-def snapshot_edges(tkg: TemporalKG) -> list:
-    """Per-timestamp (subject, relation, object) index arrays, None where
-    the graph has no facts."""
-    return [(rows[:, 0], rows[:, 1], rows[:, 2]) if len(rows) else None
-            for rows in tkg.snapshots()]
-
-
-def encode_structural(params: StructuralEncoderParams, edges: list, t: int,
-                      window: int | None = None, *, train: bool = False,
-                      gen: np.random.Generator | None = None):
-    """Entity and relation tables conditioned on the last `window` snapshots
-    strictly before t.
+def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, *,
+                      train: bool = False, gen: np.random.Generator | None = None):
+    """Entity and relation tables conditioned on the last `params.window`
+    blocks of `snapshots` (a graph's `snapshots()`) strictly before t.
 
     With no history (t = 0 or window 0) the initial embedding tables are
     returned as-is.
     """
-    if t < 0 or t > len(edges):
-        raise ValueError(f"timestamp {t} outside the available history (0..{len(edges)})")
-    m = params.window if window is None else window
+    if t < 0 or t > len(snapshots):
+        raise ValueError(f"timestamp {t} outside the available history (0..{len(snapshots)})")
     num_entities = params.entity_emb.shape[0]
     num_relations = params.relation_emb.shape[0]
     dtype = params.entity_emb.dtype
 
     H = params.entity_emb
     R = params.relation_emb
-    for k in range(max(0, t - m), t):
-        snap = edges[k]
-        if snap is None:
-            s_idx = r_idx = o_idx = np.empty(0, dtype=np.int64)
-        else:
-            s_idx, r_idx, o_idx = snap
+    for rows in snapshots[max(0, t - params.window):t]:
+        s_idx, r_idx, o_idx = rows[:, 0], rows[:, 1], rows[:, 2]
 
         # relation evolution: previous rows joined with the mean embedding of
         # entities adjacent to each relation in this snapshot (zero if unused)
@@ -258,9 +245,10 @@ def synthetic_embeddings(vocab: Vocabulary, dim: int, seed: int) -> SemanticEmbe
         raise ValueError("embedding dimension must be >= 1")
 
     def rows(kind_domain, count):
-        return np.stack(
-            [rng.stream(seed, kind_domain, i).standard_normal(dim) for i in range(count)]
-        ).astype(np.float32) if count else np.zeros((0, dim), dtype=np.float32)
+        table = np.empty((count, dim), dtype=np.float32)
+        for i in range(count):
+            table[i] = rng.stream(seed, kind_domain, i).standard_normal(dim)
+        return table
 
     return SemanticEmbeddingTable(
         entity=rows(rng.SYNTH_ENTITY, vocab.num_entities),

@@ -17,20 +17,9 @@ from scipy import stats as sps
 
 from . import history
 from .autodiff import Tensor
-from .encoders import SemanticEmbeddingTable, adapt, encode_structural, snapshot_edges
+from .encoders import SemanticEmbeddingTable, adapt, encode_structural
 from .model import AblationConfig, MeshModel, forward_queries
 from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
-
-
-@dataclass
-class RankResult:
-    s: int
-    r: int
-    t: int
-    o: int
-    raw_rank: float
-    filtered_rank: float
-    indicator: int | None = None
 
 
 @dataclass
@@ -96,7 +85,7 @@ def rank_query(scores: np.ndarray, o: int, filter_out=()) -> tuple[float, float]
 
 
 def compute_metrics(ranks) -> MetricsReport:
-    ranks = np.asarray(list(ranks), dtype=np.float64)
+    ranks = np.asarray(ranks, dtype=np.float64)
     if ranks.size == 0:
         raise ValueError("cannot compute metrics over an empty rank list")
     return MetricsReport(
@@ -108,20 +97,17 @@ def compute_metrics(ranks) -> MetricsReport:
     )
 
 
-def _maybe_metrics(ranks) -> MetricsReport:
-    ranks = list(ranks)
-    if not ranks:
-        return MetricsReport(None, None, None, None, 0)
-    return compute_metrics(ranks)
-
-
-def split_metrics(results: list[RankResult]) -> tuple[MetricsReport, MetricsReport]:
-    """Partition filtered ranks via the historical indicator."""
-    his = [r.filtered_rank for r in results if r.indicator == 1]
-    nhis = [r.filtered_rank for r in results if r.indicator == 0]
-    if len(his) + len(nhis) != len(results):
+def split_metrics(filtered, indicators) -> tuple[MetricsReport, MetricsReport]:
+    """Metrics of the historical (indicator 1) and non-historical
+    (indicator 0) filtered ranks."""
+    filtered, indicators = np.asarray(filtered), np.asarray(indicators)
+    if not np.all((indicators == 0) | (indicators == 1)):
         raise ValueError("every rank needs a 0/1 indicator tag for split metrics")
-    return _maybe_metrics(his), _maybe_metrics(nhis)
+
+    def report(ranks):
+        return compute_metrics(ranks) if ranks.size else MetricsReport(None, None, None, None, 0)
+
+    return report(filtered[indicators == 1]), report(filtered[indicators == 0])
 
 
 @dataclass
@@ -170,8 +156,8 @@ def welch_t(mean1, var1, n1, mean2, var2, n2) -> tuple[float, float]:
 
 def gate_statistics(alpha_his, alpha_nhis) -> GateStats:
     """One-sided two-sample comparison of the first expert's weight."""
-    a1 = np.asarray(list(alpha_his), dtype=np.float64)
-    a2 = np.asarray(list(alpha_nhis), dtype=np.float64)
+    a1 = np.asarray(alpha_his, dtype=np.float64)
+    a2 = np.asarray(alpha_nhis, dtype=np.float64)
     out = GateStats(n_his=a1.size, n_nhis=a2.size)
     if a1.size:
         out.mean_his = float(a1.mean())
@@ -218,12 +204,7 @@ def filtered_ranks(scores: np.ndarray, queries: np.ndarray, known: np.ndarray):
     return raw, filtered
 
 
-def _results(queries: np.ndarray, ranks: list, indicators) -> list[RankResult]:
-    """One result per query row from the per-snapshot (raw, filtered) ranks."""
-    raw, filtered = (np.concatenate(column) for column in zip(*ranks))
-    s, r, o, t = queries.T.tolist()
-    tags = [None] * len(s) if indicators is None else indicators.tolist()
-    return list(map(RankResult, s, r, t, o, raw.tolist(), filtered.tolist(), tags))
+RESULT_FIELDS = "s,r,o,t,raw_rank,filtered_rank,indicator"
 
 
 @dataclass
@@ -232,7 +213,7 @@ class EvalResult:
     historical: MetricsReport
     nonhistorical: MetricsReport
     gate_stats: GateStats
-    results: list
+    results: np.recarray   # one RESULT_FIELDS record per query
 
     def named_reports(self):
         return [
@@ -242,20 +223,26 @@ class EvalResult:
         ]
 
 
-def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond_edges: list,
-                   query_tkg: TemporalKG, known: TemporalKG,
-                   indicators: np.ndarray | None = None,
+def _eval_result(query: TemporalKG, indicators: np.ndarray, raw: np.ndarray,
+                 filtered: np.ndarray, gates: GateStats) -> EvalResult:
+    results = np.rec.fromarrays([*query.array.T, raw, filtered, indicators], names=RESULT_FIELDS)
+    return EvalResult(compute_metrics(filtered), *split_metrics(filtered, indicators), gates,
+                      results)
+
+
+def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond: TemporalKG,
+                   query: TemporalKG, known: TemporalKG,
                    ablation: AblationConfig | None = None,
-                   encode_cache: dict | None = None,
-                   collect_alpha: bool = False):
-    """Rank every query of `query_tkg` (already inverse-augmented), with
+                   encode_cache: dict | None = None):
+    """Rank every query of `query` (already inverse-augmented) with the
+    encoder conditioned on `cond`, which holds the queried timestamps, and
     each query's filter taken from `known`'s facts at its timestamp.
 
-    `indicators`, aligned with `query_tkg.array`, tags each result as
-    historical (1) or not (0). Returns (results, alpha_his, alpha_nhis).
-    The encoder output per timestamp can be cached across calls via
-    `encode_cache` because the evaluation-mode encoder is a pure function
-    of its frozen parameters.
+    Returns (raw, filtered, alpha) aligned with `query.array`: the ranks
+    and the prediction expert's weight on the first expert, or None for
+    alpha when the ablation runs no prediction expert. The encoder output
+    per timestamp can be cached across calls via `encode_cache` because
+    the evaluation-mode encoder is a pure function of its frozen parameters.
     """
     ablation = ablation or AblationConfig()
     ablation.validate()
@@ -266,9 +253,9 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond_edges: li
         h_l, _ = adapt(sem, model.adapters, dtype)
         sem_table = Tensor(h_l.values)
 
-    known_at = known.snapshots()
+    known_at, cond_at = known.snapshots(), cond.snapshots()
     ranks, alphas = [], []
-    for t, rows in enumerate(query_tkg.snapshots()):
+    for t, rows in enumerate(query.snapshots()):
         if not len(rows):
             continue
         if ablation.disable_structural:
@@ -276,7 +263,7 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond_edges: li
         elif encode_cache is not None and t in encode_cache:
             H, R = (Tensor(v) for v in encode_cache[t])
         else:
-            H, R = encode_structural(model.encoder, cond_edges, min(t, len(cond_edges)))
+            H, R = encode_structural(model.encoder, cond_at, t)
             if encode_cache is not None:
                 encode_cache[t] = (H.values, R.values)
         bundle = forward_queries(
@@ -284,22 +271,19 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond_edges: li
             train=False, ablation=ablation, semantic_entity_table=sem_table,
         )
         ranks.append(filtered_ranks(bundle.logits.values, rows, known_at[t]))
-        if collect_alpha and bundle.alphas is not None:
+        if bundle.alphas is not None:
             alphas.append(bundle.alphas.values[:, 0])
-    results = _results(query_tkg.array, ranks, indicators)
-    if not alphas or indicators is None:
-        return results, [], []
-    alpha = np.concatenate(alphas)
-    return results, alpha[indicators == 1].tolist(), alpha[indicators == 0].tolist()
+    raw, filtered = (np.concatenate(column) for column in zip(*ranks))
+    return raw, filtered, np.concatenate(alphas) if alphas else None
 
 
-def _query_split(vocab: Vocabulary, train: TemporalKG, valid: TemporalKG, test: TemporalKG,
+def _query_split(train: TemporalKG, valid: TemporalKG, test: TemporalKG, num_relations: int,
                  split: str):
     """The three splits inverse-augmented, their union (which supplies every
     filter), the queried split and its historical indicators."""
     if split not in ("valid", "test"):
         raise ValueError(f"split must be 'valid' or 'test', got {split!r}")
-    augmented = [add_inverse_relations(tkg, vocab)[0] for tkg in (train, valid, test)]
+    augmented = [add_inverse_relations(tkg, num_relations) for tkg in (train, valid, test)]
     query = augmented[2 if split == "test" else 1]
     if not query.num_facts:
         raise DatasetError(f"the {split} split has no facts to rank")
@@ -315,29 +299,28 @@ def evaluate(model: MeshModel, vocab: Vocabulary, train: TemporalKG, valid: Temp
     """Evaluate one split with time-aware filtering, split metrics, and gate
     statistics. The encoder conditions on every fact that precedes each
     query timestamp, across all splits."""
-    augmented, known, query, indicators = _query_split(vocab, train, valid, test, split)
+    augmented, known, query, indicators = _query_split(train, valid, test, vocab.num_relations,
+                                                       split)
     cond = known if split == "test" else merge(*augmented[:2])
-    results, a_his, a_nhis = ranked_queries(
-        model, sem, snapshot_edges(cond), query, known, indicators,
-        ablation=ablation, encode_cache=encode_cache, collect_alpha=True,
-    )
-    overall = compute_metrics([r.filtered_rank for r in results])
-    his_report, nhis_report = split_metrics(results)
-    gates = gate_statistics(a_his, a_nhis)
-    return EvalResult(overall, his_report, nhis_report, gates, results)
+    raw, filtered, alpha = ranked_queries(model, sem, cond, query, known,
+                                          ablation=ablation, encode_cache=encode_cache)
+    if alpha is None:
+        gates = gate_statistics([], [])
+    else:
+        gates = gate_statistics(alpha[indicators == 1], alpha[indicators == 0])
+    return _eval_result(query, indicators, raw, filtered, gates)
 
 
 def evaluate_naive(vocab: Vocabulary, train: TemporalKG, valid: TemporalKG,
                    test: TemporalKG, split: str = "test") -> EvalResult:
     """Frequency-ranking baseline under the same filtered protocol."""
-    augmented, known, query, indicators = _query_split(vocab, train, valid, test, split)
+    augmented, known, query, indicators = _query_split(train, valid, test, vocab.num_relations,
+                                                       split)
     counts = history.build_index(augmented[0].array)
     ranks = [
         filtered_ranks(history.naive_scores(counts, rows[:, 0], rows[:, 1], vocab.num_entities),
                        rows, known_rows)
         for rows, known_rows in zip(query.snapshots(), known.snapshots())
     ]
-    results = _results(query.array, ranks, indicators)
-    overall = compute_metrics([r.filtered_rank for r in results])
-    his_report, nhis_report = split_metrics(results)
-    return EvalResult(overall, his_report, nhis_report, GateStats(), results)
+    raw, filtered = (np.concatenate(column) for column in zip(*ranks))
+    return _eval_result(query, indicators, raw, filtered, GateStats())

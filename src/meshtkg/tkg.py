@@ -53,7 +53,6 @@ class Vocabulary:
     entity_names: list[str]
     relation_names: list[str]
     num_timestamps: int
-    time_granularity: str = "unknown"
 
     @property
     def num_entities(self) -> int:
@@ -172,7 +171,7 @@ def _normalize_timestamps(splits: dict[str, np.ndarray]) -> int:
     return len(levels)
 
 
-def load_dataset(directory: str, time_granularity: str = "unknown"):
+def load_dataset(directory: str):
     """Load a dataset directory.
 
     Returns (vocabulary, train, valid, test); timestamps are shared dense
@@ -187,7 +186,7 @@ def load_dataset(directory: str, time_granularity: str = "unknown"):
         for split in ("train", "valid", "test")
     }
     num_timestamps = _normalize_timestamps(splits)
-    vocab = Vocabulary(entity_names, relation_names, num_timestamps, time_granularity)
+    vocab = Vocabulary(entity_names, relation_names, num_timestamps)
     return (vocab, *(TemporalKG(rows, split) for split, rows in splits.items()))
 
 
@@ -211,34 +210,23 @@ def merge(*tkgs: TemporalKG) -> TemporalKG:
     return TemporalKG(np.concatenate([tkg.array for tkg in tkgs]), "merged")
 
 
-def add_inverse_relations(tkg: TemporalKG, vocab: Vocabulary):
-    """Add the mirror (o, r+|R|, s, t) of every fact; within a timestamp the
-    originals come first, then their mirrors in the same order.
-
-    The relation vocabulary doubles, with mirrored names suffixed
-    "_inverse". Calling this on an already-augmented graph is an error.
+def add_inverse_relations(tkg: TemporalKG, num_relations: int) -> TemporalKG:
+    """Add the mirror (o, r + num_relations, s, t) of every fact; within a
+    timestamp the originals come first, then their mirrors in the same
+    order. Calling this on an already-augmented graph is an error.
     """
-    num_rel = vocab.num_relations
-    names = vocab.relation_names
-    half = num_rel // 2
-    if num_rel and num_rel % 2 == 0 and all(
-        names[half + i] == names[i] + "_inverse" for i in range(half)
-    ):
-        raise ValueError("relation vocabulary is already inverse-augmented; cannot augment twice")
-    if np.any(tkg.array[:, 1] >= num_rel):
+    if np.any(tkg.array[:, 1] >= num_relations):
         raise ValueError("graph already contains inverse relation ids; cannot augment twice")
-    mirrors = tkg.array[:, [2, 1, 0, 3]] + np.array([0, num_rel, 0, 0])
-    new_vocab = replace(
-        vocab,
-        relation_names=vocab.relation_names + [n + "_inverse" for n in vocab.relation_names],
-    )
-    return TemporalKG(np.concatenate([tkg.array, mirrors]), tkg.split), new_vocab
+    mirrors = tkg.array[:, [2, 1, 0, 3]] + np.array([0, num_relations, 0, 0])
+    return TemporalKG(np.concatenate([tkg.array, mirrors]), tkg.split)
 
 
-def truncate_and_resplit(vocab: Vocabulary, train, valid, test, max_timestamps: int,
-                         train_frac: float = 0.8, valid_frac: float = 0.1):
+TRAIN_FRAC, VALID_FRAC = 0.8, 0.1
+
+
+def truncate_and_resplit(vocab: Vocabulary, train, valid, test, max_timestamps: int):
     """Keep only the first `max_timestamps` snapshots of the merged dataset
-    and re-split temporally (default 80/10/10); for capped desk-scale runs.
+    and re-split temporally (80/10/10); for capped desk-scale runs.
     """
     if max_timestamps < 3:
         raise ValueError("need at least 3 timestamps to form three splits")
@@ -247,8 +235,8 @@ def truncate_and_resplit(vocab: Vocabulary, train, valid, test, max_timestamps: 
     if total < 3:
         raise DatasetError(f"need at least 3 timestamps to form three splits, the data has {total}")
     # each split keeps at least one timestamp
-    train_end = min(max(1, int(total * train_frac)), total - 2)
-    valid_end = min(max(train_end + 1, int(total * (train_frac + valid_frac))), total - 1)
+    train_end = min(max(1, int(total * TRAIN_FRAC)), total - 2)
+    valid_end = min(max(train_end + 1, int(total * (TRAIN_FRAC + VALID_FRAC))), total - 1)
     t = merged.array[:, 3]
 
     def cut(start, stop, split):

@@ -27,11 +27,7 @@ from . import rng
 from .autodiff import NumericError, Tensor
 from .config import RunConfig
 from .decoder import decode
-from .encoders import (
-    SemanticEmbeddingTable,
-    encode_structural,
-    snapshot_edges,
-)
+from .encoders import SemanticEmbeddingTable, encode_structural
 from .evaluation import compute_metrics, ranked_queries
 from .history import build_index
 from .model import (
@@ -94,7 +90,6 @@ def total_loss(l_major: Tensor, l_his: Tensor, l_nhis: Tensor, omega: float) -> 
 @dataclass
 class TrainResult:
     model: MeshModel
-    vocab: Vocabulary                  # inverse-augmented
     log_lines: list
     frozen_names: list
     frozen_values: dict                # name -> array copied at freeze time
@@ -105,23 +100,24 @@ class TrainResult:
 
 def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
                  stage: str, epoch: int) -> float:
-    """One pass over the snapshot batches with one Adam step per batch.
+    """One pass over the (t, snapshot block) batches with one Adam step per
+    batch.
 
-    `batch_loss(t, s_idx, r_idx, o_idx)` builds the summed batch loss on
-    the step's tape; only `params` receive gradients and move. Returns the
-    mean loss per query.
+    `batch_loss(t, rows)` builds the summed loss of the block's (s, r, o, t)
+    rows on the step's tape; only `params` receive gradients and move.
+    Returns the mean loss per query.
     """
     total, count = 0.0, 0
-    for t, s_idx, r_idx, o_idx in batches:
+    for t, rows in batches:
         with ad.Tape() as tape:
-            loss = batch_loss(t, s_idx, r_idx, o_idx)
+            loss = batch_loss(t, rows)
             if not np.isfinite(loss.values):
                 raise NumericError(f"non-finite loss in {stage}, epoch {epoch}, timestamp {t}")
             ad.zero_grads(params)
             ad.backward(loss, tape)
         ad.adam_step(params, adam)
         total += loss.item()
-        count += len(o_idx)
+        count += len(rows)
     return total / max(count, 1)
 
 
@@ -136,12 +132,11 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
         raise DatasetError("the valid split has no facts; stage 1 keeps the epoch "
                            "with the best validation MRR")
 
-    train_aug, vocab_aug = add_inverse_relations(train_tkg, vocab)
-    valid_aug, _ = add_inverse_relations(valid_tkg, vocab)
+    train_aug = add_inverse_relations(train_tkg, vocab.num_relations)
+    valid_aug = add_inverse_relations(valid_tkg, vocab.num_relations)
     seen = merge(train_aug, valid_aug)
-    edges_train = snapshot_edges(train_aug)
-    edges_cond_valid = snapshot_edges(seen)
-    batches = [(t, *edges) for t, edges in enumerate(edges_train) if edges is not None]
+    snapshots = train_aug.snapshots()
+    batches = [(t, rows) for t, rows in enumerate(snapshots) if len(rows)]
 
     spec = ModelSpec.from_config(config, vocab.num_entities, vocab.num_relations, sem.dim)
     model = init_model(spec, rng.stream(config.seed, rng.INIT))
@@ -155,11 +150,11 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
         adam0 = ad.init_adam(params0, lr=config.learning_rate)
         gen0 = rng.stream(config.seed, rng.DROPOUT, 0)
 
-        def stage0_loss(t, s_idx, r_idx, o_idx):
-            H, R = encode_structural(model.encoder, edges_train, t, train=True, gen=gen0)
-            q_g = decode(model.decoder_g, ad.gather_rows(H, s_idx),
-                         ad.gather_rows(R, r_idx), train=True, gen=gen0)
-            return major_loss(score_logits(q_g, H), o_idx, "cross_entropy")
+        def stage0_loss(t, rows):
+            H, R = encode_structural(model.encoder, snapshots, t, train=True, gen=gen0)
+            q_g = decode(model.decoder_g, ad.gather_rows(H, rows[:, 0]),
+                         ad.gather_rows(R, rows[:, 1]), train=True, gen=gen0)
+            return major_loss(score_logits(q_g, H), rows[:, 2], "cross_entropy")
 
         for epoch in range(1, config.epochs_stage0 + 1):
             stage0_losses.append(_train_epoch(batches, stage0_loss, params0, adam0,
@@ -189,20 +184,21 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
         historical = train_aug.snapshots(
             build_index(train_aug.array).indicator(*train_aug.array.T))
         if not ablation.disable_structural:
-            encoded = {t: encode_structural(model.encoder, edges_train, t) for t, *_ in batches}
+            encoded = {t: encode_structural(model.encoder, snapshots, t) for t, _ in batches}
     valid_cache: dict[int, tuple] = {}
 
-    def stage1_loss(t, s_idx, r_idx, o_idx):
+    def stage1_loss(t, rows):
         H, R = encoded.get(t, (None, None))
-        bundle = forward_queries(model, H, R, sem, s_idx, r_idx,
+        bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
                                  train=True, gen=gen1, ablation=ablation)
         pred = ad.sigmoid(bundle.logits) if literal else bundle.logits
-        loss = major_loss(pred, o_idx, config.loss_mode)
+        loss = major_loss(pred, rows[:, 2], config.loss_mode)
         if use_experts and omega > 0.0:
             lh_raw, ln_raw = bundle.partial_logits()
             if literal:
                 lh_raw, ln_raw = ad.sigmoid(lh_raw), ad.sigmoid(ln_raw)
-            l_his, l_nhis = expert_losses(lh_raw, ln_raw, o_idx, historical[t], config.loss_mode)
+            l_his, l_nhis = expert_losses(lh_raw, ln_raw, rows[:, 2], historical[t],
+                                          config.loss_mode)
             loss = total_loss(loss, l_his, l_nhis, omega)
         return loss
 
@@ -213,11 +209,9 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
 
     for epoch in range(1, config.epochs_stage1 + 1):
         train_loss = _train_epoch(batches, stage1_loss, params1, adam1, "stage 1", epoch)
-        results, _, _ = ranked_queries(
-            model, sem, edges_cond_valid, valid_aug, seen,
-            ablation=ablation, encode_cache=valid_cache,
-        )
-        valid_mrr = compute_metrics([r.filtered_rank for r in results]).mrr
+        _, filtered, _ = ranked_queries(model, sem, seen, valid_aug, seen,
+                                        ablation=ablation, encode_cache=valid_cache)
+        valid_mrr = compute_metrics(filtered).mrr
         log_lines.append(f"{epoch}\t{train_loss:.6f}\t{valid_mrr:.6f}")
         if verbose:
             verbose(f"stage1 epoch {epoch}: loss {train_loss:.6f} valid MRR {valid_mrr:.6f}")
@@ -236,7 +230,6 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
 
     return TrainResult(
         model=model,
-        vocab=vocab_aug,
         log_lines=log_lines,
         frozen_names=frozen_names,
         frozen_values=frozen_values,

@@ -388,14 +388,13 @@ def test_criterion_9_determinism_and_roundtrip(synth_dataset, tmp_path):
     loaded, _ = load_checkpoint(ckpt)
 
     # score every test query with both models and demand bitwise equality
-    from meshtkg.encoders import snapshot_edges
     from meshtkg.tkg import add_inverse_relations, merge
 
     vocab = synth_dataset["vocab"]
-    train_aug, _ = add_inverse_relations(synth_dataset["train"], vocab)
-    valid_aug, _ = add_inverse_relations(synth_dataset["valid"], vocab)
-    test_aug, _ = add_inverse_relations(synth_dataset["test"], vocab)
-    cond = snapshot_edges(merge(train_aug, valid_aug, test_aug))
+    train_aug = add_inverse_relations(synth_dataset["train"], vocab.num_relations)
+    valid_aug = add_inverse_relations(synth_dataset["valid"], vocab.num_relations)
+    test_aug = add_inverse_relations(synth_dataset["test"], vocab.num_relations)
+    cond = merge(train_aug, valid_aug, test_aug).snapshots()
     from meshtkg.encoders import encode_structural
 
     bit_exact = True

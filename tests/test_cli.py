@@ -251,6 +251,29 @@ class TestSweep:
                     "--omega-list", "1.0", "--mn-grid", "1x1"]) == 2
 
 
+# flags whose values RunConfig.validate rejects; each once escaped as a
+# traceback (exit 1), a numeric failure (exit 4) or a silent run (exit 0)
+BAD_CONFIG_VALUES = {
+    "even kernel width": ["train", "--kernel-width", "4"],
+    "max-timestamps 1": ["prepare", "--max-timestamps", "1"],
+    "max-timestamps 2": ["prepare", "--max-timestamps", "2"],
+    "nan omega": ["train", "--omega", "nan"],
+    "infinite omega": ["train", "--omega", "inf"],
+    "nan learning rate": ["train", "--learning-rate", "nan"],
+    "infinite learning rate": ["train", "--learning-rate", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_bad_config_values_exit_2(case, synth_dataset, tmp_path, capsys):
+    command, *flags = BAD_CONFIG_VALUES[case]
+    out = str(tmp_path / "out")
+    assert run([command, synth_dataset["dir"], *micro_flags(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 @pytest.fixture(scope="module")
 def checkpoint(train_dir):
     return os.path.join(train_dir, "checkpoint.mesh")

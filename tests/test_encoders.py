@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meshtkg import autodiff as ad
+from meshtkg import rng
 from meshtkg.autodiff import Tensor, grad_check, param
 from meshtkg.encoders import (
     EmbeddingCoverageError,
@@ -18,7 +19,6 @@ from meshtkg.encoders import (
     init_structural_encoder,
     load_semantic_embeddings,
     save_semantic_embeddings,
-    snapshot_edges,
     synthetic_embeddings,
 )
 from meshtkg.tkg import Quadruple, TemporalKG, add_inverse_relations
@@ -33,21 +33,20 @@ def sigmoid(x):
 class TestStructuralEncoder:
     def test_zero_window_returns_initial_tables(self, np_gen):
         params = init_structural_encoder(5, 4, 8, layers=2, window=0, dropout=0.0, gen=np_gen)
-        edges = snapshot_edges(group([(0, 0, 1, 0), (1, 1, 2, 1)]))
+        edges = group([(0, 0, 1, 0), (1, 1, 2, 1)]).snapshots()
         H, R = encode_structural(params, edges, t=2)
         assert H is params.entity_emb and R is params.relation_emb
 
     def test_t_zero_returns_initial_tables(self, np_gen):
         params = init_structural_encoder(5, 4, 8, layers=2, window=3, dropout=0.0, gen=np_gen)
-        edges = snapshot_edges(group([(0, 0, 1, 0)]))
+        edges = group([(0, 0, 1, 0)]).snapshots()
         H, R = encode_structural(params, edges, t=0)
         assert H is params.entity_emb
 
     def test_output_shapes(self, np_gen):
-        vocab = make_vocab(6, 3)
-        tkg, vocab2 = add_inverse_relations(group([(0, 0, 1, 0), (2, 1, 3, 1), (4, 2, 5, 1)]), vocab)
+        tkg = add_inverse_relations(group([(0, 0, 1, 0), (2, 1, 3, 1), (4, 2, 5, 1)]), 3)
         params = init_structural_encoder(6, 6, 10, layers=2, window=3, dropout=0.0, gen=np_gen)
-        H, R = encode_structural(params, snapshot_edges(tkg), t=2)
+        H, R = encode_structural(params, tkg.snapshots(), t=2)
         assert H.shape == (6, 10)
         assert R.shape == (6, 10)
 
@@ -55,8 +54,8 @@ class TestStructuralEncoder:
         params = init_structural_encoder(4, 2, 6, layers=1, window=5, dropout=0.0, gen=np_gen)
         past = group([(0, 0, 1, 0), (1, 0, 2, 1)])
         with_future = group([(0, 0, 1, 0), (1, 0, 2, 1), (2, 0, 3, 2), (3, 0, 0, 3)])
-        H1, R1 = encode_structural(params, snapshot_edges(past), t=2)
-        H2, R2 = encode_structural(params, snapshot_edges(with_future), t=2)
+        H1, R1 = encode_structural(params, past.snapshots(), t=2)
+        H2, R2 = encode_structural(params, with_future.snapshots(), t=2)
         assert np.array_equal(H1.values, H2.values)
         assert np.array_equal(R1.values, R2.values)
 
@@ -64,13 +63,13 @@ class TestStructuralEncoder:
         # a gap timestamp (no facts) still evolves the tables via the cells
         params = init_structural_encoder(4, 2, 6, layers=2, window=3, dropout=0.0, gen=np_gen)
         gappy = TemporalKG([[Quadruple(0, 0, 1, 0)], [], [Quadruple(1, 1, 2, 2)]], "train")
-        H, R = encode_structural(params, snapshot_edges(gappy), t=3)
+        H, R = encode_structural(params, gappy.snapshots(), t=3)
         assert H.shape == (4, 6) and R.shape == (2, 6)
         assert np.all(np.isfinite(H.values))
 
     def test_eval_encoding_is_bit_identical(self, np_gen):
         params = init_structural_encoder(5, 4, 8, layers=2, window=3, dropout=0.3, gen=np_gen)
-        edges = snapshot_edges(group([(0, 0, 1, 0), (1, 1, 2, 1), (3, 0, 4, 2)]))
+        edges = group([(0, 0, 1, 0), (1, 1, 2, 1), (3, 0, 4, 2)]).snapshots()
         H1, _ = encode_structural(params, edges, t=3, train=False)
         H2, _ = encode_structural(params, edges, t=3, train=False)
         assert np.array_equal(H1.values, H2.values)
@@ -87,7 +86,7 @@ class TestStructuralEncoder:
         b = np.concatenate([np.full(d, 0.4), np.full(d, -0.3), np.full(d, 0.9)])
         params.ent_cell.b.values[...] = b
         params.rel_cell.b.values[...] = b
-        edges = snapshot_edges(group([(0, 0, 1, 0)]))
+        edges = group([(0, 0, 1, 0)]).snapshots()
         H, R = encode_structural(params, edges, t=1)
         expected = (1.0 - sigmoid(0.4)) * np.tanh(0.9)
         assert np.allclose(H.values, expected, atol=1e-12)
@@ -97,9 +96,8 @@ class TestStructuralEncoder:
         gen = np.random.default_rng(5)
         params = init_structural_encoder(4, 4, 3, layers=2, window=2, dropout=0.0,
                                          gen=gen, dtype=np.float64)
-        vocab = make_vocab(4, 2)
-        tkg, _ = add_inverse_relations(group([(0, 0, 1, 0), (1, 1, 2, 1), (2, 0, 3, 1)]), vocab)
-        edges = snapshot_edges(tkg)
+        tkg = add_inverse_relations(group([(0, 0, 1, 0), (1, 1, 2, 1), (2, 0, 3, 1)]), 2)
+        edges = tkg.snapshots()
         named = params.named_parameters()
         with ad.Tape() as tape:
             H, R = encode_structural(params, edges, t=2)
@@ -110,9 +108,8 @@ class TestStructuralEncoder:
 
     def test_encoder_gradient_check_small(self):
         gen = np.random.default_rng(9)
-        vocab = make_vocab(3, 1)
-        tkg, _ = add_inverse_relations(group([(0, 0, 1, 0), (1, 0, 2, 0)]), vocab)
-        edges = snapshot_edges(tkg)
+        tkg = add_inverse_relations(group([(0, 0, 1, 0), (1, 0, 2, 0)]), 1)
+        edges = tkg.snapshots()
         params = init_structural_encoder(3, 2, 2, layers=1, window=1, dropout=0.0,
                                          gen=gen, dtype=np.float64)
 
@@ -236,6 +233,18 @@ class TestSemanticTables:
         assert np.array_equal(a.relation, b.relation)
         c = synthetic_embeddings(vocab, 16, seed=4)
         assert not np.array_equal(a.entity, c.entity)
+
+    @pytest.mark.parametrize("num_relations", [0, 3])
+    def test_synthetic_rows_are_their_streams_draws(self, num_relations):
+        """Row i is the float64 draw of stream (seed, kind, i), rounded to
+        float32, bit for bit."""
+        table = synthetic_embeddings(make_vocab(4, num_relations), 7, seed=5)
+        for block, kind in ((table.entity, rng.SYNTH_ENTITY), (table.relation, rng.SYNTH_RELATION)):
+            want = np.array([rng.stream(5, kind, i).standard_normal(7) for i in range(len(block))],
+                            dtype=np.float32).reshape(-1, 7)
+            assert block.dtype == np.float32
+            assert block.tobytes() == want.tobytes()
+        assert table.relation.shape == (num_relations, 7)
 
     def test_synthetic_rows_differ(self):
         table = synthetic_embeddings(make_vocab(3, 1), 8, seed=0)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from meshtkg.evaluation import (
     GateStats,
     MetricsReport,
-    RankResult,
     compute_metrics,
     evaluate,
     evaluate_naive,
@@ -98,27 +97,23 @@ class TestComputeMetrics:
 
 
 class TestSplitMetrics:
-    @staticmethod
-    def result(rank, ind):
-        return RankResult(0, 0, 0, 0, rank, rank, ind)
-
     def test_all_historical_flags_empty_bucket(self):
-        his, nhis = split_metrics([self.result(1, 1), self.result(2, 1)])
+        his, nhis = split_metrics(np.array([1.0, 2.0]), np.array([1, 1]))
         assert his.count == 2
         assert nhis.empty and nhis.mrr is None
         text = format_reports([("historical", his), ("non-historical", nhis)])
         assert "empty bucket: non-historical" in text
 
     def test_hand_labeled_buckets(self, np_gen):
-        results = [self.result(int(r), int(i))
-                   for r, i in zip(np_gen.integers(1, 10, size=10), [1, 0, 1, 1, 0, 0, 0, 1, 1, 0])]
-        his, nhis = split_metrics(results)
+        ranks = np_gen.integers(1, 10, size=10).astype(float)
+        indicators = np.array([1, 0, 1, 1, 0, 0, 0, 1, 1, 0])
+        his, nhis = split_metrics(ranks, indicators)
         assert his.count == 5 and nhis.count == 5
-        assert his.count + nhis.count == len(results)
+        assert his.count + nhis.count == len(ranks)
 
     def test_untagged_rank_rejected(self):
         with pytest.raises(ValueError):
-            split_metrics([self.result(1, None)])
+            split_metrics(np.array([1.0, 2.0]), np.array([1, 2]))
 
 
 class TestGateStatistics:
@@ -185,7 +180,6 @@ class TestFilterSets:
 class TestEvaluate:
     def test_matches_scripted_per_query_oracle(self, trained):
         """Full evaluation equals a per-query recomputation from scratch."""
-        from meshtkg.encoders import snapshot_edges
         from meshtkg.evaluation import ranked_queries
         from meshtkg.history import build_index
         from meshtkg.tkg import merge
@@ -193,26 +187,23 @@ class TestEvaluate:
         result = evaluate(trained["result"].model, trained["vocab"], trained["train"],
                           trained["valid"], trained["test"], trained["sem"])
 
-        vocab = trained["vocab"]
-        train_aug, _ = add_inverse_relations(trained["train"], vocab)
-        valid_aug, _ = add_inverse_relations(trained["valid"], vocab)
-        test_aug, _ = add_inverse_relations(trained["test"], vocab)
+        num_relations = trained["vocab"].num_relations
+        train_aug, valid_aug, test_aug = (add_inverse_relations(trained[split], num_relations)
+                                          for split in ("train", "valid", "test"))
         known = merge(train_aug, valid_aug, test_aug)
-        cond = snapshot_edges(known)
         index = build_index(known.array)
 
         # one query at a time, in a different batching regime
         scripted = []
         for q in quads(test_aug):
             single = group([q], "test")
-            res, _, _ = ranked_queries(trained["result"].model, trained["sem"], cond,
-                                       single, known, index.indicator(*single.array.T))
-            scripted.append(res[0])
+            _, filtered, _ = ranked_queries(trained["result"].model, trained["sem"], known,
+                                            single, known)
+            scripted.append((*q, float(filtered[0]), int(index.indicator(*q))))
         assert len(scripted) == len(result.results)
-        got = sorted((r.s, r.r, r.t, r.o, r.filtered_rank) for r in result.results)
-        want = sorted((r.s, r.r, r.t, r.o, r.filtered_rank) for r in scripted)
-        assert got == want
-        mrr_oracle = sum(1.0 / r.filtered_rank for r in scripted) / len(scripted)
+        got = sorted((r.s, r.r, r.o, r.t, r.filtered_rank, r.indicator) for r in result.results)
+        assert got == sorted(scripted)
+        mrr_oracle = sum(1.0 / q[4] for q in scripted) / len(scripted)
         assert result.overall.mrr == pytest.approx(mrr_oracle, abs=1e-12)
 
     def test_bucket_counts_sum(self, trained):

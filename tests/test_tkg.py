@@ -143,25 +143,18 @@ class TestLoadDataset:
 
 class TestInverseRelations:
     def test_single_fact_mirror(self):
-        vocab = make_vocab(3, 3)
-        tkg = group([(0, 1, 2, 5)])
-        aug, vocab2 = add_inverse_relations(tkg, vocab)
+        aug = add_inverse_relations(group([(0, 1, 2, 5)]), 3)
         assert aug.snapshots()[5].tolist() == [[0, 1, 2, 5], [2, 4, 0, 5]]
-        assert vocab2.num_relations == 6
-        assert vocab2.relation_names[4] == "rel1_inverse"
 
     def test_empty_graph(self):
-        vocab = make_vocab(2, 2)
-        aug, vocab2 = add_inverse_relations(group([]), vocab)
+        aug = add_inverse_relations(group([]), 2)
         assert aug.num_facts == 0
-        assert vocab2.num_relations == 4
 
     def test_involution_on_fixture(self, np_gen):
         from conftest import random_facts
 
-        vocab = make_vocab(6, 4)
         facts = random_facts(np_gen, 10, 6, 4, 5)
-        aug, _ = add_inverse_relations(group(facts), vocab)
+        aug = add_inverse_relations(group(facts), 4)
         assert aug.num_facts == 20
         originals = sorted(Quadruple(*f) for f in facts)
         mirrors = [q for q in quads(aug) if q.r >= 4]
@@ -169,10 +162,9 @@ class TestInverseRelations:
         assert remapped == originals
 
     def test_double_application_rejected(self):
-        vocab = make_vocab(3, 2)
-        aug, vocab2 = add_inverse_relations(group([(0, 0, 1, 0)]), vocab)
+        aug = add_inverse_relations(group([(0, 0, 1, 0)]), 2)
         with pytest.raises(ValueError, match="twice"):
-            add_inverse_relations(aug, vocab2)
+            add_inverse_relations(aug, 2)
 
 
 class TestDropHistory:
@@ -213,7 +205,7 @@ def test_merge_unions_snapshots():
 def test_row_order_within_timestamp():
     # batches, dropout draws and ranks follow this order, so it must not move
     a = group([(0, 0, 1, 1), (1, 1, 2, 0), (2, 0, 3, 1)], "train")
-    aug, _ = add_inverse_relations(a, make_vocab(5, 2))
+    aug = add_inverse_relations(a, 2)
     assert aug.array.tolist() == [
         [1, 1, 2, 0], [2, 3, 1, 0],                            # t=0: original, mirror
         [0, 0, 1, 1], [2, 0, 3, 1], [1, 2, 0, 1], [3, 2, 2, 1],  # t=1: originals, mirrors

@@ -18,7 +18,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 
 class NumericError(Exception):
@@ -98,12 +97,16 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
+def _flows(x: Tensor, tape: Tape) -> bool:
+    """Whether a gradient can reach x on this tape: it requires grad itself
+    or was produced by a recorded node."""
+    return x.requires_grad or id(x) in tape.tracked
+
+
 def _record(op, inputs, out_values, backward_fn) -> Tensor:
     out = Tensor(out_values)
     tape = active_tape()
-    if tape is not None and any(
-        x.requires_grad or id(x) in tape.tracked for x in inputs
-    ):
+    if tape is not None and any(_flows(x, tape) for x in inputs):
         tape.nodes.append(Node(op, tuple(inputs), out, backward_fn))
         tape.tracked.add(id(out))
     return out
@@ -182,11 +185,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values * b.values
+    # a constant operand (a degree normaliser, an indicator mask) gets no
+    # gradient, so its product and reduction are never computed
+    tape = active_tape()
+    grad_a = tape is not None and _flows(a, tape)
+    grad_b = tape is not None and _flows(b, tape)
     return _record(
         "mul", (a, b), out,
         lambda g: (
-            _unbroadcast(g * b.values, a.values.shape),
-            _unbroadcast(g * a.values, b.values.shape),
+            _unbroadcast(g * b.values, a.values.shape) if grad_a else None,
+            _unbroadcast(g * a.values, b.values.shape) if grad_b else None,
         ),
     )
 
@@ -291,8 +299,20 @@ def pick_last(a: Tensor, index) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) in x's dtype, computed in one buffer (``out`` may be
+    x itself). exp(-x) overflows to inf for very negative x, which gives
+    exactly 0; the result rounds to 1.0 from x = ln(2**53) (float64) or
+    ln(2**24) (float32) on."""
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    out = expit(a.values)
+    out = _sigmoid(a.values)
     return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
@@ -307,11 +327,15 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
+    """max(slope * x, x) for 0 < slope < 1, without a mask selection; the
+    first operand wins on NaN, so NaNs come out as slope * x does."""
     x = a.values
-    out = np.where(x > 0, x, slope * x)
+    if not 0.0 < np.asarray(slope, x.dtype) < 1.0:
+        raise ValueError(f"leaky_relu needs 0 < slope < 1 in {x.dtype}, got {slope}")
+    out = np.maximum(slope * x, x)
     return _record(
         "leaky_relu", (a,), out,
-        lambda g: (np.where(x > 0, g, g * slope),),
+        lambda g: (g * np.maximum(x > 0, slope, dtype=x.dtype),),
     )
 
 
@@ -404,30 +428,53 @@ def gru(x: Tensor, h: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     update z, reset r, candidate n.
         z = sigmoid(x Wx_z + h Wh_z + b_z),  r = sigmoid(x Wx_r + h Wh_r + b_r)
         n = tanh(x Wx_n + r * (h Wh_n) + b_n),  out = (1 - z) * n + z * h
+
+    Gate-major: the weights are viewed as (3, in, d), z and r are computed
+    together in one contiguous (2, B, d) buffer and n on its own, so no
+    (B, 3d) pre-activation is sliced or kept for the backward pass.
     """
     d = wh.values.shape[0]
-    hv = h.values
-    xa = x.values @ wx.values
-    ha = hv @ wh.values
-    z = expit(xa[:, :d] + ha[:, :d] + b.values[:d])
-    r = expit(xa[:, d:2 * d] + ha[:, d:2 * d] + b.values[d:2 * d])
-    ha_n = ha[:, 2 * d:]
-    n = np.tanh(xa[:, 2 * d:] + r * ha_n + b.values[2 * d:])
-    out = (-z + 1.0) * n + z * hv
+    xv, hv = x.values, h.values
+    wx3 = wx.values.reshape(-1, 3, d).transpose(1, 0, 2)
+    wh3 = wh.values.reshape(d, 3, d).transpose(1, 0, 2)
+    b3 = b.values.reshape(3, 1, d)
+    zr = np.matmul(xv, wx3[:2])
+    zr += np.matmul(hv, wh3[:2])
+    zr += b3[:2]
+    z, r = _sigmoid(zr, out=zr)
+    ha_n = hv @ wh3[2]
+    n = xv @ wx3[2]
+    tmp = np.multiply(r, ha_n)
+    n += tmp
+    n += b3[2]
+    np.tanh(n, out=n)
+    out = np.subtract(1.0, z)
+    out *= n
+    out += np.multiply(z, hv, out=tmp)
 
     def backward_fn(g):
-        gn = g * (1.0 - z) * (1.0 - n * n)
-        gz = g * (hv - n) * z * (1.0 - z)
-        gr = gn * ha_n * r * (1.0 - r)
-        gxa = np.concatenate([gz, gr, gn], axis=1)
-        gha = np.concatenate([gz, gr, gn * r], axis=1)
-        return (
-            gxa @ wx.values.T,
-            gha @ wh.values.T + g * z,
-            x.values.T @ gxa,
-            hv.T @ gha,
-            gxa.sum(axis=0),
-        )
+        one_minus_z = 1.0 - z
+        # gate gradients side by side in one (B, 3d) buffer, the layout of
+        # wx's and wh's columns, so each weight gradient is one matmul
+        ga = np.empty((g.shape[0], 3 * d), dtype=g.dtype)
+        gz, gr, gn = ga[:, :d], ga[:, d:2 * d], ga[:, 2 * d:]
+        np.multiply(g, one_minus_z, out=gn)
+        tmp = n * n
+        gn *= np.subtract(1.0, tmp, out=tmp)
+        np.subtract(hv, n, out=gz)
+        gz *= g
+        gz *= z
+        gz *= one_minus_z
+        np.multiply(gn, ha_n, out=gr)
+        gr *= r
+        gr *= np.subtract(1.0, r, out=tmp)
+        gx = ga @ wx.values.T
+        gwx = xv.T @ ga
+        gb = ga.sum(axis=0)
+        gn *= r  # the h-side candidate gradient passes through the reset gate
+        gh = ga @ wh.values.T
+        gh += g * z
+        return gx, gh, gwx, hv.T @ ga, gb
 
     return _record("gru", (x, h, wx, wh, b), out, backward_fn)
 
@@ -438,7 +485,9 @@ def dropout(a: Tensor, p: float, gen: np.random.Generator | None, train: bool) -
         return a
     if gen is None:
         raise ValueError("train-mode dropout needs a generator")
-    keep = (gen.random(a.values.shape, dtype=np.float32) >= p).astype(a.values.dtype) / (1.0 - p)
+    # 1/(1-p) where the float32 draw is >= p, else 0, in one pass over the mask
+    keep = np.divide(gen.random(a.values.shape, dtype=np.float32) >= p, 1.0 - p,
+                     dtype=a.values.dtype)
     out = a.values * keep
     return _record("dropout", (a,), out, lambda g: (g * keep,))
 
@@ -457,12 +506,14 @@ def tensor_mean(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # gradient checking
 
+@np.errstate(all="ignore")
 def grad_check(fn, inputs, eps: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``fn`` maps the given tensors to a scalar Tensor and must be
     deterministic (run dropout in eval mode). Error per coordinate is
-    |analytic - numeric| / max(1, |numeric|).
+    |analytic - numeric| / max(1, |numeric|). Floating-point warnings are
+    silenced: a non-finite value is reported as ``NumericError`` instead.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

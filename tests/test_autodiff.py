@@ -1,14 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from meshtkg import autodiff as ad
 from meshtkg.autodiff import Tape, Tensor, backward, grad_check, param
 
+UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
+
 
 def rnd(gen, *shape):
     return param(gen.standard_normal(shape))
+
+
+def bits(a):
+    """The IEEE bit patterns of a float array, for bit-for-bit comparison."""
+    a = np.asarray(a)
+    return a.view(UINT[a.dtype])
 
 
 class TestBackwardBasics:
@@ -211,6 +223,141 @@ class TestOpSemantics:
     def test_conv1d_rejects_even_width(self):
         with pytest.raises(ValueError, match="odd"):
             ad.conv1d(Tensor(np.ones((1, 1, 4))), Tensor(np.ones((1, 1, 2))))
+
+
+class TestSigmoidKernel:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_within_4_ulp_of_expit(self, dtype):
+        x = (np.random.default_rng(21).standard_normal(1_000_000) * 15).astype(dtype)
+        got = ad.sigmoid(Tensor(x)).values
+        assert got.dtype == dtype
+        ulps = np.abs(bits(got).astype(np.int64) - bits(expit(x)).astype(np.int64))
+        assert ulps.max() <= 4
+
+    @pytest.mark.parametrize("dtype, mantissa, first_one", [
+        (np.float32, 24, 16.635532), (np.float64, 53, 36.73680056967711),
+    ])
+    def test_saturates_to_one_where_expit_does(self, dtype, mantissa, first_one):
+        """1 + exp(-x) rounds to 1 from x = ln(2**mantissa) on; every float
+        within 2000 ulps of that point saturates exactly when expit does."""
+        centre = bits(np.array(mantissa * np.log(2.0), dtype)).astype(np.int64)
+        x = (centre + np.arange(-2000, 2001)).astype(UINT[np.dtype(dtype)]).view(dtype)
+        ones = ad.sigmoid(Tensor(x)).values == 1.0
+        assert np.array_equal(ones, expit(x) == 1.0)
+        assert not ones[0] and ones[-1]
+        assert x[np.argmax(ones)] == np.array(first_one, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extremes_and_nan_without_warnings(self, dtype):
+        x = np.array([-1000.0, -100.0, 0.0, 100.0, np.nan], dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.sigmoid(Tensor(x)).values
+        assert out[0] == 0.0 and out[2] == 0.5 and out[3] == 1.0 and np.isnan(out[4])
+        assert out[1] == 0.0 if dtype == np.float32 else 0.0 < out[1] < 1e-43
+        assert ad.sigmoid(Tensor(np.array(0.0, dtype))).values == 0.5
+
+
+def float_arrays(dtype, shape):
+    """Arrays of every kind of float of `dtype`: normals, subnormals, +-0,
+    +-inf and NaNs of any payload, signalling ones included."""
+    return hnp.arrays(dtype, shape, elements=st.floats(
+        width=np.finfo(dtype).bits, allow_subnormal=True))
+
+
+class TestLeakyReluKernel:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_where_reference_bit_for_bit(self, dtype, data):
+        info = np.finfo(dtype)
+        specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                             info.smallest_subnormal, -info.smallest_subnormal], dtype)
+        x = np.concatenate([specials, data.draw(float_arrays(dtype, st.integers(0, 40)))])
+        # gradients reaching the op are computed values, so quiet NaNs only
+        g = data.draw(hnp.arrays(dtype, x.shape, elements=st.floats(
+            width=info.bits, allow_subnormal=True, allow_nan=False) | st.just(np.nan)))
+        slope = data.draw(st.sampled_from([ad.RRELU_SLOPE, 0.01, 0.5])
+                          | st.floats(1e-40, 0.999))
+        a = param(x)
+        with np.errstate(invalid="ignore"):  # slope * signalling NaN sets the flag
+            ref_out = np.where(x > 0, x, slope * x)
+            ref_grad = np.where(x > 0, g, g * slope)
+            with Tape() as tape:
+                out = ad.leaky_relu(a, slope).values
+            (grad,) = tape.nodes[-1].backward_fn(g)
+        assert out.dtype == grad.dtype == dtype
+        assert np.array_equal(bits(out), bits(ref_out))
+        assert np.array_equal(bits(grad), bits(ref_grad))
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.5, 2.0, float("nan"), 1e-46, 1 - 1e-9])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        """Outside (0, 1) in the input dtype the max form is wrong: a slope
+        that rounds to 0 in float32 would send inf to NaN (0 * inf)."""
+        with pytest.raises(ValueError, match="slope"):
+            ad.leaky_relu(Tensor(np.ones(3, np.float32)), slope)
+
+
+class TestDropoutKernel:
+    @pytest.mark.parametrize("p", [0.2, 0.3, 0.5, 1.0 / 3.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7,), (5, 13), (3, 1, 11)])
+    def test_keep_values_and_stream_match_reference(self, p, dtype, shape):
+        ref_gen, gen = np.random.default_rng(9), np.random.default_rng(9)
+        # reference: float32 draw, mask cast to the input dtype, divided by 1 - p
+        ref_keep = (ref_gen.random(shape, dtype=np.float32) >= p).astype(dtype) / (1.0 - p)
+        a = param(np.ones(shape, dtype))
+        with Tape() as tape:
+            out = ad.dropout(a, p, gen, train=True).values
+        (keep,) = tape.nodes[-1].backward_fn(np.ones(shape, dtype))
+        assert keep.dtype == out.dtype == dtype
+        assert np.array_equal(bits(keep), bits(ref_keep))
+        assert np.array_equal(bits(out), bits(ref_keep))
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+class _CountingArray(np.ndarray):
+    """An array that counts the ufunc calls it takes part in."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.counter.append(ufunc.__name__)
+        inputs = tuple(np.asarray(v) if isinstance(v, _CountingArray) else v for v in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def counting(values):
+    arr = np.asarray(values).view(_CountingArray)
+    arr.counter = []
+    return arr
+
+
+class TestConstantOperands:
+    def test_constant_gradient_never_computed(self, np_gen):
+        """The constant's gradient would be g * x; x takes part in no
+        backward ufunc, and x's own gradient is exactly g * c."""
+        x = param(np_gen.standard_normal((5, 3)))
+        c = Tensor(np_gen.standard_normal((5, 1)))
+        x.values = counting(x.values)
+        g = np_gen.standard_normal((5, 3))
+        with Tape() as tape:
+            ad.mul(x, c)
+        x.values.counter.clear()
+        gx, gc = tape.nodes[-1].backward_fn(g)
+        assert gc is None and x.values.counter == []
+        assert np.array_equal(bits(gx), bits(g * c.values))
+
+    def test_taped_and_requires_grad_operands_keep_gradients(self, np_gen):
+        x = param(np_gen.standard_normal((5, 3)))
+        w = param(np_gen.standard_normal((5, 1)))
+        g = np_gen.standard_normal((5, 3))
+        with Tape() as tape:
+            derived = ad.scale(w, 2.0)  # no requires_grad, but produced on the tape
+            ad.mul(x, derived)
+            ad.mul(x, w)
+        for node, other in zip(tape.nodes[1:], (derived, w)):
+            gx, go = node.backward_fn(g)
+            assert np.array_equal(bits(gx), bits(g * other.values))
+            assert np.array_equal(bits(go), bits((g * x.values).sum(axis=1, keepdims=True)))
 
 
 class TestAdam:

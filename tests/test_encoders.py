@@ -172,6 +172,22 @@ class TestGruCell:
             assert fused.shape == composed.shape
             assert np.max(np.abs(fused - composed) / np.maximum(1.0, np.abs(composed))) < 1e-10
 
+    def test_backward_keeps_no_full_width_preactivation(self):
+        """Only (B, d)-wide gate arrays stay alive for the backward pass,
+        never a (B, 3d) pre-activation or a view into one."""
+        gen = np.random.default_rng(13)
+        cell = init_gru(5, 4, gen, dtype=np.float32)
+        x, h = param(gen.standard_normal((9, 5))), param(gen.standard_normal((9, 4)))
+        with ad.Tape() as tape:
+            gru_cell(cell, x, h)
+        kept = []
+        for cell_ref in tape.nodes[-1].backward_fn.__closure__:
+            arr = cell_ref.cell_contents
+            while isinstance(arr, np.ndarray):
+                kept.append(arr.shape)
+                arr = arr.base
+        assert kept and all(shape[-1] != 12 for shape in kept), kept
+
     def test_hand_computed_step(self):
         d = 2
         cell = GruParams(

@@ -149,8 +149,9 @@ class TestScore:
         assert np.array_equal(np.argsort(-p, axis=1), np.argsort(-logits, axis=1))
 
     def test_strictly_inside_unit_interval(self, np_gen):
-        # float64 expit rounds to exactly 1.0 from logit 36.7368 on (IEEE
-        # rounding, not a defect), so only logits below that stay inside
+        # float64 1 / (1 + exp(-x)) rounds to exactly 1.0 from logit
+        # ln(2**53) = 36.7368 on (IEEE rounding, not a defect; expit does the
+        # same), so only logits below that stay inside
         q = Tensor(np_gen.standard_normal((4, 3)) * 10)
         H = Tensor(np_gen.standard_normal((6, 3)))
         p, logits = score(q, H).values, score_logits(q, H).values

@@ -103,6 +103,17 @@ def _flows(x: Tensor, tape: Tape) -> bool:
     return x.requires_grad or id(x) in tape.tracked
 
 
+def _needs_grad(*inputs: Tensor) -> tuple:
+    """Per operand, whether a gradient can reach it on the active tape (all
+    false with none). A primitive computes no backward product for a
+    constant operand: a degree normaliser, an indicator mask, the frozen
+    entity table or what is gathered from it."""
+    tape = active_tape()
+    if tape is None:
+        return (False,) * len(inputs)
+    return tuple(_flows(x, tape) for x in inputs)
+
+
 def _record(op, inputs, out_values, backward_fn) -> Tensor:
     out = Tensor(out_values)
     tape = active_tape()
@@ -185,11 +196,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values * b.values
-    # a constant operand (a degree normaliser, an indicator mask) gets no
-    # gradient, so its product and reduction are never computed
-    tape = active_tape()
-    grad_a = tape is not None and _flows(a, tape)
-    grad_b = tape is not None and _flows(b, tape)
+    grad_a, grad_b = _needs_grad(a, b)
     return _record(
         "mul", (a, b), out,
         lambda g: (
@@ -221,9 +228,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise ValueError("matmul expects 2-D tensors")
     out = a.values @ b.values
+    grad_a, grad_b = _needs_grad(a, b)
     return _record(
         "matmul", (a, b), out,
-        lambda g: (g @ b.values.T, a.values.T @ g),
+        lambda g: (g @ b.values.T if grad_a else None, a.values.T @ g if grad_b else None),
     )
 
 
@@ -409,9 +417,12 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     cols = cols.reshape(batch, cin * w, length)
     kmat = kv.reshape(kv.shape[0], cin * w)
     out = np.matmul(kmat, cols)
+    grad_x, grad_k = _needs_grad(x, kernels)
 
     def backward_fn(g):
-        gk = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(kv.shape)
+        gk = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(kv.shape) if grad_k else None
+        if not grad_x:
+            return (None, gk)
         gcols = np.matmul(kmat.T, g).reshape(batch, cin, w, length)
         gp = np.zeros_like(xp)
         for k in range(w):

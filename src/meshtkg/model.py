@@ -260,11 +260,15 @@ class QueryBundle:
     def __post_init__(self):
         self.logits = score_logits(self.q, self.score_table)
 
-    def partial_logits(self):
-        return (
-            score_logits(self.q_his, self.score_table),
-            score_logits(self.q_nhis, self.score_table),
-        )
+    def expert_logits(self, indicators) -> Tensor:
+        """Scores of each event's own expert query: q_his on historical rows
+        (indicator 1), q_nhis on the rest, with one |E|-wide product.
+        Multiplying finite queries by exactly 1 or 0 selects rows without
+        rounding, so each row has the values that scoring q_his or q_nhis
+        on its own would give in that row."""
+        ind = np.asarray(indicators, dtype=self.q_his.dtype)[:, None]
+        q_e = ad.add(ad.mul(self.q_his, Tensor(ind)), ad.mul(self.q_nhis, Tensor(1.0 - ind)))
+        return score_logits(q_e, self.score_table)
 
 
 def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,

@@ -34,6 +34,7 @@ from .model import (
     AblationConfig,
     MeshModel,
     ModelSpec,
+    QueryBundle,
     forward_queries,
     init_model,
     score_logits,
@@ -60,7 +61,9 @@ def expert_losses(pred_his: Tensor, pred_nhis: Tensor, targets, indicators,
     """Auxiliary specialization losses; each event feeds exactly one term.
 
     Historical events (indicator 1) contribute only to the historical
-    expert's loss, the rest only to the non-historical one.
+    expert's loss, the rest only to the non-historical one. When both
+    predictions are the same tensor (one expert query per event, as in
+    training), its targets are picked once and the indicator splits them.
     """
     targets = np.asarray(targets, dtype=np.int64)
     ind = np.asarray(indicators, dtype=pred_his.dtype)
@@ -72,9 +75,30 @@ def expert_losses(pred_his: Tensor, pred_nhis: Tensor, targets, indicators,
             return ad.pick_log_softmax(pred, targets)
         raise ValueError(f"unknown loss mode {mode!r}")
 
-    l_his = ad.neg(ad.tensor_sum(ad.mul(picked(pred_his), Tensor(ind))))
-    l_nhis = ad.neg(ad.tensor_sum(ad.mul(picked(pred_nhis), Tensor(1.0 - ind))))
+    p_his = picked(pred_his)
+    p_nhis = p_his if pred_nhis is pred_his else picked(pred_nhis)
+    l_his = ad.neg(ad.tensor_sum(ad.mul(p_his, Tensor(ind))))
+    l_nhis = ad.neg(ad.tensor_sum(ad.mul(p_nhis, Tensor(1.0 - ind))))
     return l_his, l_nhis
+
+
+def stage1_losses(bundle: QueryBundle, targets, indicators, mode: str):
+    """The stage-1 terms of one batch: (major, historical, non-historical).
+
+    Each event scores only its own expert's query
+    (`QueryBundle.expert_logits`), so a batch of B events does |E|-wide
+    work on 2B rows. With indicators None the expert terms are left out
+    and come back as None.
+    """
+    literal = mode == "literal"
+    pred = ad.sigmoid(bundle.logits) if literal else bundle.logits
+    l_major = major_loss(pred, targets, mode)
+    if indicators is None:
+        return l_major, None, None
+    pred_e = bundle.expert_logits(indicators)
+    if literal:
+        pred_e = ad.sigmoid(pred_e)
+    return (l_major, *expert_losses(pred_e, pred_e, targets, indicators, mode))
 
 
 def total_loss(l_major: Tensor, l_his: Tensor, l_nhis: Tensor, omega: float) -> Tensor:
@@ -172,8 +196,8 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     adam1 = ad.init_adam(params1, lr=config.learning_rate)
     gen1 = rng.stream(config.seed, rng.DROPOUT, 1)
     omega = 0.0 if config.disable_event_aware else config.omega
-    use_experts = not (ablation.disable_semantic or ablation.disable_structural)
-    literal = config.loss_mode == "literal"
+    use_experts = (not (ablation.disable_semantic or ablation.disable_structural)
+                   and omega > 0.0)
 
     # the frozen encoder and the fixed training facts make each timestamp's
     # encoding and historical indicators constants: compute them once, the
@@ -191,16 +215,10 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
         H, R = encoded.get(t, (None, None))
         bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
                                  train=True, gen=gen1, ablation=ablation)
-        pred = ad.sigmoid(bundle.logits) if literal else bundle.logits
-        loss = major_loss(pred, rows[:, 2], config.loss_mode)
-        if use_experts and omega > 0.0:
-            lh_raw, ln_raw = bundle.partial_logits()
-            if literal:
-                lh_raw, ln_raw = ad.sigmoid(lh_raw), ad.sigmoid(ln_raw)
-            l_his, l_nhis = expert_losses(lh_raw, ln_raw, rows[:, 2], historical[t],
-                                          config.loss_mode)
-            loss = total_loss(loss, l_his, l_nhis, omega)
-        return loss
+        l_major, l_his, l_nhis = stage1_losses(bundle, rows[:, 2],
+                                               historical[t] if use_experts else None,
+                                               config.loss_mode)
+        return l_major if l_his is None else total_loss(l_major, l_his, l_nhis, omega)
 
     log_lines: list[str] = []
     best_mrr: float | None = None

@@ -319,6 +319,10 @@ class TestDropoutKernel:
 class _CountingArray(np.ndarray):
     """An array that counts the ufunc calls it takes part in."""
 
+    def __array_finalize__(self, obj):
+        # a view (a reshape, a transpose) counts into its base's list
+        self.counter = getattr(obj, "counter", None)
+
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         self.counter.append(ufunc.__name__)
         inputs = tuple(np.asarray(v) if isinstance(v, _CountingArray) else v for v in inputs)
@@ -358,6 +362,61 @@ class TestConstantOperands:
             gx, go = node.backward_fn(g)
             assert np.array_equal(bits(gx), bits(g * other.values))
             assert np.array_equal(bits(go), bits((g * x.values).sum(axis=1, keepdims=True)))
+
+    @pytest.mark.parametrize("constant", ["left", "right"])
+    def test_matmul_constant_gradient_never_computed(self, np_gen, constant):
+        """A constant's gradient is the product of g with the other operand
+        (g @ b.T for the left, a.T @ g for the right); the other operand
+        takes part in no backward product."""
+        a = np_gen.standard_normal((4, 3))
+        b = np_gen.standard_normal((3, 5))
+        g = np_gen.standard_normal((4, 5))
+        left, right = (Tensor(a), param(b)) if constant == "left" else (param(a), Tensor(b))
+        other = right if constant == "left" else left
+        other.values = counting(other.values)
+        with Tape() as tape:
+            ad.matmul(left, right)
+        other.values.counter.clear()
+        ga, gb = tape.nodes[-1].backward_fn(g)
+        assert other.values.counter == []
+        if constant == "left":
+            assert ga is None and np.array_equal(bits(gb), bits(a.T @ g))
+        else:
+            assert gb is None and np.array_equal(bits(ga), bits(g @ b.T))
+
+    def test_conv1d_constant_input_gradient_never_computed(self, np_gen):
+        """The input's gradient is built from kernels.T @ g; with a constant
+        input the kernels take part in no backward product."""
+        kernels = param(np_gen.standard_normal((3, 2, 3)))
+        kernels.values = counting(kernels.values)
+        g = np_gen.standard_normal((4, 3, 7))
+        with Tape() as tape:
+            ad.conv1d(Tensor(np_gen.standard_normal((4, 2, 7))), kernels)
+        kernels.values.counter.clear()
+        gx, gk = tape.nodes[-1].backward_fn(g)
+        assert gx is None and gk.shape == kernels.shape
+        assert kernels.values.counter == []
+
+    def test_taped_matmul_and_conv1d_operands_keep_gradients(self, np_gen):
+        """A flowing operand's gradient does not depend on whether the other
+        operand is constant, and matmul's are the textbook products."""
+        a, b = param(np_gen.standard_normal((4, 3))), param(np_gen.standard_normal((3, 5)))
+        g = np_gen.standard_normal((4, 5))
+        with Tape() as tape:
+            ad.matmul(ad.scale(a, 1.0), b)  # the left operand is taped, not requires-grad
+        ga, gb = tape.nodes[-1].backward_fn(g)
+        assert np.array_equal(bits(ga), bits(g @ b.values.T))
+        assert np.array_equal(bits(gb), bits(a.values.T @ g))
+
+        x, k = np_gen.standard_normal((2, 2, 5)), np_gen.standard_normal((3, 2, 3))
+        g = np_gen.standard_normal((2, 3, 5))
+        with Tape() as tape:
+            ad.conv1d(param(x), param(k))
+            ad.conv1d(Tensor(x), param(k))
+            ad.conv1d(param(x), Tensor(k))
+        (gx, gk), (_, gk_only), (gx_only, _) = (n.backward_fn(g) for n in tape.nodes)
+        assert np.array_equal(bits(gk), bits(gk_only))
+        assert np.array_equal(bits(gx), bits(gx_only))
 
 
 class TestAdam:

@@ -4,18 +4,20 @@ import pytest
 from meshtkg import autodiff as ad
 from meshtkg.autodiff import Tensor
 from meshtkg.encoders import synthetic_embeddings
+from meshtkg.model import forward_queries, init_model, score_logits
 from meshtkg.training import (
     expert_losses,
     load_checkpoint,
     major_loss,
     save_checkpoint,
+    stage1_losses,
     total_loss,
     train_model,
 )
 
 from meshtkg.tkg import DatasetError
 
-from conftest import group, micro_config
+from conftest import group, make_vocab, micro_config
 
 
 class TestMajorLoss:
@@ -80,6 +82,101 @@ class TestExpertLosses:
         l_his, l_nhis = expert_losses(Tensor(p), Tensor(p), targets, flags, "literal")
         both = major_loss(Tensor(p), targets, "literal").item()
         assert l_his.item() + l_nhis.item() == pytest.approx(both, abs=1e-12)
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+class TestStage1Losses:
+    INDICATORS = {
+        "all_historical": [1] * 8,
+        "all_nonhistorical": [0] * 8,
+        "mixed": [1, 0, 0, 1, 1, 0, 1, 0],
+    }
+
+    @staticmethod
+    def micro_batch():
+        gen = np.random.default_rng(31)
+        model = init_model(
+            num_entities=13, num_relations=3, dim=6, llm_dim=8, adapter_hidden=5,
+            channels=2, kernel_width=3, layers=1, window=2, dropout=0.0,
+            num_historical=2, num_nonhistorical=1, gate_input="concatenated",
+            gen=gen, dtype=np.float32,
+        )
+        for t in model.named_parameters().values():  # move the zero-initialised gates
+            t.values[...] = gen.standard_normal(t.shape)
+        H = Tensor(gen.standard_normal((13, 6)).astype(np.float32))
+        R = Tensor(gen.standard_normal((6, 6)).astype(np.float32))
+        sem = synthetic_embeddings(make_vocab(13, 3), 8, seed=1)
+        rows = gen.integers(0, [13, 6, 13], size=(8, 3))
+        return model, H, R, sem, rows
+
+    @pytest.mark.parametrize("mode", ["cross_entropy", "literal"])
+    @pytest.mark.parametrize("flags", sorted(INDICATORS))
+    def test_bit_identical_to_full_width_oracle(self, mode, flags):
+        """One expert query per event gives the terms, and the gradients,
+        of scoring q_his and q_nhis on every row."""
+        model, H, R, sem, rows = self.micro_batch()
+        ind = self.INDICATORS[flags]
+        params = [t for n, t in model.named_parameters().items() if not n.startswith("encoder.")]
+
+        def pred(logits):
+            return ad.sigmoid(logits) if mode == "literal" else logits
+
+        def step(terms_fn):
+            ad.zero_grads(params)
+            with ad.Tape() as tape:
+                bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1])
+                terms = terms_fn(bundle)
+                ad.backward(total_loss(*terms, 0.6), tape)
+            return [t.values for t in terms], [p.grad for p in params]
+
+        def oracle(bundle):
+            full = [pred(score_logits(q, bundle.score_table)) for q in (bundle.q_his, bundle.q_nhis)]
+            return (major_loss(pred(bundle.logits), rows[:, 2], mode),
+                    *expert_losses(*full, rows[:, 2], ind, mode))
+
+        terms, grads = step(lambda bundle: stage1_losses(bundle, rows[:, 2], ind, mode))
+        want_terms, want_grads = step(oracle)
+        for got, want in zip(terms + grads, want_terms + want_grads):
+            assert np.array_equal(bits(got), bits(want))
+        l_his, l_nhis = terms[1:]  # a term with no events is exactly 0
+        assert (l_his == 0.0) == (flags == "all_nonhistorical")
+        assert (l_nhis == 0.0) == (flags == "all_historical")
+
+    @pytest.mark.parametrize("overrides,wide", [
+        ({}, 2),
+        ({"loss_mode": "literal"}, 2),
+        ({"omega": 0.0}, 1),
+        ({"disable_event_aware": True}, 1),
+        ({"disable_semantic": True}, 1),
+    ], ids=["experts", "literal", "omega_0", "no_event_aware", "no_semantic"])
+    def test_wide_nodes_per_step(self, synth_dataset, tmp_path, monkeypatch, overrides, wide):
+        """Each stage-1 step records `wide` (B, |E|) score products and as
+        many |E|-wide picks: the major term's, plus one expert query per
+        event when the expert terms are on."""
+        config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=0,
+                              epochs_stage1=1, **overrides)
+        sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
+        num_entities = synth_dataset["vocab"].num_entities
+        counts = []
+
+        def counting_backward(output, tape=None):
+            nodes = tape.nodes
+            counts.append((
+                sum(n.op == "matmul" and n.output.shape[-1] == num_entities for n in nodes),
+                sum(n.op in ("pick_log_softmax", "pick_last")
+                    and n.inputs[0].shape[-1] == num_entities for n in nodes),
+            ))
+            return backward(output, tape)
+
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", counting_backward)
+        train_model(config, synth_dataset["vocab"], synth_dataset["train"],
+                    synth_dataset["valid"], sem)
+        assert counts and set(counts) == {(wide, wide)}
 
 
 class TestTotalLoss:

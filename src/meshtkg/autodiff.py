@@ -43,9 +43,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
@@ -183,14 +180,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(
         "add", (a, b), out,
         lambda g: (_unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)),
-    )
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.values - b.values
-    return _record(
-        "sub", (a, b), out,
-        lambda g: (_unbroadcast(g, a.values.shape), _unbroadcast(-g, b.values.shape)),
     )
 
 
@@ -356,19 +345,6 @@ def rrelu(a: Tensor) -> Tensor:
     return leaky_relu(a, RRELU_SLOPE)
 
 
-def softmax(a: Tensor) -> Tensor:
-    x = a.values
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward_fn(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _record("softmax", (a,), out, backward_fn)
-
-
 def pick_log_softmax(a: Tensor, index) -> Tensor:
     """Fused softmax cross-entropy: out[i] = log_softmax(a)[i, index[i]] for a
     2-D tensor, with one exp pass; the gradient is g * (onehot - softmax)."""
@@ -508,12 +484,6 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _record("sum", (a,), out, lambda g: (np.broadcast_to(g, a.values.shape),))
 
 
-def tensor_mean(a: Tensor) -> Tensor:
-    n = a.values.size
-    out = a.values.mean()
-    return _record("mean", (a,), out, lambda g: (np.broadcast_to(g / n, a.values.shape),))
-
-
 # ---------------------------------------------------------------------------
 # gradient checking
 
@@ -563,12 +533,12 @@ def grad_check(fn, inputs, eps: float = 1e-4) -> float:
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -593,11 +563,11 @@ def adam_step(params, state: AdamState) -> None:
             g = np.zeros_like(p.values)
         if g.shape != p.values.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.values.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / (1.0 - state.beta1 ** t)
-        v_hat = state.v[i] / (1.0 - state.beta2 ** t)
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
+        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def zero_grads(params) -> None:

@@ -32,39 +32,32 @@ class CliError(Exception):
     """Configuration-level failure (exit code 2)."""
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--profile", choices=sorted(cfg.PROFILES))
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
-    for name, kind in (
-        ("dim", int), ("llm-dim", int), ("adapter-hidden", int), ("channels", int),
-        ("kernel-width", int), ("layers", int), ("window", int),
-        ("num-historical", int), ("num-nonhistorical", int),
-        ("omega", float), ("learning-rate", float), ("dropout", float),
-        ("epochs-stage0", int), ("epochs-stage1", int),
-        ("max-timestamps", int), ("drop-history", float),
-        ("synthetic-seed", int),
-    ):
-        parser.add_argument(f"--{name}", type=kind, dest=name.replace("-", "_"))
-    parser.add_argument("--loss-mode", choices=cfg.LOSS_MODES, dest="loss_mode")
-    parser.add_argument("--dtype", choices=("float32", "float64"))
-    parser.add_argument("--embeddings", help="semantic embedding file (default: synthetic)")
-    parser.add_argument("--gate-input", choices=cfg.GATE_INPUTS, dest="gate_input")
-    for flag in ("disable-semantic", "disable-structural", "disable-event-aware",
-                 "disable-prediction-expert"):
-        parser.add_argument(f"--{flag}", action="store_const", const=True,
-                            dest=flag.replace("-", "_"))
+# eval and analyze take the switches of the forward pass only
+EVAL_FLAGS = ("out", "embeddings", *(f.name for f in fields(AblationConfig)))
 
 
-def _resolve(args, dataset=None) -> cfg.RunConfig:
+def _add_config_flags(parser: argparse.ArgumentParser, names=None) -> None:
+    """One flag per RunConfig field (every one but `dataset`, or `names`),
+    of the field's type and, for an enumerated field, its value set."""
+    for f in fields(cfg.RunConfig):
+        if f.name == "dataset" or (names is not None and f.name not in names):
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            parser.add_argument(flag, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, type={"int": int, "float": float}.get(f.type),
+                                choices=cfg.CHOICES.get(f.name))
+
+
+def _resolve(args) -> cfg.RunConfig:
+    """The run configuration: profile, --config file, environment, then
+    every config flag given (the positional dataset among them)."""
     flag_values = {
         name: getattr(args, name)
         for name in cfg.RunConfig.__dataclass_fields__
-        if hasattr(args, name) and getattr(args, name) is not None
+        if getattr(args, name, None) is not None
     }
-    if dataset is not None:
-        flag_values["dataset"] = dataset
     try:
         return cfg.resolve(flag_values, config_file=getattr(args, "config", None))
     except (ValueError, OSError) as exc:
@@ -108,7 +101,7 @@ def _write(path, text):
 # subcommands
 
 def cmd_prepare(args) -> int:
-    config = _resolve(args, dataset=args.dataset)
+    config = _resolve(args)
     _write_echo(config)
     vocab, train, valid, test = _load_data(config)
     out_dir = os.path.join(config.out, "dataset")
@@ -120,7 +113,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    config = _resolve(args, dataset=args.dataset)
+    config = _resolve(args)
     _write_echo(config)
     vocab, train, valid, test = _load_data(config)
     report = history.dataset_stats(vocab, train, valid, test)
@@ -131,7 +124,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_naive(args) -> int:
-    config = _resolve(args, dataset=args.dataset)
+    config = _resolve(args)
     _write_echo(config)
     vocab, train, valid, test = _load_data(config)
     result = ev.evaluate_naive(vocab, train, valid, test, split=args.split)
@@ -143,7 +136,7 @@ def cmd_naive(args) -> int:
 
 
 def cmd_emit_prompts(args) -> int:
-    config = _resolve(args, dataset=args.dataset)
+    config = _resolve(args)
     _write_echo(config)
     vocab, _, _, _ = _load_data(config)
     template = PromptTemplate(domain=args.domain, datatype=args.datatype)
@@ -156,32 +149,35 @@ def cmd_emit_prompts(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _resolve(args, dataset=args.dataset)
-    vocab, train, valid, test = _load_data(config)
-    sem = _semantic_table(config, vocab)
+def _train_run(config: cfg.RunConfig, verbose=None):
+    """Train one run into `config.out`: the config echo, `training.log` and
+    `checkpoint.mesh`. Returns the result, the data splits and the
+    semantic table."""
+    data = _load_data(config)
+    sem = _semantic_table(config, data[0])
     _write_echo(config)
-    result = training.train_model(
-        config, vocab, train, valid, sem,
-        verbose=(print if args.verbose else None),
-    )
-    log_path = os.path.join(config.out, "training.log")
-    _write(log_path, "".join(line + "\n" for line in result.log_lines))
-    ckpt_path = os.path.join(config.out, "checkpoint.mesh")
-    training.save_checkpoint(ckpt_path, result.model, config, result.frozen_names, config.seed)
+    result = training.train_model(config, *data[:3], sem, verbose=verbose)
+    _write(os.path.join(config.out, "training.log"),
+           "".join(line + "\n" for line in result.log_lines))
+    training.save_checkpoint(os.path.join(config.out, "checkpoint.mesh"),
+                             result.model, config, result.frozen_names, config.seed)
+    return result, data, sem
+
+
+def cmd_train(args) -> int:
+    config = _resolve(args)
+    result, _, _ = _train_run(config, verbose=(print if args.verbose else None))
     best = "n/a" if result.best_valid_mrr is None else f"{result.best_valid_mrr:.6f}"
-    print(f"checkpoint written to {ckpt_path} (best valid MRR {best})")
+    print(f"checkpoint written to {os.path.join(config.out, 'checkpoint.mesh')} "
+          f"(best valid MRR {best})")
     return 0
 
 
-# eval and analyze take the switches of the forward pass only
-ABLATION_FLAGS = tuple(f.name for f in fields(AblationConfig))
-
-
-def _eval_setup(args):
+def cmd_eval(args) -> int:
+    """`eval` prints the metrics and writes them with the gate statistics;
+    `analyze` prints and writes the gate statistics only."""
     model, header = training.load_checkpoint(args.checkpoint)
-    flags = {key: getattr(args, key, None)
-             for key in ("dataset", "out", "embeddings", *ABLATION_FLAGS)}
+    flags = {key: getattr(args, key, None) for key in ("dataset", *EVAL_FLAGS)}
     try:
         stored = dict(header["config"])
         stored.update({key: value for key, value in flags.items() if value is not None})
@@ -206,29 +202,18 @@ def _eval_setup(args):
     if sem.dim != spec.llm_dim:
         raise DatasetError(f"{sem.source}: embedding width {sem.dim} does not match the "
                            f"checkpoint's llm_dim {spec.llm_dim}")
-    return model, config, vocab, train, valid, test, sem
-
-
-def cmd_eval(args) -> int:
-    model, config, vocab, train, valid, test, sem = _eval_setup(args)
     _write_echo(config)
     result = ev.evaluate(model, vocab, train, valid, test, sem,
                          ablation=AblationConfig.from_config(config), split=args.split)
-    text = ev.format_reports(result.named_reports())
-    print(text, end="")
-    _write(os.path.join(config.out, "metrics.txt"), text)
-    _write(os.path.join(config.out, "metrics.tsv"), ev.reports_to_kv(result.named_reports()))
-    _write(os.path.join(config.out, "gate_stats.txt"), result.gate_stats.to_text())
-    return 0
-
-
-def cmd_analyze(args) -> int:
-    model, config, vocab, train, valid, test, sem = _eval_setup(args)
-    _write_echo(config)
-    result = ev.evaluate(model, vocab, train, valid, test, sem,
-                         ablation=AblationConfig.from_config(config), split=args.split)
-    print(result.gate_stats.to_text(), end="")
-    _write(os.path.join(config.out, "gate_stats.txt"), result.gate_stats.to_text())
+    gates = result.gate_stats.to_text()
+    if args.command == "eval":
+        text = ev.format_reports(result.named_reports())
+        print(text, end="")
+        _write(os.path.join(config.out, "metrics.txt"), text)
+        _write(os.path.join(config.out, "metrics.tsv"), ev.reports_to_kv(result.named_reports()))
+    else:
+        print(gates, end="")
+    _write(os.path.join(config.out, "gate_stats.txt"), gates)
     return 0
 
 
@@ -241,7 +226,7 @@ def _parse_mn(text: str) -> tuple[int, int]:
 
 
 def cmd_sweep(args) -> int:
-    config = _resolve(args, dataset=args.dataset)
+    config = _resolve(args)
     if bool(args.omega_list) == bool(args.mn_grid):
         raise CliError("sweep needs exactly one of --omega-list or --mn-grid")
     if args.omega_list:
@@ -251,6 +236,8 @@ def cmd_sweep(args) -> int:
             raise CliError(f"bad --omega-list value: {args.omega_list!r}")
     else:
         settings = [("mn", _parse_mn(v)) for v in args.mn_grid.split(",") if v]
+    if not settings:
+        raise CliError("sweep needs at least one setting")
     runs = []
     for kind, value in settings:
         run_cfg = cfg.RunConfig(**config.to_dict())
@@ -269,17 +256,8 @@ def cmd_sweep(args) -> int:
     _write_echo(config)
     rows = ["setting\tMRR\tH@3\tH@10"]
     for tag, run_cfg in runs:
-        vocab, train, valid, test = _load_data(run_cfg)
-        sem = _semantic_table(run_cfg, vocab)
-        _write_echo(run_cfg)
-        result = training.train_model(run_cfg, vocab, train, valid, sem)
-        training.save_checkpoint(
-            os.path.join(run_cfg.out, "checkpoint.mesh"),
-            result.model, run_cfg, result.frozen_names, run_cfg.seed,
-        )
-        _write(os.path.join(run_cfg.out, "training.log"),
-               "".join(line + "\n" for line in result.log_lines))
-        eval_result = ev.evaluate(result.model, vocab, train, valid, test, sem,
+        result, data, sem = _train_run(run_cfg)
+        eval_result = ev.evaluate(result.model, *data, sem,
                                   ablation=AblationConfig.from_config(run_cfg))
         report = eval_result.overall
         rows.append(f"{tag}\t{100 * report.mrr:.2f}\t{100 * report.hits3:.2f}\t{100 * report.hits10:.2f}")
@@ -298,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True):
-        if dataset:
-            p.add_argument("dataset", help="dataset directory")
+    def common(p):
+        p.add_argument("dataset", help="dataset directory")
+        p.add_argument("--config", help="flat key = value configuration file")
         _add_config_flags(p)
 
     common(sub.add_parser("prepare", help="validate and normalize a dataset directory"))
@@ -319,12 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a trained checkpoint")
         p.add_argument("checkpoint")
         p.add_argument("dataset", nargs="?")
-        p.add_argument("--out")
-        p.add_argument("--embeddings")
         p.add_argument("--split", choices=("valid", "test"), default="test")
-        for name in ABLATION_FLAGS:
-            p.add_argument(f"--{name.replace('_', '-')}", action="store_const", const=True,
-                           dest=name)
+        _add_config_flags(p, EVAL_FLAGS)
     p = sub.add_parser("sweep", help="omega or (M,N) hyperparameter sweep")
     common(p)
     p.add_argument("--omega-list", help="comma-separated omega values")
@@ -339,7 +313,7 @@ COMMANDS = {
     "emit-prompts": cmd_emit_prompts,
     "train": cmd_train,
     "eval": cmd_eval,
-    "analyze": cmd_analyze,
+    "analyze": cmd_eval,
     "sweep": cmd_sweep,
 }
 

@@ -32,6 +32,10 @@ PROFILES = {
 
 LOSS_MODES = ("cross_entropy", "literal")
 GATE_INPUTS = ("structural", "semantic", "concatenated")
+DTYPES = ("float32", "float64")
+# the allowed values of every enumerated field, for validation and the CLI
+CHOICES = {"profile": tuple(PROFILES), "loss_mode": LOSS_MODES, "dtype": DTYPES,
+           "gate_input": GATE_INPUTS}
 
 
 @dataclass
@@ -89,14 +93,9 @@ class RunConfig:
             raise ValueError("dropout must be in [0, 1)")
         if not 0.0 <= self.drop_history <= 1.0:
             raise ValueError("drop_history must be in [0, 1]")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.profile not in PROFILES:
-            raise ValueError(f"profile must be one of {tuple(PROFILES)}")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be float32 or float64")
-        if self.gate_input not in GATE_INPUTS:
-            raise ValueError(f"gate_input must be one of {GATE_INPUTS}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
         if self.disable_semantic and self.disable_structural:
             raise ValueError("cannot disable both the semantic and the structural path")
 

@@ -43,10 +43,6 @@ class GruParams:
     wh: Tensor  # (hidden, 3*hidden)
     b: Tensor   # (3*hidden,)
 
-    @property
-    def hidden(self) -> int:
-        return self.wh.shape[0]
-
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.wx": self.wx, f"{prefix}.wh": self.wh, f"{prefix}.b": self.b}
 
@@ -78,10 +74,6 @@ class StructuralEncoderParams:
     rel_cell: GruParams   # input 2d, hidden d
     window: int = 3
     dropout: float = 0.2
-
-    @property
-    def dim(self) -> int:
-        return self.entity_emb.shape[1]
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {
@@ -282,9 +274,14 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").strip()
         parts = header.split()
-        if len(parts) != 4 or parts[0] != MAGIC:
+        try:
+            magic, version, rows, dim = parts[0], *map(int, parts[1:])
+        except (IndexError, ValueError):
+            magic = None
+        if magic != MAGIC:
             raise EmbeddingFormatError(f"{path}: bad header {header!r}")
-        version, rows, dim = int(parts[1]), int(parts[2]), int(parts[3])
+        if dim < 1:
+            raise EmbeddingFormatError(f"{path}: header declares width {dim}, need at least 1")
         if version != FORMAT_VERSION:
             raise EmbeddingFormatError(f"{path}: unsupported format version {version}")
         body = fh.read()
@@ -303,7 +300,11 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
     entity = np.full((vocab.num_entities, dim), np.nan, dtype=np.float32)
     relation = np.full((vocab.num_relations, dim), np.nan, dtype=np.float32)
     seen = {"E": set(), "R": set()}
-    text = io.StringIO(body.decode("utf-8"))
+    try:
+        text = io.StringIO(body.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lineno = body.count(b"\n", 0, exc.start) + 2
+        raise EmbeddingFormatError(f"{path}:{lineno}: text row is not UTF-8") from None
     for lineno, line in enumerate(text, start=2):
         line = line.rstrip("\n")
         if not line:
@@ -312,7 +313,10 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
         if len(fields) != 3 or fields[0] not in ("E", "R"):
             raise EmbeddingFormatError(f"{path}:{lineno}: expected `E|R<TAB>id<TAB>values`")
         kind, idx_s, vals = fields
-        idx = int(idx_s)
+        try:
+            idx = int(idx_s)
+        except ValueError:
+            raise EmbeddingFormatError(f"{path}:{lineno}: id is not an integer: {idx_s!r}")
         try:
             row = np.array(vals.split(), dtype=np.float32)
         except ValueError:
@@ -389,17 +393,8 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
     return ad.add(ad.matmul(hidden, params.w2), params.b2)
 
 
-def adapt(table: SemanticEmbeddingTable, params: AdapterParams, dtype=np.float32):
-    """Compress the full wide tables to the working dimension; differentiable."""
-    if table.dim != params.in_dim:
-        raise ValueError(f"adapter expects input dim {params.in_dim}, table has {table.dim}")
-    h_l = mlp_forward(params.f_h, Tensor(table.entity.astype(dtype)))
-    r_l = mlp_forward(params.f_r, Tensor(table.relation.astype(dtype)))
-    return h_l, r_l
-
-
 def adapt_rows(params: AdapterParams, which: str, rows: np.ndarray, dtype=np.float32) -> Tensor:
-    """Compress only the rows a batch needs (same math as `adapt`)."""
+    """Compress embedding rows to the working dimension; differentiable."""
     mlp = params.f_h if which == "entity" else params.f_r
     if rows.shape[-1] != params.in_dim:
         raise ValueError(f"adapter expects input dim {params.in_dim}, rows have {rows.shape[-1]}")

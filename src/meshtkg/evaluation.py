@@ -17,7 +17,7 @@ from scipy import stats as sps
 
 from . import history
 from .autodiff import Tensor
-from .encoders import SemanticEmbeddingTable, adapt, encode_structural
+from .encoders import SemanticEmbeddingTable, adapt_rows, encode_structural
 from .model import AblationConfig, MeshModel, forward_queries
 from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
 
@@ -245,13 +245,9 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond: Temporal
     the evaluation-mode encoder is a pure function of its frozen parameters.
     """
     ablation = ablation or AblationConfig()
-    ablation.validate()
-    dtype = model.encoder.entity_emb.dtype
-
     sem_table = None
     if ablation.disable_structural:
-        h_l, _ = adapt(sem, model.adapters, dtype)
-        sem_table = Tensor(h_l.values)
+        sem_table = adapt_rows(model.adapters, "entity", sem.entity, model.encoder.entity_emb.dtype)
 
     known_at, cond_at = known.snapshots(), cond.snapshots()
     ranks, alphas = [], []

@@ -102,11 +102,6 @@ def naive_scores(index: FrequencyIndex, s, r, num_entities: int) -> np.ndarray:
     return counts * num_entities - np.arange(num_entities)
 
 
-def naive_predict(index: FrequencyIndex, s: int, r: int, num_entities: int) -> np.ndarray:
-    """Full candidate ranking for (s, r, ?): descending count, then id."""
-    return np.argsort(-naive_scores(index, s, r, num_entities)[0])
-
-
 @dataclass
 class StatsReport:
     num_entities: int

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import decoder as dec
 from . import encoders as enc
 from .autodiff import Tensor
-from .config import GATE_INPUTS
+from .config import CHOICES
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.num_historical < 1 or self.num_nonhistorical < 1:
             raise ValueError("need at least one historical and one non-historical expert")
-        if self.gate_input not in GATE_INPUTS:
-            raise ValueError(f"gate_input must be one of {GATE_INPUTS}")
         # numpy dtypes are accepted; the record keeps the JSON-friendly name
         object.__setattr__(self, "dtype", np.dtype(self.dtype).name)
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be float32 or float64")
+        for name in ("gate_input", "dtype"):
+            if getattr(self, name) not in CHOICES[name]:
+                raise ValueError(f"{name} must be one of {CHOICES[name]}")
 
     @classmethod
     def from_config(cls, config, num_entities: int, num_relations: int,
@@ -84,10 +83,6 @@ class AblationConfig:
     def from_config(cls, config) -> "AblationConfig":
         """The switches of a run configuration (fields of the same name)."""
         return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
-
-    def validate(self) -> None:
-        if self.disable_semantic and self.disable_structural:
-            raise ValueError("cannot disable both the semantic and the structural path")
 
 
 @dataclass
@@ -285,7 +280,6 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     `semantic_entity_table` to share work across batches).
     """
     ablation = ablation or AblationConfig()
-    ablation.validate()
     dtype = model.encoder.entity_emb.dtype
 
     q_g = None
@@ -309,7 +303,7 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     if ablation.disable_structural:
         table = semantic_entity_table
         if table is None:
-            table, _ = enc.adapt(sem, model.adapters, dtype)
+            table = enc.adapt_rows(model.adapters, "entity", sem.entity, dtype)
         return QueryBundle(
             q_g=None, q_s=q_s, q=q_s, q_his=None, q_nhis=None,
             alphas=None, expert_alphas=[], score_table=table,

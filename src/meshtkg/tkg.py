@@ -14,6 +14,7 @@ integers 0..T-1.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -96,23 +97,35 @@ class TemporalKG:
         return np.split(rows, np.searchsorted(t, np.arange(1, t[-1] + 1)))
 
 
+def _lines(path: str):
+    """(line number, line) for every non-empty line of a UTF-8 text file,
+    newline stripped; a byte that is not UTF-8 is a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    for lineno, line in enumerate(text, start=1):
+        line = line.rstrip("\n")
+        if line:
+            yield lineno, line
+
+
 def _read_id_file(path: str) -> list[str]:
     if not os.path.isfile(path):
         raise LoadError(f"missing vocabulary file: {path}")
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ParseError(path, lineno, f"expected `name<TAB>id`, got {line!r}")
-            try:
-                idx = int(parts[-1])
-            except ValueError:
-                raise ParseError(path, lineno, f"id is not an integer: {parts[-1]!r}")
-            pairs.append((idx, parts[0]))
+    for lineno, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise ParseError(path, lineno, f"expected `name<TAB>id`, got {line!r}")
+        try:
+            idx = int(parts[-1])
+        except ValueError:
+            raise ParseError(path, lineno, f"id is not an integer: {parts[-1]!r}")
+        pairs.append((idx, parts[0]))
     names = [""] * len(pairs)
     seen = set()
     for idx, name in pairs:
@@ -131,30 +144,26 @@ def _read_fact_file(path: str, num_entities: int, num_relations: int):
         raise LoadError(f"missing split file: {path}")
     rows = []
     prev_t = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 4:
-                raise ParseError(path, lineno, f"expected 4 tab-separated fields, got {len(parts)}")
-            try:
-                s, r, o, t = (int(parts[i]) for i in range(4))
-            except ValueError:
-                raise ParseError(path, lineno, f"non-integer field in {parts[:4]!r}")
-            if s < 0 or s >= num_entities:
-                raise ParseError(path, lineno, f"subject id {s} outside 0..{num_entities - 1}")
-            if o < 0 or o >= num_entities:
-                raise ParseError(path, lineno, f"object id {o} outside 0..{num_entities - 1}")
-            if r < 0 or r >= num_relations:
-                raise ParseError(path, lineno, f"relation id {r} outside 0..{num_relations - 1}")
-            if t < 0:
-                raise ParseError(path, lineno, f"negative timestamp {t}")
-            if prev_t is not None and t < prev_t:
-                raise ParseError(path, lineno, f"timestamp {t} decreases after {prev_t}")
-            prev_t = t
-            rows.append((s, r, o, t))
+    for lineno, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) < 4:
+            raise ParseError(path, lineno, f"expected 4 tab-separated fields, got {len(parts)}")
+        try:
+            s, r, o, t = (int(parts[i]) for i in range(4))
+        except ValueError:
+            raise ParseError(path, lineno, f"non-integer field in {parts[:4]!r}")
+        if s < 0 or s >= num_entities:
+            raise ParseError(path, lineno, f"subject id {s} outside 0..{num_entities - 1}")
+        if o < 0 or o >= num_entities:
+            raise ParseError(path, lineno, f"object id {o} outside 0..{num_entities - 1}")
+        if r < 0 or r >= num_relations:
+            raise ParseError(path, lineno, f"relation id {r} outside 0..{num_relations - 1}")
+        if t < 0:
+            raise ParseError(path, lineno, f"negative timestamp {t}")
+        if prev_t is not None and t < prev_t:
+            raise ParseError(path, lineno, f"timestamp {t} decreases after {prev_t}")
+        prev_t = t
+        rows.append((s, r, o, t))
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 

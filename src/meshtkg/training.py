@@ -42,18 +42,23 @@ from .model import (
 from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
 
 
+def _picked(pred: Tensor, targets, mode: str) -> Tensor:
+    """Per event, the score of its target: pred[b, o_b] (literal) or
+    log_softmax(pred)[b, o_b] (cross_entropy)."""
+    if mode == "literal":
+        return ad.pick_last(pred, targets)
+    if mode == "cross_entropy":
+        return ad.pick_log_softmax(pred, targets)
+    raise ValueError(f"unknown loss mode {mode!r}")
+
+
 def major_loss(pred: Tensor, targets, mode: str) -> Tensor:
     """Eventwise prediction loss over a batch.
 
     literal: pred holds probabilities, loss = -sum_b pred[b, o_b].
     cross_entropy: pred holds logits, loss = -sum_b log_softmax(pred)[b, o_b].
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    if mode == "literal":
-        return ad.neg(ad.tensor_sum(ad.pick_last(pred, targets)))
-    if mode == "cross_entropy":
-        return ad.neg(ad.tensor_sum(ad.pick_log_softmax(pred, targets)))
-    raise ValueError(f"unknown loss mode {mode!r}")
+    return ad.neg(ad.tensor_sum(_picked(pred, targets, mode)))
 
 
 def expert_losses(pred_his: Tensor, pred_nhis: Tensor, targets, indicators,
@@ -65,18 +70,9 @@ def expert_losses(pred_his: Tensor, pred_nhis: Tensor, targets, indicators,
     predictions are the same tensor (one expert query per event, as in
     training), its targets are picked once and the indicator splits them.
     """
-    targets = np.asarray(targets, dtype=np.int64)
     ind = np.asarray(indicators, dtype=pred_his.dtype)
-
-    def picked(pred):
-        if mode == "literal":
-            return ad.pick_last(pred, targets)
-        if mode == "cross_entropy":
-            return ad.pick_log_softmax(pred, targets)
-        raise ValueError(f"unknown loss mode {mode!r}")
-
-    p_his = picked(pred_his)
-    p_nhis = p_his if pred_nhis is pred_his else picked(pred_nhis)
+    p_his = _picked(pred_his, targets, mode)
+    p_nhis = p_his if pred_nhis is pred_his else _picked(pred_nhis, targets, mode)
     l_his = ad.neg(ad.tensor_sum(ad.mul(p_his, Tensor(ind))))
     l_nhis = ad.neg(ad.tensor_sum(ad.mul(p_nhis, Tensor(1.0 - ind))))
     return l_his, l_nhis
@@ -103,8 +99,6 @@ def stage1_losses(bundle: QueryBundle, targets, indicators, mode: str):
 
 def total_loss(l_major: Tensor, l_his: Tensor, l_nhis: Tensor, omega: float) -> Tensor:
     """Weighted sum: major + omega * (historical + non-historical)."""
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
     return ad.add(l_major, ad.scale(ad.add(l_his, l_nhis), omega))
 
 
@@ -148,8 +142,8 @@ def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
 def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
                 valid_tkg: TemporalKG, sem: SemanticEmbeddingTable,
                 verbose=None) -> TrainResult:
-    """Run both training stages and keep the best-validation parameters."""
-    config.validate()
+    """Run both training stages and keep the best-validation parameters;
+    `config` is a validated one (`config.resolve`)."""
     ablation = AblationConfig.from_config(config)
 
     if config.epochs_stage1 > 0 and not valid_tkg.num_facts:
@@ -292,9 +286,12 @@ def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
 def load_checkpoint(path: str):
     """Rebuild the model from a checkpoint's spec and blobs; returns
     (model, header). Raises CheckpointError for anything unreadable."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            line = fh.readline()
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read the checkpoint ({exc.strerror})") from None
     try:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

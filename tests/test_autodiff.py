@@ -85,7 +85,6 @@ def primitive_cases(gen):
     return [
         ("add", lambda a, b: ad.tensor_sum(ad.sigmoid(ad.add(a, b))), [rnd(gen, 2, 3), rnd(gen, 2, 3)]),
         ("add_broadcast", lambda a, b: ad.tensor_sum(ad.sigmoid(ad.add(a, b))), [rnd(gen, 2, 3), rnd(gen, 1, 3)]),
-        ("sub", lambda a, b: ad.tensor_sum(ad.tanh(ad.sub(a, b))), [rnd(gen, 2, 3), rnd(gen, 2, 3)]),
         ("mul", lambda a, b: ad.tensor_sum(ad.sigmoid(ad.mul(a, b))), [rnd(gen, 2, 3), rnd(gen, 2, 3)]),
         ("mul_broadcast", lambda a, b: ad.tensor_sum(ad.mul(a, b)), [rnd(gen, 2, 1), rnd(gen, 2, 3)]),
         ("scale", lambda a: ad.tensor_sum(ad.scale(a, -1.7)), [rnd(gen, 2, 3)]),
@@ -103,12 +102,10 @@ def primitive_cases(gen):
         ("relu", lambda a: ad.tensor_sum(ad.relu(a)), [rnd(gen, 2, 3)]),
         ("leaky_relu", lambda a: ad.tensor_sum(ad.leaky_relu(a, 0.1)), [rnd(gen, 2, 3)]),
         ("rrelu", lambda a: ad.tensor_sum(ad.rrelu(a)), [rnd(gen, 2, 3)]),
-        ("softmax", lambda a: ad.tensor_sum(ad.mul(a, ad.softmax(a))), [rnd(gen, 2, 3)]),
         ("pick_log_softmax", lambda a: ad.tensor_sum(ad.tanh(ad.pick_log_softmax(a, pick_idx))), [rnd(gen, 2, 4)]),
         ("gru", lambda x, h, wx, wh, b: ad.tensor_sum(ad.tanh(ad.gru(x, h, wx, wh, b))),
          [rnd(gen, 2, 3), rnd(gen, 2, 2), rnd(gen, 3, 6), rnd(gen, 2, 6), rnd(gen, 6)]),
         ("conv1d", lambda x, k: ad.tensor_sum(ad.sigmoid(ad.conv1d(x, k))), [rnd(gen, 2, 2, 5), rnd(gen, 3, 2, 3)]),
-        ("mean", lambda a: ad.tensor_mean(ad.sigmoid(a)), [rnd(gen, 2, 3)]),
     ]
 
 
@@ -172,15 +169,6 @@ class TestGradCheck:
 
 
 class TestOpSemantics:
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_softmax_rows_sum_to_one(self, seed):
-        gen = np.random.default_rng(seed)
-        x = Tensor(gen.standard_normal((3, 6)) * 5)
-        y = ad.softmax(x).values
-        assert np.all(y >= 0)
-        assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-9)
-
     def test_dropout_eval_identity(self):
         x = Tensor(np.ones((4, 4)))
         assert ad.dropout(x, 0.5, None, train=False) is x

@@ -2,12 +2,14 @@ import json
 import math
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from meshtkg import training
-from meshtkg.cli import run
+from meshtkg.cli import build_parser, run
+from meshtkg.config import CHOICES, RunConfig
 from meshtkg.encoders import save_semantic_embeddings, synthetic_embeddings
 
 from conftest import micro_config
@@ -91,10 +93,44 @@ class TestDataCommands:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert run(["stats", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("command", ["stats", "train"])
+    def test_non_utf8_dataset_exits_3(self, synth_dataset, tmp_path, capsys, command):
+        ds = str(tmp_path / "ds")
+        shutil.copytree(synth_dataset["dir"], ds)
+        with open(os.path.join(ds, "relation2id.txt"), "ab") as fh:
+            fh.write(b"caf\xe9\t4\n")
+        assert run([command, ds, *micro_flags(str(tmp_path / "o"))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "relation2id.txt:5" in err
+        assert err.count("\n") == 1
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+def test_one_train_flag_per_config_field(capsys):
+    """Every RunConfig field but `dataset` is a `train` flag that parses to
+    the field's type; an enumerated field takes its CHOICES and nothing else."""
+    assert set(CHOICES) == {"profile", "loss_mode", "dtype", "gate_input"}
+    parser = build_parser()
+    samples = {"int": "7", "float": "0.5", "str": "x"}
+    for f in fields(RunConfig):
+        if f.name == "dataset":
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            assert getattr(parser.parse_args(["train", "D", flag]), f.name) is True
+            continue
+        values = CHOICES.get(f.name, [samples[f.type]])
+        for value in values:
+            got = getattr(parser.parse_args(["train", "D", flag, value]), f.name)
+            assert type(got).__name__ == f.type and str(got) == value
+        if f.name in CHOICES:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["train", "D", flag, "bogus"])
+            assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +280,13 @@ class TestSweep:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("axis", ["--omega-list", "--mn-grid"])
+    def test_empty_sweep_exits_2(self, synth_dataset, tmp_path, capsys, axis):
+        out = str(tmp_path / "empty")
+        assert run(["sweep", synth_dataset["dir"], "--out", out, axis, ","]) == 2
+        assert capsys.readouterr().err == "error: sweep needs at least one setting\n"
+        assert not os.path.exists(out)
+
     def test_sweep_needs_exactly_one_axis(self, synth_dataset, tmp_path):
         out = str(tmp_path / "bad")
         assert run(["sweep", synth_dataset["dir"], "--out", out]) == 2
@@ -261,6 +304,7 @@ BAD_CONFIG_VALUES = {
     "infinite omega": ["train", "--omega", "inf"],
     "nan learning rate": ["train", "--learning-rate", "nan"],
     "infinite learning rate": ["train", "--learning-rate", "inf"],
+    "both paths disabled": ["train", "--disable-semantic", "--disable-structural"],
 }
 
 
@@ -277,6 +321,33 @@ def test_bad_config_values_exit_2(case, synth_dataset, tmp_path, capsys):
 @pytest.fixture(scope="module")
 def checkpoint(train_dir):
     return os.path.join(train_dir, "checkpoint.mesh")
+
+
+def test_eval_with_both_paths_disabled_exits_2(synth_dataset, checkpoint, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run(["eval", checkpoint, synth_dataset["dir"], "--out", out,
+                "--disable-semantic", "--disable-structural"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_bad_embedding_file_exits_3(synth_dataset, tmp_path, capsys):
+    path = tmp_path / "bad.emb"
+    path.write_text("tkg-emb x 34 4\n")
+    out = str(tmp_path / "out")
+    assert run(["train", synth_dataset["dir"], *micro_flags(out), "--embeddings", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "bad header" in err and err.count("\n") == 1
+
+
+def test_missing_checkpoint_exits_3(synth_dataset, tmp_path, capsys):
+    path = str(tmp_path / "missing.mesh")
+    with pytest.raises(training.CheckpointError):
+        training.load_checkpoint(path)
+    assert run(["eval", path, synth_dataset["dir"], "--out", str(tmp_path / "ev")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "missing.mesh" in err and err.count("\n") == 1
 
 
 # each command, and the split that is emptied under it
@@ -320,6 +391,13 @@ def _set(key, value):
     return _edit_header(edit)
 
 
+def _set_spec(key, value):
+    def edit(header, blob):
+        header["spec"][key] = value
+        return blob
+    return _edit_header(edit)
+
+
 def _drop_spec_key(header, blob):
     del header["spec"]["dim"]
     return blob
@@ -347,6 +425,8 @@ CHECKPOINT_FAULTS = {
     "wrong magic": _set("format", "npz"),
     "wrong version": _set("version", 1),
     "missing spec key": _edit_header(_drop_spec_key),
+    "spec dtype outside DTYPES": _set_spec("dtype", "float16"),
+    "spec gate input outside CHOICES": _set_spec("gate_input", "both"),
     "short blob": lambda raw: raw[:-4],
     "over-long blob": lambda raw: raw + bytes(4),
     "omitted parameter": _edit_header(_omit_param),

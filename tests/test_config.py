@@ -77,6 +77,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    def test_both_paths_disabled_rejected(self):
+        with pytest.raises(ValueError, match="both"):
+            RunConfig(disable_semantic=True, disable_structural=True).validate()
+
     def test_synthetic_seed_defaults_to_run_seed(self):
         cfg = resolve({"dataset": "x", "seed": 9})
         assert cfg.synthetic_seed == 9

@@ -9,7 +9,6 @@ from meshtkg.encoders import (
     EmbeddingFormatError,
     GruParams,
     PromptTemplate,
-    adapt,
     adapt_rows,
     emit_prompts,
     encode_structural,
@@ -126,7 +125,7 @@ class TestStructuralEncoder:
 
 def composed_gru_cell(params: GruParams, x: Tensor, h: Tensor) -> Tensor:
     """The cell spelled out in primitive ops; oracle for the fused `ad.gru`."""
-    d = params.hidden
+    d = params.wh.shape[0]
     xa = ad.matmul(x, params.wx)
     ha = ad.matmul(h, params.wh)
     z = ad.sigmoid(ad.add(ad.add(ad.slice_last(xa, 0, d), ad.slice_last(ha, 0, d)),
@@ -314,6 +313,19 @@ class TestSemanticTables:
         with pytest.raises(EmbeddingFormatError, match="declares 4"):
             load_semantic_embeddings(str(path), make_vocab(1, 1))
 
+    @pytest.mark.parametrize("text, message", [
+        (b"tkg-emb x 3 4\n", "bad header"),
+        (b"tkg-emb 1 2 2\nE\tzero\t1 2\nR\t0\t1 2\n", "emb:2: id is not an integer"),
+        (b"tkg-emb 1 2 2\nE\t0\t1 2\nR\t0\t1 \xff\n", "emb:3: text row is not UTF-8"),
+        (b"tkg-emb 1 2 -4\nE\t0\t1 2\nR\t0\t1 2\n", "width -4"),
+        (b"tkg-emb 1 2 0\n", "width 0"),
+    ], ids=["header", "row_id", "utf8", "negative_dim", "zero_dim"])
+    def test_malformed_file_is_format_error(self, tmp_path, text, message):
+        path = tmp_path / "emb"
+        path.write_bytes(text)
+        with pytest.raises(EmbeddingFormatError, match=message):
+            load_semantic_embeddings(str(path), make_vocab(1, 1))
+
     def test_missing_id_listed(self, tmp_path):
         path = tmp_path / "emb"
         path.write_text("tkg-emb 1 3 2\nE\t0\t1 2\nR\t0\t1 2\n")
@@ -328,7 +340,8 @@ class TestAdapters:
         for t in params.named_parameters().values():
             t.values[...] = 0.0
         table = synthetic_embeddings(make_vocab(3, 2), 8, seed=0)
-        h_l, r_l = adapt(table, params)
+        h_l = adapt_rows(params, "entity", table.entity)
+        r_l = adapt_rows(params, "relation", table.relation)
         assert h_l.shape == (3, 4) and r_l.shape == (2, 4)
         assert np.allclose(h_l.values, 0.0) and np.allclose(r_l.values, 0.0)
 
@@ -363,4 +376,4 @@ class TestAdapters:
         params = init_adapters(8, 4, 2, np.random.default_rng(0))
         table = synthetic_embeddings(make_vocab(2, 1), 9, seed=0)
         with pytest.raises(ValueError, match="dim"):
-            adapt(table, params)
+            adapt_rows(params, "entity", table.entity)

@@ -9,7 +9,6 @@ from meshtkg.evaluation import filtered_ranks
 from meshtkg.history import (
     build_index,
     dataset_stats,
-    naive_predict,
     naive_scores,
 )
 from meshtkg.tkg import Quadruple
@@ -92,6 +91,12 @@ def naive_rank(index, s, r, o, filter_out=()):
     known = np.array([(s, r, e, 0) for e in filter_out], dtype=np.int64).reshape(-1, 4)
     _, filtered = filtered_ranks(naive_scores(index, s, r, 8), np.array([[s, r, o, 0]]), known)
     return filtered[0]
+
+
+def naive_predict(index, s, r, num_entities):
+    """The baseline's full candidate ranking for (s, r, ?): descending
+    count, then id."""
+    return np.argsort(-naive_scores(index, s, r, num_entities)[0])
 
 
 def oracle_naive_order(facts, s, r, num_entities):

@@ -234,10 +234,6 @@ class TestForwardQueries:
         assert bundle.q is bundle.q_s
         assert bundle.score_table.shape == (model.spec.num_entities, model.spec.dim)
 
-    def test_conflicting_ablation_rejected(self):
-        with pytest.raises(ValueError):
-            AblationConfig(disable_semantic=True, disable_structural=True).validate()
-
     def test_composed_pipeline_gradients(self):
         # gradient flow through score(fuse(expert_mix(decode(adapt(...)))))
         model = small_model()

@@ -107,6 +107,15 @@ class TestLoadDataset:
         with pytest.raises(LoadError, match="duplicate"):
             load_dataset(str(d))
 
+    @pytest.mark.parametrize("name", ["entity2id.txt", "relation2id.txt", "train.txt",
+                                      "valid.txt", "test.txt"])
+    def test_non_utf8_byte_reports_file_and_line(self, tmp_path, name):
+        d = make_dir(tmp_path, [(0, 0, 1, 0)], [(0, 0, 1, 1)], [(0, 0, 1, 2)])
+        with open(os.path.join(d, name), "ab") as fh:
+            fh.write(b"e\xff\t9\n")
+        with pytest.raises(ParseError, match=rf"{name}:\d+: byte 0xff is not UTF-8"):
+            load_dataset(d)
+
     def test_negative_timestamp(self, tmp_path):
         d = make_dir(tmp_path, [(0, 0, 1, -3)])
         with pytest.raises(ParseError, match="negative"):

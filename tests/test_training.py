@@ -192,11 +192,6 @@ class TestTotalLoss:
         lm, lh, ln = (Tensor(np.array(v)) for v in (-0.5, -0.2, -0.3))
         assert total_loss(lm, lh, ln, 0.6).item() == pytest.approx(-0.8)
 
-    def test_negative_omega_rejected(self):
-        lm = Tensor(np.array(0.0))
-        with pytest.raises(ValueError):
-            total_loss(lm, lm, lm, -1.0)
-
 
 class TestTrainModel:
     def test_freeze_invariant(self, trained):

@@ -466,12 +466,11 @@ def gru(x: Tensor, h: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     return _record("gru", (x, h, wx, wh, b), out, backward_fn)
 
 
-def dropout(a: Tensor, p: float, gen: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted dropout: zero a fraction p and rescale survivors by 1/(1-p)."""
-    if not train or p <= 0.0:
+def dropout(a: Tensor, p: float, gen: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: zero a fraction p and rescale survivors by 1/(1-p).
+    Without a generator (evaluation) it is the identity."""
+    if gen is None or p <= 0.0:
         return a
-    if gen is None:
-        raise ValueError("train-mode dropout needs a generator")
     # 1/(1-p) where the float32 draw is >= p, else 0, in one pass over the mask
     keep = np.divide(gen.random(a.values.shape, dtype=np.float32) >= p, 1.0 - p,
                      dtype=a.values.dtype)

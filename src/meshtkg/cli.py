@@ -12,18 +12,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import config as cfg
 from . import evaluation as ev
 from . import history, tkg, training
 from .autodiff import NumericError
-from .encoders import (
-    PromptTemplate,
-    emit_prompts,
-    load_semantic_embeddings,
-    synthetic_embeddings,
-)
+from .encoders import emit_prompts, load_semantic_embeddings, synthetic_embeddings
 from .model import AblationConfig
 from .tkg import DatasetError
 
@@ -82,14 +77,13 @@ def _load_data(config: cfg.RunConfig):
 
 
 def _semantic_table(config: cfg.RunConfig, vocab):
-    """The semantic rows; `config.llm_dim` then records their width, which
-    sizes the adapters whatever width the configuration asked for."""
+    """The semantic rows and the configuration whose `llm_dim` records their
+    width, which sizes the adapters whatever width was asked for."""
     if config.embeddings:
         sem = load_semantic_embeddings(config.embeddings, vocab)
     else:
         sem = synthetic_embeddings(vocab, config.llm_dim, config.synthetic_seed)
-    config.llm_dim = sem.dim
-    return sem
+    return replace(config, llm_dim=sem.dim), sem
 
 
 def _write(path, text):
@@ -139,12 +133,8 @@ def cmd_emit_prompts(args) -> int:
     config = _resolve(args)
     _write_echo(config)
     vocab, _, _, _ = _load_data(config)
-    template = PromptTemplate(domain=args.domain, datatype=args.datatype)
     path = os.path.join(config.out, "prompts.tsv")
-    try:
-        count = emit_prompts(vocab, template, path)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    count = emit_prompts(vocab, args.domain, args.datatype, path)
     print(f"{count} prompts written to {path}")
     return 0
 
@@ -154,7 +144,7 @@ def _train_run(config: cfg.RunConfig, verbose=None):
     `checkpoint.mesh`. Returns the result, the data splits and the
     semantic table."""
     data = _load_data(config)
-    sem = _semantic_table(config, data[0])
+    config, sem = _semantic_table(config, data[0])
     _write_echo(config)
     result = training.train_model(config, *data[:3], sem, verbose=verbose)
     _write(os.path.join(config.out, "training.log"),
@@ -179,14 +169,8 @@ def cmd_eval(args) -> int:
     model, header = training.load_checkpoint(args.checkpoint)
     flags = {key: getattr(args, key, None) for key in ("dataset", *EVAL_FLAGS)}
     try:
-        stored = dict(header["config"])
-        stored.update({key: value for key, value in flags.items() if value is not None})
-        config = cfg.RunConfig(**stored)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise training.CheckpointError(
-            f"{args.checkpoint}: bad run configuration in the header ({exc!r})") from None
-    try:
-        config.validate()
+        config = replace(header["config"],
+                         **{key: value for key, value in flags.items() if value is not None})
     except ValueError as exc:
         raise CliError(str(exc))
     if not config.dataset:
@@ -198,7 +182,7 @@ def cmd_eval(args) -> int:
             f"checkpoint was trained for |E|={spec.num_entities}, |R|={spec.num_relations}; "
             f"dataset has |E|={vocab.num_entities}, |R|={vocab.num_relations}"
         )
-    sem = _semantic_table(config, vocab)
+    config, sem = _semantic_table(config, vocab)
     if sem.dim != spec.llm_dim:
         raise DatasetError(f"{sem.source}: embedding width {sem.dim} does not match the "
                            f"checkpoint's llm_dim {spec.llm_dim}")
@@ -240,19 +224,15 @@ def cmd_sweep(args) -> int:
         raise CliError("sweep needs at least one setting")
     runs = []
     for kind, value in settings:
-        run_cfg = cfg.RunConfig(**config.to_dict())
         if kind == "omega":
-            run_cfg.omega = value
-            tag = f"omega_{value:g}"
+            tag, changes = f"omega_{value:g}", {"omega": value}
         else:
-            run_cfg.num_historical, run_cfg.num_nonhistorical = value
             tag = f"m{value[0]}n{value[1]}"
-        run_cfg.out = os.path.join(config.out, tag)
+            changes = {"num_historical": value[0], "num_nonhistorical": value[1]}
         try:
-            run_cfg.validate()
+            runs.append((tag, replace(config, out=os.path.join(config.out, tag), **changes)))
         except ValueError as exc:
             raise CliError(f"sweep setting {tag}: {exc}")
-        runs.append((tag, run_cfg))
     _write_echo(config)
     rows = ["setting\tMRR\tH@3\tH@10"]
     for tag, run_cfg in runs:

@@ -21,13 +21,8 @@ PROFILES = {
         omega=1.0, learning_rate=0.001, dropout=0.2,
         epochs_stage0=500, epochs_stage1=30,
     ),
-    # CPU-friendly settings for desk runs and tests
-    "desk": dict(
-        dim=32, llm_dim=64, adapter_hidden=64, channels=8, kernel_width=3,
-        layers=2, window=3, num_historical=1, num_nonhistorical=1,
-        omega=1.0, learning_rate=0.001, dropout=0.2,
-        epochs_stage0=30, epochs_stage1=20,
-    ),
+    # CPU-friendly settings for desk runs and tests: RunConfig's defaults
+    "desk": {},
 }
 
 LOSS_MODES = ("cross_entropy", "literal")
@@ -36,10 +31,15 @@ DTYPES = ("float32", "float64")
 # the allowed values of every enumerated field, for validation and the CLI
 CHOICES = {"profile": tuple(PROFILES), "loss_mode": LOSS_MODES, "dtype": DTYPES,
            "gate_input": GATE_INPUTS}
+# the values each annotated field type accepts (a bool is no number here)
+KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, checked when built: a RunConfig that exists is
+    valid. Derive variants with `dataclasses.replace`, which checks again."""
+
     dataset: str = ""
     out: str = "out"
     profile: str = "desk"
@@ -70,9 +70,12 @@ class RunConfig:
     disable_prediction_expert: bool = False
     gate_input: str = "structural"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if not isinstance(value, KINDS[f.type]) or isinstance(value, bool) != (f.type == "bool"):
+                raise ValueError(f"config field {f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"config field {f.name} must be finite")
         positive = (
             "dim", "llm_dim", "adapter_hidden", "channels", "kernel_width",
@@ -166,8 +169,6 @@ def resolve(flag_values: dict, config_file: str | None = None, environ=None) -> 
     for layer in (file_values, env_values, flag_values):
         merged.update({k: v for k, v in layer.items() if v is not None})
     merged["profile"] = profile
-    cfg = RunConfig(**merged)
-    if cfg.synthetic_seed == 0:
-        cfg.synthetic_seed = cfg.seed
-    cfg.validate()
-    return cfg
+    if not merged.get("synthetic_seed"):
+        merged["synthetic_seed"] = merged.get("seed", RunConfig.seed)
+    return RunConfig(**merged)

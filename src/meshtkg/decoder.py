@@ -58,7 +58,7 @@ def init_conv_transe(dim: int, channels: int, width: int, dropout: float,
 
 
 def decode(params: ConvTransEParams, h: Tensor, r: Tensor, *,
-           train: bool = False, gen: np.random.Generator | None = None) -> Tensor:
+           gen: np.random.Generator | None = None) -> Tensor:
     """Query vectors for a batch of (subject, relation) embedding pairs.
 
     h and r are (batch, d); the result is (batch, d).
@@ -72,6 +72,6 @@ def decode(params: ConvTransEParams, h: Tensor, r: Tensor, *,
     fmap = ad.conv1d(stacked, params.kernels)
     fmap = ad.add(fmap, ad.reshape(params.kernel_bias, (1, params.channels, 1)))
     fmap = ad.relu(fmap)
-    fmap = ad.dropout(fmap, params.dropout, gen, train)
+    fmap = ad.dropout(fmap, params.dropout, gen)
     flat = ad.reshape(fmap, (batch, params.channels * d))
     return ad.add(ad.matmul(flat, params.proj), params.proj_bias)

@@ -106,7 +106,7 @@ def init_structural_encoder(num_entities: int, num_relations_aug: int, dim: int,
 
 
 def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, *,
-                      train: bool = False, gen: np.random.Generator | None = None):
+                      gen: np.random.Generator | None = None):
     """Entity and relation tables conditioned on the last `params.window`
     blocks of `snapshots` (a graph's `snapshots()`) strictly before t.
 
@@ -144,7 +144,7 @@ def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, 
             msg = ad.add(ad.gather_rows(X, s_idx), ad.gather_rows(R, r_idx))
             agg = ad.mul(ad.scatter_add_rows(msg, o_idx, num_entities), inv_deg_t)
             out = ad.add(ad.matmul(agg, wa), ad.matmul(X, ws))
-            X = ad.dropout(ad.rrelu(out), params.dropout, gen, train)
+            X = ad.dropout(ad.rrelu(out), params.dropout, gen)
 
         H = gru_cell(params.ent_cell, X, H)
         R = R_new
@@ -163,44 +163,18 @@ RELATION_TEMPLATE = (
 )
 
 
-@dataclass
-class PromptTemplate:
-    domain: str
-    datatype: str
-    entity_template: str = ENTITY_TEMPLATE
-    relation_template: str = RELATION_TEMPLATE
-
-    def validate(self) -> None:
-        for tpl, hole in ((self.entity_template, "<ENTITY>"), (self.relation_template, "<RELATION>")):
-            for needed in ("<DATA DOMAIN>", "<DATA TYPE>", hole):
-                if needed not in tpl:
-                    raise ValueError(f"template is missing the {needed} placeholder")
-
-    def render_entity(self, name: str) -> str:
-        return (self.entity_template
-                .replace("<DATA DOMAIN>", self.domain)
-                .replace("<DATA TYPE>", self.datatype)
-                .replace("<ENTITY>", name))
-
-    def render_relation(self, name: str) -> str:
-        return (self.relation_template
-                .replace("<DATA DOMAIN>", self.domain)
-                .replace("<DATA TYPE>", self.datatype)
-                .replace("<RELATION>", name))
-
-
-def emit_prompts(vocab: Vocabulary, template: PromptTemplate, path: str) -> int:
+def emit_prompts(vocab: Vocabulary, domain: str, datatype: str, path: str) -> int:
     """Write `kind<TAB>id<TAB>prompt` lines, entities first. Returns line count."""
-    template.validate()
-    n = 0
+    lines = []
+    for kind, template, hole, names in (
+        ("E", ENTITY_TEMPLATE, "<ENTITY>", vocab.entity_names),
+        ("R", RELATION_TEMPLATE, "<RELATION>", vocab.relation_names),
+    ):
+        filled = template.replace("<DATA DOMAIN>", domain).replace("<DATA TYPE>", datatype)
+        lines += [f"{kind}\t{i}\t{filled.replace(hole, name)}\n" for i, name in enumerate(names)]
     with open(path, "w", encoding="utf-8") as fh:
-        for i, name in enumerate(vocab.entity_names):
-            fh.write(f"E\t{i}\t{template.render_entity(name)}\n")
-            n += 1
-        for i, name in enumerate(vocab.relation_names):
-            fh.write(f"R\t{i}\t{template.render_relation(name)}\n")
-            n += 1
-    return n
+        fh.writelines(lines)
+    return len(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,7 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond: Temporal
                 encode_cache[t] = (H.values, R.values)
         bundle = forward_queries(
             model, H, R, sem, rows[:, 0], rows[:, 1],
-            train=False, ablation=ablation, semantic_entity_table=sem_table,
+            ablation=ablation, semantic_entity_table=sem_table,
         )
         ranks.append(filtered_ranks(bundle.logits.values, rows, known_at[t]))
         if bundle.alphas is not None:

@@ -268,7 +268,7 @@ class QueryBundle:
 
 def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
                     s_idx: np.ndarray, r_idx: np.ndarray, *,
-                    train: bool = False, gen: np.random.Generator | None = None,
+                    gen: np.random.Generator | None = None,
                     ablation: AblationConfig | None = None,
                     semantic_entity_table: Tensor | None = None) -> QueryBundle:
     """Run a batch of (s, r, ?) queries through the configured pipeline.
@@ -286,7 +286,7 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     if not ablation.disable_structural:
         h_g = ad.gather_rows(H_g, s_idx)
         r_g = ad.gather_rows(R_g, r_idx)
-        q_g = dec.decode(model.decoder_g, h_g, r_g, train=train, gen=gen)
+        q_g = dec.decode(model.decoder_g, h_g, r_g, gen=gen)
 
     if ablation.disable_semantic:
         return QueryBundle(
@@ -298,7 +298,7 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     base_rel = np.asarray(r_idx) % spec.num_relations
     h_l = enc.adapt_rows(model.adapters, "entity", sem.entity[np.asarray(s_idx)], dtype)
     r_l = enc.adapt_rows(model.adapters, "relation", sem.relation[base_rel], dtype)
-    q_s = dec.decode(model.decoder_l, h_l, r_l, train=train, gen=gen)
+    q_s = dec.decode(model.decoder_l, h_l, r_l, gen=gen)
 
     if ablation.disable_structural:
         table = semantic_entity_table

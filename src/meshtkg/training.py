@@ -142,8 +142,7 @@ def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
 def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
                 valid_tkg: TemporalKG, sem: SemanticEmbeddingTable,
                 verbose=None) -> TrainResult:
-    """Run both training stages and keep the best-validation parameters;
-    `config` is a validated one (`config.resolve`)."""
+    """Run both training stages and keep the best-validation parameters."""
     ablation = AblationConfig.from_config(config)
 
     if config.epochs_stage1 > 0 and not valid_tkg.num_facts:
@@ -169,9 +168,9 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
         gen0 = rng.stream(config.seed, rng.DROPOUT, 0)
 
         def stage0_loss(t, rows):
-            H, R = encode_structural(model.encoder, snapshots, t, train=True, gen=gen0)
+            H, R = encode_structural(model.encoder, snapshots, t, gen=gen0)
             q_g = decode(model.decoder_g, ad.gather_rows(H, rows[:, 0]),
-                         ad.gather_rows(R, rows[:, 1]), train=True, gen=gen0)
+                         ad.gather_rows(R, rows[:, 1]), gen=gen0)
             return major_loss(score_logits(q_g, H), rows[:, 2], "cross_entropy")
 
         for epoch in range(1, config.epochs_stage0 + 1):
@@ -208,7 +207,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     def stage1_loss(t, rows):
         H, R = encoded.get(t, (None, None))
         bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
-                                 train=True, gen=gen1, ablation=ablation)
+                                 gen=gen1, ablation=ablation)
         l_major, l_his, l_nhis = stage1_losses(bundle, rows[:, 2],
                                                historical[t] if use_experts else None,
                                                config.loss_mode)
@@ -265,9 +264,10 @@ class CheckpointError(DatasetError, ValueError):
 def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
                     frozen_names: list, seed: int) -> None:
     """Versioned container: JSON header line (model spec, run configuration,
-    parameter manifest), then float32 little-endian parameter blobs in
-    manifest order."""
+    parameter manifest), then little-endian parameter blobs in the spec's
+    dtype, in manifest order."""
     named = model.named_parameters()
+    blob_dtype = np.dtype(model.spec.dtype).newbyteorder("<")
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -280,12 +280,13 @@ def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("utf-8"))
         for tensor in named.values():
-            fh.write(np.ascontiguousarray(tensor.values, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(tensor.values, dtype=blob_dtype).tobytes())
 
 
 def load_checkpoint(path: str):
     """Rebuild the model from a checkpoint's spec and blobs; returns
-    (model, header). Raises CheckpointError for anything unreadable."""
+    (model, header), the header's stored run configuration rebuilt as a
+    RunConfig. Raises CheckpointError for anything unreadable."""
     try:
         with open(path, "rb") as fh:
             line = fh.readline()
@@ -304,6 +305,10 @@ def load_checkpoint(path: str):
         spec = ModelSpec(**header["spec"])
         model = init_model(spec, rng.stream(0, rng.INIT))
         manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+        missing = set(RunConfig.__dataclass_fields__) - set(header["config"])
+        if missing:
+            raise KeyError(f"run configuration lacks {sorted(missing)}")
+        header["config"] = RunConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header ({exc!r})") from None
     named = model.named_parameters()
@@ -316,13 +321,17 @@ def load_checkpoint(path: str):
     for name, shape in manifest:
         if named[name].values.shape != shape:
             raise CheckpointError(f"{path}: shape {shape} for {name} does not match the spec")
-    expected = 4 * sum(t.values.size for t in named.values())
+    blob_dtype = np.dtype(spec.dtype).newbyteorder("<")
+    expected = blob_dtype.itemsize * sum(t.values.size for t in named.values())
     if len(blob) != expected:
-        raise CheckpointError(f"{path}: {len(blob)} parameter bytes, the manifest declares {expected}")
+        hint = ("; float32 blobs of a float64 spec were written before float64 "
+                "checkpoints kept their precision, retrain" if 2 * len(blob) == expected else "")
+        raise CheckpointError(f"{path}: {len(blob)} parameter bytes, the manifest declares "
+                              f"{expected}{hint}")
     offset = 0
     for name, shape in manifest:
         size = named[name].values.size
-        raw = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
+        raw = np.frombuffer(blob, dtype=blob_dtype, count=size, offset=offset)
         named[name].values = raw.reshape(shape).astype(spec.dtype)
-        offset += 4 * size
+        offset += blob_dtype.itemsize * size
     return model, header

@@ -149,7 +149,7 @@ class TestGradCheck:
     def test_eval_dropout_is_identity_for_check(self, np_gen):
         x = rnd(np_gen, 3, 3)
         err_drop = grad_check(
-            lambda a: ad.tensor_sum(ad.dropout(ad.sigmoid(a), 0.5, None, train=False)), [x]
+            lambda a: ad.tensor_sum(ad.dropout(ad.sigmoid(a), 0.5, None)), [x]
         )
         err_plain = grad_check(lambda a: ad.tensor_sum(ad.sigmoid(a)), [x])
         assert err_drop == pytest.approx(err_plain)
@@ -171,12 +171,12 @@ class TestGradCheck:
 class TestOpSemantics:
     def test_dropout_eval_identity(self):
         x = Tensor(np.ones((4, 4)))
-        assert ad.dropout(x, 0.5, None, train=False) is x
+        assert ad.dropout(x, 0.5, None) is x
 
     def test_dropout_train_statistics(self):
         gen = np.random.default_rng(3)
         x = Tensor(np.ones((200, 200)))
-        y = ad.dropout(x, 0.3, gen, train=True).values
+        y = ad.dropout(x, 0.3, gen).values
         dropped = np.mean(y == 0.0)
         assert dropped == pytest.approx(0.3, abs=0.01)
         survivors = y[y != 0]
@@ -296,7 +296,7 @@ class TestDropoutKernel:
         ref_keep = (ref_gen.random(shape, dtype=np.float32) >= p).astype(dtype) / (1.0 - p)
         a = param(np.ones(shape, dtype))
         with Tape() as tape:
-            out = ad.dropout(a, p, gen, train=True).values
+            out = ad.dropout(a, p, gen).values
         (keep,) = tape.nodes[-1].backward_fn(np.ones(shape, dtype))
         assert keep.dtype == out.dtype == dtype
         assert np.array_equal(bits(keep), bits(ref_keep))

@@ -203,7 +203,7 @@ class TestTrainEvalCommands:
         # both echoes and the stored configuration name the width the model ran at
         for echo_dir in (out, out_ev):
             assert "\nllm_dim = 8\n" in read(os.path.join(echo_dir, "config.echo"))
-        assert training.load_checkpoint(ckpt)[1]["config"]["llm_dim"] == 8
+        assert training.load_checkpoint(ckpt)[1]["config"].llm_dim == 8
 
     def test_eval_embedding_width_mismatch_is_data_error(self, synth_dataset, train_dir,
                                                          narrow_embeddings, tmp_path, capsys):
@@ -294,7 +294,7 @@ class TestSweep:
                     "--omega-list", "1.0", "--mn-grid", "1x1"]) == 2
 
 
-# flags whose values RunConfig.validate rejects; each once escaped as a
+# flags whose values RunConfig rejects when built; each once escaped as a
 # traceback (exit 1), a numeric failure (exit 4) or a silent run (exit 0)
 BAD_CONFIG_VALUES = {
     "even kernel width": ["train", "--kernel-width", "4"],
@@ -403,6 +403,18 @@ def _drop_spec_key(header, blob):
     return blob
 
 
+def _set_config(key, value):
+    def edit(header, blob):
+        header["config"][key] = value
+        return blob
+    return _edit_header(edit)
+
+
+def _drop_config_key(header, blob):
+    del header["config"]["synthetic_seed"]
+    return blob
+
+
 def _first_param_bytes(header, blob):
     return blob[:4 * math.prod(header["params"][0]["shape"])]
 
@@ -431,6 +443,11 @@ CHECKPOINT_FAULTS = {
     "over-long blob": lambda raw: raw + bytes(4),
     "omitted parameter": _edit_header(_omit_param),
     "repeated parameter": _edit_header(_repeat_param),
+    "stored config value out of range": _set_config("dropout", 1.5),
+    "stored config value of the wrong type": _set_config("dim", "32"),
+    "stored config with an unknown key": _set_config("dimension", 32),
+    "stored config missing a key": _edit_header(_drop_config_key),
+    "stored config not an object": _set("config", ["desk"]),
 }
 
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from meshtkg.config import RunConfig, env_overrides, parse_config_file, resolve
@@ -22,6 +24,10 @@ class TestProfiles:
         assert cfg.profile == "desk"
         assert cfg.dim == 32
         assert cfg.channels == 8
+
+    def test_desk_profile_is_the_field_defaults(self):
+        # the run seed stands in for the synthetic-embedding seed left at 0
+        assert resolve({"dataset": "x"}) == RunConfig(dataset="x", synthetic_seed=RunConfig.seed)
 
     def test_unknown_profile(self):
         with pytest.raises(ValueError, match="profile"):
@@ -66,20 +72,30 @@ class TestLayering:
 
 class TestValidation:
     def test_defaults_validate(self):
-        RunConfig().validate()
+        RunConfig()
 
     @pytest.mark.parametrize("field,value", [
         ("dim", 0), ("omega", -0.5), ("dropout", 1.0), ("drop_history", 2.0),
         ("loss_mode", "mse"), ("dtype", "float16"), ("gate_input", "both"),
+        ("dim", "32"), ("dim", 32.0), ("seed", True), ("dropout", "0.2"),
+        ("disable_semantic", 1), ("out", None), ("omega", float("nan")),
     ])
     def test_bad_values_rejected(self, field, value):
-        cfg = RunConfig(**{field: value})
         with pytest.raises(ValueError):
-            cfg.validate()
+            RunConfig(**{field: value})
 
     def test_both_paths_disabled_rejected(self):
         with pytest.raises(ValueError, match="both"):
-            RunConfig(disable_semantic=True, disable_structural=True).validate()
+            RunConfig(disable_semantic=True, disable_structural=True)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = RunConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.dim = 0
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError, match="dim"):
+            replace(RunConfig(), dim=0)
 
     def test_synthetic_seed_defaults_to_run_seed(self):
         cfg = resolve({"dataset": "x", "seed": 9})

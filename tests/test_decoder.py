@@ -78,8 +78,8 @@ def test_eval_mode_is_deterministic(np_gen):
     params = init_conv_transe(5, 3, 3, 0.4, np_gen)
     h = Tensor(np_gen.standard_normal((3, 5)))
     r = Tensor(np_gen.standard_normal((3, 5)))
-    a = decode(params, h, r, train=False)
-    b = decode(params, h, r, train=False)
+    a = decode(params, h, r)
+    b = decode(params, h, r)
     assert np.array_equal(a.values, b.values)
 
 

@@ -8,7 +8,6 @@ from meshtkg.encoders import (
     EmbeddingCoverageError,
     EmbeddingFormatError,
     GruParams,
-    PromptTemplate,
     adapt_rows,
     emit_prompts,
     encode_structural,
@@ -20,7 +19,7 @@ from meshtkg.encoders import (
     save_semantic_embeddings,
     synthetic_embeddings,
 )
-from meshtkg.tkg import Quadruple, TemporalKG, add_inverse_relations
+from meshtkg.tkg import Quadruple, TemporalKG, Vocabulary, add_inverse_relations
 
 from conftest import group, make_vocab
 
@@ -69,8 +68,8 @@ class TestStructuralEncoder:
     def test_eval_encoding_is_bit_identical(self, np_gen):
         params = init_structural_encoder(5, 4, 8, layers=2, window=3, dropout=0.3, gen=np_gen)
         edges = group([(0, 0, 1, 0), (1, 1, 2, 1), (3, 0, 4, 2)]).snapshots()
-        H1, _ = encode_structural(params, edges, t=3, train=False)
-        H2, _ = encode_structural(params, edges, t=3, train=False)
+        H1, _ = encode_structural(params, edges, t=3)
+        H2, _ = encode_structural(params, edges, t=3)
         assert np.array_equal(H1.values, H2.values)
 
     def test_zero_weights_hand_computed_cell(self):
@@ -219,24 +218,29 @@ class TestGruCell:
         assert np.allclose(out, (1 - z) * n + z * h.values[0])
 
 
+def prompt_lines(tmp_path):
+    """The emitted lines of a one-entity, one-relation vocabulary."""
+    path = tmp_path / "prompts.tsv"
+    emit_prompts(Vocabulary(["France"], ["Abuse"], 0), "political", "historical", str(path))
+    return path.read_text().splitlines()
+
+
 class TestPrompts:
-    def test_political_domain_entity_prompt(self):
-        tpl = PromptTemplate(domain="political", datatype="historical")
-        assert tpl.render_entity("France") == (
-            "In the context of political, please provide historical background about France."
+    def test_political_domain_entity_prompt(self, tmp_path):
+        assert prompt_lines(tmp_path)[0] == (
+            "E\t0\tIn the context of political, please provide historical background about France."
         )
 
-    def test_relation_prompt(self):
-        tpl = PromptTemplate(domain="political", datatype="historical")
-        assert tpl.render_relation("Abuse") == (
-            "In the context of political, what are the historical perspectives "
+    def test_relation_prompt(self, tmp_path):
+        assert prompt_lines(tmp_path)[1] == (
+            "R\t0\tIn the context of political, what are the historical perspectives "
             "through which we can understand the Abuse?"
         )
 
     def test_emit_file_layout(self, tmp_path):
         vocab = make_vocab(2, 1)
         path = tmp_path / "prompts.tsv"
-        n = emit_prompts(vocab, PromptTemplate("political", "historical"), str(path))
+        n = emit_prompts(vocab, "political", "historical", str(path))
         lines = path.read_text().splitlines()
         assert n == 3 and len(lines) == 3
         kind, idx, prompt = lines[0].split("\t")
@@ -247,13 +251,8 @@ class TestPrompts:
     def test_empty_vocab_empty_file(self, tmp_path):
         vocab = make_vocab(0, 0)
         path = tmp_path / "prompts.tsv"
-        emit_prompts(vocab, PromptTemplate("a", "b"), str(path))
+        emit_prompts(vocab, "a", "b", str(path))
         assert path.read_text() == ""
-
-    def test_missing_placeholder_rejected(self, tmp_path):
-        tpl = PromptTemplate("a", "b", entity_template="no placeholders here")
-        with pytest.raises(ValueError, match="placeholder"):
-            emit_prompts(make_vocab(1, 1), tpl, str(tmp_path / "x"))
 
 
 class TestSemanticTables:

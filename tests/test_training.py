@@ -3,8 +3,9 @@ import pytest
 
 from meshtkg import autodiff as ad
 from meshtkg.autodiff import Tensor
+from meshtkg.config import RunConfig
 from meshtkg.encoders import synthetic_embeddings
-from meshtkg.model import forward_queries, init_model, score_logits
+from meshtkg.model import ModelSpec, forward_queries, init_model, score_logits
 from meshtkg.training import (
     expert_losses,
     load_checkpoint,
@@ -281,6 +282,7 @@ class TestCheckpoint:
         save_checkpoint(path, result.model, trained["config"], result.frozen_names, 1)
         loaded, header = load_checkpoint(path)
         assert header["frozen"] == result.frozen_names
+        assert header["config"] == trained["config"]
         assert loaded.spec == result.model.spec
         a = result.model.named_parameters()
         b = loaded.named_parameters()
@@ -303,6 +305,30 @@ class TestCheckpoint:
         r2 = evaluate(loaded, **kwargs)
         assert [r.filtered_rank for r in r1.results] == [r.filtered_rank for r in r2.results]
         assert [r.raw_rank for r in r1.results] == [r.raw_rank for r in r2.results]
+
+    def test_float64_roundtrip_bit_exact_params(self, tmp_path):
+        config = RunConfig(dtype="float64", dim=8, llm_dim=8, adapter_hidden=8, channels=2)
+        model = init_model(ModelSpec.from_config(config, 6, 2, config.llm_dim),
+                           np.random.default_rng(5))
+        path = str(tmp_path / "model64.mesh")
+        save_checkpoint(path, model, config, [], 1)
+        loaded, _ = load_checkpoint(path)
+        b = loaded.named_parameters()
+        for name, tensor in model.named_parameters().items():
+            assert b[name].values.dtype == np.float64, name
+            assert np.array_equal(tensor.values, b[name].values), name
+
+    def test_float64_spec_with_float32_blobs_named(self, tmp_path):
+        # the encoding float64 checkpoints had before their blobs kept the spec's dtype
+        config = RunConfig(dtype="float64", dim=8, llm_dim=8, adapter_hidden=8, channels=2)
+        model = init_model(ModelSpec.from_config(config, 6, 2, config.llm_dim),
+                           np.random.default_rng(5))
+        path = tmp_path / "old64.mesh"
+        save_checkpoint(str(path), model, config, [], 1)
+        header, blob = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header + b"\n" + np.frombuffer(blob, "<f8").astype("<f4").tobytes())
+        with pytest.raises(ValueError, match="float32 blobs of a float64 spec"):
+            load_checkpoint(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk"

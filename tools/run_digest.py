@@ -1,0 +1,86 @@
+"""Digest of every file and every output of one end-to-end CLI session.
+
+    python3 tools/run_digest.py
+
+Writes a seeded tiny event stream (`bench/stream.py`'s TINY shape) to a
+temporary directory, runs prepare, stats, naive, emit-prompts, train, eval,
+analyze and sweep on it at default settings with fixed relative `--out`
+paths, and prints, per command, its exit code and the SHA-256 of its
+stdout and stderr, then `sha256  path` for every file in the directory.
+MESH_* environment variables are ignored, so two runs of one checkout
+print the same digest, and two checkouts that write the same bytes do too.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import stream  # noqa: E402  (bench/stream.py)
+from meshtkg.cli import run  # noqa: E402
+
+SEED = 1                      # seed of the event stream
+TINY_SPLITS = (0, 28, 6, 6)   # start, train, valid and test timestamps of the 40
+COMMANDS = (
+    ["prepare", "data", "--out", "prepare"],
+    ["stats", "data", "--out", "stats"],
+    ["naive", "data", "--out", "naive"],
+    ["emit-prompts", "data", "--out", "prompts", "--domain", "political",
+     "--datatype", "historical"],
+    ["train", "data", "--out", "train"],
+    ["eval", "train/checkpoint.mesh", "data", "--out", "eval"],
+    ["analyze", "train/checkpoint.mesh", "data", "--out", "analyze"],
+    ["sweep", "data", "--out", "sweep", "--omega-list", "0.5,1"],
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_command(argv: list) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return (f"exit {code}  stdout {sha256(out.getvalue().encode())}  "
+            f"stderr {sha256(err.getvalue().encode())}  meshtkg {' '.join(argv)}")
+
+
+def file_digests(top: str) -> list:
+    lines = []
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                lines.append(f"{sha256(fh.read())}  {os.path.relpath(path, top)}")
+    return lines
+
+
+def main() -> int:
+    for key in [k for k in os.environ if k.startswith("MESH_")]:
+        del os.environ[key]
+    facts = stream.generate(SEED, **stream.TINY)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="run_digest_") as top:
+        stream.write(os.path.join(top, "data"), stream.window(facts, *TINY_SPLITS),
+                     stream.TINY["num_entities"], stream.TINY["num_relations"])
+        os.chdir(top)
+        try:
+            lines = [run_command(list(command)) for command in COMMANDS]
+        finally:
+            os.chdir(home)
+        lines += file_digests(top)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

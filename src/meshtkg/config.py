@@ -66,7 +66,6 @@ class RunConfig:
     dtype: str = "float32"
     disable_semantic: bool = False
     disable_structural: bool = False
-    disable_event_aware: bool = False
     disable_prediction_expert: bool = False
     gate_input: str = "structural"
 

@@ -301,7 +301,8 @@ def evaluate(model: MeshModel, vocab: Vocabulary, train: TemporalKG, valid: Temp
     raw, filtered, alpha = ranked_queries(model, sem, cond, query, known,
                                           ablation=ablation, encode_cache=encode_cache)
     if alpha is None:
-        gates = gate_statistics([], [])
+        off = [name for name, on in vars(ablation).items() if on]
+        gates = GateStats(note=f"no prediction-expert weights under {', '.join(off)}")
     else:
         gates = gate_statistics(alpha[indicators == 1], alpha[indicators == 0])
     return _eval_result(query, indicators, raw, filtered, gates)

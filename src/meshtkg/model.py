@@ -5,9 +5,11 @@ the semantic query q_s through its own sigmoid gate; the first M experts
 are trained toward recurring events, the next N toward novel ones. The
 prediction expert assigns every expert an independent sigmoid weight
 (driven by q_g, which carries the evolving graph context) and sums the
-expert outputs into the final query vector. Scores against the entity
-table go through a per-entity sigmoid, so rankings are identical on
-logits and probabilities.
+expert outputs into the final query vector. The gates and the weights
+are one column per expert of two matrices, so the layer is one pass for
+any expert count. Scores against the entity table go through a
+per-entity sigmoid, so rankings are identical on logits and
+probabilities.
 """
 
 from __future__ import annotations
@@ -86,97 +88,56 @@ class AblationConfig:
 
 
 @dataclass
-class ExpertGateParams:
-    """One gate per expert: a weight vector and a scalar bias."""
+class ExpertParams:
+    """The M+N event-aware experts and the prediction expert, one column
+    per expert: expert i's gate is sigmoid(gate . gate_w[:, i] + gate_b[i])
+    and its prediction weight sigmoid(gate . pred_w[:, i] + pred_b[i])."""
 
-    weights: list  # (M+N) x Tensor (gate_dim, 1)
-    biases: list   # (M+N) x Tensor (1,)
+    gate_w: Tensor  # (gate_dim, M+N)
+    gate_b: Tensor  # (M+N,)
+    pred_w: Tensor  # (gate_dim, M+N)
+    pred_b: Tensor  # (M+N,)
+
+    @classmethod
+    def zeros(cls, gate_dim: int, num_experts: int, dtype) -> "ExpertParams":
+        # zero init puts every gate and weight at 0.5: both information
+        # sources and all experts start symmetric, so nothing collapses
+        # before training speaks
+        shapes = [(gate_dim, num_experts), (num_experts,)] * 2
+        return cls(*(ad.param(np.zeros(shape, dtype=dtype)) for shape in shapes))
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"gates.expert{i}.w"] = w
-            out[f"gates.expert{i}.b"] = b
-        return out
+        return {f"experts.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass
-class PredictionExpertParams:
-    w: Tensor  # (gate_dim, M+N)
-    b: Tensor  # (M+N,)
+def expert_mix(experts: ExpertParams, gate: Tensor, q_g: Tensor, q_s: Tensor,
+               num_historical: int, uniform: bool = False):
+    """All M+N experts and the prediction expert in one pass.
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {"prediction.w": self.w, "prediction.b": self.b}
+    Expert i blends the two queries by its gate a_i, q_i = a_i q_g +
+    (1 - a_i) q_s, and the prediction expert weighs q_i by p_i, an
+    independent sigmoid per expert (deliberately not softmax-normalized),
+    or by the fixed 1/(M+N) when `uniform`. Summed over the historical
+    (i <= M) and non-historical (i > M) blocks, each block is
+    (sum p_i a_i) q_g + (sum p_i (1 - a_i)) q_s.
 
-
-def init_expert_gates(gate_dim: int, num_experts: int, dtype=np.float32) -> ExpertGateParams:
-    # zero init puts every gate at 0.5: both information sources and all
-    # experts start symmetric, so nothing collapses before training speaks
-    return ExpertGateParams(
-        weights=[ad.param(np.zeros((gate_dim, 1), dtype=dtype)) for _ in range(num_experts)],
-        biases=[ad.param(np.zeros(1, dtype=dtype)) for _ in range(num_experts)],
+    Returns (p, q_his, q_nhis); p has shape (batch, M+N).
+    """
+    a = ad.sigmoid(ad.add(ad.matmul(gate, experts.gate_w), experts.gate_b))
+    if uniform:
+        p = Tensor(np.full(a.shape, 1.0 / a.shape[-1], dtype=a.dtype))
+    else:
+        p = ad.sigmoid(ad.add(ad.matmul(gate, experts.pred_w), experts.pred_b))
+    # (M+N, 2) 0/1 block membership: a product with it sums each block's columns
+    in_nhis = (np.arange(a.shape[-1]) >= num_historical).astype(int)
+    blocks = Tensor(np.eye(2, dtype=a.dtype)[in_nhis])
+    w_g = ad.matmul(ad.mul(p, a), blocks)
+    w_s = ad.matmul(ad.mul(p, ad.shift(ad.neg(a), 1.0)), blocks)
+    q_his, q_nhis = (
+        ad.add(ad.mul(ad.slice_last(w_g, k, k + 1), q_g), ad.mul(ad.slice_last(w_s, k, k + 1), q_s))
+        for k in (0, 1)
     )
-
-
-def init_prediction_expert(gate_dim: int, num_experts: int, dtype=np.float32) -> PredictionExpertParams:
-    return PredictionExpertParams(
-        w=ad.param(np.zeros((gate_dim, num_experts), dtype=dtype)),
-        b=ad.param(np.zeros(num_experts, dtype=dtype)),
-    )
-
-
-def expert_mix(w: Tensor, b: Tensor, q_g: Tensor, q_s: Tensor, gate: Tensor | None = None):
-    """One event-aware expert: alpha = sigmoid(gate . w + b),
-    output = alpha * q_g + (1 - alpha) * q_s.
-
-    Returns (alpha, output); alpha has shape (batch, 1).
-    """
-    gate = q_g if gate is None else gate
-    alpha = ad.sigmoid(ad.add(ad.matmul(gate, w), b))
-    blend = ad.add(ad.mul(alpha, q_g), ad.mul(ad.shift(ad.neg(alpha), 1.0), q_s))
-    return alpha, blend
-
-
-def prediction_weights(params: PredictionExpertParams, gate: Tensor) -> Tensor:
-    """Per-expert weights in (0,1), one independent sigmoid per expert
-    (deliberately not softmax-normalized)."""
-    return ad.sigmoid(ad.add(ad.matmul(gate, params.w), params.b))
-
-
-def fuse(alphas: Tensor, expert_outputs: list, num_historical: int) -> Tensor:
-    """Weighted sum over all experts: sum_i alpha_i * q_i.
-
-    Summed block-wise (historical block, then non-historical block) so the
-    result is bit-identical to partial_fuse(his) + partial_fuse(nhis) for
-    every expert count; float addition is not associative, so a flat fold
-    would break that identity.
-    """
-    return ad.add(partial_fuse(alphas, expert_outputs, "his", num_historical),
-                  partial_fuse(alphas, expert_outputs, "nhis", num_historical))
-
-
-def partial_fuse(alphas: Tensor, expert_outputs: list, kind: str, num_historical: int) -> Tensor:
-    """Sum over the historical (i <= M) or non-historical (i > M) block only.
-
-    The two partial sums add up to `fuse` exactly.
-    """
-    if kind == "his":
-        return _weighted_sum(alphas, expert_outputs, 0, num_historical)
-    if kind == "nhis":
-        return _weighted_sum(alphas, expert_outputs, num_historical, len(expert_outputs))
-    raise ValueError(f"kind must be 'his' or 'nhis', got {kind!r}")
-
-
-def _weighted_sum(alphas: Tensor, outputs: list, start: int, stop: int) -> Tensor:
-    if alphas.shape[-1] != len(outputs):
-        raise ValueError(f"{alphas.shape[-1]} weights for {len(outputs)} expert outputs")
-    total = None
-    for i in range(start, stop):
-        term = ad.mul(ad.slice_last(alphas, i, i + 1), outputs[i])
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise ValueError("empty expert block")
-    return total
+    return p, q_his, q_nhis
 
 
 def score_logits(q: Tensor, entity_table: Tensor) -> Tensor:
@@ -202,16 +163,14 @@ class MeshModel:
     adapters: enc.AdapterParams
     decoder_g: dec.ConvTransEParams
     decoder_l: dec.ConvTransEParams
-    gates: ExpertGateParams
-    prediction: PredictionExpertParams
+    experts: ExpertParams
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = self.encoder.named_parameters()
         out.update(self.adapters.named_parameters())
         out.update(self.decoder_g.named_parameters("decoder_g"))
         out.update(self.decoder_l.named_parameters("decoder_l"))
-        out.update(self.gates.named_parameters())
-        out.update(self.prediction.named_parameters())
+        out.update(self.experts.named_parameters())
         return out
 
     def structural_parameter_names(self) -> list[str]:
@@ -233,8 +192,7 @@ def init_model(spec: ModelSpec | None = None, gen: np.random.Generator = None,
         adapters=enc.init_adapters(s.llm_dim, s.adapter_hidden, s.dim, gen, dtype),
         decoder_g=dec.init_conv_transe(s.dim, s.channels, s.kernel_width, s.dropout, gen, dtype),
         decoder_l=dec.init_conv_transe(s.dim, s.channels, s.kernel_width, s.dropout, gen, dtype),
-        gates=init_expert_gates(s.gate_dim, s.num_experts, dtype),
-        prediction=init_prediction_expert(s.gate_dim, s.num_experts, dtype),
+        experts=ExpertParams.zeros(s.gate_dim, s.num_experts, dtype),
     )
 
 
@@ -248,7 +206,6 @@ class QueryBundle:
     q_his: Tensor | None
     q_nhis: Tensor | None
     alphas: Tensor | None          # prediction-expert weights (batch, M+N)
-    expert_alphas: list            # per event-aware expert, each (batch, 1)
     score_table: Tensor            # entity table the queries are scored against
     logits: Tensor = field(init=False)
 
@@ -291,7 +248,7 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     if ablation.disable_semantic:
         return QueryBundle(
             q_g=q_g, q_s=None, q=q_g, q_his=None, q_nhis=None,
-            alphas=None, expert_alphas=[], score_table=H_g,
+            alphas=None, score_table=H_g,
         )
 
     spec = model.spec
@@ -306,7 +263,7 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
             table = enc.adapt_rows(model.adapters, "entity", sem.entity, dtype)
         return QueryBundle(
             q_g=None, q_s=q_s, q=q_s, q_his=None, q_nhis=None,
-            alphas=None, expert_alphas=[], score_table=table,
+            alphas=None, score_table=table,
         )
 
     if spec.gate_input == "structural":
@@ -316,24 +273,9 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     else:
         gate = ad.concat([q_g, q_s], axis=-1)
 
-    expert_alphas = []
-    expert_outputs = []
-    for w, b in zip(model.gates.weights, model.gates.biases):
-        alpha_i, q_i = expert_mix(w, b, q_g, q_s, gate)
-        expert_alphas.append(alpha_i)
-        expert_outputs.append(q_i)
-
-    if ablation.disable_prediction_expert:
-        flat = np.full((q_g.shape[0], spec.num_experts), 1.0 / spec.num_experts, dtype=dtype)
-        alphas = Tensor(flat)  # fixed uniform weights; the sum is the plain mean
-    else:
-        alphas = prediction_weights(model.prediction, gate)
-
-    # q = q_his + q_nhis is the same op sequence as fuse, built once
-    q_his = partial_fuse(alphas, expert_outputs, "his", spec.num_historical)
-    q_nhis = partial_fuse(alphas, expert_outputs, "nhis", spec.num_historical)
-    q = ad.add(q_his, q_nhis)
+    p, q_his, q_nhis = expert_mix(model.experts, gate, q_g, q_s, spec.num_historical,
+                                  uniform=ablation.disable_prediction_expert)
     return QueryBundle(
-        q_g=q_g, q_s=q_s, q=q, q_his=q_his, q_nhis=q_nhis,
-        alphas=alphas, expert_alphas=expert_alphas, score_table=H_g,
+        q_g=q_g, q_s=q_s, q=ad.add(q_his, q_nhis), q_his=q_his, q_nhis=q_nhis,
+        alphas=None if ablation.disable_prediction_expert else p, score_table=H_g,
     )

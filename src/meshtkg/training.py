@@ -188,9 +188,8 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     params1 = [named[n] for n in names1]
     adam1 = ad.init_adam(params1, lr=config.learning_rate)
     gen1 = rng.stream(config.seed, rng.DROPOUT, 1)
-    omega = 0.0 if config.disable_event_aware else config.omega
     use_experts = (not (ablation.disable_semantic or ablation.disable_structural)
-                   and omega > 0.0)
+                   and config.omega > 0.0)
 
     # the frozen encoder and the fixed training facts make each timestamp's
     # encoding and historical indicators constants: compute them once, the
@@ -211,7 +210,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
         l_major, l_his, l_nhis = stage1_losses(bundle, rows[:, 2],
                                                historical[t] if use_experts else None,
                                                config.loss_mode)
-        return l_major if l_his is None else total_loss(l_major, l_his, l_nhis, omega)
+        return l_major if l_his is None else total_loss(l_major, l_his, l_nhis, config.omega)
 
     log_lines: list[str] = []
     best_mrr: float | None = None
@@ -254,7 +253,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
 # checkpoints
 
 CHECKPOINT_MAGIC = "meshckpt"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(DatasetError, ValueError):
@@ -324,10 +323,8 @@ def load_checkpoint(path: str):
     blob_dtype = np.dtype(spec.dtype).newbyteorder("<")
     expected = blob_dtype.itemsize * sum(t.values.size for t in named.values())
     if len(blob) != expected:
-        hint = ("; float32 blobs of a float64 spec were written before float64 "
-                "checkpoints kept their precision, retrain" if 2 * len(blob) == expected else "")
-        raise CheckpointError(f"{path}: {len(blob)} parameter bytes, the manifest declares "
-                              f"{expected}{hint}")
+        raise CheckpointError(f"{path}: {len(blob)} parameter bytes, "
+                              f"the manifest declares {expected}")
     offset = 0
     for name, shape in manifest:
         size = named[name].values.size

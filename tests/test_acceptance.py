@@ -31,10 +31,7 @@ from meshtkg.model import (
     AblationConfig,
     expert_mix,
     forward_queries,
-    fuse,
     init_model,
-    partial_fuse,
-    prediction_weights,
     score,
 )
 from meshtkg.tkg import Quadruple, load_dataset
@@ -159,7 +156,7 @@ def test_criterion_3_gradient_integrity():
     for name, fn, inputs in primitive_cases(gen):
         worst = max(worst, grad_check(fn, inputs, eps=1e-5))
 
-    # composed pipeline score(fuse(expert_mix(decode(adapt(.))))) at the
+    # composed pipeline score(expert_mix(decode(adapt(.)))) at the
     # stated working sizes: d=5, |E|=7, d_LLM=11, C=2
     model = init_model(
         num_entities=7, num_relations=3, dim=5, llm_dim=11, adapter_hidden=6,
@@ -177,9 +174,7 @@ def test_criterion_3_gradient_integrity():
         model.adapters.f_h.w1, model.adapters.f_h.w2, model.adapters.f_r.w1,
         model.decoder_g.kernels, model.decoder_g.proj,
         model.decoder_l.kernels, model.decoder_l.proj,
-        model.gates.weights[0], model.gates.biases[0],
-        model.gates.weights[1], model.gates.biases[1],
-        model.prediction.w, model.prediction.b,
+        *model.experts.named_parameters().values(),
     ]
 
     def pipeline(*_):
@@ -244,20 +239,36 @@ def test_criterion_4_loss_formula_oracle():
 def test_criterion_5_expert_decomposition_bit_exact():
     gen = np.random.default_rng(55)
     combos = [(1, 1), (2, 1), (1, 2), (2, 2)]
+    # each combination with its own gate input and dtype
+    models = [
+        init_model(
+            num_entities=7, num_relations=3, dim=5, llm_dim=6, adapter_hidden=4,
+            channels=2, kernel_width=3, layers=1, window=2, dropout=0.0,
+            num_historical=m, num_nonhistorical=n, gate_input=gate_input,
+            gen=np.random.default_rng(34), dtype=dtype,
+        )
+        for (m, n), gate_input, dtype in [((1, 1), "structural", np.float64),
+                                          ((2, 1), "semantic", np.float32),
+                                          ((1, 2), "concatenated", np.float64),
+                                          ((2, 2), "structural", np.float32)]
+    ]
+    sem = synthetic_embeddings(make_vocab(7, 3), 6, seed=5)
     checked = 0
     exact = True
     for i in range(1000):
-        m, n = combos[i % 4]
-        batch, d = int(gen.integers(1, 5)), int(gen.integers(2, 8))
-        outputs = [Tensor(gen.standard_normal((batch, d))) for _ in range(m + n)]
-        alphas = Tensor(gen.uniform(size=(batch, m + n)))
-        q = fuse(alphas, outputs, m)
-        q_his = partial_fuse(alphas, outputs, "his", m)
-        q_nhis = partial_fuse(alphas, outputs, "nhis", m)
-        exact &= np.array_equal(q.values, q_his.values + q_nhis.values)
+        model = models[i % 4]
+        for t in model.experts.named_parameters().values():
+            t.values[...] = 2.0 * gen.standard_normal(t.shape)
+        H_g = Tensor(gen.standard_normal((7, 5)).astype(model.spec.dtype))
+        R_g = Tensor(gen.standard_normal((6, 5)).astype(model.spec.dtype))
+        batch = int(gen.integers(1, 5))
+        bundle = forward_queries(model, H_g, R_g, sem, gen.integers(0, 7, batch),
+                                 gen.integers(0, 6, batch))
+        exact &= np.array_equal(bundle.q.values, bundle.q_his.values + bundle.q_nhis.values)
         checked += 1
     criterion(5, exact and checked == 1000,
-              f"fuse == his + nhis bit-exact for {checked} random parameterizations over {combos}")
+              f"q == q_his + q_nhis bit-exact for {checked} random forward_queries "
+              f"parameterizations over {combos}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +439,10 @@ def test_criterion_10_gate_symmetry_at_init():
     for _ in range(25):
         q_g = Tensor(gen.standard_normal((4, 6)))
         q_s = Tensor(gen.standard_normal((4, 6)))
-        for w, b in zip(model.gates.weights, model.gates.biases):
-            alpha, q_i = expert_mix(w, b, q_g, q_s)
-            ok &= np.all(alpha.values == 0.5)
-            ok &= np.array_equal(q_i.values, (q_g.values + q_s.values) / 2.0)
-        alphas = prediction_weights(model.prediction, q_g)
-        ok &= np.all(alphas.values == 0.5)
+        p, q_his, q_nhis = expert_mix(model.experts, q_g, q_g, q_s, 1)
+        ok &= np.all(p.values == 0.5)
+        ok &= np.array_equal(q_his.values, q_nhis.values)
+        ok &= np.array_equal(q_his.values + q_nhis.values, (q_g.values + q_s.values) / 2.0)
 
     H_g = Tensor(gen.standard_normal((9, 6)))
     R_g = Tensor(gen.standard_normal((8, 6)))
@@ -446,5 +455,5 @@ def test_criterion_10_gate_symmetry_at_init():
     coincide = np.array_equal(full.logits.values, mean.logits.values)
     ok &= coincide
     criterion(10, bool(ok),
-              f"zero-init gates give exact 0.5 weights and even blends; "
+              f"zero-init gates give exact 0.5 weights and q = (q_g + q_s) / 2; "
               f"mean-fusion path coincides for M=N=1: {coincide}")

@@ -182,6 +182,16 @@ class TestTrainEvalCommands:
         assert run(["analyze", ckpt, synth_dataset["dir"], "--out", out2]) == 0
         assert "alpha_1" in read(os.path.join(out2, "gate_stats.txt"))
 
+    def test_analyze_without_prediction_expert_reports_no_statistics(
+            self, synth_dataset, train_dir, tmp_path):
+        # the fixed uniform weights of the ablation are no measurement to test
+        out = str(tmp_path / "an")
+        assert run(["analyze", os.path.join(train_dir, "checkpoint.mesh"), synth_dataset["dir"],
+                    "--out", out, "--disable-prediction-expert"]) == 0
+        lines = read(os.path.join(out, "gate_stats.txt")).splitlines()
+        assert lines[1].split() == ["Mean", "n/a", "n/a"]
+        assert lines[4].startswith("p-value      n/a") and "disable_prediction_expert" in lines[4]
+
     def test_eval_ablation_flag_changes_metrics(self, synth_dataset, train_dir, tmp_path):
         ckpt = os.path.join(train_dir, "checkpoint.mesh")
         out_a = str(tmp_path / "a")
@@ -240,6 +250,17 @@ class TestTrainEvalCommands:
     def test_bad_config_value_exits_2(self, synth_dataset, tmp_path):
         assert run(["train", synth_dataset["dir"], "--out", str(tmp_path / "x"),
                     "--dropout", "1.5"]) == 2
+
+    def test_removed_event_aware_switch_exits_2(self, synth_dataset, tmp_path, capsys):
+        # `--omega 0` is the run without the auxiliary expert loss
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("omega = 0.5\ndisable_event_aware = true\n")
+        out = str(tmp_path / "x")
+        assert run(["train", synth_dataset["dir"], "--config", str(cfg_file), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "unknown config key 'disable_event_aware'" in err
+        assert not os.path.exists(out)
 
     def test_numeric_failure_exits_4(self, synth_dataset, tmp_path, monkeypatch):
         from meshtkg.autodiff import NumericError
@@ -436,6 +457,7 @@ CHECKPOINT_FAULTS = {
     "non-utf8 header": lambda raw: b"\xff\xfe" + raw,
     "wrong magic": _set("format", "npz"),
     "wrong version": _set("version", 1),
+    "version 2, one gate tensor per expert": _set("version", 2),
     "missing spec key": _edit_header(_drop_spec_key),
     "spec dtype outside DTYPES": _set_spec("dtype", "float16"),
     "spec gate input outside CHOICES": _set_spec("gate_input", "both"),

@@ -223,6 +223,15 @@ class TestEvaluate:
         assert stats.n_his + stats.n_nhis == result.overall.count
         assert stats.available
 
+    def test_no_gate_stats_without_prediction_expert(self, trained):
+        result = evaluate(trained["result"].model, trained["vocab"], trained["train"],
+                          trained["valid"], trained["test"], trained["sem"],
+                          ablation=AblationConfig(disable_prediction_expert=True))
+        stats = result.gate_stats
+        assert not stats.available
+        assert stats.mean_his is None and stats.mean_nhis is None and stats.p_value is None
+        assert "disable_prediction_expert" in stats.note
+
     def test_ablation_flags_respected(self, trained):
         kwargs = dict(vocab=trained["vocab"], train=trained["train"], valid=trained["valid"],
                       test=trained["test"], sem=trained["sem"])

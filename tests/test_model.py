@@ -8,14 +8,10 @@ from meshtkg.autodiff import Tensor, grad_check, param
 from meshtkg.encoders import synthetic_embeddings
 from meshtkg.model import (
     AblationConfig,
-    MeshModel,
+    ExpertParams,
     expert_mix,
     forward_queries,
-    fuse,
     init_model,
-    init_prediction_expert,
-    partial_fuse,
-    prediction_weights,
     score,
     score_logits,
 )
@@ -27,106 +23,114 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def random_experts(gen, gate_dim, num_experts, dtype=np.float64):
+    experts = ExpertParams.zeros(gate_dim, num_experts, dtype=dtype)
+    for t in experts.named_parameters().values():
+        t.values[...] = gen.standard_normal(t.shape)
+    return experts
+
+
+def per_expert_reference(experts, gate, q_g, q_s, num_historical, uniform=False):
+    """The paper's formula one expert at a time, in float64: expert i blends
+    a_i q_g + (1 - a_i) q_s, the prediction expert weighs that blend by
+    p_i, and each block sums its experts."""
+    gate, q_g, q_s = (np.asarray(x, dtype=np.float64) for x in (gate, q_g, q_s))
+    gate_w, gate_b, pred_w, pred_b = (np.asarray(t.values, dtype=np.float64)
+                                      for t in experts.named_parameters().values())
+    k = gate_b.size
+    blocks = [0.0, 0.0]
+    p = np.empty((gate.shape[0], k))
+    for i in range(k):
+        a_i = sigmoid(gate @ gate_w[:, i : i + 1] + gate_b[i])
+        p[:, i : i + 1] = 1.0 / k if uniform else sigmoid(gate @ pred_w[:, i : i + 1] + pred_b[i])
+        blocks[i >= num_historical] += p[:, i : i + 1] * (a_i * q_g + (1.0 - a_i) * q_s)
+    return p, *blocks
+
+
+EXPERT_COUNTS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]
+
+
 class TestExpertMix:
-    def test_zero_gate_is_even_blend(self, np_gen):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mn", EXPERT_COUNTS, ids=lambda mn: f"{mn[0]}x{mn[1]}")
+    def test_matches_per_expert_reference(self, mn, dtype):
+        """Within 16 eps of |q_g| + |q_s| of the one-expert-at-a-time
+        formula, for trained-looking gates and for the uniform ablation."""
+        m, n = mn
+        gen = np.random.default_rng(1000 * m + n)
+        eps = np.finfo(dtype).eps
+        worst = 0.0
+        for draw in range(40):
+            batch, d, g = int(gen.integers(1, 6)), int(gen.integers(2, 9)), int(gen.integers(2, 9))
+            experts = random_experts(gen, g, m + n, dtype)
+            gate, q_g, q_s = (Tensor(gen.standard_normal((batch, w)).astype(dtype))
+                              for w in (g, d, d))
+            uniform = draw % 4 == 3
+            p, q_his, q_nhis = expert_mix(experts, gate, q_g, q_s, m, uniform=uniform)
+            want_p, want_his, want_nhis = per_expert_reference(
+                experts, gate.values, q_g.values, q_s.values, m, uniform)
+            assert p.dtype == q_his.dtype == q_nhis.dtype == dtype
+            assert np.allclose(p.values, want_p, rtol=0, atol=8 * eps)
+            size = np.abs(q_g.values.astype(np.float64)) + np.abs(q_s.values)
+            for got, want in ((q_his, want_his), (q_nhis, want_nhis)):
+                worst = max(worst, float(np.max(np.abs(got.values - want) / size)) / eps)
+        assert worst < 16.0
+
+    def test_zero_gates_are_even_blends(self, np_gen):
         d = 6
         q_g = Tensor(np_gen.standard_normal((3, d)))
         q_s = Tensor(np_gen.standard_normal((3, d)))
-        alpha, q = expert_mix(param(np.zeros((d, 1))), param(np.zeros(1)), q_g, q_s)
-        assert np.all(alpha.values == 0.5)
-        assert np.allclose(q.values, 0.5 * (q_g.values + q_s.values), atol=1e-15)
+        experts = ExpertParams.zeros(d, 2, dtype=np.float64)
+        p, q_his, q_nhis = expert_mix(experts, q_g, q_g, q_s, 1)
+        assert np.all(p.values == 0.5)
+        assert np.array_equal(q_his.values, (q_g.values + q_s.values) / 4.0)
+        assert np.array_equal(q_nhis.values, q_his.values)
 
-    def test_saturated_gate_selects_structural(self, np_gen):
+    def test_saturated_gates_select_structural(self, np_gen):
         d = 4
         q_g = Tensor(np_gen.standard_normal((2, d)))
         q_s = Tensor(np_gen.standard_normal((2, d)))
-        alpha, q = expert_mix(param(np.zeros((d, 1))), param(np.full(1, 50.0)), q_g, q_s)
-        assert np.all(alpha.values > 1.0 - 1e-15)
-        assert np.allclose(q.values, q_g.values, atol=1e-13)
-
-    def test_gradients(self):
-        gen = np.random.default_rng(4)
-        d = 5
-        w = param(gen.standard_normal((d, 1)))
-        b = param(gen.standard_normal(1))
-        q_g = param(gen.standard_normal((2, d)))
-        q_s = param(gen.standard_normal((2, d)))
-
-        def fn(w, b, q_g, q_s):
-            _, q = expert_mix(w, b, q_g, q_s)
-            return ad.tensor_sum(q)
-
-        assert grad_check(fn, [w, b, q_g, q_s], eps=1e-5) < 1e-4
-
-
-class TestPredictionExpert:
-    def test_zero_params_give_half(self, np_gen):
-        params = init_prediction_expert(4, 3)
-        alphas = prediction_weights(params, Tensor(np_gen.standard_normal((5, 4))))
-        assert np.all(alphas.values == 0.5)
-
-    def test_two_experts_for_one_one(self, np_gen):
-        params = init_prediction_expert(4, 2)
-        alphas = prediction_weights(params, Tensor(np_gen.standard_normal((1, 4))))
-        assert alphas.shape == (1, 2)
+        experts = ExpertParams.zeros(d, 3, dtype=np.float64)
+        experts.gate_b.values[...] = 50.0
+        _, q_his, q_nhis = expert_mix(experts, q_g, q_g, q_s, 2)
+        assert np.allclose(q_his.values, 2 * 0.5 * q_g.values, atol=1e-13)
+        assert np.allclose(q_nhis.values, 0.5 * q_g.values, atol=1e-13)
 
     def test_hand_computed_weights(self):
         d, k = 4, 3
-        w = np.arange(d * k, dtype=float).reshape(d, k) / 10.0
-        b = np.array([0.1, -0.2, 0.3])
+        experts = ExpertParams.zeros(d, k, dtype=np.float64)
+        experts.pred_w.values[...] = np.arange(d * k, dtype=float).reshape(d, k) / 10.0
+        experts.pred_b.values[...] = np.array([0.1, -0.2, 0.3])
         gate = np.array([[0.5, -1.0, 0.25, 2.0]])
-        expected = sigmoid(gate @ w + b)
-        params = init_prediction_expert(d, k, dtype=np.float64)
-        params.w.values[...] = w
-        params.b.values[...] = b
-        alphas = prediction_weights(params, Tensor(gate))
-        assert np.allclose(alphas.values, expected, atol=1e-12)
+        expected = sigmoid(gate @ experts.pred_w.values + experts.pred_b.values)
+        q = Tensor(np.ones((1, 2)))
+        p, _, _ = expert_mix(experts, Tensor(gate), q, q, 1)
+        assert p.shape == (1, k)
+        assert np.allclose(p.values, expected, atol=1e-12)
 
-    def test_not_softmax_normalized(self, np_gen):
-        params = init_prediction_expert(4, 3, dtype=np.float64)
-        params.b.values[...] = np.array([2.0, 2.0, 2.0])
-        alphas = prediction_weights(params, Tensor(np.zeros((1, 4))))
-        assert alphas.values.sum() > 1.0  # independent sigmoids, no normalization
+    def test_weights_not_softmax_normalized(self):
+        experts = ExpertParams.zeros(4, 3, dtype=np.float64)
+        experts.pred_b.values[...] = 2.0
+        q = Tensor(np.ones((1, 2)))
+        p, _, _ = expert_mix(experts, Tensor(np.zeros((1, 4))), q, q, 2)
+        assert p.values.sum() > 1.0  # independent sigmoids, no normalization
 
+    def test_gradients(self):
+        gen = np.random.default_rng(4)
+        m, n, g, d = 2, 1, 5, 3
+        experts = random_experts(gen, g, m + n)
+        gate = param(gen.standard_normal((2, g)))
+        q_g = param(gen.standard_normal((2, d)))
+        q_s = param(gen.standard_normal((2, d)))
 
-class TestFusion:
-    def test_even_weights_halve_sum(self, np_gen):
-        d = 4
-        q1 = Tensor(np_gen.standard_normal((2, d)))
-        q2 = Tensor(np_gen.standard_normal((2, d)))
-        alphas = Tensor(np.full((2, 2), 0.5))
-        q = fuse(alphas, [q1, q2], num_historical=1)
-        assert np.allclose(q.values, 0.5 * (q1.values + q2.values))
+        def fn(*_):
+            p, q_his, q_nhis = expert_mix(experts, gate, q_g, q_s, m)
+            # weigh the three outputs differently so each gradient path counts
+            return ad.add(ad.add(ad.tensor_sum(q_his), ad.scale(ad.tensor_sum(q_nhis), -2.0)),
+                          ad.scale(ad.tensor_sum(p), 0.5))
 
-    @given(
-        st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_partials_recompose_exactly(self, mn, seed):
-        m, n = mn
-        gen = np.random.default_rng(seed)
-        d, batch = 5, 3
-        outputs = [Tensor(gen.standard_normal((batch, d))) for _ in range(m + n)]
-        alphas = Tensor(gen.uniform(0.0, 1.0, (batch, m + n)))
-        q = fuse(alphas, outputs, m)
-        q_his = partial_fuse(alphas, outputs, "his", m)
-        q_nhis = partial_fuse(alphas, outputs, "nhis", m)
-        assert np.array_equal(q.values, q_his.values + q_nhis.values)
-
-    def test_explicit_summation_oracle(self, np_gen):
-        m, n = 2, 1
-        d, batch = 4, 2
-        outputs = [Tensor(np_gen.standard_normal((batch, d))) for _ in range(m + n)]
-        alphas_v = np_gen.uniform(size=(batch, m + n))
-        expected = sum(alphas_v[:, i : i + 1] * outputs[i].values for i in range(m + n))
-        q = fuse(Tensor(alphas_v), outputs, num_historical=m)
-        assert np.allclose(q.values, expected, atol=1e-15)
-
-    def test_size_mismatch(self, np_gen):
-        outputs = [Tensor(np_gen.standard_normal((2, 3)))]
-        with pytest.raises(ValueError):
-            fuse(Tensor(np.ones((2, 2))), outputs, num_historical=1)
+        probes = [*experts.named_parameters().values(), gate, q_g, q_s]
+        assert grad_check(fn, probes, eps=1e-5) < 1e-4
 
 
 class TestScore:
@@ -197,12 +201,21 @@ class TestForwardQueries:
         # zero-initialized gates: every weight is exactly 0.5 and each expert
         # output is the even blend of the two query views
         assert np.all(bundle.alphas.values == 0.5)
-        for alpha in bundle.expert_alphas:
-            assert np.all(alpha.values == 0.5)
         expected = 0.5 * (bundle.q_g.values + bundle.q_s.values)
-        assert np.array_equal(bundle.expert_alphas[0].values, bundle.expert_alphas[1].values)
-        assert np.allclose(bundle.q_his.values + bundle.q_nhis.values, bundle.q.values, atol=0)
-        assert np.allclose(bundle.q.values, expected, atol=1e-15)
+        assert np.array_equal(bundle.q_his.values, bundle.q_nhis.values)
+        assert np.array_equal(bundle.q_his.values + bundle.q_nhis.values, bundle.q.values)
+        assert np.array_equal(bundle.q.values, expected)
+
+    def test_same_tape_for_any_expert_count(self):
+        sizes = []
+        for m, n in ((1, 1), (3, 2)):
+            model = small_model(num_historical=m, num_nonhistorical=n)
+            H_g, R_g, sem, s_idx, r_idx = small_inputs(model)
+            with ad.Tape() as tape:
+                bundle = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
+            assert bundle.alphas.shape == (3, m + n)
+            sizes.append([node.op for node in tape.nodes])
+        assert sizes[0] == sizes[1]
 
     def test_mean_path_coincides_at_init_for_one_one(self):
         model = small_model()
@@ -235,7 +248,7 @@ class TestForwardQueries:
         assert bundle.score_table.shape == (model.spec.num_entities, model.spec.dim)
 
     def test_composed_pipeline_gradients(self):
-        # gradient flow through score(fuse(expert_mix(decode(adapt(...)))))
+        # gradient flow through score(expert_mix(decode(adapt(...))))
         model = small_model()
         H_g, R_g, sem, s_idx, r_idx = small_inputs(model)
         trained = {
@@ -254,10 +267,7 @@ class TestForwardQueries:
         model = small_model()
         H_g, R_g, sem, s_idx, r_idx = small_inputs(model)
         probes = [
-            model.gates.weights[0],
-            model.gates.biases[0],
-            model.prediction.w,
-            model.prediction.b,
+            *model.experts.named_parameters().values(),
             model.decoder_g.proj,
             model.adapters.f_h.w2,
             H_g,

@@ -4,11 +4,12 @@
 
 Writes a seeded tiny event stream (`bench/stream.py`'s TINY shape) to a
 temporary directory, runs prepare, stats, naive, emit-prompts, train, eval,
-analyze and sweep on it at default settings with fixed relative `--out`
-paths, and prints, per command, its exit code and the SHA-256 of its
-stdout and stderr, then `sha256  path` for every file in the directory.
-MESH_* environment variables are ignored, so two runs of one checkout
-print the same digest, and two checkouts that write the same bytes do too.
+analyze, an omega sweep and a 1x1/2x2 expert-count sweep on it at default
+settings with fixed relative `--out` paths, and prints, per command, its
+exit code and the SHA-256 of its stdout and stderr, then `sha256  path`
+for every file in the directory. MESH_* environment variables are
+ignored, so two runs of one checkout print the same digest, and two
+checkouts that write the same bytes do too.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ COMMANDS = (
     ["eval", "train/checkpoint.mesh", "data", "--out", "eval"],
     ["analyze", "train/checkpoint.mesh", "data", "--out", "analyze"],
     ["sweep", "data", "--out", "sweep", "--omega-list", "0.5,1"],
+    ["sweep", "data", "--out", "mn", "--mn-grid", "1x1,2x2"],
 )
 
 

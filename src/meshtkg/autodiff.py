@@ -15,7 +15,7 @@ float32 for training.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -49,6 +49,22 @@ class Tensor:
 
 def param(values, dtype=None) -> Tensor:
     return Tensor(values, requires_grad=True, dtype=dtype)
+
+
+def named_tensors(record, prefix: str = "") -> dict[str, Tensor]:
+    """Every Tensor of a dataclass record, named by its field path in field
+    order: a nested record adds `field.`, a list item its index (`layer0.`),
+    and fields holding anything else (sizes, rates, specs) are skipped."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        for i, item in enumerate(value) if isinstance(value, list) else [("", value)]:
+            name = f"{prefix}{f.name}{i}"
+            if isinstance(item, Tensor):
+                out[name] = item
+            elif is_dataclass(item):
+                out.update(named_tensors(item, name + "."))
+    return out
 
 
 @dataclass

@@ -33,14 +33,6 @@ class ConvTransEParams:
     def dim(self) -> int:
         return self.proj.shape[1]
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.kernels": self.kernels,
-            f"{prefix}.kernel_bias": self.kernel_bias,
-            f"{prefix}.proj": self.proj,
-            f"{prefix}.proj_bias": self.proj_bias,
-        }
-
 
 def init_conv_transe(dim: int, channels: int, width: int, dropout: float,
                      gen: np.random.Generator, dtype=np.float32) -> ConvTransEParams:

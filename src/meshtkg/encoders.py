@@ -43,9 +43,6 @@ class GruParams:
     wh: Tensor  # (hidden, 3*hidden)
     b: Tensor   # (3*hidden,)
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.wx": self.wx, f"{prefix}.wh": self.wh, f"{prefix}.b": self.b}
-
 
 def init_gru(in_dim: int, hidden: int, gen: np.random.Generator, dtype=np.float32) -> GruParams:
     bx = (6.0 / (in_dim + 3 * hidden)) ** 0.5
@@ -65,27 +62,22 @@ def gru_cell(params: GruParams, x: Tensor, h: Tensor) -> Tensor:
 # structural encoder
 
 @dataclass
+class LayerParams:
+    """One aggregation layer: mean in-edge message @ agg + rows @ self."""
+
+    agg: Tensor   # (d, d)
+    self: Tensor  # (d, d)
+
+
+@dataclass
 class StructuralEncoderParams:
     entity_emb: Tensor    # (|E|, d)
     relation_emb: Tensor  # (2|R|, d)
-    layer_agg: list       # L x Tensor (d, d)
-    layer_self: list      # L x Tensor (d, d)
+    layer: list           # L x LayerParams
     ent_cell: GruParams   # input d, hidden d
     rel_cell: GruParams   # input 2d, hidden d
     window: int = 3
     dropout: float = 0.2
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {
-            "encoder.entity_emb": self.entity_emb,
-            "encoder.relation_emb": self.relation_emb,
-        }
-        for i, (wa, ws) in enumerate(zip(self.layer_agg, self.layer_self)):
-            out[f"encoder.layer{i}.agg"] = wa
-            out[f"encoder.layer{i}.self"] = ws
-        out.update(self.ent_cell.named_parameters("encoder.ent_cell"))
-        out.update(self.rel_cell.named_parameters("encoder.rel_cell"))
-        return out
 
 
 def init_structural_encoder(num_entities: int, num_relations_aug: int, dim: int,
@@ -93,11 +85,15 @@ def init_structural_encoder(num_entities: int, num_relations_aug: int, dim: int,
                             gen: np.random.Generator, dtype=np.float32) -> StructuralEncoderParams:
     emb_bound = (1.0 / dim) ** 0.5
     w_bound = (6.0 / (2 * dim)) ** 0.5
+
+    def square():
+        return ad.param(gen.uniform(-w_bound, w_bound, (dim, dim)), dtype=dtype)
+
     return StructuralEncoderParams(
         entity_emb=ad.param(gen.uniform(-emb_bound, emb_bound, (num_entities, dim)), dtype=dtype),
         relation_emb=ad.param(gen.uniform(-emb_bound, emb_bound, (num_relations_aug, dim)), dtype=dtype),
-        layer_agg=[ad.param(gen.uniform(-w_bound, w_bound, (dim, dim)), dtype=dtype) for _ in range(layers)],
-        layer_self=[ad.param(gen.uniform(-w_bound, w_bound, (dim, dim)), dtype=dtype) for _ in range(layers)],
+        # every agg matrix is drawn before every self matrix
+        layer=[LayerParams(agg, square()) for agg in [square() for _ in range(layers)]],
         ent_cell=init_gru(dim, dim, gen, dtype),
         rel_cell=init_gru(2 * dim, dim, gen, dtype),
         window=window,
@@ -140,10 +136,10 @@ def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, 
         inv_deg = np.divide(1.0, in_deg, out=np.zeros_like(in_deg), where=in_deg > 0)
         inv_deg_t = Tensor(inv_deg[:, None])
         X = H
-        for wa, ws in zip(params.layer_agg, params.layer_self):
+        for layer in params.layer:
             msg = ad.add(ad.gather_rows(X, s_idx), ad.gather_rows(R, r_idx))
             agg = ad.mul(ad.scatter_add_rows(msg, o_idx, num_entities), inv_deg_t)
-            out = ad.add(ad.matmul(agg, wa), ad.matmul(X, ws))
+            out = ad.add(ad.matmul(agg, layer.agg), ad.matmul(X, layer.self))
             X = ad.dropout(ad.rrelu(out), params.dropout, gen)
 
         H = gru_cell(params.ent_cell, X, H)
@@ -323,24 +319,11 @@ class MlpParams:
     w2: Tensor  # (mid, out_dim)
     b2: Tensor  # (out_dim,)
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
-
 
 @dataclass
 class AdapterParams:
     f_h: MlpParams
     f_r: MlpParams
-
-    @property
-    def in_dim(self) -> int:
-        return self.f_h.w1.shape[0]
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = self.f_h.named_parameters("adapter.f_h")
-        out.update(self.f_r.named_parameters("adapter.f_r"))
-        return out
 
 
 def _init_mlp(in_dim, mid, out_dim, gen, dtype) -> MlpParams:
@@ -367,9 +350,10 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
     return ad.add(ad.matmul(hidden, params.w2), params.b2)
 
 
-def adapt_rows(params: AdapterParams, which: str, rows: np.ndarray, dtype=np.float32) -> Tensor:
-    """Compress embedding rows to the working dimension; differentiable."""
-    mlp = params.f_h if which == "entity" else params.f_r
-    if rows.shape[-1] != params.in_dim:
-        raise ValueError(f"adapter expects input dim {params.in_dim}, rows have {rows.shape[-1]}")
+def adapt_rows(mlp: MlpParams, rows: np.ndarray, dtype=np.float32) -> Tensor:
+    """Compress embedding rows to the working dimension through one adapter
+    (`f_h` for entities, `f_r` for relations); differentiable."""
+    in_dim = mlp.w1.shape[0]
+    if rows.shape[-1] != in_dim:
+        raise ValueError(f"adapter expects input dim {in_dim}, rows have {rows.shape[-1]}")
     return mlp_forward(mlp, Tensor(rows.astype(dtype)))

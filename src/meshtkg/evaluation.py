@@ -125,10 +125,6 @@ class GateStats:
     p_value: float | None = None
     note: str = ""
 
-    @property
-    def available(self) -> bool:
-        return self.t_stat is not None
-
     def to_text(self) -> str:
         def fmt(v, digits=4):
             return "n/a" if v is None else f"{v:.{digits}f}"
@@ -247,7 +243,7 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond: Temporal
     ablation = ablation or AblationConfig()
     sem_table = None
     if ablation.disable_structural:
-        sem_table = adapt_rows(model.adapters, "entity", sem.entity, model.encoder.entity_emb.dtype)
+        sem_table = adapt_rows(model.adapter.f_h, sem.entity, model.encoder.entity_emb.dtype)
 
     known_at, cond_at = known.snapshots(), cond.snapshots()
     ranks, alphas = [], []

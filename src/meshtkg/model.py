@@ -7,9 +7,9 @@ prediction expert assigns every expert an independent sigmoid weight
 (driven by q_g, which carries the evolving graph context) and sums the
 expert outputs into the final query vector. The gates and the weights
 are one column per expert of two matrices, so the layer is one pass for
-any expert count. Scores against the entity table go through a
-per-entity sigmoid, so rankings are identical on logits and
-probabilities.
+any expert count. Entities are scored by their logits against the
+entity table; the literal loss reads them through a per-entity sigmoid,
+so rankings are identical on logits and probabilities.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class ModelSpec:
         return 2 * self.dim if self.gate_input == "concatenated" else self.dim
 
 
-@dataclass
+@dataclass(frozen=True)
 class AblationConfig:
     """Forward-pass switches for the ablation grid."""
 
@@ -105,9 +105,6 @@ class ExpertParams:
         # before training speaks
         shapes = [(gate_dim, num_experts), (num_experts,)] * 2
         return cls(*(ad.param(np.zeros(shape, dtype=dtype)) for shape in shapes))
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {f"experts.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def expert_mix(experts: ExpertParams, gate: Tensor, q_g: Tensor, q_s: Tensor,
@@ -147,49 +144,35 @@ def score_logits(q: Tensor, entity_table: Tensor) -> Tensor:
     return ad.matmul(q, ad.transpose(entity_table))
 
 
-def score(q: Tensor, entity_table: Tensor) -> Tensor:
-    """Per-entity probabilities sigmoid(q . H^T); also serves the partial
-    historical / non-historical predictions."""
-    return ad.sigmoid(score_logits(q, entity_table))
-
-
 # ---------------------------------------------------------------------------
 # the full model
 
 @dataclass
 class MeshModel:
+    """The whole model; its fields are the parameter schema. Every tensor is
+    named by its field path (`encoder.layer0.agg`, `experts.gate_w`), in
+    field order, which is also the checkpoint's blob order."""
+
     spec: ModelSpec
     encoder: enc.StructuralEncoderParams
-    adapters: enc.AdapterParams
+    adapter: enc.AdapterParams
     decoder_g: dec.ConvTransEParams
     decoder_l: dec.ConvTransEParams
     experts: ExpertParams
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = self.encoder.named_parameters()
-        out.update(self.adapters.named_parameters())
-        out.update(self.decoder_g.named_parameters("decoder_g"))
-        out.update(self.decoder_l.named_parameters("decoder_l"))
-        out.update(self.experts.named_parameters())
-        return out
-
-    def structural_parameter_names(self) -> list[str]:
-        return sorted(self.encoder.named_parameters().keys())
+        return ad.named_tensors(self)
 
 
-def init_model(spec: ModelSpec | None = None, gen: np.random.Generator = None,
-               **arch) -> MeshModel:
-    """A freshly initialised model for `spec`; the spec's fields may be
-    passed as keywords instead."""
-    if spec is None:
-        spec = ModelSpec(**arch)
+def init_model(spec: ModelSpec, gen: np.random.Generator) -> MeshModel:
+    """A freshly initialised model for `spec`."""
     s, dtype = spec, spec.dtype
     return MeshModel(
         spec=spec,
         encoder=enc.init_structural_encoder(
             s.num_entities, 2 * s.num_relations, s.dim, s.layers, s.window, s.dropout, gen, dtype
         ),
-        adapters=enc.init_adapters(s.llm_dim, s.adapter_hidden, s.dim, gen, dtype),
+        adapter=enc.init_adapters(s.llm_dim, s.adapter_hidden, s.dim, gen, dtype),
         decoder_g=dec.init_conv_transe(s.dim, s.channels, s.kernel_width, s.dropout, gen, dtype),
         decoder_l=dec.init_conv_transe(s.dim, s.channels, s.kernel_width, s.dropout, gen, dtype),
         experts=ExpertParams.zeros(s.gate_dim, s.num_experts, dtype),
@@ -200,13 +183,11 @@ def init_model(spec: ModelSpec | None = None, gen: np.random.Generator = None,
 class QueryBundle:
     """Everything the losses and the evaluator need for one query batch."""
 
-    q_g: Tensor | None
-    q_s: Tensor | None
     q: Tensor
-    q_his: Tensor | None
-    q_nhis: Tensor | None
-    alphas: Tensor | None          # prediction-expert weights (batch, M+N)
     score_table: Tensor            # entity table the queries are scored against
+    q_his: Tensor | None = None
+    q_nhis: Tensor | None = None
+    alphas: Tensor | None = None   # prediction-expert weights (batch, M+N)
     logits: Tensor = field(init=False)
 
     def __post_init__(self):
@@ -246,25 +227,19 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
         q_g = dec.decode(model.decoder_g, h_g, r_g, gen=gen)
 
     if ablation.disable_semantic:
-        return QueryBundle(
-            q_g=q_g, q_s=None, q=q_g, q_his=None, q_nhis=None,
-            alphas=None, score_table=H_g,
-        )
+        return QueryBundle(q_g, H_g)
 
     spec = model.spec
     base_rel = np.asarray(r_idx) % spec.num_relations
-    h_l = enc.adapt_rows(model.adapters, "entity", sem.entity[np.asarray(s_idx)], dtype)
-    r_l = enc.adapt_rows(model.adapters, "relation", sem.relation[base_rel], dtype)
+    h_l = enc.adapt_rows(model.adapter.f_h, sem.entity[np.asarray(s_idx)], dtype)
+    r_l = enc.adapt_rows(model.adapter.f_r, sem.relation[base_rel], dtype)
     q_s = dec.decode(model.decoder_l, h_l, r_l, gen=gen)
 
     if ablation.disable_structural:
         table = semantic_entity_table
         if table is None:
-            table = enc.adapt_rows(model.adapters, "entity", sem.entity, dtype)
-        return QueryBundle(
-            q_g=None, q_s=q_s, q=q_s, q_his=None, q_nhis=None,
-            alphas=None, score_table=table,
-        )
+            table = enc.adapt_rows(model.adapter.f_h, sem.entity, dtype)
+        return QueryBundle(q_s, table)
 
     if spec.gate_input == "structural":
         gate = q_g
@@ -276,6 +251,6 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     p, q_his, q_nhis = expert_mix(model.experts, gate, q_g, q_s, spec.num_historical,
                                   uniform=ablation.disable_prediction_expert)
     return QueryBundle(
-        q_g=q_g, q_s=q_s, q=ad.add(q_his, q_nhis), q_his=q_his, q_nhis=q_nhis,
-        alphas=None if ablation.disable_prediction_expert else p, score_table=H_g,
+        ad.add(q_his, q_nhis), H_g, q_his, q_nhis,
+        alphas=None if ablation.disable_prediction_expert else p,
     )

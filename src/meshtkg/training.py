@@ -26,7 +26,6 @@ from . import autodiff as ad
 from . import rng
 from .autodiff import NumericError, Tensor
 from .config import RunConfig
-from .decoder import decode
 from .encoders import SemanticEmbeddingTable, encode_structural
 from .evaluation import compute_metrics, ranked_queries
 from .history import build_index
@@ -37,9 +36,12 @@ from .model import (
     QueryBundle,
     forward_queries,
     init_model,
-    score_logits,
 )
 from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
+
+
+# stage 0 trains the structural encoder and its decoder on their own
+STRUCTURAL_ONLY = AblationConfig(disable_semantic=True)
 
 
 def _picked(pred: Tensor, targets, mode: str) -> Tensor:
@@ -159,19 +161,25 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     model = init_model(spec, rng.stream(config.seed, rng.INIT))
 
     named = model.named_parameters()
+
+    def group(*records) -> dict[str, Tensor]:
+        """The parameters held by `records`, by name in model order."""
+        held = {id(t) for record in records for t in ad.named_tensors(record).values()}
+        return {n: t for n, t in named.items() if id(t) in held}
+
     stage0_losses: list[float] = []
 
     # stage 0: structural encoder (plus its decoder) on link prediction
     if not ablation.disable_structural and config.epochs_stage0 > 0:
-        params0 = [t for n, t in named.items() if n.startswith(("encoder.", "decoder_g."))]
+        params0 = list(group(model.encoder, model.decoder_g).values())
         adam0 = ad.init_adam(params0, lr=config.learning_rate)
         gen0 = rng.stream(config.seed, rng.DROPOUT, 0)
 
         def stage0_loss(t, rows):
             H, R = encode_structural(model.encoder, snapshots, t, gen=gen0)
-            q_g = decode(model.decoder_g, ad.gather_rows(H, rows[:, 0]),
-                         ad.gather_rows(R, rows[:, 1]), gen=gen0)
-            return major_loss(score_logits(q_g, H), rows[:, 2], "cross_entropy")
+            bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
+                                     gen=gen0, ablation=STRUCTURAL_ONLY)
+            return major_loss(bundle.logits, rows[:, 2], "cross_entropy")
 
         for epoch in range(1, config.epochs_stage0 + 1):
             stage0_losses.append(_train_epoch(batches, stage0_loss, params0, adam0,
@@ -180,12 +188,13 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
                 verbose(f"stage0 epoch {epoch}: loss {stage0_losses[-1]:.6f}")
 
     # freeze the structural encoder
-    frozen_names = model.structural_parameter_names()
-    frozen_values = {n: named[n].values.copy() for n in frozen_names}
+    frozen = group(model.encoder)
+    frozen_names = sorted(frozen)
+    frozen_values = {n: frozen[n].values.copy() for n in frozen_names}
 
     # stage 1: adapters, both decoders, gates, prediction expert
-    names1 = [n for n in named if n not in frozen_names]
-    params1 = [named[n] for n in names1]
+    trained = {n: t for n, t in named.items() if n not in frozen}
+    params1 = list(trained.values())
     adam1 = ad.init_adam(params1, lr=config.learning_rate)
     gen1 = rng.stream(config.seed, rng.DROPOUT, 1)
     use_experts = (not (ablation.disable_semantic or ablation.disable_structural)
@@ -228,14 +237,14 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
         if best_mrr is None or valid_mrr > best_mrr:
             best_mrr = valid_mrr
             best_epoch = epoch
-            best_state = {n: named[n].values.copy() for n in names1}
+            best_state = {n: t.values.copy() for n, t in trained.items()}
 
     if best_state is not None:
         for n, values in best_state.items():
             named[n].values = values
 
     for n in frozen_names:
-        if not np.array_equal(named[n].values, frozen_values[n]):
+        if not np.array_equal(frozen[n].values, frozen_values[n]):
             raise AssertionError(f"frozen parameter {n} changed during stage 1")
 
     return TrainResult(

@@ -29,10 +29,11 @@ from meshtkg.evaluation import (
 from meshtkg.history import build_index, dataset_stats
 from meshtkg.model import (
     AblationConfig,
+    ModelSpec,
     expert_mix,
     forward_queries,
     init_model,
-    score,
+    score_logits,
 )
 from meshtkg.tkg import Quadruple, load_dataset
 from meshtkg.training import (
@@ -158,12 +159,12 @@ def test_criterion_3_gradient_integrity():
 
     # composed pipeline score(expert_mix(decode(adapt(.)))) at the
     # stated working sizes: d=5, |E|=7, d_LLM=11, C=2
-    model = init_model(
+    model = init_model(ModelSpec(
         num_entities=7, num_relations=3, dim=5, llm_dim=11, adapter_hidden=6,
         channels=2, kernel_width=3, layers=2, window=2, dropout=0.0,
         num_historical=1, num_nonhistorical=1, gate_input="structural",
-        gen=np.random.default_rng(34), dtype=np.float64,
-    )
+        dtype=np.float64,
+    ), np.random.default_rng(34))
     H_g = param(gen.standard_normal((7, 5)))
     R_g = param(gen.standard_normal((6, 5)))
     sem = synthetic_embeddings(make_vocab(7, 3), 11, seed=2)
@@ -171,15 +172,15 @@ def test_criterion_3_gradient_integrity():
     r_idx = np.array([1, 5, 0])
     probes = [
         H_g, R_g,
-        model.adapters.f_h.w1, model.adapters.f_h.w2, model.adapters.f_r.w1,
+        model.adapter.f_h.w1, model.adapter.f_h.w2, model.adapter.f_r.w1,
         model.decoder_g.kernels, model.decoder_g.proj,
         model.decoder_l.kernels, model.decoder_l.proj,
-        *model.experts.named_parameters().values(),
+        *ad.named_tensors(model.experts).values(),
     ]
 
     def pipeline(*_):
         bundle = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
-        return ad.tensor_sum(score(bundle.q, bundle.score_table))
+        return ad.tensor_sum(ad.sigmoid(score_logits(bundle.q, bundle.score_table)))
 
     worst = max(worst, grad_check(pipeline, probes, eps=1e-5))
     elapsed = time.monotonic() - start
@@ -241,12 +242,12 @@ def test_criterion_5_expert_decomposition_bit_exact():
     combos = [(1, 1), (2, 1), (1, 2), (2, 2)]
     # each combination with its own gate input and dtype
     models = [
-        init_model(
+        init_model(ModelSpec(
             num_entities=7, num_relations=3, dim=5, llm_dim=6, adapter_hidden=4,
             channels=2, kernel_width=3, layers=1, window=2, dropout=0.0,
             num_historical=m, num_nonhistorical=n, gate_input=gate_input,
-            gen=np.random.default_rng(34), dtype=dtype,
-        )
+            dtype=dtype,
+        ), np.random.default_rng(34))
         for (m, n), gate_input, dtype in [((1, 1), "structural", np.float64),
                                           ((2, 1), "semantic", np.float32),
                                           ((1, 2), "concatenated", np.float64),
@@ -257,7 +258,7 @@ def test_criterion_5_expert_decomposition_bit_exact():
     exact = True
     for i in range(1000):
         model = models[i % 4]
-        for t in model.experts.named_parameters().values():
+        for t in ad.named_tensors(model.experts).values():
             t.values[...] = 2.0 * gen.standard_normal(t.shape)
         H_g = Tensor(gen.standard_normal((7, 5)).astype(model.spec.dtype))
         R_g = Tensor(gen.standard_normal((6, 5)).astype(model.spec.dtype))
@@ -429,12 +430,12 @@ def test_criterion_9_determinism_and_roundtrip(synth_dataset, tmp_path):
 
 def test_criterion_10_gate_symmetry_at_init():
     gen = np.random.default_rng(10)
-    model = init_model(
+    model = init_model(ModelSpec(
         num_entities=9, num_relations=4, dim=6, llm_dim=12, adapter_hidden=8,
         channels=2, kernel_width=3, layers=1, window=2, dropout=0.0,
         num_historical=1, num_nonhistorical=1, gate_input="structural",
-        gen=gen, dtype=np.float64,
-    )
+        dtype=np.float64,
+    ), gen)
     ok = True
     for _ in range(25):
         q_g = Tensor(gen.standard_normal((4, 6)))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -166,6 +167,56 @@ class TestGradCheck:
     def test_bad_eps(self, np_gen):
         with pytest.raises(ValueError):
             grad_check(lambda a: ad.tensor_sum(a), [rnd(np_gen, 2)], eps=0.0)
+
+
+@dataclass
+class _Pair:
+    agg: Tensor
+    self: Tensor   # a field may be named `self`
+
+
+@dataclass
+class _Sizes:
+    width: int
+
+
+@dataclass
+class _Record:
+    sizes: _Sizes      # a record with no tensors adds no names
+    table: Tensor
+    rate: float
+    layer: list        # of records
+    cells: list        # of tensors
+    pair: _Pair
+    raw: np.ndarray    # an array that is not a Tensor is skipped too
+    last: Tensor
+
+
+class TestNamedTensors:
+    @staticmethod
+    def record():
+        t = [param(np.full(i + 1, float(i))) for i in range(9)]
+        return _Record(_Sizes(3), t[0], 0.5, [_Pair(t[1], t[2]), _Pair(t[3], t[4])],
+                       [t[5], t[6]], _Pair(t[7], t[8]), np.zeros(2), Tensor(np.ones(1))), t
+
+    def test_field_paths_in_field_order(self):
+        record, t = self.record()
+        named = ad.named_tensors(record)
+        assert list(named) == ["table", "layer0.agg", "layer0.self", "layer1.agg",
+                               "layer1.self", "cells0", "cells1", "pair.agg", "pair.self",
+                               "last"]
+        expected = [*t, record.last]
+        assert all(a is b for a, b in zip(named.values(), expected))
+
+    def test_prefix_is_prepended_verbatim(self):
+        record, _ = self.record()
+        plain = ad.named_tensors(record)
+        prefixed = ad.named_tensors(record, "model.")
+        assert list(prefixed) == [f"model.{n}" for n in plain]
+        assert all(a is b for a, b in zip(prefixed.values(), plain.values()))
+
+    def test_record_without_tensors_names_nothing(self):
+        assert ad.named_tensors(_Sizes(4)) == {}
 
 
 class TestOpSemantics:

@@ -86,8 +86,8 @@ def test_eval_mode_is_deterministic(np_gen):
 def test_paired_decoders_never_share_parameters(np_gen):
     a = init_conv_transe(4, 2, 3, 0.0, np_gen)
     b = init_conv_transe(4, 2, 3, 0.0, np_gen)
-    shared = set(id(t) for t in a.named_parameters("a").values()) & set(
-        id(t) for t in b.named_parameters("b").values()
+    shared = set(id(t) for t in ad.named_tensors(a).values()) & set(
+        id(t) for t in ad.named_tensors(b).values()
     )
     assert not shared
 

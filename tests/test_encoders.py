@@ -78,7 +78,7 @@ class TestStructuralEncoder:
         d = 3
         params = init_structural_encoder(3, 2, d, layers=1, window=1, dropout=0.0,
                                          gen=np.random.default_rng(0), dtype=np.float64)
-        for t in params.named_parameters().values():
+        for t in ad.named_tensors(params).values():
             t.values[...] = 0.0
         # distinctive gate biases: update 0.4, reset -0.3, candidate 0.9
         b = np.concatenate([np.full(d, 0.4), np.full(d, -0.3), np.full(d, 0.9)])
@@ -96,7 +96,7 @@ class TestStructuralEncoder:
                                          gen=gen, dtype=np.float64)
         tkg = add_inverse_relations(group([(0, 0, 1, 0), (1, 1, 2, 1), (2, 0, 3, 1)]), 2)
         edges = tkg.snapshots()
-        named = params.named_parameters()
+        named = ad.named_tensors(params)
         with ad.Tape() as tape:
             H, R = encode_structural(params, edges, t=2)
             loss = ad.add(ad.tensor_sum(ad.sigmoid(H)), ad.tensor_sum(ad.sigmoid(R)))
@@ -336,11 +336,11 @@ class TestAdapters:
     def test_zero_adapters_give_zero_tables(self):
         gen = np.random.default_rng(0)
         params = init_adapters(8, 6, 4, gen)
-        for t in params.named_parameters().values():
+        for t in ad.named_tensors(params).values():
             t.values[...] = 0.0
         table = synthetic_embeddings(make_vocab(3, 2), 8, seed=0)
-        h_l = adapt_rows(params, "entity", table.entity)
-        r_l = adapt_rows(params, "relation", table.relation)
+        h_l = adapt_rows(params.f_h, table.entity)
+        r_l = adapt_rows(params.f_r, table.relation)
         assert h_l.shape == (3, 4) and r_l.shape == (2, 4)
         assert np.allclose(h_l.values, 0.0) and np.allclose(r_l.values, 0.0)
 
@@ -354,7 +354,7 @@ class TestAdapters:
             mlp.w2.values[...] = np.eye(d)
             mlp.b2.values[...] = 0.0
         x = np.array([[1.0, -2.0, 0.5, -0.1]], dtype=np.float32)
-        out = adapt_rows(params, "entity", x, dtype=np.float64)
+        out = adapt_rows(params.f_h, x, dtype=np.float64)
         assert np.allclose(out.values, np.maximum(x, 0.0))
 
     def test_adapter_gradients(self):
@@ -375,4 +375,4 @@ class TestAdapters:
         params = init_adapters(8, 4, 2, np.random.default_rng(0))
         table = synthetic_embeddings(make_vocab(2, 1), 9, seed=0)
         with pytest.raises(ValueError, match="dim"):
-            adapt_rows(params, "entity", table.entity)
+            adapt_rows(params.f_h, table.entity)

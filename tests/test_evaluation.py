@@ -142,7 +142,7 @@ class TestGateStatistics:
 
     def test_small_bucket_unavailable(self):
         stats = gate_statistics([0.5], [0.4, 0.6])
-        assert not stats.available
+        assert stats.t_stat is None
         assert "fewer than 2" in stats.note
         assert "n/a" in stats.to_text()
 
@@ -221,14 +221,14 @@ class TestEvaluate:
                           trained["valid"], trained["test"], trained["sem"])
         stats = result.gate_stats
         assert stats.n_his + stats.n_nhis == result.overall.count
-        assert stats.available
+        assert stats.t_stat is not None
 
     def test_no_gate_stats_without_prediction_expert(self, trained):
         result = evaluate(trained["result"].model, trained["vocab"], trained["train"],
                           trained["valid"], trained["test"], trained["sem"],
                           ablation=AblationConfig(disable_prediction_expert=True))
         stats = result.gate_stats
-        assert not stats.available
+        assert stats.t_stat is None
         assert stats.mean_his is None and stats.mean_nhis is None and stats.p_value is None
         assert "disable_prediction_expert" in stats.note
 
@@ -246,17 +246,17 @@ class TestEvaluate:
     def test_mean_fusion_equals_prediction_expert_at_gate_zero(self, synth_dataset, trained):
         """With zero-initialized gates and M=N=1, averaging expert outputs and
         the prediction expert's weighted sum coincide exactly."""
-        from meshtkg.model import init_model
+        from meshtkg.model import ModelSpec, init_model
         import meshtkg.rng as rng
 
         vocab = synth_dataset["vocab"]
-        model = init_model(
+        model = init_model(ModelSpec(
             num_entities=vocab.num_entities, num_relations=vocab.num_relations,
             dim=8, llm_dim=trained["sem"].dim, adapter_hidden=8, channels=2,
             kernel_width=3, layers=1, window=2, dropout=0.0,
             num_historical=1, num_nonhistorical=1, gate_input="structural",
-            gen=rng.stream(5, rng.INIT), dtype=np.float64,
-        )
+            dtype=np.float64,
+        ), rng.stream(5, rng.INIT))
         kwargs = dict(vocab=vocab, train=synth_dataset["train"], valid=synth_dataset["valid"],
                       test=synth_dataset["test"], sem=trained["sem"])
         full = evaluate(model, **kwargs)

@@ -5,18 +5,24 @@ from hypothesis import strategies as st
 
 from meshtkg import autodiff as ad
 from meshtkg.autodiff import Tensor, grad_check, param
-from meshtkg.encoders import synthetic_embeddings
+from meshtkg.decoder import decode
+from meshtkg.encoders import adapt_rows, synthetic_embeddings
 from meshtkg.model import (
     AblationConfig,
     ExpertParams,
+    ModelSpec,
     expert_mix,
     forward_queries,
     init_model,
-    score,
     score_logits,
 )
 
 from conftest import make_vocab
+
+
+def bits(a):
+    """The IEEE bit patterns of a float array, for bit-for-bit comparison."""
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
 
 
 def sigmoid(x):
@@ -25,7 +31,7 @@ def sigmoid(x):
 
 def random_experts(gen, gate_dim, num_experts, dtype=np.float64):
     experts = ExpertParams.zeros(gate_dim, num_experts, dtype=dtype)
-    for t in experts.named_parameters().values():
+    for t in ad.named_tensors(experts).values():
         t.values[...] = gen.standard_normal(t.shape)
     return experts
 
@@ -36,7 +42,7 @@ def per_expert_reference(experts, gate, q_g, q_s, num_historical, uniform=False)
     p_i, and each block sums its experts."""
     gate, q_g, q_s = (np.asarray(x, dtype=np.float64) for x in (gate, q_g, q_s))
     gate_w, gate_b, pred_w, pred_b = (np.asarray(t.values, dtype=np.float64)
-                                      for t in experts.named_parameters().values())
+                                      for t in ad.named_tensors(experts).values())
     k = gate_b.size
     blocks = [0.0, 0.0]
     p = np.empty((gate.shape[0], k))
@@ -129,27 +135,27 @@ class TestExpertMix:
             return ad.add(ad.add(ad.tensor_sum(q_his), ad.scale(ad.tensor_sum(q_nhis), -2.0)),
                           ad.scale(ad.tensor_sum(p), 0.5))
 
-        probes = [*experts.named_parameters().values(), gate, q_g, q_s]
+        probes = [*ad.named_tensors(experts).values(), gate, q_g, q_s]
         assert grad_check(fn, probes, eps=1e-5) < 1e-4
 
 
 class TestScore:
     def test_zero_query_scores_half(self):
-        p = score(Tensor(np.zeros((2, 4))), Tensor(np.ones((5, 4))))
+        p = ad.sigmoid(score_logits(Tensor(np.zeros((2, 4))), Tensor(np.ones((5, 4)))))
         assert p.shape == (2, 5)
         assert np.all(p.values == 0.5)
 
     def test_hand_computed(self):
         q = np.array([[1.0, -1.0]])
         H = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
-        p = score(Tensor(q), Tensor(H))
+        p = ad.sigmoid(score_logits(Tensor(q), Tensor(H)))
         assert np.allclose(p.values, sigmoid(q @ H.T), atol=1e-12)
 
     def test_ranking_matches_logits(self, np_gen):
         q = Tensor(np_gen.standard_normal((3, 6)))
         H = Tensor(np_gen.standard_normal((9, 6)))
-        p = score(q, H).values
-        logits = score_logits(q, H).values
+        logits = score_logits(q, H)
+        p, logits = ad.sigmoid(logits).values, logits.values
         assert np.array_equal(np.argsort(-p, axis=1), np.argsort(-logits, axis=1))
 
     def test_strictly_inside_unit_interval(self, np_gen):
@@ -158,26 +164,26 @@ class TestScore:
         # same), so only logits below that stay inside
         q = Tensor(np_gen.standard_normal((4, 3)) * 10)
         H = Tensor(np_gen.standard_normal((6, 3)))
-        p, logits = score(q, H).values, score_logits(q, H).values
+        logits = score_logits(q, H)
+        p, logits = ad.sigmoid(logits).values, logits.values
         inside = logits < 36.7
         assert np.all(p[inside] > 0.0) and np.all(p[inside] < 1.0)
         assert np.all(p[logits >= 36.74] == 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            score(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+            score_logits(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
 
-def small_model(np_gen=None, **overrides):
-    gen = np.random.default_rng(17)
+def small_model(**overrides):
     kwargs = dict(
         num_entities=7, num_relations=3, dim=5, llm_dim=11, adapter_hidden=6,
         channels=2, kernel_width=3, layers=2, window=2, dropout=0.0,
         num_historical=1, num_nonhistorical=1, gate_input="structural",
-        gen=gen, dtype=np.float64,
+        dtype=np.float64,
     )
     kwargs.update(overrides)
-    return init_model(**kwargs)
+    return init_model(ModelSpec(**kwargs), np.random.default_rng(17))
 
 
 def small_inputs(model, seed=0):
@@ -191,6 +197,17 @@ def small_inputs(model, seed=0):
     return H_g, R_g, sem, s_idx, r_idx
 
 
+def path_queries(model, H_g, R_g, sem, s_idx, r_idx):
+    """The structural query q_g and the semantic query q_s, decoded outside
+    `forward_queries` (the small model has no dropout)."""
+    dtype = model.spec.dtype
+    q_g = decode(model.decoder_g, ad.gather_rows(H_g, s_idx), ad.gather_rows(R_g, r_idx))
+    q_s = decode(model.decoder_l, adapt_rows(model.adapter.f_h, sem.entity[s_idx], dtype),
+                 adapt_rows(model.adapter.f_r, sem.relation[r_idx % model.spec.num_relations],
+                            dtype))
+    return q_g, q_s
+
+
 class TestForwardQueries:
     def test_shapes_and_alpha_init(self):
         model = small_model()
@@ -201,7 +218,8 @@ class TestForwardQueries:
         # zero-initialized gates: every weight is exactly 0.5 and each expert
         # output is the even blend of the two query views
         assert np.all(bundle.alphas.values == 0.5)
-        expected = 0.5 * (bundle.q_g.values + bundle.q_s.values)
+        q_g, q_s = path_queries(model, H_g, R_g, sem, s_idx, r_idx)
+        expected = 0.5 * (q_g.values + q_s.values)
         assert np.array_equal(bundle.q_his.values, bundle.q_nhis.values)
         assert np.array_equal(bundle.q_his.values + bundle.q_nhis.values, bundle.q.values)
         assert np.array_equal(bundle.q.values, expected)
@@ -234,8 +252,9 @@ class TestForwardQueries:
         bundle = forward_queries(
             model, H_g, R_g, sem, s_idx, r_idx, ablation=AblationConfig(disable_semantic=True)
         )
-        assert bundle.q is bundle.q_g
-        assert bundle.q_s is None and bundle.alphas is None
+        q_g, _ = path_queries(model, H_g, R_g, sem, s_idx, r_idx)
+        assert np.array_equal(bits(bundle.q.values), bits(q_g.values))
+        assert bundle.q_his is None and bundle.q_nhis is None and bundle.alphas is None
         assert bundle.score_table is H_g
 
     def test_disable_structural_scores_semantic_table(self):
@@ -244,7 +263,9 @@ class TestForwardQueries:
         bundle = forward_queries(
             model, None, None, sem, s_idx, r_idx, ablation=AblationConfig(disable_structural=True)
         )
-        assert bundle.q is bundle.q_s
+        _, q_s = path_queries(model, H_g, R_g, sem, s_idx, r_idx)
+        assert np.array_equal(bits(bundle.q.values), bits(q_s.values))
+        assert bundle.q_his is None and bundle.q_nhis is None and bundle.alphas is None
         assert bundle.score_table.shape == (model.spec.num_entities, model.spec.dim)
 
     def test_composed_pipeline_gradients(self):
@@ -267,14 +288,14 @@ class TestForwardQueries:
         model = small_model()
         H_g, R_g, sem, s_idx, r_idx = small_inputs(model)
         probes = [
-            *model.experts.named_parameters().values(),
+            *ad.named_tensors(model.experts).values(),
             model.decoder_g.proj,
-            model.adapters.f_h.w2,
+            model.adapter.f_h.w2,
             H_g,
         ]
 
         def fn(*_):
             bundle = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
-            return ad.tensor_sum(score(bundle.q, bundle.score_table))
+            return ad.tensor_sum(ad.sigmoid(score_logits(bundle.q, bundle.score_table)))
 
         assert grad_check(fn, probes, eps=1e-5) < 1e-4

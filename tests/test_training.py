@@ -100,12 +100,12 @@ class TestStage1Losses:
     @staticmethod
     def micro_batch():
         gen = np.random.default_rng(31)
-        model = init_model(
+        model = init_model(ModelSpec(
             num_entities=13, num_relations=3, dim=6, llm_dim=8, adapter_hidden=5,
             channels=2, kernel_width=3, layers=1, window=2, dropout=0.0,
             num_historical=2, num_nonhistorical=1, gate_input="concatenated",
-            gen=gen, dtype=np.float32,
-        )
+            dtype=np.float32,
+        ), gen)
         for t in model.named_parameters().values():  # move the zero-initialised gates
             t.values[...] = gen.standard_normal(t.shape)
         H = Tensor(gen.standard_normal((13, 6)).astype(np.float32))
@@ -220,7 +220,7 @@ class TestTrainModel:
         assert result.log_lines == []
         assert result.best_valid_mrr is None
         # stage-1 parameters are untouched: gates still at their zero init
-        for t in result.model.experts.named_parameters().values():
+        for t in ad.named_tensors(result.model.experts).values():
             assert np.all(t.values == 0.0)
 
     def test_empty_valid_split(self, synth_dataset, tmp_path):
@@ -304,12 +304,42 @@ class TestCheckpoint:
         assert [r.filtered_rank for r in r1.results] == [r.filtered_rank for r in r2.results]
         assert [r.raw_rank for r in r1.results] == [r.raw_rank for r in r2.results]
 
+    def test_header_manifest_is_the_parameter_schema(self, trained, tmp_path):
+        """A 2-layer model's tensors, named by field path in field order, are
+        the checkpoint's manifest, and its frozen list is the encoder's."""
+        model = trained["result"].model
+        mlp = [("w1", (16, 16)), ("b1", (16,)), ("w2", (16, 16)), ("b2", (16,))]
+        conv = [("kernels", (3, 2, 3)), ("kernel_bias", (3,)), ("proj", (48, 16)),
+                ("proj_bias", (16,))]
+        encoder = [
+            ("encoder.entity_emb", (30, 16)), ("encoder.relation_emb", (8, 16)),
+            ("encoder.layer0.agg", (16, 16)), ("encoder.layer0.self", (16, 16)),
+            ("encoder.layer1.agg", (16, 16)), ("encoder.layer1.self", (16, 16)),
+            ("encoder.ent_cell.wx", (16, 48)), ("encoder.ent_cell.wh", (16, 48)),
+            ("encoder.ent_cell.b", (48,)),
+            ("encoder.rel_cell.wx", (32, 48)), ("encoder.rel_cell.wh", (16, 48)),
+            ("encoder.rel_cell.b", (48,)),
+        ]
+        schema = [
+            *encoder,
+            *((f"adapter.{f}.{n}", shape) for f in ("f_h", "f_r") for n, shape in mlp),
+            *((f"{d}.{n}", shape) for d in ("decoder_g", "decoder_l") for n, shape in conv),
+            ("experts.gate_w", (16, 2)), ("experts.gate_b", (2,)),
+            ("experts.pred_w", (16, 2)), ("experts.pred_b", (2,)),
+        ]
+        assert [(n, t.shape) for n, t in model.named_parameters().items()] == schema
+        path = str(tmp_path / "model.mesh")
+        save_checkpoint(path, model, trained["config"], trained["result"].frozen_names, 1)
+        _, header = load_checkpoint(path)
+        assert [(e["name"], tuple(e["shape"])) for e in header["params"]] == schema
+        assert header["frozen"] == sorted(name for name, _ in encoder)
+
     def test_float64_roundtrip_bit_exact_params(self, tmp_path):
         config = RunConfig(dtype="float64", dim=8, llm_dim=8, adapter_hidden=8, channels=2,
                            num_historical=3, num_nonhistorical=2, gate_input="concatenated")
         model = init_model(ModelSpec.from_config(config, 6, 2, config.llm_dim),
                            np.random.default_rng(5))
-        for t in model.experts.named_parameters().values():  # move the zero-initialised gates
+        for t in ad.named_tensors(model.experts).values():  # move the zero-initialised gates
             t.values[...] = np.random.default_rng(6).standard_normal(t.shape)
         path = str(tmp_path / "model64.mesh")
         save_checkpoint(path, model, config, [], 1)

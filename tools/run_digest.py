@@ -5,7 +5,9 @@
 Writes a seeded tiny event stream (`bench/stream.py`'s TINY shape) to a
 temporary directory, runs prepare, stats, naive, emit-prompts, train, eval,
 analyze, an omega sweep and a 1x1/2x2 expert-count sweep on it at default
-settings with fixed relative `--out` paths, and prints, per command, its
+settings, then a train and an eval run each with the structural path off,
+with the semantic path off, and with the literal loss and the concatenated
+gate input, all with fixed relative `--out` paths, and prints, per command, its
 exit code and the SHA-256 of its stdout and stderr, then `sha256  path`
 for every file in the directory. MESH_* environment variables are
 ignored, so two runs of one checkout print the same digest, and two
@@ -40,6 +42,12 @@ COMMANDS = (
     ["analyze", "train/checkpoint.mesh", "data", "--out", "analyze"],
     ["sweep", "data", "--out", "sweep", "--omega-list", "0.5,1"],
     ["sweep", "data", "--out", "mn", "--mn-grid", "1x1,2x2"],
+    *(command
+      for tag, flags in (("nostruct", ["--disable-structural"]),
+                         ("nosem", ["--disable-semantic"]),
+                         ("literal", ["--loss-mode", "literal", "--gate-input", "concatenated"]))
+      for command in (["train", "data", "--out", f"train-{tag}", *flags],
+                      ["eval", f"train-{tag}/checkpoint.mesh", "data", "--out", f"eval-{tag}"])),
 )
 
 

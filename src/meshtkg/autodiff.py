@@ -10,10 +10,16 @@ propagates through everything derived from them. ``backward`` fills the
 ``grad`` field of those tensors (accumulating, as in most frameworks).
 Precision follows the input arrays: float64 for gradient checking,
 float32 for training.
+
+The tape holds tensor keys and, in each node's backward closure, only the
+arrays that backward reads: an intermediate output no backward reads is
+freed as soon as the caller drops its tensor, and ``backward`` frees each
+intermediate gradient once its node has consumed it.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -24,13 +30,19 @@ class NumericError(Exception):
     """A non-finite value surfaced during forward or backward."""
 
 
+# Tensor keys: unique for the life of the process, unlike id(), which a new
+# tensor can reuse once an intermediate dies during the forward pass.
+_KEYS = itertools.count()
+
+
 class Tensor:
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values", "requires_grad", "grad", "key")
 
     def __init__(self, values, requires_grad: bool = False, dtype=None):
         self.values = np.asarray(values, dtype=dtype)
         self.requires_grad = requires_grad
         self.grad = None
+        self.key = next(_KEYS)
 
     @property
     def shape(self):
@@ -69,9 +81,13 @@ def named_tensors(record, prefix: str = "") -> dict[str, Tensor]:
 
 @dataclass
 class Node:
+    """One recorded operation, by tensor keys: it holds no tensor and no
+    array, so an output lives only as long as its caller (or a backward
+    closure that reads it) keeps it."""
+
     op: str
-    inputs: tuple
-    output: Tensor
+    inputs: tuple        # operand keys
+    output: int          # output key
     backward_fn: object  # out_grad -> tuple of input grads (None = no flow)
 
 
@@ -79,12 +95,19 @@ class Node:
 class Tape:
     """Recorded operations, appended in construction (topological) order.
 
+    `tracked` holds the keys of recorded outputs and `leaves` the
+    requires_grad operands by key, so that backward can fill their `grad`
+    (zeros for one with no path to the output). Nothing refers back to the
+    tape, so a step's tape and every array its closures kept are freed when
+    the last reference to the tape goes.
+
     A tape is confined to the thread that opened it; threads never share an
     active tape, so independent tapes can run in parallel workers.
     """
 
     nodes: list = field(default_factory=list)
     tracked: set = field(default_factory=set)
+    leaves: dict = field(default_factory=dict)
     check_finite: bool = False
 
     def __enter__(self):
@@ -113,7 +136,7 @@ def active_tape() -> Tape | None:
 def _flows(x: Tensor, tape: Tape) -> bool:
     """Whether a gradient can reach x on this tape: it requires grad itself
     or was produced by a recorded node."""
-    return x.requires_grad or id(x) in tape.tracked
+    return x.requires_grad or x.key in tape.tracked
 
 
 def _needs_grad(*inputs: Tensor) -> tuple:
@@ -131,8 +154,11 @@ def _record(op, inputs, out_values, backward_fn) -> Tensor:
     out = Tensor(out_values)
     tape = active_tape()
     if tape is not None and any(_flows(x, tape) for x in inputs):
-        tape.nodes.append(Node(op, tuple(inputs), out, backward_fn))
-        tape.tracked.add(id(out))
+        for x in inputs:
+            if x.requires_grad:
+                tape.leaves[x.key] = x
+        tape.nodes.append(Node(op, tuple(x.key for x in inputs), out.key, backward_fn))
+        tape.tracked.add(out.key)
     return out
 
 
@@ -140,34 +166,29 @@ def backward(output: Tensor, tape: Tape | None = None) -> None:
     """Populate ``grad`` on every requires_grad tensor feeding ``output``.
 
     Fan-out accumulates additively; requires_grad tensors on the tape with
-    no path to the output receive zero gradients.
+    no path to the output receive zero gradients. Each intermediate
+    gradient is dropped once its node has consumed it, so a chain holds
+    about two gradients at a time, not one per node. The nodes stay on the
+    tape until the tape itself is freed.
     """
     tape = tape if tape is not None else active_tape()
     if tape is None:
         raise ValueError("backward needs a tape (none active, none given)")
     if output.values.size != 1:
         raise ValueError(f"backward expects a scalar output, got shape {output.values.shape}")
-    grads: dict[int, np.ndarray] = {
-        id(output): np.ones_like(output.values)
-    }
-    leaves: dict[int, Tensor] = {}
-    if output.requires_grad:
-        leaves[id(output)] = output
+    grads: dict[int, np.ndarray] = {output.key: np.ones_like(output.values)}
+    leaves = {**tape.leaves, output.key: output} if output.requires_grad else tape.leaves
     for node in reversed(tape.nodes):
-        for x in node.inputs:
-            if x.requires_grad:
-                leaves[id(x)] = x
-        g = grads.get(id(node.output))
+        g = grads.pop(node.output, None)
         if g is None:
             continue
         if tape.check_finite and not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient flowing out of `{node.op}`")
-        input_grads = node.backward_fn(g)
-        for x, gx in zip(node.inputs, input_grads):
+        for key, gx in zip(node.inputs, node.backward_fn(g)):
             if gx is None:
                 continue
-            acc = grads.get(id(x))
-            grads[id(x)] = gx if acc is None else acc + gx
+            acc = grads.get(key)
+            grads[key] = gx if acc is None else acc + gx
     for key, leaf in leaves.items():
         g = grads.get(key)
         if g is None:
@@ -193,20 +214,25 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.values + b.values
+    a_shape, b_shape = a.shape, b.shape
     return _record(
         "add", (a, b), out,
-        lambda g: (_unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)),
+        lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)),
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values * b.values
+    a_shape, b_shape = a.shape, b.shape
     grad_a, grad_b = _needs_grad(a, b)
+    # each operand's values are kept only for the other operand's gradient
+    av = a.values if grad_b else None
+    bv = b.values if grad_a else None
     return _record(
         "mul", (a, b), out,
         lambda g: (
-            _unbroadcast(g * b.values, a.values.shape) if grad_a else None,
-            _unbroadcast(g * a.values, b.values.shape) if grad_b else None,
+            _unbroadcast(g * bv, a_shape) if grad_a else None,
+            _unbroadcast(g * av, b_shape) if grad_b else None,
         ),
     )
 
@@ -234,9 +260,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul expects 2-D tensors")
     out = a.values @ b.values
     grad_a, grad_b = _needs_grad(a, b)
+    av = a.values if grad_b else None
+    bv = b.values if grad_a else None
     return _record(
         "matmul", (a, b), out,
-        lambda g: (g @ b.values.T if grad_a else None, a.values.T @ g if grad_b else None),
+        lambda g: (g @ bv.T if grad_a else None, av.T @ g if grad_b else None),
     )
 
 
@@ -248,16 +276,18 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.values.reshape(shape)
-    return _record("reshape", (a,), out, lambda g: (g.reshape(a.values.shape),))
+    a_shape = a.shape
+    return _record("reshape", (a,), out, lambda g: (g.reshape(a_shape),))
 
 
 def gather_rows(table: Tensor, index) -> Tensor:
     """Embedding lookup: out[i] = table[index[i]]."""
     index = np.asarray(index, dtype=np.int64)
     out = table.values[index]
+    shape, dtype = table.shape, table.dtype
 
     def backward_fn(g):
-        gt = np.zeros_like(table.values)
+        gt = np.zeros(shape, dtype)
         np.add.at(gt, index, g)
         return (gt,)
 
@@ -286,9 +316,10 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     out = a.values[..., start:stop].copy()
+    shape, dtype = a.shape, a.dtype
 
     def backward_fn(g):
-        ga = np.zeros_like(a.values)
+        ga = np.zeros(shape, dtype)
         ga[..., start:stop] = g
         return (ga,)
 
@@ -300,9 +331,10 @@ def pick_last(a: Tensor, index) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
     rows = np.arange(a.values.shape[0])
     out = a.values[rows, index]
+    shape, dtype = a.shape, a.dtype
 
     def backward_fn(g):
-        ga = np.zeros_like(a.values)
+        ga = np.zeros(shape, dtype)
         ga[rows, index] = g
         return (ga,)
 
@@ -335,20 +367,24 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(x, 0); the backward mask is read from the output, which is > 0
+    exactly where x is (NaN and -0 included)."""
     out = np.maximum(a.values, 0.0)
-    return _record("relu", (a,), out, lambda g: (g * (a.values > 0),))
+    return _record("relu", (a,), out, lambda g: (g * (out > 0),))
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
     """max(slope * x, x) for 0 < slope < 1, without a mask selection; the
-    first operand wins on NaN, so NaNs come out as slope * x does."""
+    first operand wins on NaN, so NaNs come out as slope * x does. The
+    backward mask is read from the output, which is > 0 exactly where x is:
+    slope * x keeps the sign of x or rounds to -0."""
     x = a.values
     if not 0.0 < np.asarray(slope, x.dtype) < 1.0:
         raise ValueError(f"leaky_relu needs 0 < slope < 1 in {x.dtype}, got {slope}")
     out = np.maximum(slope * x, x)
     return _record(
         "leaky_relu", (a,), out,
-        lambda g: (g * np.maximum(x > 0, slope, dtype=x.dtype),),
+        lambda g: (g * np.maximum(out > 0, slope, dtype=out.dtype),),
     )
 
 
@@ -416,7 +452,7 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
         if not grad_x:
             return (None, gk)
         gcols = np.matmul(kmat.T, g).reshape(batch, cin, w, length)
-        gp = np.zeros_like(xp)
+        gp = np.zeros((batch, cin, length + 2 * pad), cols.dtype)
         for k in range(w):
             gp[:, :, k:k + length] += gcols[:, :, k]
         return (gp[:, :, pad:pad + length], gk)
@@ -484,19 +520,30 @@ def gru(x: Tensor, h: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 
 def dropout(a: Tensor, p: float, gen: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero a fraction p and rescale survivors by 1/(1-p).
-    Without a generator (evaluation) it is the identity."""
+    Without a generator (evaluation) it is the identity.
+
+    The backward keeps a 1-byte mask (the float32 draw >= p) and the scale
+    1/(1-p) in the input dtype; (a * scale) * mask has the bits, signed
+    zeros included, of a times the mask divided by 1 - p in that dtype."""
     if gen is None or p <= 0.0:
         return a
-    # 1/(1-p) where the float32 draw is >= p, else 0, in one pass over the mask
-    keep = np.divide(gen.random(a.values.shape, dtype=np.float32) >= p, 1.0 - p,
-                     dtype=a.values.dtype)
-    out = a.values * keep
-    return _record("dropout", (a,), out, lambda g: (g * keep,))
+    mask = gen.random(a.values.shape, dtype=np.float32) >= p
+    scale = np.divide(1.0, 1.0 - p, dtype=a.values.dtype)
+    out = a.values * scale
+    out *= mask
+
+    def backward_fn(g):
+        ga = g * scale
+        ga *= mask
+        return (ga,)
+
+    return _record("dropout", (a,), out, backward_fn)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
     out = a.values.sum()
-    return _record("sum", (a,), out, lambda g: (np.broadcast_to(g, a.values.shape),))
+    shape = a.shape
+    return _record("sum", (a,), out, lambda g: (np.broadcast_to(g, shape),))
 
 
 # ---------------------------------------------------------------------------

@@ -202,14 +202,17 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
 
     # the frozen encoder and the fixed training facts make each timestamp's
     # encoding and historical indicators constants: compute them once, the
-    # encodings off the tape
+    # encodings off the tape and held as constants, since with no history
+    # (t = 0, window 0) they are the frozen embedding tables themselves
     encoded: dict[int, tuple] = {}
     historical: list = []
     if config.epochs_stage1 > 0:
         historical = train_aug.snapshots(
             build_index(train_aug.array).indicator(*train_aug.array.T))
         if not ablation.disable_structural:
-            encoded = {t: encode_structural(model.encoder, snapshots, t) for t, _ in batches}
+            encoded = {t: tuple(Tensor(x.values) for x in
+                                encode_structural(model.encoder, snapshots, t))
+                       for t, _ in batches}
     valid_cache: dict[int, tuple] = {}
 
     def stage1_loss(t, rows):

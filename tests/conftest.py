@@ -49,6 +49,25 @@ def tiny_dataset_dir(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """Tensor key -> (output Tensor, operand Tensors) of every autodiff op
+    run while the fixture is active, read through a spy on
+    `autodiff._record`: tape nodes hold keys, not tensors."""
+    from meshtkg import autodiff as ad
+
+    seen = {}
+    record = ad._record
+
+    def spy(op, inputs, out_values, backward_fn):
+        out = record(op, inputs, out_values, backward_fn)
+        seen[out.key] = (out, tuple(inputs))
+        return out
+
+    monkeypatch.setattr(ad, "_record", spy)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def np_gen():
     return np.random.default_rng(20240811)

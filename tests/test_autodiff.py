@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +122,7 @@ def test_every_primitive_passes_grad_check():
     assert not failures, f"gradient mismatches: {failures}"
 
 
-def test_every_primitive_keeps_float32():
+def test_every_primitive_keeps_float32(recorded):
     """Forward outputs and every backward gradient stay in the input dtype;
     one float64 gradient would push the rest of a float32 backward pass
     into float64."""
@@ -131,13 +133,60 @@ def test_every_primitive_keeps_float32():
         with Tape() as tape:
             fn(*inputs)
         for node in tape.nodes:
-            out = node.output.values
+            out = recorded[node.output][0].values
             g = gen.standard_normal(out.shape).astype(np.float32)
             grads = [gx for gx in node.backward_fn(g) if gx is not None]
             dtypes = {out.dtype} | {np.asarray(gx).dtype for gx in grads}
             if dtypes != {np.dtype(np.float32)}:
                 widened.append((name, node.op, sorted(map(str, dtypes))))
     assert not widened, f"ops leaving float32: {widened}"
+
+
+class TestTapeRetention:
+    # ops whose backward reads their own output, which the tape must keep
+    READS_OUTPUT = {"sigmoid", "tanh", "relu", "leaky_relu"}
+
+    def test_outputs_no_backward_reads_are_freed(self, monkeypatch):
+        """The tape holds keys and what each backward reads: once the caller
+        drops a tensor, its array is freed unless its op's backward reads
+        it."""
+        refs = []
+        record = ad._record
+
+        def spy(op, inputs, out_values, backward_fn):
+            out = record(op, inputs, out_values, backward_fn)
+            refs.append((op, weakref.ref(out.values)))
+            return out
+
+        monkeypatch.setattr(ad, "_record", spy)
+        wrong = []
+        for name, fn, inputs in primitive_cases(np.random.default_rng(7)):
+            refs.clear()
+            with Tape() as tape:
+                fn(*inputs)
+            assert tape.nodes
+            for op, ref in refs:
+                if (ref() is not None) != (op in self.READS_OUTPUT):
+                    wrong.append((name, op, "alive" if ref() is not None else "freed"))
+        assert not wrong, wrong
+
+    def test_backward_drops_consumed_gradients(self):
+        """Backward through a chain of 30 nodes on a 1 MiB array holds a
+        few gradients at a time, not one per node."""
+        x = param(np.ones(2**17))
+        with Tape() as tape:
+            y = x
+            for _ in range(30):
+                y = ad.scale(y, 1.0)
+            loss = ad.tensor_sum(y)
+        tracemalloc.start()
+        try:
+            backward(loss, tape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x.grad, np.ones(2**17))
+        assert peak <= 3 * x.values.nbytes, peak / x.values.nbytes
 
 
 class TestGradCheck:

@@ -153,7 +153,8 @@ class TestStage1Losses:
         ({"omega": 0.0}, 1),
         ({"disable_semantic": True}, 1),
     ], ids=["experts", "literal", "omega_0", "no_semantic"])
-    def test_wide_nodes_per_step(self, synth_dataset, tmp_path, monkeypatch, overrides, wide):
+    def test_wide_nodes_per_step(self, synth_dataset, tmp_path, monkeypatch, recorded,
+                                 overrides, wide):
         """Each stage-1 step records `wide` (B, |E|) score products and as
         many |E|-wide picks: the major term's, plus one expert query per
         event when the expert terms are on."""
@@ -164,12 +165,13 @@ class TestStage1Losses:
         counts = []
 
         def counting_backward(output, tape=None):
-            nodes = tape.nodes
+            nodes = [(n.op, *recorded[n.output]) for n in tape.nodes]
             counts.append((
-                sum(n.op == "matmul" and n.output.shape[-1] == num_entities for n in nodes),
-                sum(n.op in ("pick_log_softmax", "pick_last")
-                    and n.inputs[0].shape[-1] == num_entities for n in nodes),
+                sum(op == "matmul" and out.shape[-1] == num_entities for op, out, _ in nodes),
+                sum(op in ("pick_log_softmax", "pick_last")
+                    and inputs[0].shape[-1] == num_entities for op, _, inputs in nodes),
             ))
+            recorded.clear()
             return backward(output, tape)
 
         backward = ad.backward
@@ -222,6 +224,20 @@ class TestTrainModel:
         # stage-1 parameters are untouched: gates still at their zero init
         for t in ad.named_tensors(result.model.experts).values():
             assert np.all(t.values == 0.0)
+
+    @pytest.mark.parametrize("window", [3, 0])
+    def test_stage1_leaves_encoder_without_gradients(self, synth_dataset, tmp_path, window):
+        """Stage 1 computes no gradient for the frozen encoder, also at the
+        timestamps whose encoding is the embedding tables themselves (t = 0,
+        and every t under window 0)."""
+        config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=0,
+                              epochs_stage1=1, window=window)
+        sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
+        result = train_model(config, synth_dataset["vocab"], synth_dataset["train"],
+                             synth_dataset["valid"], sem)
+        graded = [n for n, t in ad.named_tensors(result.model.encoder).items()
+                  if t.grad is not None]
+        assert graded == []
 
     def test_empty_valid_split(self, synth_dataset, tmp_path):
         # stage 1 needs validation facts to pick its epoch; without stage 1 none are read

@@ -6,8 +6,9 @@ Writes a seeded tiny event stream (`bench/stream.py`'s TINY shape) to a
 temporary directory, runs prepare, stats, naive, emit-prompts, train, eval,
 analyze, an omega sweep and a 1x1/2x2 expert-count sweep on it at default
 settings, then a train and an eval run each with the structural path off,
-with the semantic path off, and with the literal loss and the concatenated
-gate input, all with fixed relative `--out` paths, and prints, per command, its
+with the semantic path off, with the literal loss and the concatenated gate
+input, and with `--window 0` (every timestamp encoded with no history), all
+with fixed relative `--out` paths, and prints, per command, its
 exit code and the SHA-256 of its stdout and stderr, then `sha256  path`
 for every file in the directory. MESH_* environment variables are
 ignored, so two runs of one checkout print the same digest, and two
@@ -45,7 +46,8 @@ COMMANDS = (
     *(command
       for tag, flags in (("nostruct", ["--disable-structural"]),
                          ("nosem", ["--disable-semantic"]),
-                         ("literal", ["--loss-mode", "literal", "--gate-input", "concatenated"]))
+                         ("literal", ["--loss-mode", "literal", "--gate-input", "concatenated"]),
+                         ("window0", ["--window", "0"]))
       for command in (["train", "data", "--out", f"train-{tag}", *flags],
                       ["eval", f"train-{tag}/checkpoint.mesh", "data", "--out", f"eval-{tag}"])),
 )

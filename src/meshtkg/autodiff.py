@@ -20,7 +20,6 @@ intermediate gradient once its node has consumed it.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -97,12 +96,13 @@ class Tape:
 
     `tracked` holds the keys of recorded outputs and `leaves` the
     requires_grad operands by key, so that backward can fill their `grad`
-    (zeros for one with no path to the output). Nothing refers back to the
-    tape, so a step's tape and every array its closures kept are freed when
-    the last reference to the tape goes.
+    (zeros for one with no path to the output). Once it has exited, nothing
+    refers back to the tape, so a step's tape and every array its closures
+    kept are freed when the last reference to the tape goes.
 
-    A tape is confined to the thread that opened it; threads never share an
-    active tape, so independent tapes can run in parallel workers.
+    The entered tapes form one process-wide stack: entering a tape makes
+    it the active one until it exits, and the tape it covered is active
+    again after that.
     """
 
     nodes: list = field(default_factory=list)
@@ -111,26 +111,20 @@ class Tape:
     check_finite: bool = False
 
     def __enter__(self):
-        _local().stack.append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc):
-        _local().stack.pop()
+        _TAPES.pop()
         return False
 
 
-_STATE = threading.local()
-
-
-def _local():
-    if not hasattr(_STATE, "stack"):
-        _STATE.stack = []
-    return _STATE
+# the entered tapes, innermost last
+_TAPES: list[Tape] = []
 
 
 def active_tape() -> Tape | None:
-    stack = _local().stack
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def _flows(x: Tensor, tape: Tape) -> bool:

@@ -261,6 +261,12 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
         raise EmbeddingCoverageError(
             f"{path}: header declares {rows} rows, vocabulary needs {expected_rows}"
         )
+    # binary rows take exactly 4 bytes per value, text rows at least 2 (a
+    # digit and a separator): refuse a body too short for the header's
+    # sizes before allocating the tables
+    if len(body) < 2 * rows * dim:
+        raise EmbeddingFormatError(f"{path}: header declares {rows} x {dim} values, "
+                                   f"the body holds only {len(body)} bytes")
     if len(body) == rows * dim * 4 and not body.startswith((b"E\t", b"R\t")):
         flat = np.frombuffer(body, dtype="<f4").reshape(rows, dim)
         entity = flat[: vocab.num_entities].copy()

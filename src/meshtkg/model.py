@@ -8,8 +8,9 @@ prediction expert assigns every expert an independent sigmoid weight
 expert outputs into the final query vector. The gates and the weights
 are one column per expert of two matrices, so the layer is one pass for
 any expert count. Entities are scored by their logits against the
-entity table; the literal loss reads them through a per-entity sigmoid,
-so rankings are identical on logits and probabilities.
+entity table. Every loss reads these logits (the literal loss puts each
+target's logit through a sigmoid), and ranking reads them directly,
+which gives the same ranks as probabilities would.
 """
 
 from __future__ import annotations
@@ -181,7 +182,9 @@ def init_model(spec: ModelSpec, gen: np.random.Generator) -> MeshModel:
 
 @dataclass
 class QueryBundle:
-    """Everything the losses and the evaluator need for one query batch."""
+    """Everything the losses and the evaluator need for one query batch.
+    The expert queries q_his and q_nhis, and the weights, are None when the
+    forward pass ran no experts (a path disabled)."""
 
     q: Tensor
     score_table: Tensor            # entity table the queries are scored against
@@ -216,6 +219,10 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     original relations. When the structural path is disabled the scores are
     taken against the adapted semantic entity table (pass it precomputed via
     `semantic_entity_table` to share work across batches).
+
+    The bundle carries the expert queries (q_his, q_nhis) exactly when both
+    paths are on; with either path disabled there are no experts, and so
+    no expert loss terms.
     """
     ablation = ablation or AblationConfig()
     dtype = model.encoder.entity_emb.dtype

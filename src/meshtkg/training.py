@@ -4,20 +4,27 @@ Stage 0 pre-trains the structural encoder (with its query decoder) on the
 link-prediction objective alone, then freezes every encoder parameter.
 Stage 1 trains the adapters, both decoders, the event-aware gates, and
 the prediction expert on the combined loss: the major prediction loss
-plus omega times the two event-type expert losses. Because the encoder
-is frozen, its per-timestamp output is cached and reused across stage-1
-epochs (numerically identical to re-encoding, just cheaper).
+plus omega times the two event-type expert losses, which exist when the
+forward pass runs the experts (both paths on) and omega > 0. Because the
+encoder is frozen, its per-timestamp output is cached and reused across
+stage-1 epochs (numerically identical to re-encoding, just cheaper).
+After each stage-1 epoch, `evaluation.evaluate(split="valid")` measures
+the validation MRR, and the best epoch's parameters are kept.
 
-Two loss modes exist. `literal` scores each event by its sigmoid
-probability and sums: L = -sum p[o] (and the expert terms gated by the
-historical indicator). It is exact but saturates easily, so the default
-`cross_entropy` mode applies the usual log-softmax objective to the same
-logits. Both share every other moving part.
+Every loss reads logits. Two loss modes exist. `literal` reads each
+target's logit through a sigmoid and sums: L = -sum sigmoid(logit[o])
+(and the expert terms gated by the historical indicator). It is exact
+but saturates easily, so the default `cross_entropy` mode applies the
+usual log-softmax objective to the same logits. Both share every other
+moving part.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,7 +34,7 @@ from . import rng
 from .autodiff import NumericError, Tensor
 from .config import RunConfig
 from .encoders import SemanticEmbeddingTable, encode_structural
-from .evaluation import compute_metrics, ranked_queries
+from .evaluation import evaluate
 from .history import build_index
 from .model import (
     AblationConfig,
@@ -37,66 +44,57 @@ from .model import (
     forward_queries,
     init_model,
 )
-from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
+from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations
 
 
 # stage 0 trains the structural encoder and its decoder on their own
 STRUCTURAL_ONLY = AblationConfig(disable_semantic=True)
 
 
-def _picked(pred: Tensor, targets, mode: str) -> Tensor:
-    """Per event, the score of its target: pred[b, o_b] (literal) or
-    log_softmax(pred)[b, o_b] (cross_entropy)."""
+def _picked(logits: Tensor, targets, mode: str) -> Tensor:
+    """Per event, the score of its target read from the logits:
+    sigmoid(logits[b, o_b]) (literal) or log_softmax(logits)[b, o_b]
+    (cross_entropy)."""
     if mode == "literal":
-        return ad.pick_last(pred, targets)
+        return ad.sigmoid(ad.pick_last(logits, targets))
     if mode == "cross_entropy":
-        return ad.pick_log_softmax(pred, targets)
+        return ad.pick_log_softmax(logits, targets)
     raise ValueError(f"unknown loss mode {mode!r}")
 
 
-def major_loss(pred: Tensor, targets, mode: str) -> Tensor:
-    """Eventwise prediction loss over a batch.
-
-    literal: pred holds probabilities, loss = -sum_b pred[b, o_b].
-    cross_entropy: pred holds logits, loss = -sum_b log_softmax(pred)[b, o_b].
-    """
-    return ad.neg(ad.tensor_sum(_picked(pred, targets, mode)))
+def major_loss(logits: Tensor, targets, mode: str) -> Tensor:
+    """Eventwise prediction loss of a batch of logits: -sum_b of each
+    event's picked target score (`_picked`)."""
+    return ad.neg(ad.tensor_sum(_picked(logits, targets, mode)))
 
 
-def expert_losses(pred_his: Tensor, pred_nhis: Tensor, targets, indicators,
-                  mode: str) -> tuple[Tensor, Tensor]:
+def expert_losses(logits: Tensor, targets, indicators, mode: str) -> tuple[Tensor, Tensor]:
     """Auxiliary specialization losses; each event feeds exactly one term.
 
-    Historical events (indicator 1) contribute only to the historical
-    expert's loss, the rest only to the non-historical one. When both
-    predictions are the same tensor (one expert query per event, as in
-    training), its targets are picked once and the indicator splits them.
+    Row b of `logits` scores event b's own expert query
+    (`QueryBundle.expert_logits`): historical events (indicator 1) feed
+    only the historical expert's loss, the rest only the non-historical
+    one.
     """
-    ind = np.asarray(indicators, dtype=pred_his.dtype)
-    p_his = _picked(pred_his, targets, mode)
-    p_nhis = p_his if pred_nhis is pred_his else _picked(pred_nhis, targets, mode)
-    l_his = ad.neg(ad.tensor_sum(ad.mul(p_his, Tensor(ind))))
-    l_nhis = ad.neg(ad.tensor_sum(ad.mul(p_nhis, Tensor(1.0 - ind))))
+    ind = np.asarray(indicators, dtype=logits.dtype)
+    picked = _picked(logits, targets, mode)
+    l_his = ad.neg(ad.tensor_sum(ad.mul(picked, Tensor(ind))))
+    l_nhis = ad.neg(ad.tensor_sum(ad.mul(picked, Tensor(1.0 - ind))))
     return l_his, l_nhis
 
 
 def stage1_losses(bundle: QueryBundle, targets, indicators, mode: str):
     """The stage-1 terms of one batch: (major, historical, non-historical).
 
-    Each event scores only its own expert's query
-    (`QueryBundle.expert_logits`), so a batch of B events does |E|-wide
-    work on 2B rows. With indicators None the expert terms are left out
-    and come back as None.
+    Each event scores only its own expert's query, so a batch of B events
+    does |E|-wide work on 2B rows. The expert terms come back as None when
+    the forward pass ran no experts (`bundle.q_his` is None) or no
+    indicators are given.
     """
-    literal = mode == "literal"
-    pred = ad.sigmoid(bundle.logits) if literal else bundle.logits
-    l_major = major_loss(pred, targets, mode)
-    if indicators is None:
+    l_major = major_loss(bundle.logits, targets, mode)
+    if indicators is None or bundle.q_his is None:
         return l_major, None, None
-    pred_e = bundle.expert_logits(indicators)
-    if literal:
-        pred_e = ad.sigmoid(pred_e)
-    return (l_major, *expert_losses(pred_e, pred_e, targets, indicators, mode))
+    return (l_major, *expert_losses(bundle.expert_logits(indicators), targets, indicators, mode))
 
 
 def total_loss(l_major: Tensor, l_his: Tensor, l_nhis: Tensor, omega: float) -> Tensor:
@@ -115,7 +113,6 @@ class TrainResult:
     frozen_values: dict                # name -> array copied at freeze time
     stage0_losses: list
     best_valid_mrr: float | None
-    best_epoch: int | None
 
 
 def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
@@ -144,7 +141,9 @@ def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
 def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
                 valid_tkg: TemporalKG, sem: SemanticEmbeddingTable,
                 verbose=None) -> TrainResult:
-    """Run both training stages and keep the best-validation parameters."""
+    """Run both training stages and keep the parameters of the stage-1
+    epoch with the best validation MRR, as `evaluate(split="valid")`
+    measures it."""
     ablation = AblationConfig.from_config(config)
 
     if config.epochs_stage1 > 0 and not valid_tkg.num_facts:
@@ -152,8 +151,6 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
                            "with the best validation MRR")
 
     train_aug = add_inverse_relations(train_tkg, vocab.num_relations)
-    valid_aug = add_inverse_relations(valid_tkg, vocab.num_relations)
-    seen = merge(train_aug, valid_aug)
     snapshots = train_aug.snapshots()
     batches = [(t, rows) for t, rows in enumerate(snapshots) if len(rows)]
 
@@ -197,8 +194,6 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     params1 = list(trained.values())
     adam1 = ad.init_adam(params1, lr=config.learning_rate)
     gen1 = rng.stream(config.seed, rng.DROPOUT, 1)
-    use_experts = (not (ablation.disable_semantic or ablation.disable_structural)
-                   and config.omega > 0.0)
 
     # the frozen encoder and the fixed training facts make each timestamp's
     # encoding and historical indicators constants: compute them once, the
@@ -220,26 +215,24 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
         bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
                                  gen=gen1, ablation=ablation)
         l_major, l_his, l_nhis = stage1_losses(bundle, rows[:, 2],
-                                               historical[t] if use_experts else None,
+                                               historical[t] if config.omega > 0 else None,
                                                config.loss_mode)
         return l_major if l_his is None else total_loss(l_major, l_his, l_nhis, config.omega)
 
     log_lines: list[str] = []
     best_mrr: float | None = None
-    best_epoch: int | None = None
     best_state: dict | None = None
 
     for epoch in range(1, config.epochs_stage1 + 1):
         train_loss = _train_epoch(batches, stage1_loss, params1, adam1, "stage 1", epoch)
-        _, filtered, _ = ranked_queries(model, sem, seen, valid_aug, seen,
-                                        ablation=ablation, encode_cache=valid_cache)
-        valid_mrr = compute_metrics(filtered).mrr
+        valid_mrr = evaluate(model, vocab, train_tkg, valid_tkg, TemporalKG(split="test"), sem,
+                             ablation=ablation, split="valid",
+                             encode_cache=valid_cache).overall.mrr
         log_lines.append(f"{epoch}\t{train_loss:.6f}\t{valid_mrr:.6f}")
         if verbose:
             verbose(f"stage1 epoch {epoch}: loss {train_loss:.6f} valid MRR {valid_mrr:.6f}")
         if best_mrr is None or valid_mrr > best_mrr:
             best_mrr = valid_mrr
-            best_epoch = epoch
             best_state = {n: t.values.copy() for n, t in trained.items()}
 
     if best_state is not None:
@@ -257,7 +250,6 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
         frozen_values=frozen_values,
         stage0_losses=stage0_losses,
         best_valid_mrr=best_mrr,
-        best_epoch=best_epoch,
     )
 
 
@@ -265,7 +257,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
 # checkpoints
 
 CHECKPOINT_MAGIC = "meshckpt"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(DatasetError, ValueError):
@@ -275,10 +267,15 @@ class CheckpointError(DatasetError, ValueError):
 def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
                     frozen_names: list, seed: int) -> None:
     """Versioned container: JSON header line (model spec, run configuration,
-    parameter manifest), then little-endian parameter blobs in the spec's
-    dtype, in manifest order."""
+    parameter manifest, SHA-256 of the parameter bytes), then little-endian
+    parameter blobs in the spec's dtype, in manifest order.
+
+    The file is written as `<path>.tmp` and renamed over `path`, so `path`
+    holds either its old content or the whole new checkpoint."""
     named = model.named_parameters()
     blob_dtype = np.dtype(model.spec.dtype).newbyteorder("<")
+    blob = b"".join(np.ascontiguousarray(t.values, dtype=blob_dtype).tobytes()
+                    for t in named.values())
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -287,17 +284,23 @@ def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
         "seed": seed,
         "frozen": list(frozen_names),
         "params": [{"name": n, "shape": list(t.values.shape)} for n, t in named.items()],
+        "sha256": hashlib.sha256(blob).hexdigest(),
     }
-    with open(path, "wb") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        for tensor in named.values():
-            fh.write(np.ascontiguousarray(tensor.values, dtype=blob_dtype).tobytes())
+        fh.write(blob)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str):
     """Rebuild the model from a checkpoint's spec and blobs; returns
     (model, header), the header's stored run configuration rebuilt as a
-    RunConfig. Raises CheckpointError for anything unreadable."""
+    RunConfig. Raises CheckpointError for anything unreadable.
+
+    The header is checked first: the blob length against the manifest
+    before any parameter is allocated, then the manifest against the
+    spec's parameters, and last the blob against its checksum."""
     try:
         with open(path, "rb") as fh:
             line = fh.readline()
@@ -314,14 +317,23 @@ def load_checkpoint(path: str):
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
     try:
         spec = ModelSpec(**header["spec"])
-        model = init_model(spec, rng.stream(0, rng.INIT))
         manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+        blob_dtype = np.dtype(spec.dtype).newbyteorder("<")
+        expected = blob_dtype.itemsize * sum(math.prod(shape) for _, shape in manifest)
+        checksum = header["sha256"]
         missing = set(RunConfig.__dataclass_fields__) - set(header["config"])
         if missing:
             raise KeyError(f"run configuration lacks {sorted(missing)}")
         header["config"] = RunConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header ({exc!r})") from None
+    if len(blob) != expected:
+        raise CheckpointError(f"{path}: {len(blob)} parameter bytes, "
+                              f"the manifest declares {expected}")
+    try:
+        model = init_model(spec, rng.stream(0, rng.INIT))
+    except (MemoryError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: cannot build the header's model spec ({exc})") from None
     named = model.named_parameters()
     names = [name for name, _ in manifest]
     if len(set(names)) != len(names) or set(names) != set(named):
@@ -332,11 +344,9 @@ def load_checkpoint(path: str):
     for name, shape in manifest:
         if named[name].values.shape != shape:
             raise CheckpointError(f"{path}: shape {shape} for {name} does not match the spec")
-    blob_dtype = np.dtype(spec.dtype).newbyteorder("<")
-    expected = blob_dtype.itemsize * sum(t.values.size for t in named.values())
-    if len(blob) != expected:
-        raise CheckpointError(f"{path}: {len(blob)} parameter bytes, "
-                              f"the manifest declares {expected}")
+    if hashlib.sha256(blob).hexdigest() != checksum:
+        raise CheckpointError(f"{path}: the parameter bytes do not match the header's "
+                              f"SHA-256 (corrupted file)")
     offset = 0
     for name, shape in manifest:
         size = named[name].values.size

@@ -207,23 +207,28 @@ def test_criterion_4_loss_formula_oracle():
 
     gen = np.random.default_rng(44)
     num_entities = 5
-    p = gen.uniform(size=(6, num_entities))
-    p_his = gen.uniform(size=(6, num_entities))
-    p_nhis = gen.uniform(size=(6, num_entities))
+    x = gen.standard_normal((6, num_entities))
+    x_his = gen.standard_normal((6, num_entities))
+    x_nhis = gen.standard_normal((6, num_entities))
     targets = [q.o for q in events]
+
+    def prob(logit):
+        return 1.0 / (1.0 + np.exp(-logit))
 
     def brute(omega, flags):
         lm = lh = ln = 0.0
         for i, q in enumerate(events):
-            lm -= p[i, q.o]
-            lh -= p_his[i, q.o] * flags[i]
-            ln -= p_nhis[i, q.o] * (1 - flags[i])
+            lm -= prob(x[i, q.o])
+            lh -= prob(x_his[i, q.o]) * flags[i]
+            ln -= prob(x_nhis[i, q.o]) * (1 - flags[i])
         return lm, lh, ln, lm + omega * (lh + ln)
 
     worst = 0.0
     for omega, use_flags in ((1.0, flags), (0.0, flags), (0.6, [1] * 6)):
-        lm = major_loss(Tensor(p), targets, "literal")
-        lh, ln = expert_losses(Tensor(p_his), Tensor(p_nhis), targets, use_flags, "literal")
+        # each event's row comes from its own expert's logits
+        own = np.where(np.array(use_flags)[:, None] == 1, x_his, x_nhis)
+        lm = major_loss(Tensor(x), targets, "literal")
+        lh, ln = expert_losses(Tensor(own), targets, use_flags, "literal")
         lt = total_loss(lm, lh, ln, omega)
         exp_lm, exp_lh, exp_ln, exp_lt = brute(omega, use_flags)
         worst = max(worst, abs(lm.item() - exp_lm), abs(lh.item() - exp_lh),

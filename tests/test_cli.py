@@ -182,6 +182,18 @@ class TestTrainEvalCommands:
         assert run(["analyze", ckpt, synth_dataset["dir"], "--out", out2]) == 0
         assert "alpha_1" in read(os.path.join(out2, "gate_stats.txt"))
 
+    def test_eval_valid_reports_the_best_valid_mrr(self, synth_dataset, train_dir, tmp_path):
+        """The checkpoint holds the kept epoch: `eval --split valid` on it
+        reports the best validation MRR of the training log."""
+        out = str(tmp_path / "ev")
+        assert run(["eval", os.path.join(train_dir, "checkpoint.mesh"), synth_dataset["dir"],
+                    "--out", out, "--split", "valid"]) == 0
+        logged = [line.split("\t")[2] for line in
+                  read(os.path.join(train_dir, "training.log")).splitlines()]
+        tsv = dict(line.rsplit("\t", 1) for line in
+                   read(os.path.join(out, "metrics.tsv")).splitlines())
+        assert tsv["mrr\tall"] == max(logged, key=float)
+
     def test_analyze_without_prediction_expert_reports_no_statistics(
             self, synth_dataset, train_dir, tmp_path):
         # the fixed uniform weights of the ablation are no measurement to test
@@ -353,13 +365,28 @@ def test_eval_with_both_paths_disabled_exits_2(synth_dataset, checkpoint, tmp_pa
     assert not os.path.exists(out)
 
 
-def test_bad_embedding_file_exits_3(synth_dataset, tmp_path, capsys):
+# header of a bad embedding file for the 30 + 4 ids of the synthetic set,
+# and the message it draws
+EMBEDDING_FAULTS = {
+    "bad header": ("tkg-emb x 34 4\n", "bad header"),
+    # 30 entity rows of 10**16 float32 values (1.2 EiB) are beyond any memory
+    "sizes beyond memory": ("tkg-emb 1 34 10000000000000000\n", "body holds only 0 bytes"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("fault", sorted(EMBEDDING_FAULTS))
+def test_bad_embedding_file_exits_3(fault, command, synth_dataset, checkpoint, tmp_path, capsys):
+    header, message = EMBEDDING_FAULTS[fault]
     path = tmp_path / "bad.emb"
-    path.write_text("tkg-emb x 34 4\n")
+    path.write_text(header)
     out = str(tmp_path / "out")
-    assert run(["train", synth_dataset["dir"], *micro_flags(out), "--embeddings", str(path)]) == 3
+    argv = (["train", synth_dataset["dir"], *micro_flags(out)] if command == "train"
+            else ["eval", checkpoint, synth_dataset["dir"], "--out", out])
+    assert run([*argv, "--embeddings", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "bad header" in err and err.count("\n") == 1
+    assert err.startswith("data error:") and message in err and err.count("\n") == 1
+    assert "bad.emb" in err
 
 
 def test_missing_checkpoint_exits_3(synth_dataset, tmp_path, capsys):
@@ -452,6 +479,18 @@ def _repeat_param(header, blob):
     return blob + first
 
 
+def _drop_checksum(header, blob):
+    del header["sha256"]
+    return blob
+
+
+def _flip_blob_bit(raw):
+    line, blob = raw.split(b"\n", 1)
+    flipped = bytearray(blob)
+    flipped[len(blob) // 2] ^= 0x10
+    return line + b"\n" + bytes(flipped)
+
+
 CHECKPOINT_FAULTS = {
     "truncated header": lambda raw: raw[:40],
     "non-utf8 header": lambda raw: b"\xff\xfe" + raw,
@@ -461,7 +500,13 @@ CHECKPOINT_FAULTS = {
     "missing spec key": _edit_header(_drop_spec_key),
     "spec dtype outside DTYPES": _set_spec("dtype", "float16"),
     "spec gate input outside CHOICES": _set_spec("gate_input", "both"),
+    "version 3, no payload checksum": _set("version", 3),
+    "missing checksum": _edit_header(_drop_checksum),
+    # 2**50 entities are beyond any memory; the manifest still fits the blob
+    "spec sizes beyond memory": _set_spec("num_entities", 2**50),
+    "negative spec size": _set_spec("num_entities", -5),
     "short blob": lambda raw: raw[:-4],
+    "flipped blob bit": _flip_blob_bit,
     "over-long blob": lambda raw: raw + bytes(4),
     "omitted parameter": _edit_header(_omit_param),
     "repeated parameter": _edit_header(_repeat_param),
@@ -485,4 +530,4 @@ def test_bad_checkpoint_exits_3(fault, synth_dataset, train_dir, tmp_path, capsy
     code = run(["eval", path, synth_dataset["dir"], "--out", str(tmp_path / "ev")])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("data error:") and err.count("\n") == 1
+    assert err.startswith("data error:") and "bad.mesh" in err and err.count("\n") == 1

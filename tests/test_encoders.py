@@ -318,7 +318,9 @@ class TestSemanticTables:
         (b"tkg-emb 1 2 2\nE\t0\t1 2\nR\t0\t1 \xff\n", "emb:3: text row is not UTF-8"),
         (b"tkg-emb 1 2 -4\nE\t0\t1 2\nR\t0\t1 2\n", "width -4"),
         (b"tkg-emb 1 2 0\n", "width 0"),
-    ], ids=["header", "row_id", "utf8", "negative_dim", "zero_dim"])
+        # rows of 10**17 values are beyond any memory: refused before allocating
+        (b"tkg-emb 1 2 100000000000000000\nE\t0\t1 2\nR\t0\t1 2\n", "body holds only 16 bytes"),
+    ], ids=["header", "row_id", "utf8", "negative_dim", "zero_dim", "sizes_beyond_memory"])
     def test_malformed_file_is_format_error(self, tmp_path, text, message):
         path = tmp_path / "emb"
         path.write_bytes(text)

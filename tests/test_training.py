@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshtkg import autodiff as ad
 from meshtkg.autodiff import Tensor
@@ -7,6 +9,7 @@ from meshtkg.config import RunConfig
 from meshtkg.encoders import synthetic_embeddings
 from meshtkg.model import ModelSpec, forward_queries, init_model, score_logits
 from meshtkg.training import (
+    CheckpointError,
     expert_losses,
     load_checkpoint,
     major_loss,
@@ -21,20 +24,24 @@ from meshtkg.tkg import DatasetError
 from conftest import group, make_vocab, micro_config
 
 
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+
+
 class TestMajorLoss:
     def test_literal_perfect_prediction(self):
-        p = Tensor(np.array([[0.0, 1.0, 0.0]]))
-        assert major_loss(p, [1], "literal").item() == pytest.approx(-1.0)
+        logits = Tensor(np.array([[-50.0, 50.0, -50.0]]))  # probabilities 0, 1, 0
+        assert major_loss(logits, [1], "literal").item() == pytest.approx(-1.0)
 
     def test_literal_zero_probability(self):
-        p = Tensor(np.array([[0.5, 0.0, 0.5]]))
-        assert major_loss(p, [1], "literal").item() == pytest.approx(0.0)
+        logits = Tensor(np.array([[0.0, -50.0, 0.0]]))  # probabilities 0.5, 0, 0.5
+        assert major_loss(logits, [1], "literal").item() == pytest.approx(0.0)
 
     def test_literal_matches_summation_oracle(self, np_gen):
-        p = np_gen.uniform(size=(4, 6))
+        logits = np_gen.standard_normal((4, 6))
         targets = [2, 0, 5, 3]
-        expected = -sum(p[i, o] for i, o in enumerate(targets))
-        got = major_loss(Tensor(p), targets, "literal").item()
+        expected = -sum(sigmoid(logits[i, o]) for i, o in enumerate(targets))
+        got = major_loss(Tensor(logits), targets, "literal").item()
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_cross_entropy_matches_log_softmax(self, np_gen):
@@ -53,35 +60,38 @@ class TestMajorLoss:
 
 class TestExpertLosses:
     def test_all_historical_zeroes_nonhistorical_term(self, np_gen):
-        p = Tensor(np_gen.uniform(size=(3, 4)))
-        l_his, l_nhis = expert_losses(p, p, [0, 1, 2], [1, 1, 1], "literal")
+        logits = Tensor(np_gen.standard_normal((3, 4)))
+        l_his, l_nhis = expert_losses(logits, [0, 1, 2], [1, 1, 1], "literal")
         assert l_nhis.item() == 0.0
         assert l_his.item() < 0.0
 
     def test_all_nonhistorical_zeroes_historical_term(self, np_gen):
-        p = Tensor(np_gen.uniform(size=(3, 4)))
-        l_his, l_nhis = expert_losses(p, p, [0, 1, 2], [0, 0, 0], "literal")
+        logits = Tensor(np_gen.standard_normal((3, 4)))
+        l_his, l_nhis = expert_losses(logits, [0, 1, 2], [0, 0, 0], "literal")
         assert l_his.item() == 0.0
         assert l_nhis.item() < 0.0
 
     def test_mixed_batch_matches_brute_force(self, np_gen):
-        p_his = np_gen.uniform(size=(6, 5))
-        p_nhis = np_gen.uniform(size=(6, 5))
+        x_his = np_gen.standard_normal((6, 5))
+        x_nhis = np_gen.standard_normal((6, 5))
         targets = [0, 3, 2, 4, 1, 0]
         flags = [1, 0, 1, 1, 0, 0]
-        exp_his = -sum(p_his[i, o] * f for i, (o, f) in enumerate(zip(targets, flags)))
-        exp_nhis = -sum(p_nhis[i, o] * (1 - f) for i, (o, f) in enumerate(zip(targets, flags)))
-        l_his, l_nhis = expert_losses(Tensor(p_his), Tensor(p_nhis), targets, flags, "literal")
+        # each event's own expert row: the historical expert's on historical events
+        rows = np.where(np.array(flags)[:, None] == 1, x_his, x_nhis)
+        exp_his = -sum(sigmoid(x_his[i, o]) * f for i, (o, f) in enumerate(zip(targets, flags)))
+        exp_nhis = -sum(sigmoid(x_nhis[i, o]) * (1 - f)
+                        for i, (o, f) in enumerate(zip(targets, flags)))
+        l_his, l_nhis = expert_losses(Tensor(rows), targets, flags, "literal")
         assert l_his.item() == pytest.approx(exp_his, abs=1e-12)
         assert l_nhis.item() == pytest.approx(exp_nhis, abs=1e-12)
 
     def test_each_event_feeds_exactly_one_term(self, np_gen):
-        # with identical predictions, the two terms partition the total sum
-        p = np_gen.uniform(size=(8, 5))
+        # the two terms partition the major loss of the same rows
+        logits = np_gen.standard_normal((8, 5))
         targets = list(np_gen.integers(5, size=8))
         flags = list(np_gen.integers(2, size=8))
-        l_his, l_nhis = expert_losses(Tensor(p), Tensor(p), targets, flags, "literal")
-        both = major_loss(Tensor(p), targets, "literal").item()
+        l_his, l_nhis = expert_losses(Tensor(logits), targets, flags, "literal")
+        both = major_loss(Tensor(logits), targets, "literal").item()
         assert l_his.item() + l_nhis.item() == pytest.approx(both, abs=1e-12)
 
 
@@ -98,33 +108,32 @@ class TestStage1Losses:
     }
 
     @staticmethod
-    def micro_batch():
+    def micro_batch(dtype):
         gen = np.random.default_rng(31)
         model = init_model(ModelSpec(
             num_entities=13, num_relations=3, dim=6, llm_dim=8, adapter_hidden=5,
             channels=2, kernel_width=3, layers=1, window=2, dropout=0.0,
             num_historical=2, num_nonhistorical=1, gate_input="concatenated",
-            dtype=np.float32,
+            dtype=dtype,
         ), gen)
         for t in model.named_parameters().values():  # move the zero-initialised gates
             t.values[...] = gen.standard_normal(t.shape)
-        H = Tensor(gen.standard_normal((13, 6)).astype(np.float32))
-        R = Tensor(gen.standard_normal((6, 6)).astype(np.float32))
+        H = Tensor(gen.standard_normal((13, 6)).astype(dtype))
+        R = Tensor(gen.standard_normal((6, 6)).astype(dtype))
         sem = synthetic_embeddings(make_vocab(13, 3), 8, seed=1)
         rows = gen.integers(0, [13, 6, 13], size=(8, 3))
         return model, H, R, sem, rows
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("mode", ["cross_entropy", "literal"])
     @pytest.mark.parametrize("flags", sorted(INDICATORS))
-    def test_bit_identical_to_full_width_oracle(self, mode, flags):
+    def test_bit_identical_to_full_width_oracle(self, mode, flags, dtype):
         """One expert query per event gives the terms, and the gradients,
-        of scoring q_his and q_nhis on every row."""
-        model, H, R, sem, rows = self.micro_batch()
+        of scoring q_his and q_nhis on every row and taking each event's
+        row from its own expert's scores."""
+        model, H, R, sem, rows = self.micro_batch(dtype)
         ind = self.INDICATORS[flags]
         params = [t for n, t in model.named_parameters().items() if not n.startswith("encoder.")]
-
-        def pred(logits):
-            return ad.sigmoid(logits) if mode == "literal" else logits
 
         def step(terms_fn):
             ad.zero_grads(params)
@@ -135,9 +144,12 @@ class TestStage1Losses:
             return [t.values for t in terms], [p.grad for p in params]
 
         def oracle(bundle):
-            full = [pred(score_logits(q, bundle.score_table)) for q in (bundle.q_his, bundle.q_nhis)]
-            return (major_loss(pred(bundle.logits), rows[:, 2], mode),
-                    *expert_losses(*full, rows[:, 2], ind, mode))
+            full_his, full_nhis = (score_logits(q, bundle.score_table)
+                                   for q in (bundle.q_his, bundle.q_nhis))
+            mask = np.array(ind, dtype=dtype)[:, None]
+            own = ad.add(ad.mul(full_his, Tensor(mask)), ad.mul(full_nhis, Tensor(1.0 - mask)))
+            return (major_loss(bundle.logits, rows[:, 2], mode),
+                    *expert_losses(own, rows[:, 2], ind, mode))
 
         terms, grads = step(lambda bundle: stage1_losses(bundle, rows[:, 2], ind, mode))
         want_terms, want_grads = step(oracle)
@@ -157,7 +169,8 @@ class TestStage1Losses:
                                  overrides, wide):
         """Each stage-1 step records `wide` (B, |E|) score products and as
         many |E|-wide picks: the major term's, plus one expert query per
-        event when the expert terms are on."""
+        event when the expert terms are on. No sigmoid runs |E|-wide: the
+        literal loss puts only each event's picked logit through one."""
         config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=0,
                               epochs_stage1=1, **overrides)
         sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
@@ -170,6 +183,7 @@ class TestStage1Losses:
                 sum(op == "matmul" and out.shape[-1] == num_entities for op, out, _ in nodes),
                 sum(op in ("pick_log_softmax", "pick_last")
                     and inputs[0].shape[-1] == num_entities for op, _, inputs in nodes),
+                sum(op == "sigmoid" and out.shape[-1] == num_entities for op, out, _ in nodes),
             ))
             recorded.clear()
             return backward(output, tape)
@@ -178,7 +192,7 @@ class TestStage1Losses:
         monkeypatch.setattr(ad, "backward", counting_backward)
         train_model(config, synth_dataset["vocab"], synth_dataset["train"],
                     synth_dataset["valid"], sem)
-        assert counts and set(counts) == {(wide, wide)}
+        assert counts and set(counts) == {(wide, wide, 0)}
 
 
 class TestTotalLoss:
@@ -213,6 +227,19 @@ class TestTrainModel:
         num_entities = trained["vocab"].num_entities
         random_mrr = sum(1.0 / r for r in range(1, num_entities + 1)) / num_entities
         assert trained["result"].best_valid_mrr > 2.0 * random_mrr
+
+    @pytest.mark.parametrize("test_split", ["real", "empty"])
+    def test_best_valid_mrr_is_evaluate_on_valid(self, trained, test_split):
+        """The kept epoch's validation MRR is what `evaluate` reports on the
+        valid split for the returned model, whatever the test split holds."""
+        from meshtkg.evaluation import evaluate
+        from meshtkg.model import AblationConfig
+
+        test = trained["test"] if test_split == "real" else group([], "test")
+        result = evaluate(trained["result"].model, trained["vocab"], trained["train"],
+                          trained["valid"], test, trained["sem"],
+                          ablation=AblationConfig.from_config(trained["config"]), split="valid")
+        assert trained["result"].best_valid_mrr == result.overall.mrr
 
     def test_zero_stage1_epochs_keeps_initialization(self, synth_dataset, tmp_path):
         config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=2, epochs_stage1=0)
@@ -252,7 +279,7 @@ class TestTrainModel:
                 with pytest.raises(DatasetError, match="valid split has no facts"):
                     train_model(*args)
             else:
-                assert train_model(*args).best_epoch is None
+                assert train_model(*args).best_valid_mrr is None
 
     def test_identical_seed_identical_logs(self, synth_dataset, tmp_path):
         runs = []
@@ -287,6 +314,16 @@ class TestTrainModel:
                              synth_dataset["valid"], sem)
         # literal losses are negative sums of probabilities
         assert float(result.log_lines[-1].split("\t")[1]) < 0.0
+
+
+@pytest.fixture(scope="module")
+def saved(trained, tmp_path_factory):
+    """A good checkpoint's bytes, and a path to write variants of it to."""
+    path = str(tmp_path_factory.mktemp("ckpt") / "model.mesh")
+    result = trained["result"]
+    save_checkpoint(path, result.model, trained["config"], result.frozen_names, 1)
+    with open(path, "rb") as fh:
+        return {"raw": fh.read(), "path": path}
 
 
 class TestCheckpoint:
@@ -364,6 +401,44 @@ class TestCheckpoint:
         for name, tensor in model.named_parameters().items():
             assert b[name].values.dtype == np.float64, name
             assert np.array_equal(tensor.values, b[name].values), name
+
+    @staticmethod
+    def _load_bytes(saved, raw):
+        with open(saved["path"], "wb") as fh:
+            fh.write(raw)
+        return load_checkpoint(saved["path"])
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_truncation_rejected(self, saved, data):
+        raw = saved["raw"]
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(CheckpointError):
+            self._load_bytes(saved, raw[:cut])
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_blob_bit_flip_rejected(self, saved, data):
+        raw = saved["raw"]
+        start = raw.index(b"\n") + 1
+        flipped = bytearray(raw)
+        flipped[data.draw(st.integers(start, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        with pytest.raises(CheckpointError, match="SHA-256"):
+            self._load_bytes(saved, bytes(flipped))
+
+    def test_failed_save_leaves_the_previous_file(self, tmp_path):
+        """A save that fails part way leaves the checkpoint already at the
+        path as it was."""
+        config = RunConfig(dim=8, llm_dim=8, adapter_hidden=8, channels=2)
+        model = init_model(ModelSpec.from_config(config, 6, 2, config.llm_dim),
+                           np.random.default_rng(5))
+        path = tmp_path / "model.mesh"
+        save_checkpoint(str(path), model, config, [], 1)
+        before = path.read_bytes()
+        model.experts.pred_b.values = np.array([object()] * 2)  # cannot be serialised
+        with pytest.raises(TypeError):
+            save_checkpoint(str(path), model, config, [], 1)
+        assert path.read_bytes() == before
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk"

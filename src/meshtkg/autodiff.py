@@ -20,6 +20,7 @@ intermediate gradient once its node has consumed it.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ class Tape:
 
     The entered tapes form one process-wide stack: entering a tape makes
     it the active one until it exits, and the tape it covered is active
-    again after that.
+    again after that. `no_tape` covers the active tape the same way.
     """
 
     nodes: list = field(default_factory=list)
@@ -125,6 +126,18 @@ _TAPES: list[Tape] = []
 
 def active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
+
+
+@contextmanager
+def no_tape():
+    """Record nothing inside the block, even under an entered tape: the
+    primitives run as plain numpy calls, and what they return is constant
+    to the covered tape."""
+    _TAPES.append(None)
+    try:
+        yield
+    finally:
+        _TAPES.pop()
 
 
 def _flows(x: Tensor, tape: Tape) -> bool:
@@ -391,25 +404,73 @@ def rrelu(a: Tensor) -> Tensor:
     return leaky_relu(a, RRELU_SLOPE)
 
 
-def pick_log_softmax(a: Tensor, index) -> Tensor:
-    """Fused softmax cross-entropy: out[i] = log_softmax(a)[i, index[i]] for a
-    2-D tensor, with one exp pass; the gradient is g * (onehot - softmax)."""
+# Rows of q that pick_log_softmax scores against a constant table at a time:
+# a (64, 7128) float32 block is 1.8 MB, about one L2 cache.
+SCORE_ROWS = 64
+
+
+def _row_blocks(n: int) -> list:
+    """[lo, hi) bounds of near-equal blocks of at most SCORE_ROWS rows over n
+    rows. A batch of at most SCORE_ROWS rows is one block, and a larger one
+    gets blocks of at least SCORE_ROWS // 2 rows: a 1- or 2-row product can
+    round differently from the same rows inside a larger one."""
+    count = -(-n // SCORE_ROWS)
+    edges = [i * n // count for i in range(count + 1)] if count else []
+    return list(zip(edges, edges[1:]))
+
+
+def pick_log_softmax(q: Tensor, table: Tensor, index) -> Tensor:
+    """Fused linear softmax cross-entropy: out[b] = log_softmax(q @ table.T)[b,
+    index[b]] for queries q (B, d) and a table (|E|, d), with one exp pass;
+    the score gradient is g * (onehot - softmax).
+
+    Against a constant table the scores are computed SCORE_ROWS rows at a
+    time into one reused block, and backward keeps only the (B, d) product
+    (softmax - onehot) @ table, so no |E|-wide array outlives the call.
+    When the table takes a gradient, one (B, |E|) buffer holds the scores,
+    then the softmax, and in backward (which runs once) the score gradient.
+    Either way each product uses the transposed copy of the table that
+    `score_logits` multiplies by, so the bits are those of scoring first."""
+    if q.shape[-1] != table.shape[-1]:
+        raise ValueError(f"query dim {q.shape[-1]} vs entity table dim {table.shape[-1]}")
     index = np.asarray(index, dtype=np.int64)
-    x = a.values
-    rows = np.arange(x.shape[0])
-    shifted = x - x.max(axis=-1, keepdims=True)
-    picked = shifted[rows, index]
-    e = np.exp(shifted, out=shifted)
-    total = e.sum(axis=-1, keepdims=True)
-    out = picked - np.log(total[:, 0])
+    qv = q.values
+    tt = table.values.T.copy()
+    grad_q, grad_t = _needs_grad(q, table)
+    if grad_t:
+        rows = np.arange(qv.shape[0])
+        x = qv @ tt
+        x -= x.max(axis=-1, keepdims=True)
+        picked = x[rows, index]
+        np.exp(x, out=x)
+        total = x.sum(axis=-1, keepdims=True)
+        out = picked - np.log(total[:, 0])
+        x /= total
 
-    def backward_fn(g):
-        ga = e / total
-        ga *= -g[:, None]
-        ga[rows, index] += g
-        return (ga,)
+        def backward_fn(g):
+            np.multiply(x, -g[:, None], out=x)
+            x[rows, index] += g
+            return (x @ tt.T if grad_q else None, (qv.T @ x).T)
 
-    return _record("pick_log_softmax", (a,), out, backward_fn)
+        return _record("pick_log_softmax", (q, table), out, backward_fn)
+
+    out = np.empty(qv.shape[0], dtype=np.result_type(qv, tt))
+    block = np.empty((min(len(out), SCORE_ROWS), tt.shape[1]), dtype=out.dtype)
+    jac = np.empty(qv.shape, dtype=out.dtype) if grad_q else None
+    for lo, hi in _row_blocks(len(out)):
+        rows, picks = np.arange(hi - lo), index[lo:hi]
+        b = np.matmul(qv[lo:hi], tt, out=block[:hi - lo])
+        b -= b.max(axis=-1, keepdims=True)
+        picked = b[rows, picks]
+        np.exp(b, out=b)
+        total = b.sum(axis=-1, keepdims=True)
+        out[lo:hi] = picked - np.log(total[:, 0])
+        if grad_q:
+            b /= total
+            b[rows, picks] += -1.0
+            np.matmul(b, tt.T, out=jac[lo:hi])
+    return _record("pick_log_softmax", (q, table), out,
+                   lambda g: (jac * (-g)[:, None], None))
 
 
 # ---------------------------------------------------------------------------

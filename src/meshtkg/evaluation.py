@@ -18,7 +18,7 @@ from scipy import stats as sps
 from . import history
 from .autodiff import Tensor
 from .encoders import SemanticEmbeddingTable, adapt_rows, encode_structural
-from .model import AblationConfig, MeshModel, forward_queries
+from .model import AblationConfig, MeshModel, forward_queries, score_logits
 from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
 
 
@@ -262,7 +262,8 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond: Temporal
             model, H, R, sem, rows[:, 0], rows[:, 1],
             ablation=ablation, semantic_entity_table=sem_table,
         )
-        ranks.append(filtered_ranks(bundle.logits.values, rows, known_at[t]))
+        ranks.append(filtered_ranks(score_logits(bundle.q, bundle.score_table).values, rows,
+                                    known_at[t]))
         if bundle.alphas is not None:
             alphas.append(bundle.alphas.values[:, 0])
     raw, filtered = (np.concatenate(column) for column in zip(*ranks))

@@ -8,14 +8,15 @@ prediction expert assigns every expert an independent sigmoid weight
 expert outputs into the final query vector. The gates and the weights
 are one column per expert of two matrices, so the layer is one pass for
 any expert count. Entities are scored by their logits against the
-entity table. Every loss reads these logits (the literal loss puts each
-target's logit through a sigmoid), and ranking reads them directly,
-which gives the same ranks as probabilities would.
+entity table: ranking reads `score_logits` directly, which gives the same
+ranks as probabilities would. The losses take the query and the table
+that `forward_queries` returns and score them themselves (see
+`training`), so the forward pass builds no (batch, |E|) array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -191,20 +192,14 @@ class QueryBundle:
     q_his: Tensor | None = None
     q_nhis: Tensor | None = None
     alphas: Tensor | None = None   # prediction-expert weights (batch, M+N)
-    logits: Tensor = field(init=False)
 
-    def __post_init__(self):
-        self.logits = score_logits(self.q, self.score_table)
-
-    def expert_logits(self, indicators) -> Tensor:
-        """Scores of each event's own expert query: q_his on historical rows
-        (indicator 1), q_nhis on the rest, with one |E|-wide product.
-        Multiplying finite queries by exactly 1 or 0 selects rows without
-        rounding, so each row has the values that scoring q_his or q_nhis
-        on its own would give in that row."""
+    def expert_query(self, indicators) -> Tensor:
+        """Each event's own expert query: q_his on historical rows
+        (indicator 1), q_nhis on the rest. Multiplying finite queries by
+        exactly 1 or 0 selects rows without rounding, so scoring it gives
+        each row the values that scoring q_his or q_nhis on its own would."""
         ind = np.asarray(indicators, dtype=self.q_his.dtype)[:, None]
-        q_e = ad.add(ad.mul(self.q_his, Tensor(ind)), ad.mul(self.q_nhis, Tensor(1.0 - ind)))
-        return score_logits(q_e, self.score_table)
+        return ad.add(ad.mul(self.q_his, Tensor(ind)), ad.mul(self.q_nhis, Tensor(1.0 - ind)))
 
 
 def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,

@@ -24,6 +24,9 @@ import numpy as np
 
 from . import rng
 
+# facts are stored as int64: a larger raw timestamp cannot be held
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class DatasetError(Exception):
     """Base class for dataset loading and validation failures."""
@@ -160,6 +163,8 @@ def _read_fact_file(path: str, num_entities: int, num_relations: int):
             raise ParseError(path, lineno, f"relation id {r} outside 0..{num_relations - 1}")
         if t < 0:
             raise ParseError(path, lineno, f"negative timestamp {t}")
+        if t > INT64_MAX:
+            raise ParseError(path, lineno, f"timestamp {t} above the int64 maximum {INT64_MAX}")
         if prev_t is not None and t < prev_t:
             raise ParseError(path, lineno, f"timestamp {t} decreases after {prev_t}")
         prev_t = t

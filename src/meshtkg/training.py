@@ -7,16 +7,19 @@ the prediction expert on the combined loss: the major prediction loss
 plus omega times the two event-type expert losses, which exist when the
 forward pass runs the experts (both paths on) and omega > 0. Because the
 encoder is frozen, its per-timestamp output is cached and reused across
-stage-1 epochs (numerically identical to re-encoding, just cheaper).
+stage-1 epochs, up to ENCODER_CACHE_BYTES; past that a timestamp is
+encoded again at each step (numerically identical either way).
 After each stage-1 epoch, `evaluation.evaluate(split="valid")` measures
 the validation MRR, and the best epoch's parameters are kept.
 
-Every loss reads logits. Two loss modes exist. `literal` reads each
-target's logit through a sigmoid and sums: L = -sum sigmoid(logit[o])
-(and the expert terms gated by the historical indicator). It is exact
-but saturates easily, so the default `cross_entropy` mode applies the
-usual log-softmax objective to the same logits. Both share every other
-moving part.
+Every loss scores a query batch against the entity table. Two loss modes
+exist. `literal` reads each target's logit through a sigmoid and sums:
+L = -sum sigmoid(logit[o]) (and the expert terms gated by the historical
+indicator). It is exact but saturates easily, so the default
+`cross_entropy` mode applies the usual log-softmax objective to the same
+scores, through `autodiff.pick_log_softmax`, which never keeps a
+(batch, |E|) array against stage 1's constant table. Both share every
+other moving part.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .model import (
     QueryBundle,
     forward_queries,
     init_model,
+    score_logits,
 )
 from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations
 
@@ -50,34 +54,40 @@ from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations
 # stage 0 trains the structural encoder and its decoder on their own
 STRUCTURAL_ONLY = AblationConfig(disable_semantic=True)
 
+# Bytes of frozen-encoder output that stage 1 keeps across its epochs. At
+# `full` widths a training timestamp holds about 3 MB, so ICEWS14 (about
+# 0.9 GB) is cached whole and ICEWS05-15 (about 13.6 GB) in part.
+ENCODER_CACHE_BYTES = 1 << 30
 
-def _picked(logits: Tensor, targets, mode: str) -> Tensor:
-    """Per event, the score of its target read from the logits:
-    sigmoid(logits[b, o_b]) (literal) or log_softmax(logits)[b, o_b]
-    (cross_entropy)."""
+
+def _picked(q: Tensor, table: Tensor, targets, mode: str) -> Tensor:
+    """Per event, the score of its target when query b is scored against
+    the table: sigmoid(q_b . table[o_b]) (literal, read from the logits) or
+    log_softmax(q @ table.T)[b, o_b] (cross_entropy, fused)."""
     if mode == "literal":
-        return ad.sigmoid(ad.pick_last(logits, targets))
+        return ad.sigmoid(ad.pick_last(score_logits(q, table), targets))
     if mode == "cross_entropy":
-        return ad.pick_log_softmax(logits, targets)
+        return ad.pick_log_softmax(q, table, targets)
     raise ValueError(f"unknown loss mode {mode!r}")
 
 
-def major_loss(logits: Tensor, targets, mode: str) -> Tensor:
-    """Eventwise prediction loss of a batch of logits: -sum_b of each
-    event's picked target score (`_picked`)."""
-    return ad.neg(ad.tensor_sum(_picked(logits, targets, mode)))
+def major_loss(q: Tensor, table: Tensor, targets, mode: str) -> Tensor:
+    """Eventwise prediction loss of a query batch scored against the entity
+    table: -sum_b of each event's picked target score (`_picked`)."""
+    return ad.neg(ad.tensor_sum(_picked(q, table, targets, mode)))
 
 
-def expert_losses(logits: Tensor, targets, indicators, mode: str) -> tuple[Tensor, Tensor]:
+def expert_losses(q_e: Tensor, table: Tensor, targets, indicators,
+                  mode: str) -> tuple[Tensor, Tensor]:
     """Auxiliary specialization losses; each event feeds exactly one term.
 
-    Row b of `logits` scores event b's own expert query
-    (`QueryBundle.expert_logits`): historical events (indicator 1) feed
+    Row b of `q_e` is event b's own expert query
+    (`QueryBundle.expert_query`): historical events (indicator 1) feed
     only the historical expert's loss, the rest only the non-historical
     one.
     """
-    ind = np.asarray(indicators, dtype=logits.dtype)
-    picked = _picked(logits, targets, mode)
+    ind = np.asarray(indicators, dtype=q_e.dtype)
+    picked = _picked(q_e, table, targets, mode)
     l_his = ad.neg(ad.tensor_sum(ad.mul(picked, Tensor(ind))))
     l_nhis = ad.neg(ad.tensor_sum(ad.mul(picked, Tensor(1.0 - ind))))
     return l_his, l_nhis
@@ -91,10 +101,12 @@ def stage1_losses(bundle: QueryBundle, targets, indicators, mode: str):
     the forward pass ran no experts (`bundle.q_his` is None) or no
     indicators are given.
     """
-    l_major = major_loss(bundle.logits, targets, mode)
+    table = bundle.score_table
+    l_major = major_loss(bundle.q, table, targets, mode)
     if indicators is None or bundle.q_his is None:
         return l_major, None, None
-    return (l_major, *expert_losses(bundle.expert_logits(indicators), targets, indicators, mode))
+    return (l_major, *expert_losses(bundle.expert_query(indicators), table, targets,
+                                    indicators, mode))
 
 
 def total_loss(l_major: Tensor, l_his: Tensor, l_nhis: Tensor, omega: float) -> Tensor:
@@ -176,7 +188,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
             H, R = encode_structural(model.encoder, snapshots, t, gen=gen0)
             bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
                                      gen=gen0, ablation=STRUCTURAL_ONLY)
-            return major_loss(bundle.logits, rows[:, 2], "cross_entropy")
+            return major_loss(bundle.q, bundle.score_table, rows[:, 2], "cross_entropy")
 
         for epoch in range(1, config.epochs_stage0 + 1):
             stage0_losses.append(_train_epoch(batches, stage0_loss, params0, adam0,
@@ -196,22 +208,34 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     gen1 = rng.stream(config.seed, rng.DROPOUT, 1)
 
     # the frozen encoder and the fixed training facts make each timestamp's
-    # encoding and historical indicators constants: compute them once, the
-    # encodings off the tape and held as constants, since with no history
-    # (t = 0, window 0) they are the frozen embedding tables themselves
+    # encoding and historical indicators constants. The encodings are made
+    # off the tape and held as constants, since with no history (t = 0,
+    # window 0) they are the frozen embedding tables themselves; the first
+    # ENCODER_CACHE_BYTES of them are kept for every epoch, and the rest
+    # are encoded again at each step, to the same bits (no dropout)
+    def frozen_encoding(t):
+        with ad.no_tape():
+            return tuple(Tensor(x.values) for x in encode_structural(model.encoder, snapshots, t))
+
     encoded: dict[int, tuple] = {}
     historical: list = []
     if config.epochs_stage1 > 0:
         historical = train_aug.snapshots(
             build_index(train_aug.array).indicator(*train_aug.array.T))
         if not ablation.disable_structural:
-            encoded = {t: tuple(Tensor(x.values) for x in
-                                encode_structural(model.encoder, snapshots, t))
-                       for t, _ in batches}
+            cached = 0
+            for t, _ in batches:
+                H, R = frozen_encoding(t)
+                cached += H.values.nbytes + R.values.nbytes
+                if cached > ENCODER_CACHE_BYTES:
+                    break
+                encoded[t] = H, R
     valid_cache: dict[int, tuple] = {}
 
     def stage1_loss(t, rows):
-        H, R = encoded.get(t, (None, None))
+        H = R = None
+        if not ablation.disable_structural:
+            H, R = encoded.get(t) or frozen_encoding(t)
         bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
                                  gen=gen1, ablation=ablation)
         l_major, l_his, l_nhis = stage1_losses(bundle, rows[:, 2],
@@ -293,14 +317,27 @@ def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
     os.replace(tmp, path)
 
 
+class _Placeholders:
+    """Stands in for `init_model`'s generator and draws nothing: each draw
+    is a read-only zero-stride view of one zero, so the model built from it
+    has the spec's parameter names and shapes without their memory."""
+
+    def __init__(self, dtype):
+        self.zero = np.zeros((), dtype)
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(self.zero, size)
+
+
 def load_checkpoint(path: str):
     """Rebuild the model from a checkpoint's spec and blobs; returns
     (model, header), the header's stored run configuration rebuilt as a
     RunConfig. Raises CheckpointError for anything unreadable.
 
-    The header is checked first: the blob length against the manifest
-    before any parameter is allocated, then the manifest against the
-    spec's parameters, and last the blob against its checksum."""
+    The header is checked first: the blob length against the manifest,
+    then the manifest against the parameters of the spec's model built
+    from placeholders, and last the blob against its checksum. Only then
+    is any parameter allocated, each filled from the blob."""
     try:
         with open(path, "rb") as fh:
             line = fh.readline()
@@ -331,7 +368,7 @@ def load_checkpoint(path: str):
         raise CheckpointError(f"{path}: {len(blob)} parameter bytes, "
                               f"the manifest declares {expected}")
     try:
-        model = init_model(spec, rng.stream(0, rng.INIT))
+        model = init_model(spec, _Placeholders(spec.dtype))
     except (MemoryError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: cannot build the header's model spec ({exc})") from None
     named = model.named_parameters()

@@ -211,6 +211,7 @@ def test_criterion_4_loss_formula_oracle():
     x_his = gen.standard_normal((6, num_entities))
     x_nhis = gen.standard_normal((6, num_entities))
     targets = [q.o for q in events]
+    identity = Tensor(np.eye(num_entities))
 
     def prob(logit):
         return 1.0 / (1.0 + np.exp(-logit))
@@ -227,8 +228,9 @@ def test_criterion_4_loss_formula_oracle():
     for omega, use_flags in ((1.0, flags), (0.0, flags), (0.6, [1] * 6)):
         # each event's row comes from its own expert's logits
         own = np.where(np.array(use_flags)[:, None] == 1, x_his, x_nhis)
-        lm = major_loss(Tensor(x), targets, "literal")
-        lh, ln = expert_losses(Tensor(own), targets, use_flags, "literal")
+        # an identity table scores each row as the given logits, exactly
+        lm = major_loss(Tensor(x), identity, targets, "literal")
+        lh, ln = expert_losses(Tensor(own), identity, targets, use_flags, "literal")
         lt = total_loss(lm, lh, ln, omega)
         exp_lm, exp_lh, exp_ln, exp_lt = brute(omega, use_flags)
         worst = max(worst, abs(lm.item() - exp_lm), abs(lh.item() - exp_lh),
@@ -423,7 +425,7 @@ def test_criterion_9_determinism_and_roundtrip(synth_dataset, tmp_path):
         for m in (result.model, loaded):
             H, R = encode_structural(m.encoder, cond, t)
             bundle = forward_queries(m, H, R, sem, s_idx, r_idx)
-            scores.append(bundle.logits.values)
+            scores.append(score_logits(bundle.q, bundle.score_table).values)
         bit_exact &= np.array_equal(scores[0], scores[1])
     criterion(9, identical_logs and bit_exact,
               f"identical logs across reruns: {identical_logs}; "
@@ -458,7 +460,8 @@ def test_criterion_10_gate_symmetry_at_init():
     full = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
     mean = forward_queries(model, H_g, R_g, sem, s_idx, r_idx,
                            ablation=AblationConfig(disable_prediction_expert=True))
-    coincide = np.array_equal(full.logits.values, mean.logits.values)
+    coincide = np.array_equal(score_logits(full.q, full.score_table).values,
+                              score_logits(mean.q, mean.score_table).values)
     ok &= coincide
     criterion(10, bool(ok),
               f"zero-init gates give exact 0.5 weights and q = (q_g + q_s) / 2; "

@@ -85,6 +85,7 @@ def primitive_cases(gen):
     """(name, fn, inputs) for every differentiable primitive."""
     idx = np.array([0, 1, 1])
     pick_idx = np.array([2, 0])
+    table = gen.standard_normal((4, 3))
     return [
         ("add", lambda a, b: ad.tensor_sum(ad.sigmoid(ad.add(a, b))), [rnd(gen, 2, 3), rnd(gen, 2, 3)]),
         ("add_broadcast", lambda a, b: ad.tensor_sum(ad.sigmoid(ad.add(a, b))), [rnd(gen, 2, 3), rnd(gen, 1, 3)]),
@@ -105,7 +106,10 @@ def primitive_cases(gen):
         ("relu", lambda a: ad.tensor_sum(ad.relu(a)), [rnd(gen, 2, 3)]),
         ("leaky_relu", lambda a: ad.tensor_sum(ad.leaky_relu(a, 0.1)), [rnd(gen, 2, 3)]),
         ("rrelu", lambda a: ad.tensor_sum(ad.rrelu(a)), [rnd(gen, 2, 3)]),
-        ("pick_log_softmax", lambda a: ad.tensor_sum(ad.tanh(ad.pick_log_softmax(a, pick_idx))), [rnd(gen, 2, 4)]),
+        ("pick_log_softmax", lambda q: ad.tensor_sum(ad.tanh(ad.pick_log_softmax(
+            q, Tensor(table.astype(q.dtype)), pick_idx))), [rnd(gen, 2, 3)]),
+        ("pick_log_softmax_table_grad", lambda q, t: ad.tensor_sum(ad.tanh(ad.pick_log_softmax(
+            q, t, pick_idx))), [rnd(gen, 2, 3), rnd(gen, 4, 3)]),
         ("gru", lambda x, h, wx, wh, b: ad.tensor_sum(ad.tanh(ad.gru(x, h, wx, wh, b))),
          [rnd(gen, 2, 3), rnd(gen, 2, 2), rnd(gen, 3, 6), rnd(gen, 2, 6), rnd(gen, 6)]),
         ("conv1d", lambda x, k: ad.tensor_sum(ad.sigmoid(ad.conv1d(x, k))), [rnd(gen, 2, 2, 5), rnd(gen, 3, 2, 3)]),
@@ -290,6 +294,16 @@ class TestOpSemantics:
         assert np.allclose(y.values, 2.0)
         assert ad.active_tape() is None
 
+    def test_no_tape_records_nothing_under_an_entered_tape(self):
+        x = param(np.ones(3))
+        with Tape() as tape:
+            with ad.no_tape():
+                hidden = ad.scale(x, 2.0)
+                assert ad.active_tape() is None
+            seen = ad.scale(x, 3.0)
+        assert [n.output for n in tape.nodes] == [seen.key]
+        assert hidden.key not in tape.tracked and ad.active_tape() is None
+
     def test_conv1d_known_values(self):
         # single batch, 1 input channel, identity-style kernel
         x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
@@ -305,7 +319,8 @@ class TestOpSemantics:
         idx = np.array([5, 0, 3, 3])
         shifted = x - x.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        got = ad.pick_log_softmax(Tensor(x), idx).values
+        # an identity table scores each row as the given logits, exactly
+        got = ad.pick_log_softmax(Tensor(x), Tensor(np.eye(6)), idx).values
         assert np.allclose(got, logp[np.arange(4), idx], atol=1e-12)
 
     def test_conv1d_rejects_even_width(self):
@@ -402,6 +417,109 @@ class TestDropoutKernel:
         assert np.array_equal(bits(keep), bits(ref_keep))
         assert np.array_equal(bits(out), bits(ref_keep))
         assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+def _pick_tape(q, table, idx, table_grad):
+    """pick_log_softmax of q against `table` on a tape, the table constant
+    or taking a gradient; returns (output, node)."""
+    with Tape() as tape:
+        out = ad.pick_log_softmax(param(q), param(table) if table_grad else Tensor(table), idx)
+    return out.values, tape.nodes[-1]
+
+
+class TestPickLogSoftmax:
+    @pytest.mark.parametrize("table_grad", [False, True], ids=["constant", "table_grad"])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 2e-5)])
+    @pytest.mark.parametrize("batch", [1, 31, 63, 64, 65, 129, 492])
+    def test_matches_float64_oracle(self, batch, dtype, tol, table_grad):
+        """Output and both gradients against log_softmax(q @ table.T) in
+        float64, on both sides of each block bound."""
+        gen = np.random.default_rng(batch)
+        num_entities, d = 300, 16
+        q = gen.standard_normal((batch, d)).astype(dtype)
+        table = gen.standard_normal((num_entities, d)).astype(dtype)
+        idx = gen.integers(num_entities, size=batch)
+        g = gen.standard_normal(batch).astype(dtype)
+        x = q.astype(np.float64) @ table.astype(np.float64).T
+        x -= x.max(axis=1, keepdims=True)
+        logp = x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+        score_grad = -g[:, None] * np.exp(logp)
+        score_grad[np.arange(batch), idx] += g
+        out, node = _pick_tape(q, table, idx, table_grad)
+        gq, gt = node.backward_fn(g)
+        assert out.dtype == gq.dtype == dtype
+        assert np.allclose(out, logp[np.arange(batch), idx], rtol=tol, atol=tol)
+        assert np.allclose(gq, score_grad @ table, rtol=tol, atol=tol)
+        if table_grad:
+            assert np.allclose(gt, score_grad.T @ q, rtol=tol, atol=tol)
+        else:
+            assert gt is None
+
+    @pytest.mark.parametrize("shape", [(24, 32, 60), (80, 32, 60), (492, 32, 7128)],
+                             ids=["digest", "digest_blocks", "finetune_desk"])
+    def test_blocks_match_the_unblocked_chain_bit_for_bit(self, shape):
+        """At the digest's and the benchmark's float32 shapes (B, d, |E|),
+        both forms give the bits of scoring first and then taking the
+        log-softmax, for the scales the losses send (-1, and -omega at
+        omega 1 and 0.5). Not every shape does: on some BLAS builds a small
+        product rounds differently from the same rows inside a larger one."""
+        batch, d, num_entities = shape
+        gen = np.random.default_rng(batch)
+        q = gen.standard_normal((batch, d)).astype(np.float32)
+        table = (0.3 * gen.standard_normal((num_entities, d))).astype(np.float32)
+        idx = gen.integers(num_entities, size=batch)
+        tt = table.T.copy()
+        logits = q @ tt
+        rows = np.arange(batch)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        picked = shifted[rows, idx]
+        total = np.exp(shifted).sum(axis=-1, keepdims=True)
+        want = picked - np.log(total[:, 0])
+        for scale in (-1.0, -0.5):
+            g = np.full(batch, scale, np.float32)
+            score_grad = np.exp(shifted) / total
+            score_grad *= -g[:, None]
+            score_grad[rows, idx] += g
+            for table_grad in (False, True):
+                out, node = _pick_tape(q, table, idx, table_grad)
+                gq, gt = node.backward_fn(g)
+                assert np.array_equal(bits(out), bits(want))
+                assert np.array_equal(bits(gq), bits(score_grad @ tt.T))
+                if table_grad:
+                    assert np.array_equal(bits(gt), bits((q.T @ score_grad).T))
+
+    def test_row_blocks_are_near_equal(self):
+        for n in range(0, 3 * ad.SCORE_ROWS + 2):
+            blocks = ad._row_blocks(n)
+            sizes = [hi - lo for lo, hi in blocks]
+            assert all(lo == 0 for lo, _ in blocks[:1])
+            assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+            assert sum(sizes) == n and max(sizes, default=0) - min(sizes, default=0) <= 1
+            assert all(s <= ad.SCORE_ROWS for s in sizes)
+            if n <= ad.SCORE_ROWS:
+                assert len(blocks) == (n > 0)
+            else:
+                assert min(sizes) >= ad.SCORE_ROWS // 2
+
+    @pytest.mark.parametrize("table_grad", [False, True], ids=["constant", "table_grad"])
+    def test_arrays_kept_for_backward(self, table_grad):
+        """Against a constant table backward keeps one (B, d) array; with a
+        table gradient, one (B, |E|) buffer beside the transposed table."""
+        gen = np.random.default_rng(3)
+        batch, d, num_entities = 70, 8, 500
+        q = gen.standard_normal((batch, d)).astype(np.float32)
+        table = gen.standard_normal((num_entities, d)).astype(np.float32)
+        _, node = _pick_tape(q, table, gen.integers(num_entities, size=batch), table_grad)
+        kept = [c.cell_contents.shape for c in node.backward_fn.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        wide = sorted(s for s in kept if num_entities in s)
+        assert wide == (sorted([(batch, num_entities), (d, num_entities)]) if table_grad else [])
+        if not table_grad:
+            assert kept == [(batch, d)]
+
+    def test_query_and_table_widths_must_agree(self):
+        with pytest.raises(ValueError, match="dim"):
+            ad.pick_log_softmax(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), [0, 1])
 
 
 class _CountingArray(np.ndarray):

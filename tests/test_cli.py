@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -102,6 +103,16 @@ class TestDataCommands:
         assert run([command, ds, *micro_flags(str(tmp_path / "o"))]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "relation2id.txt:5" in err
+        assert err.count("\n") == 1
+
+    def test_timestamp_above_int64_exits_3(self, synth_dataset, tmp_path, capsys):
+        ds = str(tmp_path / "ds")
+        shutil.copytree(synth_dataset["dir"], ds)
+        with open(os.path.join(ds, "test.txt"), "a", encoding="utf-8") as fh:
+            fh.write("0\t0\t1\t99999999999999999999\n")
+        assert run(["stats", ds, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "test.txt:" in err and "int64" in err
         assert err.count("\n") == 1
 
     def test_unknown_subcommand_exits_2(self):
@@ -505,6 +516,8 @@ CHECKPOINT_FAULTS = {
     # 2**50 entities are beyond any memory; the manifest still fits the blob
     "spec sizes beyond memory": _set_spec("num_entities", 2**50),
     "negative spec size": _set_spec("num_entities", -5),
+    # refused before the spec's 10**6-row entity table is allocated
+    "spec larger than the manifest": _set_spec("num_entities", 10**6),
     "short blob": lambda raw: raw[:-4],
     "flipped blob bit": _flip_blob_bit,
     "over-long blob": lambda raw: raw + bytes(4),
@@ -531,3 +544,25 @@ def test_bad_checkpoint_exits_3(fault, synth_dataset, train_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("data error:") and "bad.mesh" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fault", [None, "spec larger than the manifest"])
+def test_load_checkpoint_memory_is_bounded_by_the_file(fault, train_dir, tmp_path):
+    """Loading allocates about the file twice over (its bytes, then the
+    parameters), whatever sizes the spec claims: the spec is checked
+    against the manifest before any parameter is allocated."""
+    with open(os.path.join(train_dir, "checkpoint.mesh"), "rb") as fh:
+        raw = fh.read()
+    path = str(tmp_path / "model.mesh")
+    with open(path, "wb") as fh:
+        fh.write(raw if fault is None else CHECKPOINT_FAULTS[fault](raw))
+    tracemalloc.start()
+    try:
+        try:
+            training.load_checkpoint(path)
+        except training.CheckpointError:
+            assert fault is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * os.path.getsize(path), (peak, os.path.getsize(path))

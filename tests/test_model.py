@@ -244,7 +244,8 @@ class TestForwardQueries:
             ablation=AblationConfig(disable_prediction_expert=True),
         )
         assert np.array_equal(full.q.values, mean.q.values)
-        assert np.array_equal(full.logits.values, mean.logits.values)
+        assert np.array_equal(score_logits(full.q, full.score_table).values,
+                              score_logits(mean.q, mean.score_table).values)
 
     def test_disable_semantic_scores_structural_query(self):
         model = small_model()
@@ -279,7 +280,7 @@ class TestForwardQueries:
         }
         with ad.Tape() as tape:
             bundle = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
-            loss = ad.tensor_sum(ad.sigmoid(bundle.logits))
+            loss = ad.tensor_sum(ad.sigmoid(score_logits(bundle.q, bundle.score_table)))
             ad.backward(loss, tape)
         missing = [n for n, t in trained.items() if t.grad is None]
         assert not missing, f"no gradient reached: {missing}"

@@ -121,6 +121,17 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="negative"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("t", [2**63, 99999999999999999999])
+    def test_timestamp_above_int64_max(self, tmp_path, t):
+        d = make_dir(tmp_path, [(0, 0, 1, 0)], [], [(0, 0, 1, t)])
+        with pytest.raises(ParseError, match=r"test\.txt:1: timestamp .* int64 maximum"):
+            load_dataset(d)
+
+    def test_largest_int64_timestamp_loads(self, tmp_path):
+        d = make_dir(tmp_path, [(0, 0, 1, 0)], [], [(0, 0, 1, 2**63 - 1)])
+        _, _, _, test = load_dataset(d)
+        assert test.num_facts == 1
+
     def test_non_monotone_timestamp(self, tmp_path):
         d = make_dir(tmp_path, [(0, 0, 1, 5), (0, 0, 1, 2)])
         with pytest.raises(ParseError, match="decreases"):

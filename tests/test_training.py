@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshtkg import autodiff as ad
+from meshtkg import training
 from meshtkg.autodiff import Tensor
 from meshtkg.config import RunConfig
-from meshtkg.encoders import synthetic_embeddings
+from meshtkg.encoders import encode_structural, synthetic_embeddings
 from meshtkg.model import ModelSpec, forward_queries, init_model, score_logits
 from meshtkg.training import (
     CheckpointError,
@@ -28,20 +29,27 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
+def as_queries(logits):
+    """(q, table) whose scores q @ table.T are exactly `logits`: the logits
+    against an identity table."""
+    logits = np.asarray(logits)
+    return Tensor(logits), Tensor(np.eye(logits.shape[1], dtype=logits.dtype))
+
+
 class TestMajorLoss:
     def test_literal_perfect_prediction(self):
-        logits = Tensor(np.array([[-50.0, 50.0, -50.0]]))  # probabilities 0, 1, 0
-        assert major_loss(logits, [1], "literal").item() == pytest.approx(-1.0)
+        q, table = as_queries([[-50.0, 50.0, -50.0]])  # probabilities 0, 1, 0
+        assert major_loss(q, table, [1], "literal").item() == pytest.approx(-1.0)
 
     def test_literal_zero_probability(self):
-        logits = Tensor(np.array([[0.0, -50.0, 0.0]]))  # probabilities 0.5, 0, 0.5
-        assert major_loss(logits, [1], "literal").item() == pytest.approx(0.0)
+        q, table = as_queries([[0.0, -50.0, 0.0]])  # probabilities 0.5, 0, 0.5
+        assert major_loss(q, table, [1], "literal").item() == pytest.approx(0.0)
 
     def test_literal_matches_summation_oracle(self, np_gen):
         logits = np_gen.standard_normal((4, 6))
         targets = [2, 0, 5, 3]
         expected = -sum(sigmoid(logits[i, o]) for i, o in enumerate(targets))
-        got = major_loss(Tensor(logits), targets, "literal").item()
+        got = major_loss(*as_queries(logits), targets, "literal").item()
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_cross_entropy_matches_log_softmax(self, np_gen):
@@ -50,24 +58,24 @@ class TestMajorLoss:
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         expected = -sum(logp[i, o] for i, o in enumerate(targets))
-        got = major_loss(Tensor(logits), targets, "cross_entropy").item()
+        got = major_loss(*as_queries(logits), targets, "cross_entropy").item()
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            major_loss(Tensor(np.ones((1, 2))), [0], "hinge")
+            major_loss(*as_queries(np.ones((1, 2))), [0], "hinge")
 
 
 class TestExpertLosses:
     def test_all_historical_zeroes_nonhistorical_term(self, np_gen):
-        logits = Tensor(np_gen.standard_normal((3, 4)))
-        l_his, l_nhis = expert_losses(logits, [0, 1, 2], [1, 1, 1], "literal")
+        q, table = as_queries(np_gen.standard_normal((3, 4)))
+        l_his, l_nhis = expert_losses(q, table, [0, 1, 2], [1, 1, 1], "literal")
         assert l_nhis.item() == 0.0
         assert l_his.item() < 0.0
 
     def test_all_nonhistorical_zeroes_historical_term(self, np_gen):
-        logits = Tensor(np_gen.standard_normal((3, 4)))
-        l_his, l_nhis = expert_losses(logits, [0, 1, 2], [0, 0, 0], "literal")
+        q, table = as_queries(np_gen.standard_normal((3, 4)))
+        l_his, l_nhis = expert_losses(q, table, [0, 1, 2], [0, 0, 0], "literal")
         assert l_his.item() == 0.0
         assert l_nhis.item() < 0.0
 
@@ -81,7 +89,7 @@ class TestExpertLosses:
         exp_his = -sum(sigmoid(x_his[i, o]) * f for i, (o, f) in enumerate(zip(targets, flags)))
         exp_nhis = -sum(sigmoid(x_nhis[i, o]) * (1 - f)
                         for i, (o, f) in enumerate(zip(targets, flags)))
-        l_his, l_nhis = expert_losses(Tensor(rows), targets, flags, "literal")
+        l_his, l_nhis = expert_losses(*as_queries(rows), targets, flags, "literal")
         assert l_his.item() == pytest.approx(exp_his, abs=1e-12)
         assert l_nhis.item() == pytest.approx(exp_nhis, abs=1e-12)
 
@@ -90,8 +98,8 @@ class TestExpertLosses:
         logits = np_gen.standard_normal((8, 5))
         targets = list(np_gen.integers(5, size=8))
         flags = list(np_gen.integers(2, size=8))
-        l_his, l_nhis = expert_losses(Tensor(logits), targets, flags, "literal")
-        both = major_loss(Tensor(logits), targets, "literal").item()
+        l_his, l_nhis = expert_losses(*as_queries(logits), targets, flags, "literal")
+        both = major_loss(*as_queries(logits), targets, "literal").item()
         assert l_his.item() + l_nhis.item() == pytest.approx(both, abs=1e-12)
 
 
@@ -130,7 +138,9 @@ class TestStage1Losses:
     def test_bit_identical_to_full_width_oracle(self, mode, flags, dtype):
         """One expert query per event gives the terms, and the gradients,
         of scoring q_his and q_nhis on every row and taking each event's
-        row from its own expert's scores."""
+        row from its own expert's scores. Omega is a power of two: the
+        fused loss scales its (B, d) product by it, the oracle its (B, |E|)
+        score gradient, and only a power-of-two scale is exact in both."""
         model, H, R, sem, rows = self.micro_batch(dtype)
         ind = self.INDICATORS[flags]
         params = [t for n, t in model.named_parameters().items() if not n.startswith("encoder.")]
@@ -140,7 +150,7 @@ class TestStage1Losses:
             with ad.Tape() as tape:
                 bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1])
                 terms = terms_fn(bundle)
-                ad.backward(total_loss(*terms, 0.6), tape)
+                ad.backward(total_loss(*terms, 0.5), tape)
             return [t.values for t in terms], [p.grad for p in params]
 
         def oracle(bundle):
@@ -148,8 +158,9 @@ class TestStage1Losses:
                                    for q in (bundle.q_his, bundle.q_nhis))
             mask = np.array(ind, dtype=dtype)[:, None]
             own = ad.add(ad.mul(full_his, Tensor(mask)), ad.mul(full_nhis, Tensor(1.0 - mask)))
-            return (major_loss(bundle.logits, rows[:, 2], mode),
-                    *expert_losses(own, rows[:, 2], ind, mode))
+            identity = Tensor(np.eye(own.shape[1], dtype=dtype))  # scores own exactly
+            return (major_loss(bundle.q, bundle.score_table, rows[:, 2], mode),
+                    *expert_losses(own, identity, rows[:, 2], ind, mode))
 
         terms, grads = step(lambda bundle: stage1_losses(bundle, rows[:, 2], ind, mode))
         want_terms, want_grads = step(oracle)
@@ -159,31 +170,44 @@ class TestStage1Losses:
         assert (l_his == 0.0) == (flags == "all_nonhistorical")
         assert (l_nhis == 0.0) == (flags == "all_historical")
 
-    @pytest.mark.parametrize("overrides,wide", [
-        ({}, 2),
-        ({"loss_mode": "literal"}, 2),
-        ({"omega": 0.0}, 1),
-        ({"disable_semantic": True}, 1),
+    @pytest.mark.parametrize("overrides,counts", [
+        ({}, (0, 2, 0)),
+        ({"loss_mode": "literal"}, (2, 2, 0)),
+        ({"omega": 0.0}, (0, 1, 0)),
+        ({"disable_semantic": True}, (0, 1, 0)),
     ], ids=["experts", "literal", "omega_0", "no_semantic"])
     def test_wide_nodes_per_step(self, synth_dataset, tmp_path, monkeypatch, recorded,
-                                 overrides, wide):
-        """Each stage-1 step records `wide` (B, |E|) score products and as
-        many |E|-wide picks: the major term's, plus one expert query per
-        event when the expert terms are on. No sigmoid runs |E|-wide: the
-        literal loss puts only each event's picked logit through one."""
+                                 overrides, counts):
+        """Per stage-1 step: the nodes that output or keep for backward an
+        array with |E| in its shape, the |E|-wide picks, and the |E|-wide
+        sigmoids. There is one pick for the major term, plus one for the
+        expert queries (one per event) when the expert terms are on. The
+        cross-entropy picks score the frozen encoder's constant table in
+        row blocks, so no node outputs or keeps an |E|-wide array; the
+        literal loss reads one (B, |E|) score product per pick, and no
+        sigmoid runs |E|-wide: it puts only each event's picked logit
+        through one."""
         config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=0,
                               epochs_stage1=1, **overrides)
         sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
         num_entities = synth_dataset["vocab"].num_entities
-        counts = []
+        seen = []
+
+        def wide(*arrays):
+            return any(num_entities in a.shape for a in arrays)
+
+        def kept(fn):
+            cells = (c.cell_contents for c in fn.__closure__ or ())
+            return [a for a in cells if isinstance(a, np.ndarray)]
 
         def counting_backward(output, tape=None):
-            nodes = [(n.op, *recorded[n.output]) for n in tape.nodes]
-            counts.append((
-                sum(op == "matmul" and out.shape[-1] == num_entities for op, out, _ in nodes),
-                sum(op in ("pick_log_softmax", "pick_last")
-                    and inputs[0].shape[-1] == num_entities for op, _, inputs in nodes),
-                sum(op == "sigmoid" and out.shape[-1] == num_entities for op, out, _ in nodes),
+            nodes = [(n.op, n.backward_fn, *recorded[n.output]) for n in tape.nodes]
+            seen.append((
+                sum(wide(out.values, *kept(fn)) for _, fn, out, _ in nodes),
+                sum(op == "pick_log_softmax" and inputs[1].shape[0] == num_entities
+                    or op == "pick_last" and inputs[0].shape[-1] == num_entities
+                    for op, _, _, inputs in nodes),
+                sum(op == "sigmoid" and wide(out.values) for op, _, out, _ in nodes),
             ))
             recorded.clear()
             return backward(output, tape)
@@ -192,7 +216,7 @@ class TestStage1Losses:
         monkeypatch.setattr(ad, "backward", counting_backward)
         train_model(config, synth_dataset["vocab"], synth_dataset["train"],
                     synth_dataset["valid"], sem)
-        assert counts and set(counts) == {(wide, wide, 0)}
+        assert seen and set(seen) == {counts}
 
 
 class TestTotalLoss:
@@ -265,6 +289,30 @@ class TestTrainModel:
         graded = [n for n, t in ad.named_tensors(result.model.encoder).items()
                   if t.grad is not None]
         assert graded == []
+
+    def test_uncached_stage1_is_bit_identical(self, synth_dataset, tmp_path, monkeypatch):
+        """Past the cache bound stage 1 encodes each timestamp again at each
+        step, off the tape: with no cache at all it writes the same log and
+        parameters, bit for bit, and the frozen encoder gets no gradient."""
+        config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=0,
+                              epochs_stage1=2)
+        sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
+        args = (config, synth_dataset["vocab"], synth_dataset["train"], synth_dataset["valid"],
+                sem)
+        runs = [train_model(*args)]
+        encodes = []
+        monkeypatch.setattr(training, "ENCODER_CACHE_BYTES", 0)
+        monkeypatch.setattr(training, "encode_structural",
+                            lambda *a, **k: encodes.append(1) or encode_structural(*a, **k))
+        runs.append(train_model(*args))
+        assert runs[0].log_lines == runs[1].log_lines
+        cached, uncached = (r.model.named_parameters() for r in runs)
+        for name, t in cached.items():
+            assert np.array_equal(bits(t.values), bits(uncached[name].values)), name
+        assert [n for n, t in ad.named_tensors(runs[1].model.encoder).items()
+                if t.grad is not None] == []
+        steps = sum(1 for rows in synth_dataset["train"].snapshots() if len(rows))
+        assert len(encodes) >= 2 * steps  # every step of both epochs encodes
 
     def test_empty_valid_split(self, synth_dataset, tmp_path):
         # stage 1 needs validation facts to pick its epoch; without stage 1 none are read

@@ -7,12 +7,14 @@ temporary directory, runs prepare, stats, naive, emit-prompts, train, eval,
 analyze, an omega sweep and a 1x1/2x2 expert-count sweep on it at default
 settings, then a train and an eval run each with the structural path off,
 with the semantic path off, with the literal loss and the concatenated gate
-input, and with `--window 0` (every timestamp encoded with no history), all
-with fixed relative `--out` paths, and prints, per command, its
-exit code and the SHA-256 of its stdout and stderr, then `sha256  path`
-for every file in the directory. MESH_* environment variables are
-ignored, so two runs of one checkout print the same digest, and two
-checkouts that write the same bytes do too.
+input, and with `--window 0` (every timestamp encoded with no history),
+and last a train and an eval run on a second stream of TINY's shape with
+40 facts per timestamp, whose 80 queries per batch cross a score block of
+`autodiff.pick_log_softmax`. Every command writes to a fixed relative
+`--out` path. It prints, per command, its exit code and the SHA-256 of its
+stdout and stderr, then `sha256  path` for every file in the directory.
+MESH_* environment variables are ignored, so two runs of one checkout print
+the same digest, and two checkouts that write the same bytes do too.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import stream  # noqa: E402  (bench/stream.py)
 from meshtkg.cli import run  # noqa: E402
 
-SEED = 1                      # seed of the event stream
+SEED = 1                      # seed of the event streams
 TINY_SPLITS = (0, 28, 6, 6)   # start, train, valid and test timestamps of the 40
+STREAMS = {"data": stream.TINY, "data-blocks": dict(stream.TINY, facts_per_step=40)}
 COMMANDS = (
     ["prepare", "data", "--out", "prepare"],
     ["stats", "data", "--out", "stats"],
@@ -50,6 +53,8 @@ COMMANDS = (
                          ("window0", ["--window", "0"]))
       for command in (["train", "data", "--out", f"train-{tag}", *flags],
                       ["eval", f"train-{tag}/checkpoint.mesh", "data", "--out", f"eval-{tag}"])),
+    ["train", "data-blocks", "--out", "train-blocks"],
+    ["eval", "train-blocks/checkpoint.mesh", "data-blocks", "--out", "eval-blocks"],
 )
 
 
@@ -79,11 +84,12 @@ def file_digests(top: str) -> list:
 def main() -> int:
     for key in [k for k in os.environ if k.startswith("MESH_")]:
         del os.environ[key]
-    facts = stream.generate(SEED, **stream.TINY)
     home = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="run_digest_") as top:
-        stream.write(os.path.join(top, "data"), stream.window(facts, *TINY_SPLITS),
-                     stream.TINY["num_entities"], stream.TINY["num_relations"])
+        for name, shape in STREAMS.items():
+            facts = stream.generate(SEED, **shape)
+            stream.write(os.path.join(top, name), stream.window(facts, *TINY_SPLITS),
+                         shape["num_entities"], shape["num_relations"])
         os.chdir(top)
         try:
             lines = [run_command(list(command)) for command in COMMANDS]

@@ -20,7 +20,6 @@ intermediate gradient once its node has consumed it.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -103,7 +102,7 @@ class Tape:
 
     The entered tapes form one process-wide stack: entering a tape makes
     it the active one until it exits, and the tape it covered is active
-    again after that. `no_tape` covers the active tape the same way.
+    again after that.
     """
 
     nodes: list = field(default_factory=list)
@@ -126,18 +125,6 @@ _TAPES: list[Tape] = []
 
 def active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
-
-
-@contextmanager
-def no_tape():
-    """Record nothing inside the block, even under an entered tape: the
-    primitives run as plain numpy calls, and what they return is constant
-    to the covered tape."""
-    _TAPES.append(None)
-    try:
-        yield
-    finally:
-        _TAPES.pop()
 
 
 def _flows(x: Tensor, tape: Tape) -> bool:
@@ -437,40 +424,36 @@ def pick_log_softmax(q: Tensor, table: Tensor, index) -> Tensor:
     qv = q.values
     tt = table.values.T.copy()
     grad_q, grad_t = _needs_grad(q, table)
-    if grad_t:
-        rows = np.arange(qv.shape[0])
-        x = qv @ tt
-        x -= x.max(axis=-1, keepdims=True)
-        picked = x[rows, index]
-        np.exp(x, out=x)
-        total = x.sum(axis=-1, keepdims=True)
-        out = picked - np.log(total[:, 0])
-        x /= total
-
-        def backward_fn(g):
-            np.multiply(x, -g[:, None], out=x)
-            x[rows, index] += g
-            return (x @ tt.T if grad_q else None, (qv.T @ x).T)
-
-        return _record("pick_log_softmax", (q, table), out, backward_fn)
-
     out = np.empty(qv.shape[0], dtype=np.result_type(qv, tt))
-    block = np.empty((min(len(out), SCORE_ROWS), tt.shape[1]), dtype=out.dtype)
-    jac = np.empty(qv.shape, dtype=out.dtype) if grad_q else None
-    for lo, hi in _row_blocks(len(out)):
+    if grad_t:  # one block of every row, kept for backward
+        blocks, height = [(0, len(out))], len(out)
+    else:
+        blocks, height = _row_blocks(len(out)), min(len(out), SCORE_ROWS)
+    buf = np.empty((height, tt.shape[1]), dtype=out.dtype)
+    jac = np.empty(qv.shape, dtype=out.dtype) if grad_q and not grad_t else None
+    for lo, hi in blocks:
         rows, picks = np.arange(hi - lo), index[lo:hi]
-        b = np.matmul(qv[lo:hi], tt, out=block[:hi - lo])
+        b = np.matmul(qv[lo:hi], tt, out=buf[:hi - lo])
         b -= b.max(axis=-1, keepdims=True)
         picked = b[rows, picks]
         np.exp(b, out=b)
         total = b.sum(axis=-1, keepdims=True)
         out[lo:hi] = picked - np.log(total[:, 0])
-        if grad_q:
+        if grad_q or grad_t:
             b /= total
+        if jac is not None:
             b[rows, picks] += -1.0
             np.matmul(b, tt.T, out=jac[lo:hi])
-    return _record("pick_log_softmax", (q, table), out,
-                   lambda g: (jac * (-g)[:, None], None))
+    if not grad_t:
+        return _record("pick_log_softmax", (q, table), out,
+                       lambda g: (jac * (-g)[:, None], None))
+
+    def backward_fn(g):  # rows and buf span the whole batch here
+        np.multiply(buf, -g[:, None], out=buf)
+        buf[rows, index] += g
+        return (buf @ tt.T if grad_q else None, (qv.T @ buf).T)
+
+    return _record("pick_log_softmax", (q, table), out, backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ the prediction expert on the combined loss: the major prediction loss
 plus omega times the two event-type expert losses, which exist when the
 forward pass runs the experts (both paths on) and omega > 0. Because the
 encoder is frozen, its per-timestamp output is cached and reused across
-stage-1 epochs, up to ENCODER_CACHE_BYTES; past that a timestamp is
-encoded again at each step (numerically identical either way).
+stage-1 epochs (numerically identical to re-encoding, just cheaper).
 After each stage-1 epoch, `evaluation.evaluate(split="valid")` measures
 the validation MRR, and the best epoch's parameters are kept.
 
@@ -53,11 +52,6 @@ from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations
 
 # stage 0 trains the structural encoder and its decoder on their own
 STRUCTURAL_ONLY = AblationConfig(disable_semantic=True)
-
-# Bytes of frozen-encoder output that stage 1 keeps across its epochs. At
-# `full` widths a training timestamp holds about 3 MB, so ICEWS14 (about
-# 0.9 GB) is cached whole and ICEWS05-15 (about 13.6 GB) in part.
-ENCODER_CACHE_BYTES = 1 << 30
 
 
 def _picked(q: Tensor, table: Tensor, targets, mode: str) -> Tensor:
@@ -208,34 +202,22 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     gen1 = rng.stream(config.seed, rng.DROPOUT, 1)
 
     # the frozen encoder and the fixed training facts make each timestamp's
-    # encoding and historical indicators constants. The encodings are made
-    # off the tape and held as constants, since with no history (t = 0,
-    # window 0) they are the frozen embedding tables themselves; the first
-    # ENCODER_CACHE_BYTES of them are kept for every epoch, and the rest
-    # are encoded again at each step, to the same bits (no dropout)
-    def frozen_encoding(t):
-        with ad.no_tape():
-            return tuple(Tensor(x.values) for x in encode_structural(model.encoder, snapshots, t))
-
+    # encoding and historical indicators constants: compute them once, the
+    # encodings off the tape and held as constants, since with no history
+    # (t = 0, window 0) they are the frozen embedding tables themselves
     encoded: dict[int, tuple] = {}
     historical: list = []
     if config.epochs_stage1 > 0:
         historical = train_aug.snapshots(
             build_index(train_aug.array).indicator(*train_aug.array.T))
         if not ablation.disable_structural:
-            cached = 0
-            for t, _ in batches:
-                H, R = frozen_encoding(t)
-                cached += H.values.nbytes + R.values.nbytes
-                if cached > ENCODER_CACHE_BYTES:
-                    break
-                encoded[t] = H, R
+            encoded = {t: tuple(Tensor(x.values) for x in
+                                encode_structural(model.encoder, snapshots, t))
+                       for t, _ in batches}
     valid_cache: dict[int, tuple] = {}
 
     def stage1_loss(t, rows):
-        H = R = None
-        if not ablation.disable_structural:
-            H, R = encoded.get(t) or frozen_encoding(t)
+        H, R = encoded.get(t, (None, None))
         bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
                                  gen=gen1, ablation=ablation)
         l_major, l_his, l_nhis = stage1_losses(bundle, rows[:, 2],

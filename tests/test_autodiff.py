@@ -294,16 +294,6 @@ class TestOpSemantics:
         assert np.allclose(y.values, 2.0)
         assert ad.active_tape() is None
 
-    def test_no_tape_records_nothing_under_an_entered_tape(self):
-        x = param(np.ones(3))
-        with Tape() as tape:
-            with ad.no_tape():
-                hidden = ad.scale(x, 2.0)
-                assert ad.active_tape() is None
-            seen = ad.scale(x, 3.0)
-        assert [n.output for n in tape.nodes] == [seen.key]
-        assert hidden.key not in tape.tracked and ad.active_tape() is None
-
     def test_conv1d_known_values(self):
         # single batch, 1 input channel, identity-style kernel
         x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]]))

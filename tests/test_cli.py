@@ -105,15 +105,28 @@ class TestDataCommands:
         assert err.startswith("data error:") and "relation2id.txt:5" in err
         assert err.count("\n") == 1
 
-    def test_timestamp_above_int64_exits_3(self, synth_dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["stats", "train"])
+    def test_timestamp_above_int64_exits_3(self, synth_dataset, tmp_path, capsys, command):
         ds = str(tmp_path / "ds")
         shutil.copytree(synth_dataset["dir"], ds)
         with open(os.path.join(ds, "test.txt"), "a", encoding="utf-8") as fh:
             fh.write("0\t0\t1\t99999999999999999999\n")
-        assert run(["stats", ds, "--out", str(tmp_path / "o")]) == 3
+        assert run([command, ds, *micro_flags(str(tmp_path / "o"))]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "test.txt:" in err and "int64" in err
         assert err.count("\n") == 1
+
+    def test_largest_int64_timestamp_trains_and_evaluates(self, synth_dataset, tmp_path):
+        """Raw timestamps become dense indices when loaded, so a fact at the
+        int64 maximum is one more snapshot, not 2**63 of them."""
+        ds = str(tmp_path / "ds")
+        shutil.copytree(synth_dataset["dir"], ds)
+        with open(os.path.join(ds, "test.txt"), "a", encoding="utf-8") as fh:
+            fh.write(f"0\t0\t1\t{2**63 - 1}\n")
+        out = str(tmp_path / "o")
+        assert run(["train", ds, *micro_flags(out, epochs_stage0=1, epochs_stage1=1)]) == 0
+        assert run(["eval", os.path.join(out, "checkpoint.mesh"), ds,
+                    "--out", str(tmp_path / "e")]) == 0
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshtkg import autodiff as ad
-from meshtkg import training
 from meshtkg.autodiff import Tensor
 from meshtkg.config import RunConfig
-from meshtkg.encoders import encode_structural, synthetic_embeddings
+from meshtkg.encoders import synthetic_embeddings
 from meshtkg.model import ModelSpec, forward_queries, init_model, score_logits
 from meshtkg.training import (
     CheckpointError,
@@ -135,12 +134,19 @@ class TestStage1Losses:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("mode", ["cross_entropy", "literal"])
     @pytest.mark.parametrize("flags", sorted(INDICATORS))
-    def test_bit_identical_to_full_width_oracle(self, mode, flags, dtype):
+    @pytest.mark.parametrize("omega", [0.5, 0.6])
+    def test_bit_identical_to_full_width_oracle(self, mode, flags, dtype, omega):
         """One expert query per event gives the terms, and the gradients,
         of scoring q_his and q_nhis on every row and taking each event's
-        row from its own expert's scores. Omega is a power of two: the
-        fused loss scales its (B, d) product by it, the oracle its (B, |E|)
-        score gradient, and only a power-of-two scale is exact in both."""
+        row from its own expert's scores.
+
+        The cross-entropy gradients are bit for bit only at a power-of-two
+        omega: the fused loss scales its (B, d) product by -omega, the
+        oracle its (B, |E|) score gradient, and only a power-of-two scale
+        is exact in both. At omega 0.6 each scaled score is one rounding
+        apart, carried back through the model's backward products: each
+        gradient stays within 16 eps of its largest element (at most
+        6.6 eps seen at these shapes); the terms stay bit for bit."""
         model, H, R, sem, rows = self.micro_batch(dtype)
         ind = self.INDICATORS[flags]
         params = [t for n, t in model.named_parameters().items() if not n.startswith("encoder.")]
@@ -150,7 +156,7 @@ class TestStage1Losses:
             with ad.Tape() as tape:
                 bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1])
                 terms = terms_fn(bundle)
-                ad.backward(total_loss(*terms, 0.5), tape)
+                ad.backward(total_loss(*terms, omega), tape)
             return [t.values for t in terms], [p.grad for p in params]
 
         def oracle(bundle):
@@ -164,8 +170,15 @@ class TestStage1Losses:
 
         terms, grads = step(lambda bundle: stage1_losses(bundle, rows[:, 2], ind, mode))
         want_terms, want_grads = step(oracle)
-        for got, want in zip(terms + grads, want_terms + want_grads):
+        for got, want in zip(terms, want_terms):
             assert np.array_equal(bits(got), bits(want))
+        exact = mode == "literal" or omega == 0.5
+        for got, want in zip(grads, want_grads):
+            if exact:
+                assert np.array_equal(bits(got), bits(want))
+            else:
+                bound = 16 * np.finfo(dtype).eps * np.abs(want).max()
+                assert np.abs(got - want).max() <= bound
         l_his, l_nhis = terms[1:]  # a term with no events is exactly 0
         assert (l_his == 0.0) == (flags == "all_nonhistorical")
         assert (l_nhis == 0.0) == (flags == "all_historical")
@@ -289,30 +302,6 @@ class TestTrainModel:
         graded = [n for n, t in ad.named_tensors(result.model.encoder).items()
                   if t.grad is not None]
         assert graded == []
-
-    def test_uncached_stage1_is_bit_identical(self, synth_dataset, tmp_path, monkeypatch):
-        """Past the cache bound stage 1 encodes each timestamp again at each
-        step, off the tape: with no cache at all it writes the same log and
-        parameters, bit for bit, and the frozen encoder gets no gradient."""
-        config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=0,
-                              epochs_stage1=2)
-        sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
-        args = (config, synth_dataset["vocab"], synth_dataset["train"], synth_dataset["valid"],
-                sem)
-        runs = [train_model(*args)]
-        encodes = []
-        monkeypatch.setattr(training, "ENCODER_CACHE_BYTES", 0)
-        monkeypatch.setattr(training, "encode_structural",
-                            lambda *a, **k: encodes.append(1) or encode_structural(*a, **k))
-        runs.append(train_model(*args))
-        assert runs[0].log_lines == runs[1].log_lines
-        cached, uncached = (r.model.named_parameters() for r in runs)
-        for name, t in cached.items():
-            assert np.array_equal(bits(t.values), bits(uncached[name].values)), name
-        assert [n for n, t in ad.named_tensors(runs[1].model.encoder).items()
-                if t.grad is not None] == []
-        steps = sum(1 for rows in synth_dataset["train"].snapshots() if len(rows))
-        assert len(encodes) >= 2 * steps  # every step of both epochs encodes
 
     def test_empty_valid_split(self, synth_dataset, tmp_path):
         # stage 1 needs validation facts to pick its epoch; without stage 1 none are read

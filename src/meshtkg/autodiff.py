@@ -279,21 +279,27 @@ def gather_rows(table: Tensor, index) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
     out = table.values[index]
     shape, dtype = table.shape, table.dtype
-
-    def backward_fn(g):
-        gt = np.zeros(shape, dtype)
-        np.add.at(gt, index, g)
-        return (gt,)
-
-    return _record("gather_rows", (table,), out, backward_fn)
+    return _record("gather_rows", (table,), out,
+                   lambda g: (_scatter_rows(np.zeros(shape, dtype), index, g),))
 
 
 def scatter_add_rows(values: Tensor, index, num_rows: int) -> Tensor:
     """out[j] = sum of values[i] over i with index[i] == j."""
     index = np.asarray(index, dtype=np.int64)
     out = np.zeros((num_rows,) + values.values.shape[1:], dtype=values.values.dtype)
-    np.add.at(out, index, values.values)
+    _scatter_rows(out, index, values.values)
     return _record("scatter_add_rows", (values,), out, lambda g: (g[index],))
+
+
+def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """np.add.at(out, index, rows) for a C-contiguous `out`, through the
+    1-D fast path of np.add.at: each row's elements are added at their
+    flat positions, in the same order as the row-wise form, so the sums
+    have its bits. Returns out."""
+    width = out[0].size if len(out) else 0
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    np.add.at(out.reshape(-1), flat, rows.reshape(-1))
+    return out
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -557,15 +563,24 @@ def gru(x: Tensor, h: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 
 
 def dropout(a: Tensor, p: float, gen: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: zero a fraction p and rescale survivors by 1/(1-p).
-    Without a generator (evaluation) it is the identity.
+    """Inverted dropout: zero a fraction p < 1 and rescale survivors by
+    1/(1-p). Without a generator (evaluation) it is the identity.
 
-    The backward keeps a 1-byte mask (the float32 draw >= p) and the scale
+    The mask keeps what `gen.random(shape, dtype=np.float32) >= p` keeps,
+    and leaves the generator in the same state, without the float32 draw:
+    that draw is (u >> 8) * 2**-24 for each 32-bit half word u, compared
+    with p in float32, so it is >= p exactly when u >= k << 8 with k =
+    ceil(float32(p) * 2**24). The half words are read from the bit
+    generator's raw 64-bit words, low half first, after the half word it
+    may hold buffered; the bit generator must split its words so (Philox,
+    PCG64 and SFC64 do). The backward keeps the 1-byte mask and the scale
     1/(1-p) in the input dtype; (a * scale) * mask has the bits, signed
     zeros included, of a times the mask divided by 1 - p in that dtype."""
+    if not p < 1.0:
+        raise ValueError(f"dropout needs p < 1, got {p}")
     if gen is None or p <= 0.0:
         return a
-    mask = gen.random(a.values.shape, dtype=np.float32) >= p
+    mask = _keep_mask(gen.bit_generator, a.values.shape, p)
     scale = np.divide(1.0, 1.0 - p, dtype=a.values.dtype)
     out = a.values * scale
     out *= mask
@@ -576,6 +591,32 @@ def dropout(a: Tensor, p: float, gen: np.random.Generator | None) -> Tensor:
         return (ga,)
 
     return _record("dropout", (a,), out, backward_fn)
+
+
+def _keep_mask(bitgen, shape, p: float) -> np.ndarray:
+    """The mask `Generator.random(shape, dtype=np.float32) >= p` with the
+    bits and the bit-generator state that draw leaves (see `dropout`)."""
+    n = int(np.prod(shape))
+    state = bitgen.state
+    head = min(state["has_uint32"], n)  # a buffered half word is read first
+    words = bitgen.random_raw((n - head + 1) // 2)
+    # '<u8' -> '<u4' puts each word's low half first on any host
+    halves = words.astype("<u8", copy=False).view("<u4")
+    k = int(np.ceil(float(np.float32(p)) * 2.0 ** 24))
+    mask = np.zeros(n, dtype=bool)
+    if k < 2 ** 24:  # float32(p) == 1.0 drops every element
+        threshold = np.uint32(k << 8)
+        mask[:head] = state["uinteger"] >= threshold
+        np.greater_equal(halves[:n - head], threshold, out=mask[head:])
+    if len(words):
+        # an odd count leaves the last word's high half buffered
+        state = bitgen.state
+        state["has_uint32"] = (n - head) % 2
+        state["uinteger"] = int(halves[-1])
+    elif head:
+        state["has_uint32"] = 0
+    bitgen.state = state
+    return mask.reshape(shape)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
@@ -652,22 +693,39 @@ def init_adam(params, lr: float = 1e-3) -> AdamState:
 
 
 def adam_step(params, state: AdamState) -> None:
-    """Bias-corrected Adam update in place; missing grads count as zero."""
+    """Bias-corrected Adam update in place; missing grads count as zero.
+
+    The moments and the parameters are updated in their own buffers, with
+    the bits of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    p -= (lr (m / c1)) / (sqrt(v / c2) + eps)."""
     if len(params) != len(state.m):
         raise ValueError("parameter list does not match optimizer state")
     state.step += 1
     t = state.step
+    c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
     for i, p in enumerate(params):
         g = p.grad
         if g is None:
             g = np.zeros_like(p.values)
         if g.shape != p.values.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.values.shape}")
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = state.m[i], state.v[i]
+        # ndarray scratch, 0-d ones included: an in-place op on a numpy
+        # scalar would rebind it instead
+        step, denom = np.empty_like(m), np.empty_like(v)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=denom)
+        denom *= 1.0 - ADAM_BETA2
+        v += denom
+        np.divide(m, c1, out=step)
+        step *= state.lr
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        p.values -= step
 
 
 def zero_grads(params) -> None:

@@ -4,8 +4,10 @@ Structural path: a recurrent relational graph encoder. For each snapshot
 in a sliding history window, entity rows aggregate incoming-edge messages
 (neighbor plus relation embedding, mean over in-edges, learned transform
 plus self-loop transform) through L layers, then entity and relation
-tables evolve via gated recurrent cells. Encoding at time t reads only
-snapshots strictly before t.
+tables evolve via gated recurrent cells. The learned transform runs only
+on the rows with an in-edge in the snapshot (a few hundred of ICEWS14's
+7,128 entities); every other row gets its self-loop transform alone.
+Encoding at time t reads only snapshots strictly before t.
 
 Semantic path: prompts rendered per entity/relation name are handed to an
 external text encoder offline; its output embeddings come back through a
@@ -101,6 +103,20 @@ def init_structural_encoder(num_entities: int, num_relations_aug: int, dim: int,
     )
 
 
+def aggregate(layer: LayerParams, X: Tensor, R: Tensor, rows: np.ndarray) -> Tensor:
+    """One aggregation layer over a snapshot's fact rows (s, r, o, ...):
+    X[o] @ self plus, for each o with an in-edge, the mean of X[s] + R[r]
+    over its in-edges @ agg. The agg transform runs only on those rows, so
+    a row with no in-edge gets X @ self alone."""
+    s_idx, r_idx, o_idx = rows[:, 0], rows[:, 1], rows[:, 2]
+    dst, slot, in_deg = np.unique(o_idx, return_inverse=True, return_counts=True)
+    inv_deg = Tensor(np.divide(1.0, in_deg.astype(X.dtype))[:, None])
+    msg = ad.add(ad.gather_rows(X, s_idx), ad.gather_rows(R, r_idx))
+    agg = ad.mul(ad.scatter_add_rows(msg, slot, len(dst)), inv_deg)
+    return ad.add(ad.scatter_add_rows(ad.matmul(agg, layer.agg), dst, X.shape[0]),
+                  ad.matmul(X, layer.self))
+
+
 def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, *,
                       gen: np.random.Generator | None = None):
     """Entity and relation tables conditioned on the last `params.window`
@@ -111,7 +127,6 @@ def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, 
     """
     if t < 0 or t > len(snapshots):
         raise ValueError(f"timestamp {t} outside the available history (0..{len(snapshots)})")
-    num_entities = params.entity_emb.shape[0]
     num_relations = params.relation_emb.shape[0]
     dtype = params.entity_emb.dtype
 
@@ -132,15 +147,9 @@ def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, 
 
         # L aggregation layers over the snapshot, messages use the tables as
         # they stood at the start of this step
-        in_deg = np.bincount(o_idx, minlength=num_entities).astype(dtype)
-        inv_deg = np.divide(1.0, in_deg, out=np.zeros_like(in_deg), where=in_deg > 0)
-        inv_deg_t = Tensor(inv_deg[:, None])
         X = H
         for layer in params.layer:
-            msg = ad.add(ad.gather_rows(X, s_idx), ad.gather_rows(R, r_idx))
-            agg = ad.mul(ad.scatter_add_rows(msg, o_idx, num_entities), inv_deg_t)
-            out = ad.add(ad.matmul(agg, layer.agg), ad.matmul(X, layer.self))
-            X = ad.dropout(ad.rrelu(out), params.dropout, gen)
+            X = ad.dropout(ad.rrelu(aggregate(layer, X, R, rows)), params.dropout, gen)
 
         H = gru_cell(params.ent_cell, X, H)
         R = R_new

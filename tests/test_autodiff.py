@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from meshtkg import autodiff as ad
+from meshtkg import rng
 from meshtkg.autodiff import Tape, Tensor, backward, grad_check, param
 
 UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
@@ -409,6 +410,87 @@ class TestDropoutKernel:
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
+    @staticmethod
+    def _float32_draw_dropout(gen, a, p):
+        """Dropout with its mask from the float32 draw, as it was built before
+        the raw-word mask; returns (mask, output)."""
+        mask = gen.random(a.shape, dtype=np.float32) >= p
+        out = a * np.divide(1.0, 1.0 - p, dtype=a.dtype)
+        out *= mask
+        return mask, out
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 1.0 / 3.0, 1e-9])
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("sizes", [[(7,), (8,), (5, 13)], [(1,), (1,), (2, 3)],
+                                       [(7128, 100), (0,), (492, 50, 100)]])
+    def test_raw_words_match_float32_draw(self, p, buffered, sizes):
+        """Training's Philox streams, with and without a buffered half word,
+        over odd and even sizes and three calls in a row: every mask, every
+        output bit and the generator's whole state match the float32 draw."""
+        ref_gen, gen = rng.stream(3, rng.DROPOUT, 7), rng.stream(3, rng.DROPOUT, 7)
+        if buffered:
+            ref_gen.random(dtype=np.float32)
+            gen.random(dtype=np.float32)
+            assert gen.bit_generator.state["has_uint32"] == 1
+        data = np.random.default_rng(10)
+        for shape in sizes:
+            a = data.standard_normal(shape).astype(np.float32)
+            ref_mask, ref_out = self._float32_draw_dropout(ref_gen, a, p)
+            with Tape() as tape:
+                out = ad.dropout(param(a), p, gen).values
+            (keep,) = tape.nodes[-1].backward_fn(np.ones(shape, np.float32))
+            assert np.array_equal(keep != 0, ref_mask)
+            assert np.array_equal(bits(out), bits(ref_out))
+            assert same_state(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+    def test_p_of_one_refused(self):
+        with pytest.raises(ValueError, match="p < 1"):
+            ad.dropout(Tensor(np.ones(3, np.float32)), 1.0, np.random.default_rng(0))
+
+    def test_p_rounding_to_one_in_float32_drops_everything(self):
+        p = 1.0 - 1e-9
+        assert np.float32(p) == 1.0
+        ref_gen, gen = rng.stream(3, rng.DROPOUT), rng.stream(3, rng.DROPOUT)
+        a = np.ones((9, 5), np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.dropout(Tensor(a), p, gen).values
+            ref_mask, _ = self._float32_draw_dropout(ref_gen, a, p)
+        assert not ref_mask.any() and not out.any()
+        assert same_state(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+
+def same_state(a, b) -> bool:
+    """Whether two bit-generator states (nested dicts of ints and arrays)
+    are equal, value for value."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index,table,values", [
+        ([2, 0, 2, 2, 1, 0], (4, 3), (6, 3)),     # repeated indices
+        ([], (4, 3), (0, 3)),                     # empty index
+        ([1, 1, 0, 3, 1], (5,), (5,)),            # 1-D table
+        ([0, 2, 0, 1], (3, 2, 5), (4, 2, 5)),     # 3-D values
+    ])
+    def test_matches_row_wise_add_at(self, dtype, index, table, values):
+        gen = np.random.default_rng(11)
+        index = np.array(index, dtype=np.int64)
+        rows = gen.standard_normal(values).astype(dtype)
+        start = gen.standard_normal(table).astype(dtype)
+        want = start.copy()
+        np.add.at(want, index, rows)
+        got = ad._scatter_rows(start.copy(), index, rows)
+        assert got.dtype == dtype
+        assert np.array_equal(bits(got), bits(want))
+
+
 def _pick_tape(q, table, idx, table_grad):
     """pick_log_softmax of q against `table` on a tape, the table constant
     or taking a gradient; returns (output, node)."""
@@ -615,7 +697,48 @@ class TestConstantOperands:
         assert np.array_equal(bits(gx), bits(gx_only))
 
 
+def reference_adam_step(params, state) -> None:
+    """Adam as it was written before the in-place update: fresh arrays for
+    the moments and every temporary; the oracle for `ad.adam_step`."""
+    state.step += 1
+    t = state.step
+    for i, p in enumerate(params):
+        g = p.grad if p.grad is not None else np.zeros_like(p.values)
+        state.m[i] = ad.ADAM_BETA1 * state.m[i] + (1.0 - ad.ADAM_BETA1) * g
+        state.v[i] = ad.ADAM_BETA2 * state.v[i] + (1.0 - ad.ADAM_BETA2) * (g * g)
+        m_hat = state.m[i] / (1.0 - ad.ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1.0 - ad.ADAM_BETA2 ** t)
+        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_bit_for_bit_in_place(self, dtype):
+        """Five steps over a matrix, a vector and a 0-d parameter, the vector's
+        gradient missing at two of them: parameters and moments have the
+        reference's bits, and the moments stay in their own buffers."""
+        gen = np.random.default_rng(12)
+        shapes = [(6, 4), (5,), ()]
+        start = [gen.standard_normal(shape).astype(dtype) for shape in shapes]
+        params = [param(x.copy()) for x in start]
+        ref_params = [param(x.copy()) for x in start]
+        state, ref_state = ad.init_adam(params, lr=0.01), ad.init_adam(ref_params, lr=0.01)
+        buffers = [id(m) for m in state.m] + [id(v) for v in state.v]
+        for step in range(5):
+            for p, ref_p, shape in zip(params, ref_params, shapes):
+                g = None if (shape == (5,) and step in (1, 3)) else \
+                    gen.standard_normal(shape).astype(dtype)
+                p.grad = ref_p.grad = g
+            ad.adam_step(params, state)
+            reference_adam_step(ref_params, ref_state)
+            for got, want in zip(params + state.m + state.v,
+                                 ref_params + ref_state.m + ref_state.v):
+                got, want = getattr(got, "values", got), getattr(want, "values", want)
+                assert isinstance(got, np.ndarray) and got.dtype == dtype
+                assert np.array_equal(bits(got), bits(np.asarray(want)))
+        assert [id(m) for m in state.m] + [id(v) for v in state.v] == buffers
+        assert state.step == ref_state.step == 5
+
     def test_zero_gradient_keeps_params(self):
         p = param(np.array([1.0, 2.0]))
         p.grad = np.zeros(2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshtkg import autodiff as ad
-from meshtkg import rng
+from meshtkg import encoders, rng
 from meshtkg.autodiff import Tensor, grad_check, param
 from meshtkg.encoders import (
     EmbeddingCoverageError,
@@ -216,6 +216,108 @@ class TestGruCell:
         z = sigmoid(0.1)
         n = np.tanh(0.5)
         assert np.allclose(out, (1 - z) * n + z * h.values[0])
+
+
+def dense_aggregate(layer, X: Tensor, R: Tensor, rows: np.ndarray) -> Tensor:
+    """The aggregation layer over every entity row, rows with no in-edge
+    averaging to zero before the agg transform; oracle for the row-sparse
+    `encoders.aggregate`."""
+    num_entities = X.shape[0]
+    s_idx, r_idx, o_idx = rows[:, 0], rows[:, 1], rows[:, 2]
+    in_deg = np.bincount(o_idx, minlength=num_entities).astype(X.dtype)
+    inv_deg = np.divide(1.0, in_deg, out=np.zeros_like(in_deg), where=in_deg > 0)
+    msg = ad.add(ad.gather_rows(X, s_idx), ad.gather_rows(R, r_idx))
+    agg = ad.mul(ad.scatter_add_rows(msg, o_idx, num_entities), Tensor(inv_deg[:, None]))
+    return ad.add(ad.matmul(agg, layer.agg), ad.matmul(X, layer.self))
+
+
+def skewed_snapshots(seed, num_entities, num_relations, facts_per_step, count):
+    """`count` snapshots of facts and their inverses (relation + R), with
+    Zipf-skewed entity popularity as in news-event data, so objects repeat
+    and most entities have no in-edge in a snapshot."""
+    gen = np.random.default_rng(seed)
+    pop = 1.0 / np.arange(1, num_entities + 1) ** 1.1
+    pop = (pop / pop.sum())[gen.permutation(num_entities)]
+    blocks = []
+    for _ in range(count):
+        s, o = gen.choice(num_entities, size=(2, facts_per_step), p=pop)
+        r = gen.integers(num_relations, size=facts_per_step)
+        blocks.append(np.concatenate([np.stack([s, r, o], axis=1),
+                                      np.stack([o, r + num_relations, s], axis=1)]))
+    return blocks
+
+
+# (|E|, |R|, facts per timestamp) of bench/stream.py's TINY and ICEWS14 shapes
+ENCODER_SHAPES = {"tiny": (60, 6, 12), "icews14": (7128, 230, 246)}
+
+
+class TestSparseAggregation:
+    def _encode(self, monkeypatch, layer_fn, shape, dim, dtype):
+        """Outputs and every encoder gradient of a 2-layer, window-3 encode,
+        with dropout drawn from a Philox stream, under `layer_fn`."""
+        num_entities, num_relations, facts = ENCODER_SHAPES[shape]
+        params = init_structural_encoder(num_entities, 2 * num_relations, dim, layers=2,
+                                         window=3, dropout=0.2, gen=np.random.default_rng(4),
+                                         dtype=dtype)
+        snapshots = skewed_snapshots(5, num_entities, num_relations, facts, 3)
+        weights = np.random.default_rng(6)
+        w_h = Tensor(weights.standard_normal((num_entities, dim)).astype(dtype))
+        w_r = Tensor(weights.standard_normal((2 * num_relations, dim)).astype(dtype))
+        monkeypatch.setattr(encoders, "aggregate", layer_fn)
+        named = ad.named_tensors(params)
+        with ad.Tape() as tape:
+            H, R = encode_structural(params, snapshots, t=3, gen=rng.stream(1, rng.DROPOUT))
+            loss = ad.add(ad.tensor_sum(ad.mul(H, w_h)), ad.tensor_sum(ad.mul(R, w_r)))
+            ad.backward(loss, tape)
+        return H.values, R.values, {n: t.grad for n, t in named.items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [32, 100])
+    @pytest.mark.parametrize("shape", ["tiny", "icews14"])
+    def test_matches_dense_layer(self, monkeypatch, shape, dim, dtype):
+        """The (k, d) agg product may round differently from the same rows of
+        the (|E|, d) one, so outputs are held to 8 eps and gradients to 16
+        eps of each array's largest element (at least 1); at the float32
+        shapes of the run digest (tiny, 32) and the benchmark (icews14, 32
+        and 100) the outputs are equal."""
+        sparse = self._encode(monkeypatch, encoders.aggregate, shape, dim, dtype)
+        dense = self._encode(monkeypatch, dense_aggregate, shape, dim, dtype)
+        eps = np.finfo(dtype).eps
+        for got, want in zip(sparse[:2], dense[:2]):
+            assert got.dtype == dtype
+            if dtype == np.float32 and (shape, dim) != ("tiny", 100):
+                assert np.array_equal(got, want)
+            assert np.abs(got - want).max() <= 8 * eps
+        grads, oracle = sparse[2], dense[2]
+        assert grads.keys() == oracle.keys()
+        for name, want in oracle.items():
+            bound = 16 * eps * max(1.0, np.abs(want).max())
+            assert np.abs(grads[name] - want).max() <= bound, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_without_in_edge_gets_self_transform(self, dtype):
+        gen = np.random.default_rng(8)
+        layer = encoders.LayerParams(*(param(gen.standard_normal((4, 4)).astype(dtype))
+                                       for _ in range(2)))
+        X = Tensor(gen.standard_normal((5, 4)).astype(dtype))
+        R = Tensor(gen.standard_normal((3, 4)).astype(dtype))
+        rows = np.array([[0, 1, 2, 0], [3, 0, 2, 0], [1, 2, 4, 0]])  # objects 2 and 4
+        out = encoders.aggregate(layer, X, R, rows).values
+        self_loop = X.values @ layer.self.values
+        assert np.array_equal(out[[0, 1, 3]], self_loop[[0, 1, 3]])
+        dense = dense_aggregate(layer, X, R, rows).values
+        assert np.abs(out - dense).max() <= 8 * np.finfo(dtype).eps
+
+    def test_snapshot_with_no_facts(self):
+        gen = np.random.default_rng(9)
+        layer = encoders.LayerParams(*(param(gen.standard_normal((4, 4))) for _ in range(2)))
+        X, R = param(gen.standard_normal((5, 4))), param(gen.standard_normal((3, 4)))
+        with ad.Tape() as tape:
+            out = encoders.aggregate(layer, X, R, np.empty((0, 4), np.int64))
+            ad.backward(ad.tensor_sum(out), tape)
+        assert np.array_equal(out.values, X.values @ layer.self.values)
+        assert not np.any(layer.agg.grad) and not np.any(R.grad)
+        assert np.array_equal(X.grad, np.ones((5, 4)) @ layer.self.values.T)
 
 
 def prompt_lines(tmp_path):

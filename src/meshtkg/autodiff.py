@@ -296,7 +296,7 @@ def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> np.nd
     1-D fast path of np.add.at: each row's elements are added at their
     flat positions, in the same order as the row-wise form, so the sums
     have its bits. Returns out."""
-    width = out[0].size if len(out) else 0
+    width = int(np.prod(out.shape[1:]))
     flat = (index[:, None] * width + np.arange(width)).ravel()
     np.add.at(out.reshape(-1), flat, rows.reshape(-1))
     return out
@@ -609,13 +609,11 @@ def _keep_mask(bitgen, shape, p: float) -> np.ndarray:
         mask[:head] = state["uinteger"] >= threshold
         np.greater_equal(halves[:n - head], threshold, out=mask[head:])
     if len(words):
-        # an odd count leaves the last word's high half buffered
         state = bitgen.state
-        state["has_uint32"] = (n - head) % 2
         state["uinteger"] = int(halves[-1])
-    elif head:
-        state["has_uint32"] = 0
-    bitgen.state = state
+    if n:  # an odd count leaves the last word's high half buffered
+        state["has_uint32"] = (n - head) % 2
+        bitgen.state = state
     return mask.reshape(shape)
 
 

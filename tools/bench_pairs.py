@@ -85,9 +85,9 @@ def spread(values: list) -> str:
     """Median, with the quartiles when there are at least two values."""
     med = statistics.median(values)
     if len(values) < 2:
-        return f"{med:.6g}"
+        return f"{med:.10g}"
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{med:.6g} [{q1:.6g}-{q3:.6g}]"
+    return f"{med:.10g} [{q1:.10g}-{q3:.10g}]"
 
 
 def compare(workload: str, base_tree: str, args, metrics: list) -> bool:
@@ -107,7 +107,7 @@ def compare(workload: str, base_tree: str, args, metrics: list) -> bool:
         for m in metrics:
             base, here = (results[k]["metrics"][m["name"]]["value"] for k in ("base", "here"))
             rows[m["name"]].append((base, here))
-            print(f"  pair {pair:>2} {m['name']:<16} {base:>14.6g} -> {here:<14.6g} "
+            print(f"  pair {pair:>2} {m['name']:<16} {base:>16.10g} -> {here:<16.10g} "
                   f"{m['unit']}  ({here / base if base else float('nan'):.3f}x)")
     for m in metrics:
         pairs = rows[m["name"]]

@@ -61,8 +61,7 @@ def _resolve(args) -> cfg.RunConfig:
 
 def _write_echo(config: cfg.RunConfig) -> None:
     os.makedirs(config.out, exist_ok=True)
-    with open(os.path.join(config.out, "config.echo"), "w", encoding="utf-8") as fh:
-        fh.write(config.echo())
+    _write(os.path.join(config.out, "config.echo"), config.echo())
 
 
 def _load_data(config: cfg.RunConfig):

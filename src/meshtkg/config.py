@@ -111,6 +111,8 @@ class RunConfig:
 
 def _coerce(name: str, raw: str):
     kind = RunConfig.__dataclass_fields__[name].type
+    if kind == "str":
+        return raw.strip()
     if kind == "bool":
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
@@ -118,11 +120,10 @@ def _coerce(name: str, raw: str):
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"cannot parse boolean config value {raw!r} for {name}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw.strip()
+    try:
+        return {"int": int, "float": float}[kind](raw)
+    except ValueError:
+        raise ValueError(f"cannot parse {kind} config value {raw!r} for {name}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -137,7 +138,10 @@ def parse_config_file(path: str) -> dict:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in RunConfig.__dataclass_fields__:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+            try:
+                values[key] = _coerce(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -145,9 +149,12 @@ def env_overrides(environ=None) -> dict:
     environ = os.environ if environ is None else environ
     values = {}
     for name in RunConfig.__dataclass_fields__:
-        raw = environ.get(f"MESH_{name.upper()}")
-        if raw is not None:
-            values[name] = _coerce(name, raw)
+        variable = f"MESH_{name.upper()}"
+        if variable in environ:
+            try:
+                values[name] = _coerce(name, environ[variable])
+            except ValueError as exc:
+                raise ValueError(f"{variable}: {exc}") from None
     return values
 
 

@@ -156,6 +156,15 @@ def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, 
     return H, R
 
 
+def frozen_encoding(params: StructuralEncoderParams, snapshots: list, t: int,
+                    cache: dict) -> tuple[Tensor, Tensor]:
+    """The frozen, dropout-free encoder's (H, R) at t as constant Tensors; a
+    miss encodes them, on the active tape if any, and stores the arrays under t."""
+    if t not in cache:
+        cache[t] = tuple(x.values for x in encode_structural(params, snapshots, t))
+    return tuple(Tensor(v) for v in cache[t])
+
+
 # ---------------------------------------------------------------------------
 # prompt emission
 
@@ -303,9 +312,12 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
         except ValueError:
             raise EmbeddingFormatError(f"{path}:{lineno}: id is not an integer: {idx_s!r}")
         try:
-            row = np.array(vals.split(), dtype=np.float32)
+            with np.errstate(over="raise"):
+                row = np.array(vals.split(), dtype=np.float32)
         except ValueError:
             raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric embedding value")
+        except FloatingPointError:
+            raise EmbeddingFormatError(f"{path}:{lineno}: embedding value beyond the float32 range")
         if row.shape[0] != dim:
             raise EmbeddingFormatError(
                 f"{path}:{lineno}: row has {row.shape[0]} values, header declares {dim}"
@@ -360,15 +372,12 @@ def init_adapters(llm_dim: int, mid: int, dim: int, gen: np.random.Generator,
     )
 
 
-def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
-    hidden = ad.relu(ad.add(ad.matmul(x, params.w1), params.b1))
-    return ad.add(ad.matmul(hidden, params.w2), params.b2)
-
-
-def adapt_rows(mlp: MlpParams, rows: np.ndarray, dtype=np.float32) -> Tensor:
+def adapt_rows(mlp: MlpParams, rows: np.ndarray) -> Tensor:
     """Compress embedding rows to the working dimension through one adapter
-    (`f_h` for entities, `f_r` for relations); differentiable."""
+    (`f_h` for entities, `f_r` for relations), in the adapter's dtype;
+    differentiable. Rows already in that dtype are used without a copy."""
     in_dim = mlp.w1.shape[0]
     if rows.shape[-1] != in_dim:
         raise ValueError(f"adapter expects input dim {in_dim}, rows have {rows.shape[-1]}")
-    return mlp_forward(mlp, Tensor(rows.astype(dtype)))
+    hidden = ad.relu(ad.add(ad.matmul(Tensor(rows, dtype=mlp.w1.dtype), mlp.w1), mlp.b1))
+    return ad.add(ad.matmul(hidden, mlp.w2), mlp.b2)

@@ -16,8 +16,7 @@ import numpy as np
 from scipy import stats as sps
 
 from . import history
-from .autodiff import Tensor
-from .encoders import SemanticEmbeddingTable, adapt_rows, encode_structural
+from .encoders import SemanticEmbeddingTable, adapt_rows, frozen_encoding
 from .model import AblationConfig, MeshModel, forward_queries, score_logits
 from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
 
@@ -60,28 +59,6 @@ def reports_to_kv(named_reports: list[tuple[str, "MetricsReport"]]) -> str:
             value = getattr(report, metric)
             lines.append(f"{metric}\t{name}\t" + ("n/a" if value is None else f"{value:.6f}"))
     return "\n".join(lines) + "\n"
-
-
-def rank_query(scores: np.ndarray, o: int, filter_out=()) -> tuple[float, float]:
-    """Raw and time-aware-filtered rank of the true object.
-
-    Rank = 1 + (strictly better candidates) + (ties with others) / 2; the
-    filtered rank deletes `filter_out` entities from the candidate list.
-    """
-    s_o = scores[o]
-    greater = int(np.count_nonzero(scores > s_o))
-    ties = int(np.count_nonzero(scores == s_o)) - 1
-    raw = 1.0 + greater + 0.5 * ties
-    if len(filter_out) == 0:
-        return raw, raw
-    f_idx = np.fromiter(filter_out, dtype=np.int64)
-    if np.any(f_idx == o):
-        raise ValueError("the true object must not be in its own filter set")
-    f_scores = scores[f_idx]
-    greater_f = int(np.count_nonzero(f_scores > s_o))
-    ties_f = int(np.count_nonzero(f_scores == s_o))
-    filtered = 1.0 + (greater - greater_f) + 0.5 * (ties - ties_f)
-    return raw, filtered
 
 
 def compute_metrics(ranks) -> MetricsReport:
@@ -175,13 +152,13 @@ def gate_statistics(alpha_his, alpha_nhis) -> GateStats:
 # full-split evaluation
 
 def filtered_ranks(scores: np.ndarray, queries: np.ndarray, known: np.ndarray):
-    """Raw and time-aware-filtered ranks of one snapshot's true objects,
-    equal query by query to :func:`rank_query`'s.
+    """Raw and time-aware-filtered ranks of one snapshot's true objects.
 
     `scores` is (B, |E|) for the B (s, r, o, t) rows of `queries`; `known`
-    holds every true fact at their timestamp. Each query's filter is the
-    distinct objects of the known rows that share its (s, r), its own
-    object left out.
+    holds every true fact at their timestamp. Rank = 1 + (strictly better
+    candidates) + (ties with others) / 2; the filtered rank first deletes
+    the query's filter: the distinct objects of the known rows that share
+    its (s, r), its own object left out.
     """
     batch, num_entities = scores.shape
     s_o = scores[np.arange(batch), queries[:, 2]][:, None]
@@ -238,26 +215,23 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond: Temporal
     and the prediction expert's weight on the first expert, or None for
     alpha when the ablation runs no prediction expert. The encoder output
     per timestamp can be cached across calls via `encode_cache` because
-    the evaluation-mode encoder is a pure function of its frozen parameters.
+    the evaluation-mode encoder is a pure function of its frozen parameters;
+    without one, each timestamp's encoding is dropped once it is ranked.
     """
     ablation = ablation or AblationConfig()
     sem_table = None
     if ablation.disable_structural:
-        sem_table = adapt_rows(model.adapter.f_h, sem.entity, model.encoder.entity_emb.dtype)
+        sem_table = adapt_rows(model.adapter.f_h, sem.entity)
 
     known_at, cond_at = known.snapshots(), cond.snapshots()
     ranks, alphas = [], []
     for t, rows in enumerate(query.snapshots()):
         if not len(rows):
             continue
-        if ablation.disable_structural:
-            H = R = None
-        elif encode_cache is not None and t in encode_cache:
-            H, R = (Tensor(v) for v in encode_cache[t])
-        else:
-            H, R = encode_structural(model.encoder, cond_at, t)
-            if encode_cache is not None:
-                encode_cache[t] = (H.values, R.values)
+        H = R = None
+        if not ablation.disable_structural:
+            H, R = frozen_encoding(model.encoder, cond_at, t,
+                                   {} if encode_cache is None else encode_cache)
         bundle = forward_queries(
             model, H, R, sem, rows[:, 0], rows[:, 1],
             ablation=ablation, semantic_entity_table=sem_table,

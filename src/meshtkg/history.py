@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tkg import TemporalKG, Vocabulary
+from .tkg import ID_BITS, TemporalKG, Vocabulary
 
-ID_BITS = 20                           # per packed id field: ids below 2**20
 NO_KEY = np.iinfo(np.int64).max        # above every packed key
 
 

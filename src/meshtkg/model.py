@@ -220,7 +220,6 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     no expert loss terms.
     """
     ablation = ablation or AblationConfig()
-    dtype = model.encoder.entity_emb.dtype
 
     q_g = None
     if not ablation.disable_structural:
@@ -233,14 +232,14 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
 
     spec = model.spec
     base_rel = np.asarray(r_idx) % spec.num_relations
-    h_l = enc.adapt_rows(model.adapter.f_h, sem.entity[np.asarray(s_idx)], dtype)
-    r_l = enc.adapt_rows(model.adapter.f_r, sem.relation[base_rel], dtype)
+    h_l = enc.adapt_rows(model.adapter.f_h, sem.entity[np.asarray(s_idx)])
+    r_l = enc.adapt_rows(model.adapter.f_r, sem.relation[base_rel])
     q_s = dec.decode(model.decoder_l, h_l, r_l, gen=gen)
 
     if ablation.disable_structural:
         table = semantic_entity_table
         if table is None:
-            table = enc.adapt_rows(model.adapter.f_h, sem.entity, dtype)
+            table = enc.adapt_rows(model.adapter.f_h, sem.entity)
         return QueryBundle(q_s, table)
 
     if spec.gate_input == "structural":

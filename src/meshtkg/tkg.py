@@ -26,6 +26,8 @@ from . import rng
 
 # facts are stored as int64: a larger raw timestamp cannot be held
 INT64_MAX = int(np.iinfo(np.int64).max)
+# `history` packs ids below 2**ID_BITS; inverse relation ids run to 2|R| - 1
+ID_BITS = 20
 
 
 class DatasetError(Exception):
@@ -191,28 +193,30 @@ def load_dataset(directory: str):
     Returns (vocabulary, train, valid, test); timestamps are shared dense
     indices across the three splits.
     """
-    entity_names = _read_id_file(os.path.join(directory, "entity2id.txt"))
-    relation_names = _read_id_file(os.path.join(directory, "relation2id.txt"))
+    names = {}
+    for kind, limit in (("entity", 1 << ID_BITS), ("relation", 1 << (ID_BITS - 1))):
+        path = os.path.join(directory, f"{kind}2id.txt")
+        names[kind] = _read_id_file(path)
+        if len(names[kind]) > limit:
+            raise LoadError(f"{path}: {len(names[kind])} {kind} ids, above the limit of {limit}")
     splits = {
         split: _read_fact_file(
-            os.path.join(directory, f"{split}.txt"), len(entity_names), len(relation_names)
+            os.path.join(directory, f"{split}.txt"), len(names["entity"]), len(names["relation"])
         )
         for split in ("train", "valid", "test")
     }
     num_timestamps = _normalize_timestamps(splits)
-    vocab = Vocabulary(entity_names, relation_names, num_timestamps)
+    vocab = Vocabulary(names["entity"], names["relation"], num_timestamps)
     return (vocab, *(TemporalKG(rows, split) for split, rows in splits.items()))
 
 
 def write_dataset(directory: str, vocab: Vocabulary, train, valid, test) -> None:
     """Write a normalized dataset back to the text format."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "entity2id.txt"), "w", encoding="utf-8") as fh:
-        for i, name in enumerate(vocab.entity_names):
-            fh.write(f"{name}\t{i}\n")
-    with open(os.path.join(directory, "relation2id.txt"), "w", encoding="utf-8") as fh:
-        for i, name in enumerate(vocab.relation_names):
-            fh.write(f"{name}\t{i}\n")
+    for kind, names in (("entity", vocab.entity_names), ("relation", vocab.relation_names)):
+        with open(os.path.join(directory, f"{kind}2id.txt"), "w", encoding="utf-8") as fh:
+            for i, name in enumerate(names):
+                fh.write(f"{name}\t{i}\n")
     for tkg in (train, valid, test):
         with open(os.path.join(directory, f"{tkg.split}.txt"), "w", encoding="utf-8") as fh:
             np.savetxt(fh, tkg.array, fmt="%d", delimiter="\t")

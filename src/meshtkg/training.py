@@ -35,7 +35,7 @@ from . import autodiff as ad
 from . import rng
 from .autodiff import NumericError, Tensor
 from .config import RunConfig
-from .encoders import SemanticEmbeddingTable, encode_structural
+from .encoders import SemanticEmbeddingTable, encode_structural, frozen_encoding
 from .evaluation import evaluate
 from .history import build_index
 from .model import (
@@ -128,7 +128,8 @@ def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
 
     `batch_loss(t, rows)` builds the summed loss of the block's (s, r, o, t)
     rows on the step's tape; only `params` receive gradients and move.
-    Returns the mean loss per query.
+    Returns the mean loss per query. An Adam update that overflows raises
+    NumericError: a weight whose moment is inf would stop moving.
     """
     total, count = 0.0, 0
     for t, rows in batches:
@@ -138,7 +139,12 @@ def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
                 raise NumericError(f"non-finite loss in {stage}, epoch {epoch}, timestamp {t}")
             ad.zero_grads(params)
             ad.backward(loss, tape)
-        ad.adam_step(params, adam)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                ad.adam_step(params, adam)
+        except FloatingPointError as exc:
+            raise NumericError(f"Adam update failed in {stage}, epoch {epoch}, "
+                               f"timestamp {t}: {exc}") from None
         total += loss.item()
         count += len(rows)
     return total / max(count, 1)
@@ -203,21 +209,23 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
 
     # the frozen encoder and the fixed training facts make each timestamp's
     # encoding and historical indicators constants: compute them once, the
-    # encodings off the tape and held as constants, since with no history
-    # (t = 0, window 0) they are the frozen embedding tables themselves
+    # encodings before the first step so that none is computed on a step's
+    # tape, and read them as constants, since with no history (t = 0,
+    # window 0) they are the frozen embedding tables themselves
     encoded: dict[int, tuple] = {}
     historical: list = []
     if config.epochs_stage1 > 0:
         historical = train_aug.snapshots(
             build_index(train_aug.array).indicator(*train_aug.array.T))
         if not ablation.disable_structural:
-            encoded = {t: tuple(Tensor(x.values) for x in
-                                encode_structural(model.encoder, snapshots, t))
-                       for t, _ in batches}
+            for t, _ in batches:
+                frozen_encoding(model.encoder, snapshots, t, encoded)
     valid_cache: dict[int, tuple] = {}
 
     def stage1_loss(t, rows):
-        H, R = encoded.get(t, (None, None))
+        H = R = None
+        if not ablation.disable_structural:
+            H, R = frozen_encoding(model.encoder, snapshots, t, encoded)
         bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
                                  gen=gen1, ablation=ablation)
         l_major, l_his, l_nhis = stage1_losses(bundle, rows[:, 2],

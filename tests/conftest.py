@@ -34,6 +34,17 @@ def random_facts(gen, n, num_entities, num_relations, num_timestamps):
     ]
 
 
+def sort_oracle_rank(scores, o, filter_out=()):
+    """Sort-based oracle: mean rank of o over all orderings of tied
+    candidates, the entities of `filter_out` other than o deleted."""
+    keep = [e for e in range(len(scores)) if e == o or e not in filter_out]
+    ordered = sorted(keep, key=lambda e: -scores[e])
+    better = sum(1 for e in ordered if scores[e] > scores[o])
+    tied = sum(1 for e in ordered if e != o and scores[e] == scores[o])
+    # positions better+1 .. better+tied+1 are equally likely: mid-rank
+    return better + 1 + tied / 2.0
+
+
 @pytest.fixture
 def tiny_dataset_dir(tmp_path):
     """A 5-entity, 2-relation dataset with temporally split facts on disk."""

@@ -24,7 +24,7 @@ from meshtkg.evaluation import (
     compute_metrics,
     evaluate,
     evaluate_naive,
-    rank_query,
+    filtered_ranks,
 )
 from meshtkg.history import build_index, dataset_stats
 from meshtkg.model import (
@@ -45,7 +45,7 @@ from meshtkg.training import (
     train_model,
 )
 
-from conftest import group, make_vocab, micro_config
+from conftest import group, make_vocab, micro_config, sort_oracle_rank
 from test_autodiff import primitive_cases
 
 DATA_DIR = os.environ.get("MESH_DATA_DIR", os.path.join(os.path.dirname(__file__), "..", "data"))
@@ -282,31 +282,26 @@ def test_criterion_5_expert_decomposition_bit_exact():
 # ---------------------------------------------------------------------------
 # 6. metric oracle
 
-def sort_oracle_rank(scores, o, filter_out):
-    keep = [e for e in range(len(scores)) if e == o or e not in filter_out]
-    ordered = sorted(keep, key=lambda e: -scores[e])
-    better = sum(1 for e in ordered if scores[e] > scores[o])
-    tied = sum(1 for e in ordered if e != o and scores[e] == scores[o])
-    return better + 1 + tied / 2.0
-
-
 def test_criterion_6_metric_oracle():
+    """1,000 random queries ranked in one `filtered_ranks` call: query q is
+    the row (q, 0, o, 0), whose known rows are its own object and its
+    filter set."""
     gen = np.random.default_rng(66)
     num_entities = 40
-    ranks, oracle_ranks = [], []
-    worst = 0.0
-    for _ in range(1000):
+    scores, queries, known, oracle_ranks = [], [], [], []
+    for q in range(1000):
         # half the vectors are quantized to force score ties
-        scores = gen.uniform(size=num_entities)
+        row = gen.uniform(size=num_entities)
         if gen.random() < 0.5:
-            scores = np.round(scores, 1)
+            row = np.round(row, 1)
         o = int(gen.integers(num_entities))
         filter_out = {int(e) for e in gen.choice(num_entities, size=6, replace=False)} - {o}
-        _, filtered = rank_query(scores, o, filter_out)
-        expected = sort_oracle_rank(scores, o, filter_out)
-        worst = max(worst, abs(filtered - expected))
-        ranks.append(filtered)
-        oracle_ranks.append(expected)
+        scores.append(row)
+        queries.append((q, 0, o, 0))
+        known += [(q, 0, e, 0) for e in (o, *sorted(filter_out))]
+        oracle_ranks.append(sort_oracle_rank(row, o, filter_out))
+    _, ranks = filtered_ranks(np.array(scores), np.array(queries), np.array(known))
+    worst = float(np.max(np.abs(ranks - np.array(oracle_ranks))))
     report = compute_metrics(ranks)
     mrr_oracle = sum(1.0 / r for r in oracle_ranks) / len(oracle_ranks)
     hits = {k: sum(r <= k for r in oracle_ranks) / len(oracle_ranks) for k in (1, 3, 10)}

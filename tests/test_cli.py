@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import re
 import shutil
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from meshtkg import training
+from meshtkg import tkg, training
 from meshtkg.cli import build_parser, run
 from meshtkg.config import CHOICES, RunConfig
 from meshtkg.encoders import save_semantic_embeddings, synthetic_embeddings
@@ -287,6 +289,40 @@ class TestTrainEvalCommands:
         assert run(["train", synth_dataset["dir"], "--out", str(tmp_path / "x"),
                     "--dropout", "1.5"]) == 2
 
+    def test_bad_config_file_value_is_located(self, synth_dataset, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = 1\ndim = abc\n")
+        out = str(tmp_path / "x")
+        assert run(["train", synth_dataset["dir"], "--config", str(cfg_file), "--out", out]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg_file}:2: cannot parse int config "
+                                           f"value 'abc' for dim\n")
+        assert not os.path.exists(out)
+
+    def test_bad_environment_value_is_located(self, synth_dataset, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("MESH_DIM", "abc")
+        out = str(tmp_path / "x")
+        assert run(["train", synth_dataset["dir"], "--out", out]) == 2
+        assert capsys.readouterr().err == ("error: MESH_DIM: cannot parse int config value "
+                                           "'abc' for dim\n")
+        assert not os.path.exists(out)
+
+    def test_adam_overflow_exits_4(self, synth_dataset, tmp_path, capsys):
+        table = synthetic_embeddings(synth_dataset["vocab"], 16, seed=5)
+        table.entity[...] = 1e30
+        path = str(tmp_path / "huge.emb")
+        save_semantic_embeddings(path, table, binary=True)
+        out = str(tmp_path / "x")
+        argv = ["train", synth_dataset["dir"], *micro_flags(out, epochs_stage0=1, epochs_stage1=1),
+                "--embeddings", path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numeric failure: Adam update failed in stage 1, epoch 1, "
+                            r"timestamp \d+: overflow encountered in \w+\n", err)
+        assert not os.path.exists(os.path.join(out, "checkpoint.mesh"))
+
     def test_removed_event_aware_switch_exits_2(self, synth_dataset, tmp_path, capsys):
         # `--omega 0` is the run without the auxiliary expert loss
         cfg_file = tmp_path / "old.cfg"
@@ -411,6 +447,32 @@ def test_bad_embedding_file_exits_3(fault, command, synth_dataset, checkpoint, t
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err and err.count("\n") == 1
     assert "bad.emb" in err
+
+
+def test_embedding_value_beyond_float32_exits_3(synth_dataset, tmp_path, capsys):
+    path = str(tmp_path / "wide.emb")
+    save_semantic_embeddings(path, synthetic_embeddings(synth_dataset["vocab"], 4, seed=5))
+    lines = read(path).splitlines(keepends=True)
+    lines[3] = "E\t2\t1 1e39 1 1\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", synth_dataset["dir"], *micro_flags(out), "--embeddings", path]) == 3
+    assert capsys.readouterr().err == (f"data error: {path}:4: embedding value beyond the "
+                                       f"float32 range\n")
+
+
+@pytest.mark.parametrize("command", ["stats", "naive"])
+def test_vocabulary_beyond_packed_keys_exits_3(command, synth_dataset, tmp_path, capsys,
+                                                monkeypatch):
+    # 4-bit id fields hold 16 of the set's 30 entities
+    monkeypatch.setattr(tkg, "ID_BITS", 4)
+    assert run([command, synth_dataset["dir"], "--out", str(tmp_path / "out")]) == 3
+    path = os.path.join(synth_dataset["dir"], "entity2id.txt")
+    assert capsys.readouterr().err == (f"data error: {path}: 30 entity ids, above the limit "
+                                       f"of 16\n")
 
 
 def test_missing_checkpoint_exits_3(synth_dataset, tmp_path, capsys):

@@ -62,6 +62,23 @@ class TestLayering:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(str(path))
 
+    @pytest.mark.parametrize("key, raw, kind", [("dim", "abc", "int"), ("omega", "high", "float"),
+                                                ("disable_semantic", "maybe", "boolean")])
+    def test_bad_file_value_names_line_and_key(self, tmp_path, key, raw, kind):
+        path = tmp_path / "c"
+        path.write_text(f"seed = 2\n{key} = {raw}\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(str(path))
+        assert str(exc.value) == f"{path}:2: cannot parse {kind} config value {raw!r} for {key}"
+
+    @pytest.mark.parametrize("key, raw, kind", [("dim", "abc", "int"), ("omega", "high", "float"),
+                                                ("disable_semantic", "maybe", "boolean")])
+    def test_bad_env_value_names_the_variable(self, key, raw, kind):
+        variable = f"MESH_{key.upper()}"
+        with pytest.raises(ValueError) as exc:
+            env_overrides({"MESH_SEED": "2", variable: raw})
+        assert str(exc.value) == f"{variable}: cannot parse {kind} config value {raw!r} for {key}"
+
     def test_echo_roundtrips(self, tmp_path):
         cfg = resolve({"dataset": "x", "dim": 24, "omega": 0.7, "disable_semantic": True})
         path = tmp_path / "config.echo"

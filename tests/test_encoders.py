@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -357,6 +360,29 @@ class TestPrompts:
         assert path.read_text() == ""
 
 
+class TestFrozenEncoding:
+    def test_miss_stores_the_arrays_and_a_hit_reads_them(self, np_gen, monkeypatch):
+        params = init_structural_encoder(6, 6, 10, layers=2, window=3, dropout=0.0, gen=np_gen)
+        snapshots = add_inverse_relations(group([(0, 0, 1, 0), (2, 1, 3, 1), (4, 2, 5, 1)]),
+                                          3).snapshots()
+        cache = {}
+        H, R = encoders.frozen_encoding(params, snapshots, 2, cache)
+        H_ref, R_ref = encode_structural(params, snapshots, 2)
+        assert list(cache) == [2]
+        assert np.array_equal(H.values, H_ref.values) and np.array_equal(R.values, R_ref.values)
+        assert not (H.requires_grad or R.requires_grad)
+        # a hit encodes nothing and wraps the stored arrays
+        monkeypatch.setattr(encoders, "encode_structural", None)
+        H2, R2 = encoders.frozen_encoding(params, snapshots, 2, cache)
+        assert H2.values is cache[2][0] and R2.values is cache[2][1]
+
+    def test_no_history_gives_constants_over_the_embedding_tables(self, np_gen):
+        params = init_structural_encoder(5, 4, 8, layers=2, window=3, dropout=0.0, gen=np_gen)
+        H, R = encoders.frozen_encoding(params, group([(0, 0, 1, 0)]).snapshots(), 0, {})
+        assert H is not params.entity_emb and not H.requires_grad
+        assert H.values is params.entity_emb.values and R.values is params.relation_emb.values
+
+
 class TestSemanticTables:
     def test_synthetic_deterministic(self):
         vocab = make_vocab(4, 2)
@@ -429,6 +455,24 @@ class TestSemanticTables:
         with pytest.raises(EmbeddingFormatError, match=message):
             load_semantic_embeddings(str(path), make_vocab(1, 1))
 
+    @pytest.mark.parametrize("value", ["1e39", "-3.5e38"])
+    def test_value_beyond_float32_is_located_without_a_warning(self, tmp_path, value):
+        path = tmp_path / "emb"
+        path.write_text(f"tkg-emb 1 3 2\nE\t0\t1 2\nE\t1\t0.5 {value}\nR\t0\t1 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingFormatError,
+                               match=rf"^{re.escape(str(path))}:3: .* beyond the float32 range$"):
+                load_semantic_embeddings(str(path), make_vocab(2, 1))
+
+    def test_largest_float32_value_loads(self, tmp_path):
+        path = tmp_path / "emb"
+        path.write_text("tkg-emb 1 2 2\nE\t0\t3.4028235e38 -3.4028235e38\nR\t0\t1 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = load_semantic_embeddings(str(path), make_vocab(1, 1))
+        assert np.array_equal(table.entity[0], [np.finfo(np.float32).max, np.finfo(np.float32).min])
+
     def test_missing_id_listed(self, tmp_path):
         path = tmp_path / "emb"
         path.write_text("tkg-emb 1 3 2\nE\t0\t1 2\nR\t0\t1 2\n")
@@ -458,7 +502,8 @@ class TestAdapters:
             mlp.w2.values[...] = np.eye(d)
             mlp.b2.values[...] = 0.0
         x = np.array([[1.0, -2.0, 0.5, -0.1]], dtype=np.float32)
-        out = adapt_rows(params.f_h, x, dtype=np.float64)
+        out = adapt_rows(params.f_h, x)
+        assert out.dtype == np.float64
         assert np.allclose(out.values, np.maximum(x, 0.0))
 
     def test_adapter_gradients(self):
@@ -467,10 +512,9 @@ class TestAdapters:
         rows = gen.standard_normal((4, 5))
 
         def fn(w1, b1, w2, b2):
-            from meshtkg.encoders import MlpParams, mlp_forward
+            from meshtkg.encoders import MlpParams
 
-            p = MlpParams(w1, b1, w2, b2)
-            return ad.tensor_sum(mlp_forward(p, Tensor(rows)))
+            return ad.tensor_sum(adapt_rows(MlpParams(w1, b1, w2, b2), rows))
 
         f = params.f_h
         assert grad_check(fn, [f.w1, f.b1, f.w2, f.b2], eps=1e-5) < 1e-4

@@ -12,41 +12,43 @@ from meshtkg.evaluation import (
     filtered_ranks,
     format_reports,
     gate_statistics,
-    rank_query,
     split_metrics,
     welch_t,
 )
 from meshtkg.model import AblationConfig
 from meshtkg.tkg import add_inverse_relations
 
-from conftest import group, quads
+from conftest import group, quads, sort_oracle_rank
 
 
-def oracle_rank(scores, o, filter_out=()):
-    """Sort-based oracle: mean rank of o over all orderings of tied candidates."""
-    keep = [e for e in range(len(scores)) if e == o or e not in set(filter_out)]
-    better = sum(1 for e in keep if scores[e] > scores[o])
-    tied = sum(1 for e in keep if e != o and scores[e] == scores[o])
-    # positions better+1 .. better+tied+1 are equally likely: mid-rank
-    return better + 1 + tied / 2.0
+def rank_one(scores, o, filter_out=()):
+    """Raw and filtered rank of object o among one query's `scores`, through
+    `filtered_ranks`: the query row (0, 0, o, 0), whose known rows at t = 0
+    are its own object and the objects of `filter_out`."""
+    known = np.array([(0, 0, e, 0) for e in (o, *filter_out)])
+    raw, filtered = filtered_ranks(np.asarray(scores)[None, :], np.array([[0, 0, o, 0]]), known)
+    return raw[0], filtered[0]
 
 
 class TestRankQuery:
     def test_unique_maximum_is_rank_one(self):
         scores = np.array([0.1, 0.9, 0.3])
-        raw, filtered = rank_query(scores, 1, filter_out=[0])
+        raw, filtered = rank_one(scores, 1, filter_out=[0])
         assert raw == 1.0 and filtered == 1.0
 
     def test_filter_deletion_semantics(self):
         # entities (a, b, o) scored (0.9, 0.8, 0.7); a is another true answer
         scores = np.array([0.9, 0.8, 0.7])
-        raw, filtered = rank_query(scores, 2, filter_out=[0])
+        raw, filtered = rank_one(scores, 2, filter_out=[0])
         assert raw == 3.0
         assert filtered == 2.0
 
-    def test_true_object_in_filter_rejected(self):
-        with pytest.raises(ValueError):
-            rank_query(np.array([0.5, 0.4]), 0, filter_out=[0])
+    def test_own_object_left_out_of_filter(self):
+        # a known row repeating the query's own object filters nothing: o
+        # stays a candidate and keeps its rank among the others
+        scores = np.array([0.9, 0.8, 0.7])
+        assert rank_one(scores, 2, filter_out=[0, 2]) == rank_one(scores, 2, filter_out=[0])
+        assert rank_one(scores, 2, filter_out=[2]) == (3.0, 3.0)
 
     def test_matches_sort_oracle_with_ties(self, np_gen):
         for _ in range(100):
@@ -54,17 +56,17 @@ class TestRankQuery:
             scores = np.round(np_gen.uniform(size=20), 1)
             o = int(np_gen.integers(20))
             filter_out = [int(e) for e in np_gen.choice(20, size=5, replace=False) if e != o]
-            raw, filtered = rank_query(scores, o, filter_out)
-            assert raw == pytest.approx(oracle_rank(scores, o), abs=1e-12)
-            assert filtered == pytest.approx(oracle_rank(scores, o, filter_out), abs=1e-12)
+            raw, filtered = rank_one(scores, o, filter_out)
+            assert raw == pytest.approx(sort_oracle_rank(scores, o), abs=1e-12)
+            assert filtered == pytest.approx(sort_oracle_rank(scores, o, filter_out), abs=1e-12)
             assert filtered <= raw
 
     def test_invariant_under_monotone_transform(self, np_gen):
         scores = np_gen.standard_normal(15)
         o = 3
         filt = [1, 7]
-        a = rank_query(scores, o, filt)
-        b = rank_query(1.0 / (1.0 + np.exp(-scores)), o, filt)
+        a = rank_one(scores, o, filt)
+        b = rank_one(1.0 / (1.0 + np.exp(-scores)), o, filt)
         assert a == b
 
 
@@ -160,9 +162,9 @@ class TestFilterSets:
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_snapshot_ranks_match_rank_query(self, data):
-        """The per-snapshot kernel equals `rank_query` query by query, with
-        quantised scores forcing ties and repeated (s, r, o) rows."""
+    def test_snapshot_ranks_match_sort_oracle(self, data):
+        """The per-snapshot kernel equals the sort oracle query by query,
+        with quantised scores forcing ties and repeated (s, r, o) rows."""
         num_entities = data.draw(st.integers(1, 7))
         fact = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, num_entities - 1))
         known = data.draw(st.lists(fact, min_size=1, max_size=16))
@@ -174,7 +176,8 @@ class TestFilterSets:
         raw, filtered = filtered_ranks(scores, rows, np.array([(*k, 5) for k in known]))
         for i, (s, r, o) in enumerate(queries):
             filter_out = sorted({ko for ks, kr, ko in known if (ks, kr) == (s, r)} - {o})
-            assert (raw[i], filtered[i]) == rank_query(scores[i], o, filter_out)
+            assert (raw[i], filtered[i]) == (sort_oracle_rank(scores[i], o),
+                                             sort_oracle_rank(scores[i], o, filter_out))
 
 
 class TestEvaluate:

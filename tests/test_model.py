@@ -200,11 +200,9 @@ def small_inputs(model, seed=0):
 def path_queries(model, H_g, R_g, sem, s_idx, r_idx):
     """The structural query q_g and the semantic query q_s, decoded outside
     `forward_queries` (the small model has no dropout)."""
-    dtype = model.spec.dtype
     q_g = decode(model.decoder_g, ad.gather_rows(H_g, s_idx), ad.gather_rows(R_g, r_idx))
-    q_s = decode(model.decoder_l, adapt_rows(model.adapter.f_h, sem.entity[s_idx], dtype),
-                 adapt_rows(model.adapter.f_r, sem.relation[r_idx % model.spec.num_relations],
-                            dtype))
+    q_s = decode(model.decoder_l, adapt_rows(model.adapter.f_h, sem.entity[s_idx]),
+                 adapt_rows(model.adapter.f_r, sem.relation[r_idx % model.spec.num_relations]))
     return q_g, q_s
 
 

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from meshtkg import history, tkg
 from meshtkg.tkg import (
     DatasetError,
     LoadError,
@@ -115,6 +116,33 @@ class TestLoadDataset:
             fh.write(b"e\xff\t9\n")
         with pytest.raises(ParseError, match=rf"{name}:\d+: byte 0xff is not UTF-8"):
             load_dataset(d)
+
+    @pytest.mark.parametrize("kind, num_entities, num_relations, limit",
+                             [("entity", 9, 4, 8), ("relation", 8, 5, 4)])
+    def test_vocabulary_beyond_packed_keys(self, tmp_path, monkeypatch, kind, num_entities,
+                                           num_relations, limit):
+        # 3-bit id fields: 8 entities, and 4 relations whose inverses take ids 4..7
+        monkeypatch.setattr(tkg, "ID_BITS", 3)
+        d = make_dir(tmp_path, [(0, 0, 1, 0)], num_entities=num_entities,
+                     num_relations=num_relations)
+        path = os.path.join(d, f"{kind}2id.txt")
+        count = num_entities if kind == "entity" else num_relations
+        with pytest.raises(LoadError) as exc:
+            load_dataset(d)
+        assert str(exc.value) == f"{path}: {count} {kind} ids, above the limit of {limit}"
+
+    def test_vocabulary_at_packed_key_limit_loads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tkg, "ID_BITS", 3)
+        vocab, *_ = load_dataset(make_dir(tmp_path, [(7, 3, 0, 0)], num_entities=8,
+                                          num_relations=4))
+        assert (vocab.num_entities, vocab.num_relations) == (8, 4)
+
+    def test_packed_key_limits_fit_history_keys(self):
+        # the largest entity id and the largest inverse relation id pack
+        assert tkg.ID_BITS is history.ID_BITS
+        largest = (1 << tkg.ID_BITS) - 1
+        num_relations = 1 << (tkg.ID_BITS - 1)
+        history.pack(largest, num_relations + num_relations - 1, largest)
 
     def test_negative_timestamp(self, tmp_path):
         d = make_dir(tmp_path, [(0, 0, 1, -3)])

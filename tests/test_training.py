@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshtkg import autodiff as ad
-from meshtkg.autodiff import Tensor
+from meshtkg import encoders
+from meshtkg.autodiff import NumericError, Tensor
 from meshtkg.config import RunConfig
 from meshtkg.encoders import synthetic_embeddings
 from meshtkg.model import ModelSpec, forward_queries, init_model, score_logits
@@ -302,6 +305,41 @@ class TestTrainModel:
         graded = [n for n, t in ad.named_tensors(result.model.encoder).items()
                   if t.grad is not None]
         assert graded == []
+
+    def test_stage1_encodes_each_timestamp_once_off_the_tape(self, synth_dataset, tmp_path,
+                                                            monkeypatch):
+        """The frozen encodings of every training timestamp are computed
+        before the first stage-1 step, and validation's once per run."""
+        calls = []
+        encode = encoders.encode_structural
+
+        def spy(params, snapshots, t, **kwargs):
+            calls.append((t, ad.active_tape()))
+            return encode(params, snapshots, t, **kwargs)
+
+        monkeypatch.setattr(encoders, "encode_structural", spy)
+        config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=0,
+                              epochs_stage1=2)
+        sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
+        train_model(config, synth_dataset["vocab"], synth_dataset["train"],
+                    synth_dataset["valid"], sem)
+        assert [t for t, _ in calls] == list(range(17))   # 14 training, 3 validation
+        assert all(tape is None for _, tape in calls)
+
+    def test_adam_overflow_raises_numeric_error(self, synth_dataset, tmp_path):
+        """Semantic rows of 1e30 overflow the float32 second moments of the
+        adapters; the run stops there rather than train on with weights
+        that no longer move."""
+        config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=1,
+                              epochs_stage1=1)
+        sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
+        sem.entity[...] = 1e30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^Adam update failed in stage 1, epoch 1, "
+                                                   r"timestamp \d+: overflow encountered"):
+                train_model(config, synth_dataset["vocab"], synth_dataset["train"],
+                            synth_dataset["valid"], sem)
 
     def test_empty_valid_split(self, synth_dataset, tmp_path):
         # stage 1 needs validation facts to pick its epoch; without stage 1 none are read

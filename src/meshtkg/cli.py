@@ -27,6 +27,13 @@ class CliError(Exception):
     """Configuration-level failure (exit code 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line on stderr, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 # eval and analyze take the switches of the forward pass only
 EVAL_FLAGS = ("out", "embeddings", *(f.name for f in fields(AblationConfig)))
 
@@ -228,6 +235,8 @@ def cmd_sweep(args) -> int:
         else:
             tag = f"m{value[0]}n{value[1]}"
             changes = {"num_historical": value[0], "num_nonhistorical": value[1]}
+        if any(tag == done for done, _ in runs):
+            raise CliError(f"sweep repeats the setting {tag}")
         try:
             runs.append((tag, replace(config, out=os.path.join(config.out, tag), **changes)))
         except ValueError as exc:
@@ -248,7 +257,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meshtkg",
         description="Temporal knowledge graph reasoning: dual-view encoding, "
                     "event-aware expert gating, time-aware evaluation.",

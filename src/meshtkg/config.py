@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+
+from .tkg import ParseError, text_lines
 
 PROFILES = {
     # full-scale settings
@@ -105,9 +107,6 @@ class RunConfig:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _coerce(name: str, raw: str):
     kind = RunConfig.__dataclass_fields__[name].type
@@ -128,20 +127,19 @@ def _coerce(name: str, raw: str):
 
 def parse_config_file(path: str) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in RunConfig.__dataclass_fields__:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _coerce(key, raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(path, lineno, f"expected `key = value`, got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in RunConfig.__dataclass_fields__:
+            raise ParseError(path, lineno, f"unknown config key {key!r}")
+        try:
+            values[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
     return values
 
 

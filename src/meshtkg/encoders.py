@@ -18,7 +18,6 @@ the working dimension.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng
 from .autodiff import Tensor
-from .tkg import DatasetError, Vocabulary
+from .tkg import DatasetError, Vocabulary, text_lines
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +212,6 @@ class SemanticEmbeddingTable:
     dim: int
     source: str
 
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.entity)) and np.all(np.isfinite(self.relation))):
-            raise EmbeddingFormatError(f"non-finite embedding values from {self.source}")
-
 
 def synthetic_embeddings(vocab: Vocabulary, dim: int, seed: int) -> SemanticEmbeddingTable:
     """Unit-variance pseudo-normal rows, each determined solely by
@@ -287,24 +282,21 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
                                    f"the body holds only {len(body)} bytes")
     if len(body) == rows * dim * 4 and not body.startswith((b"E\t", b"R\t")):
         flat = np.frombuffer(body, dtype="<f4").reshape(rows, dim)
+        bad = np.flatnonzero(~np.isfinite(flat).all(axis=1))
+        if len(bad):
+            row = int(bad[0])
+            kind, idx = ("E", row) if row < vocab.num_entities else ("R", row - vocab.num_entities)
+            raise EmbeddingFormatError(f"{path}: non-finite embedding value in binary row {kind} {idx}")
         entity = flat[: vocab.num_entities].copy()
         relation = flat[vocab.num_entities:].copy()
         return SemanticEmbeddingTable(entity, relation, dim, source=path)
 
-    entity = np.full((vocab.num_entities, dim), np.nan, dtype=np.float32)
-    relation = np.full((vocab.num_relations, dim), np.nan, dtype=np.float32)
-    seen = {"E": set(), "R": set()}
-    try:
-        text = io.StringIO(body.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        lineno = body.count(b"\n", 0, exc.start) + 2
-        raise EmbeddingFormatError(f"{path}:{lineno}: text row is not UTF-8") from None
-    for lineno, line in enumerate(text, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
+    # a row never given stays NaN, which no parsed row can be
+    tables = {"E": np.full((vocab.num_entities, dim), np.nan, dtype=np.float32),
+              "R": np.full((vocab.num_relations, dim), np.nan, dtype=np.float32)}
+    for lineno, line in text_lines(path, body, start=2):
         fields = line.split("\t")
-        if len(fields) != 3 or fields[0] not in ("E", "R"):
+        if len(fields) != 3 or fields[0] not in tables:
             raise EmbeddingFormatError(f"{path}:{lineno}: expected `E|R<TAB>id<TAB>values`")
         kind, idx_s, vals = fields
         try:
@@ -322,18 +314,19 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
             raise EmbeddingFormatError(
                 f"{path}:{lineno}: row has {row.shape[0]} values, header declares {dim}"
             )
-        target = entity if kind == "E" else relation
+        if not np.isfinite(row).all():
+            raise EmbeddingFormatError(f"{path}:{lineno}: non-finite embedding value")
+        target = tables[kind]
         if idx < 0 or idx >= target.shape[0]:
             raise EmbeddingCoverageError(f"{path}:{lineno}: {kind} id {idx} outside vocabulary")
         target[idx] = row
-        seen[kind].add(idx)
-    missing_e = sorted(set(range(vocab.num_entities)) - seen["E"])
-    missing_r = sorted(set(range(vocab.num_relations)) - seen["R"])
+    missing_e, missing_r = (np.flatnonzero(np.isnan(t[:, 0]))[:10].tolist()
+                            for t in tables.values())
     if missing_e or missing_r:
         raise EmbeddingCoverageError(
-            f"{path}: missing entity ids {missing_e[:10]} and relation ids {missing_r[:10]}"
+            f"{path}: missing entity ids {missing_e} and relation ids {missing_r}"
         )
-    return SemanticEmbeddingTable(entity, relation, dim, source=path)
+    return SemanticEmbeddingTable(tables["E"], tables["R"], dim, source=path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Fact-occurrence bookkeeping and the frequency-ranking baseline.
 
-The frequency index answers, for any (s, r, o, t), how many times the
-triple (s, r, o) occurred strictly before t, and the derived binary
-indicator (1 iff that count is positive) that classifies events as
-historical or non-historical.
+The frequency index answers, for any (s, r, o, t), whether the triple
+(s, r, o) occurred strictly before t: the binary indicator that
+classifies events as historical or non-historical. Only a triple's
+first occurrence decides it, so that is all the index keeps.
 
 The naive baseline ranks candidate objects for a query (s, r, ?, t) by
 how often they were seen with (s, r) in training; if the pair was never
@@ -42,8 +42,9 @@ def matching(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.
 
 
 class FrequencyIndex:
-    """Sorted packed keys over a fact array: per triple, its occurrence
-    times; per (s, r) pair and per subject, the objects seen with it.
+    """Sorted packed keys over a fact array: per triple, the time of its
+    first occurrence; per (s, r) pair and per subject, the objects seen
+    with it.
 
     Immutable after :func:`build_index`; every query takes arrays (or
     scalars) and costs O(log N) per element.
@@ -53,27 +54,21 @@ class FrequencyIndex:
         facts = np.asarray(facts, dtype=np.int64).reshape(-1, 4)
         s, r, o, t = facts.T
         triples, run = np.unique(pack(s, r, o), return_inverse=True)
-        # each triple's occurrence times as one ascending run of stamps
-        self.span = int(t.max(initial=0)) + 1
         self.triples = np.append(triples, NO_KEY)
-        self.stamps = np.sort(run.reshape(-1) * self.span + t)
+        # the NO_KEY entry never occurs, so it keeps the largest time
+        self.first = np.full(len(self.triples), np.iinfo(np.int64).max)
+        np.minimum.at(self.first, run.reshape(-1), t)
         pairs = pack(s, r)
         pair_order = np.argsort(pairs, kind="stable")
         self.pairs, self.pair_objects = pairs[pair_order], o[pair_order]
         subject_order = np.argsort(s, kind="stable")
         self.subjects, self.subject_objects = s[subject_order], o[subject_order]
 
-    def frequency(self, s, r, o, t):
-        """Occurrences of (s, r, o) at timestamps strictly below t."""
-        key = pack(s, r, o)
-        run = np.searchsorted(self.triples, key)
-        below = (np.searchsorted(self.stamps, run * self.span + np.clip(t, 0, self.span))
-                 - np.searchsorted(self.stamps, run * self.span))
-        return np.where(self.triples[run] == key, below, 0)
-
     def indicator(self, s, r, o, t):
         """1 where (s, r, o) occurred before t (a historical event), else 0."""
-        return (self.frequency(s, r, o, t) > 0).astype(np.int64)
+        key = pack(s, r, o)
+        run = np.searchsorted(self.triples, key)
+        return ((self.triples[run] == key) & (self.first[run] < t)).astype(np.int64)
 
 
 def build_index(facts) -> FrequencyIndex:

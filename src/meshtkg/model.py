@@ -24,14 +24,14 @@ from . import autodiff as ad
 from . import decoder as dec
 from . import encoders as enc
 from .autodiff import Tensor
-from .config import CHOICES
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """The architecture: every size and switch that fixes the parameter
-    shapes. Derived once per run and stored verbatim in checkpoints, so a
-    saved model is rebuilt from this record alone."""
+    shapes. Derived once per run from its RunConfig, which checks the
+    values, and stored in checkpoints beside that configuration, which
+    must give the same spec when the model is rebuilt."""
 
     num_entities: int
     num_relations: int       # before inverse augmentation
@@ -49,13 +49,8 @@ class ModelSpec:
     dtype: str               # "float32" or "float64"
 
     def __post_init__(self):
-        if self.num_historical < 1 or self.num_nonhistorical < 1:
-            raise ValueError("need at least one historical and one non-historical expert")
         # numpy dtypes are accepted; the record keeps the JSON-friendly name
         object.__setattr__(self, "dtype", np.dtype(self.dtype).name)
-        for name in ("gate_input", "dtype"):
-            if getattr(self, name) not in CHOICES[name]:
-                raise ValueError(f"{name} must be one of {CHOICES[name]}")
 
     @classmethod
     def from_config(cls, config, num_entities: int, num_relations: int,

@@ -38,8 +38,9 @@ class LoadError(DatasetError):
     """A required file is missing or unreadable."""
 
 
-class ParseError(DatasetError):
-    """A file has malformed content; message carries file and line."""
+class ParseError(DatasetError, ValueError):
+    """A file has malformed content; message carries file and line. As a
+    ValueError, a bad configuration file is a configuration error."""
 
     def __init__(self, path, lineno, message):
         super().__init__(f"{path}:{lineno}: {message}")
@@ -102,17 +103,20 @@ class TemporalKG:
         return np.split(rows, np.searchsorted(t, np.arange(1, t[-1] + 1)))
 
 
-def _lines(path: str):
+def text_lines(path: str, data: bytes | None = None, start: int = 1):
     """(line number, line) for every non-empty line of a UTF-8 text file,
-    newline stripped; a byte that is not UTF-8 is a ParseError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    newline stripped, numbered from `start`. `data`, when given, is the
+    file's bytes from line `start` on, already read. A byte that is not
+    UTF-8 is a ParseError at its line."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
         text = io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
-        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + start,
                          f"byte {data[exc.start]:#04x} is not UTF-8") from None
-    for lineno, line in enumerate(text, start=1):
+    for lineno, line in enumerate(text, start=start):
         line = line.rstrip("\n")
         if line:
             yield lineno, line
@@ -122,7 +126,7 @@ def _read_id_file(path: str) -> list[str]:
     if not os.path.isfile(path):
         raise LoadError(f"missing vocabulary file: {path}")
     pairs = []
-    for lineno, line in _lines(path):
+    for lineno, line in text_lines(path):
         parts = line.split("\t")
         if len(parts) < 2:
             raise ParseError(path, lineno, f"expected `name<TAB>id`, got {line!r}")
@@ -131,13 +135,10 @@ def _read_id_file(path: str) -> list[str]:
         except ValueError:
             raise ParseError(path, lineno, f"id is not an integer: {parts[-1]!r}")
         pairs.append((idx, parts[0]))
-    names = [""] * len(pairs)
-    seen = set()
-    for idx, name in pairs:
-        if idx < 0 or idx >= len(pairs) or idx in seen:
-            raise LoadError(f"{path}: ids are not dense integers 0..{len(pairs) - 1}")
-        seen.add(idx)
-        names[idx] = name
+    pairs.sort()
+    if [idx for idx, _ in pairs] != list(range(len(pairs))):
+        raise LoadError(f"{path}: ids are not dense integers 0..{len(pairs) - 1}")
+    names = [name for _, name in pairs]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise LoadError(f"{path}: duplicate names {dupes[:5]}")
@@ -149,7 +150,7 @@ def _read_fact_file(path: str, num_entities: int, num_relations: int):
         raise LoadError(f"missing split file: {path}")
     rows = []
     prev_t = None
-    for lineno, line in _lines(path):
+    for lineno, line in text_lines(path):
         parts = line.split("\t")
         if len(parts) < 4:
             raise ParseError(path, lineno, f"expected 4 tab-separated fields, got {len(parts)}")

@@ -294,7 +294,7 @@ def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
         "spec": asdict(model.spec),
-        "config": config.to_dict(),
+        "config": asdict(config),
         "seed": seed,
         "frozen": list(frozen_names),
         "params": [{"name": n, "shape": list(t.values.shape)} for n, t in named.items()],
@@ -324,10 +324,12 @@ def load_checkpoint(path: str):
     (model, header), the header's stored run configuration rebuilt as a
     RunConfig. Raises CheckpointError for anything unreadable.
 
-    The header is checked first: the blob length against the manifest,
-    then the manifest against the parameters of the spec's model built
-    from placeholders, and last the blob against its checksum. Only then
-    is any parameter allocated, each filled from the blob."""
+    The header is checked first: the stored spec against the one its run
+    configuration gives (with the stored vocabulary sizes and semantic
+    width), the blob length against the manifest, then the manifest
+    against the parameters of the spec's model built from placeholders,
+    and last the blob against its checksum. Only then is any parameter
+    allocated, each filled from the blob."""
     try:
         with open(path, "rb") as fh:
             line = fh.readline()
@@ -343,17 +345,21 @@ def load_checkpoint(path: str):
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
     try:
-        spec = ModelSpec(**header["spec"])
-        manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
-        blob_dtype = np.dtype(spec.dtype).newbyteorder("<")
-        expected = blob_dtype.itemsize * sum(math.prod(shape) for _, shape in manifest)
-        checksum = header["sha256"]
         missing = set(RunConfig.__dataclass_fields__) - set(header["config"])
         if missing:
             raise KeyError(f"run configuration lacks {sorted(missing)}")
         header["config"] = RunConfig(**header["config"])
+        stored = header["spec"]
+        spec = ModelSpec.from_config(header["config"], stored["num_entities"],
+                                     stored["num_relations"], stored["llm_dim"])
+        manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+        blob_dtype = np.dtype(spec.dtype).newbyteorder("<")
+        expected = blob_dtype.itemsize * sum(math.prod(shape) for _, shape in manifest)
+        checksum = header["sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header ({exc!r})") from None
+    if asdict(spec) != stored:
+        raise CheckpointError(f"{path}: the header's model spec is not the one its config gives")
     if len(blob) != expected:
         raise CheckpointError(f"{path}: {len(blob)} parameter bytes, "
                               f"the manifest declares {expected}")

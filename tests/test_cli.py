@@ -135,6 +135,17 @@ class TestDataCommands:
             run(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--dim", "abc"], "error: argument --dim: invalid int value: 'abc'\n"),
+        (["--profile", "gpu"], "error: argument --profile: invalid choice: 'gpu' "
+                               "(choose from 'full', 'desk')\n"),
+    ], ids=["int", "choice"])
+    def test_bad_flag_value_is_one_line(self, synth_dataset, tmp_path, capsys, flag, message):
+        with pytest.raises(SystemExit) as exc:
+            run(["stats", synth_dataset["dir"], "--out", str(tmp_path / "o"), *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == message
+
 
 def test_one_train_flag_per_config_field(capsys):
     """Every RunConfig field but `dataset` is a `train` flag that parses to
@@ -289,13 +300,17 @@ class TestTrainEvalCommands:
         assert run(["train", synth_dataset["dir"], "--out", str(tmp_path / "x"),
                     "--dropout", "1.5"]) == 2
 
-    def test_bad_config_file_value_is_located(self, synth_dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("line, message", [
+        (b"dim = abc", "cannot parse int config value 'abc' for dim"),
+        (b"dim = \xff", "byte 0xff is not UTF-8"),
+    ], ids=["int", "utf8"])
+    def test_bad_config_file_value_is_located(self, synth_dataset, tmp_path, capsys,
+                                              line, message):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("seed = 1\ndim = abc\n")
+        cfg_file.write_bytes(b"seed = 1\n" + line + b"\n")
         out = str(tmp_path / "x")
         assert run(["train", synth_dataset["dir"], "--config", str(cfg_file), "--out", out]) == 2
-        assert capsys.readouterr().err == (f"error: {cfg_file}:2: cannot parse int config "
-                                           f"value 'abc' for dim\n")
+        assert capsys.readouterr().err == f"error: {cfg_file}:2: {message}\n"
         assert not os.path.exists(out)
 
     def test_bad_environment_value_is_located(self, synth_dataset, tmp_path, capsys,
@@ -344,6 +359,27 @@ class TestTrainEvalCommands:
         monkeypatch.setattr(meshtkg.cli.training, "train_model", boom)
         assert run(["train", synth_dataset["dir"], *micro_flags(str(tmp_path / "x"))]) == 4
 
+    def test_non_finite_loss_exits_4(self, synth_dataset, tmp_path, capsys, monkeypatch):
+        """The training loop's own check: a stage-1 step whose loss is NaN."""
+        from meshtkg.autodiff import Tensor
+
+        monkeypatch.setattr(training, "total_loss", lambda *terms: Tensor(np.float32(np.nan)))
+        out = str(tmp_path / "x")
+        assert run(["train", synth_dataset["dir"], *micro_flags(out, epochs_stage0=1)]) == 4
+        assert re.fullmatch(r"numeric failure: non-finite loss in stage 1, epoch 1, "
+                            r"timestamp \d+\n", capsys.readouterr().err)
+        assert not os.path.exists(os.path.join(out, "checkpoint.mesh"))
+
+    def test_train_verbose_prints_each_epoch(self, synth_dataset, tmp_path, capsys):
+        out = str(tmp_path / "v")
+        argv = ["train", synth_dataset["dir"], *micro_flags(out, epochs_stage0=2, epochs_stage1=1)]
+        assert run([*argv, "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == [
+            "stage0 epoch 1", "stage0 epoch 2", "stage1 epoch 1"]
+        assert re.fullmatch(r"stage1 epoch 1: loss \S+ valid MRR \S+", lines[2])
+        assert lines[3].startswith("checkpoint written to") and len(lines) == 4
+
 
 class TestSweep:
     def test_omega_sweep_writes_summary(self, synth_dataset, tmp_path):
@@ -365,12 +401,21 @@ class TestSweep:
         rows = read(os.path.join(out, "sweep.tsv")).strip().split("\n")
         assert rows[1].startswith("m1n1\t") and rows[2].startswith("m2n1\t")
 
-    @pytest.mark.parametrize("axis", [["--mn-grid", "1x1,0x1"], ["--omega-list=0.5,-1"]])
-    def test_bad_setting_rejected_before_any_run(self, synth_dataset, tmp_path, capsys, axis):
+    @pytest.mark.parametrize("axis, message", [
+        (["--mn-grid", "1x1,0x1"], "sweep setting m0n1: "),
+        (["--omega-list=0.5,-1"], "sweep setting omega_-1: "),
+        (["--mn-grid", "1x1,1X1"], "sweep repeats the setting m1n1"),
+        (["--omega-list", "1,1.0"], "sweep repeats the setting omega_1"),
+        (["--mn-grid", "1x1,2by1"], "expected MxN (like 2x1), got '2by1'"),
+        (["--omega-list", "0.5,high"], "bad --omega-list value: '0.5,high'"),
+    ], ids=["mn_out_of_range", "omega_out_of_range", "mn_repeated", "omega_repeated",
+            "mn_malformed", "omega_malformed"])
+    def test_bad_setting_rejected_before_any_run(self, synth_dataset, tmp_path, capsys, axis,
+                                                 message):
         out = str(tmp_path / "badset")
         assert run(["sweep", synth_dataset["dir"], *micro_flags(out), *axis]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("error: " + message) and err.count("\n") == 1
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("axis", ["--omega-list", "--mn-grid"])
@@ -414,6 +459,29 @@ def test_bad_config_values_exit_2(case, synth_dataset, tmp_path, capsys):
 @pytest.fixture(scope="module")
 def checkpoint(train_dir):
     return os.path.join(train_dir, "checkpoint.mesh")
+
+
+def test_eval_without_a_dataset_exits_2(checkpoint, tmp_path, capsys):
+    with open(checkpoint, "rb") as fh:
+        raw = fh.read()
+    path = str(tmp_path / "nodata.mesh")
+    with open(path, "wb") as fh:
+        fh.write(_set_config("dataset", "")(raw))
+    out = str(tmp_path / "out")
+    assert run(["eval", path, "--out", out]) == 2
+    assert capsys.readouterr().err == ("error: no dataset given and none recorded in the "
+                                       "checkpoint\n")
+    assert not os.path.exists(out)
+
+
+def test_eval_on_a_dataset_of_other_sizes_exits_2(synth_dataset, checkpoint, tmp_path, capsys):
+    ds = str(tmp_path / "ds")
+    shutil.copytree(synth_dataset["dir"], ds)
+    with open(os.path.join(ds, "entity2id.txt"), "a", encoding="utf-8") as fh:
+        fh.write("extra\t30\n")
+    assert run(["eval", checkpoint, ds, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: checkpoint was trained for |E|=30, |R|=4; "
+                                       "dataset has |E|=31, |R|=4\n")
 
 
 def test_eval_with_both_paths_disabled_exits_2(synth_dataset, checkpoint, tmp_path, capsys):
@@ -586,6 +654,9 @@ CHECKPOINT_FAULTS = {
     "missing spec key": _edit_header(_drop_spec_key),
     "spec dtype outside DTYPES": _set_spec("dtype", "float16"),
     "spec gate input outside CHOICES": _set_spec("gate_input", "both"),
+    "spec window below zero": _set_spec("window", -1),
+    "spec window other than the config's": _set_spec("window", 9),
+    "spec dropout beyond 1": _set_spec("dropout", 7.0),
     "version 3, no payload checksum": _set("version", 3),
     "missing checksum": _edit_header(_drop_checksum),
     # 2**50 entities are beyond any memory; the manifest still fits the blob

@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from meshtkg.config import RunConfig, env_overrides, parse_config_file, resolve
+from meshtkg.tkg import ParseError
 
 
 class TestProfiles:
@@ -62,14 +63,22 @@ class TestLayering:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(str(path))
 
-    @pytest.mark.parametrize("key, raw, kind", [("dim", "abc", "int"), ("omega", "high", "float"),
-                                                ("disable_semantic", "maybe", "boolean")])
-    def test_bad_file_value_names_line_and_key(self, tmp_path, key, raw, kind):
+    @pytest.mark.parametrize("line, message", [
+        (b"dim = abc", "cannot parse int config value 'abc' for dim"),
+        (b"omega = high", "cannot parse float config value 'high' for omega"),
+        (b"disable_semantic = maybe", "cannot parse boolean config value 'maybe' for disable_semantic"),
+        (b"dim 48", "expected `key = value`, got 'dim 48'"),
+        (b"dim = 4\xff8", "byte 0xff is not UTF-8"),
+    ], ids=["int", "float", "bool", "no_equals", "utf8"])
+    def test_bad_file_line_is_located(self, tmp_path, line, message):
+        """A malformed line is a ParseError at its path and line, and as a
+        ValueError it is a configuration error."""
         path = tmp_path / "c"
-        path.write_text(f"seed = 2\n{key} = {raw}\n")
-        with pytest.raises(ValueError) as exc:
+        path.write_bytes(b"seed = 2\n" + line + b"\n")
+        with pytest.raises(ParseError) as exc:
             parse_config_file(str(path))
-        assert str(exc.value) == f"{path}:2: cannot parse {kind} config value {raw!r} for {key}"
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == f"{path}:2: {message}"
 
     @pytest.mark.parametrize("key, raw, kind", [("dim", "abc", "int"), ("omega", "high", "float"),
                                                 ("disable_semantic", "maybe", "boolean")])

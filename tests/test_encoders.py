@@ -22,7 +22,7 @@ from meshtkg.encoders import (
     save_semantic_embeddings,
     synthetic_embeddings,
 )
-from meshtkg.tkg import Quadruple, TemporalKG, Vocabulary, add_inverse_relations
+from meshtkg.tkg import ParseError, Quadruple, TemporalKG, Vocabulary, add_inverse_relations
 
 from conftest import group, make_vocab
 
@@ -440,19 +440,41 @@ class TestSemanticTables:
         with pytest.raises(EmbeddingFormatError, match="declares 4"):
             load_semantic_embeddings(str(path), make_vocab(1, 1))
 
-    @pytest.mark.parametrize("text, message", [
-        (b"tkg-emb x 3 4\n", "bad header"),
-        (b"tkg-emb 1 2 2\nE\tzero\t1 2\nR\t0\t1 2\n", "emb:2: id is not an integer"),
-        (b"tkg-emb 1 2 2\nE\t0\t1 2\nR\t0\t1 \xff\n", "emb:3: text row is not UTF-8"),
-        (b"tkg-emb 1 2 -4\nE\t0\t1 2\nR\t0\t1 2\n", "width -4"),
-        (b"tkg-emb 1 2 0\n", "width 0"),
+    @pytest.mark.parametrize("text, error, message", [
+        (b"tkg-emb x 3 4\n", EmbeddingFormatError, "bad header"),
+        (b"tkg-emb 1 2 2\nE\tzero\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+         "emb:2: id is not an integer"),
+        (b"tkg-emb 1 2 2\nE\t0\t1 2\nR\t0\t1 \xff\n", ParseError, "emb:3: byte 0xff is not UTF-8"),
+        (b"tkg-emb 1 2 -4\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError, "width -4"),
+        (b"tkg-emb 1 2 0\n", EmbeddingFormatError, "width 0"),
         # rows of 10**17 values are beyond any memory: refused before allocating
-        (b"tkg-emb 1 2 100000000000000000\nE\t0\t1 2\nR\t0\t1 2\n", "body holds only 16 bytes"),
-    ], ids=["header", "row_id", "utf8", "negative_dim", "zero_dim", "sizes_beyond_memory"])
-    def test_malformed_file_is_format_error(self, tmp_path, text, message):
+        (b"tkg-emb 1 2 100000000000000000\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+         "body holds only 16 bytes"),
+        (None, EmbeddingFormatError, "missing embedding file"),
+        (b"tkg-emb 2 2 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+         "unsupported format version 2"),
+        (b"tkg-emb 1 3 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingCoverageError,
+         "header declares 3 rows, vocabulary needs 2"),
+        (b"tkg-emb 1 2 2\nE\t0\nR\t0\t1 2\n", EmbeddingFormatError,
+         "emb:2: expected `E|R<TAB>id<TAB>values`"),
+        (b"tkg-emb 1 2 2\nE\t0\t1 x\nR\t0\t1 2\n", EmbeddingFormatError,
+         "emb:2: non-numeric embedding value"),
+        (b"tkg-emb 1 2 2\nE\t0\t1 2\nE\t1\t1 2\n", EmbeddingCoverageError,
+         "emb:3: E id 1 outside vocabulary"),
+        (b"tkg-emb 1 2 2\nE\t0\tinf 2\nR\t0\t1 2\n", EmbeddingFormatError,
+         "emb:2: non-finite embedding value"),
+        (b"tkg-emb 1 2 2\nE\t0\t1 2\n\nR\t0\t1 nan\n", EmbeddingFormatError,
+         "emb:4: non-finite embedding value"),
+        (b"tkg-emb 1 2 2\n" + np.array([1, 2, 1, np.inf], dtype="<f4").tobytes(),
+         EmbeddingFormatError, "non-finite embedding value in binary row R 0"),
+    ], ids=["header", "row_id", "utf8", "negative_dim", "zero_dim", "sizes_beyond_memory",
+            "missing_file", "version", "row_count", "malformed_row", "non_numeric",
+            "id_outside_vocabulary", "inf", "nan_after_blank_line", "non_finite_binary_row"])
+    def test_malformed_file_is_refused(self, tmp_path, text, error, message):
         path = tmp_path / "emb"
-        path.write_bytes(text)
-        with pytest.raises(EmbeddingFormatError, match=message):
+        if text is not None:
+            path.write_bytes(text)
+        with pytest.raises(error, match=re.escape(message)):
             load_semantic_embeddings(str(path), make_vocab(1, 1))
 
     @pytest.mark.parametrize("value", ["1e39", "-3.5e38"])
@@ -475,9 +497,10 @@ class TestSemanticTables:
 
     def test_missing_id_listed(self, tmp_path):
         path = tmp_path / "emb"
-        path.write_text("tkg-emb 1 3 2\nE\t0\t1 2\nR\t0\t1 2\n")
-        with pytest.raises(EmbeddingCoverageError):
-            load_semantic_embeddings(str(path), make_vocab(2, 1))
+        path.write_text("tkg-emb 1 4 2\nE\t0\t1 2\nR\t1\t1 2\n")
+        with pytest.raises(EmbeddingCoverageError,
+                           match=re.escape("missing entity ids [1] and relation ids [0]")):
+            load_semantic_embeddings(str(path), make_vocab(2, 2))
 
 
 class TestAdapters:

@@ -16,21 +16,21 @@ from meshtkg.tkg import Quadruple
 from conftest import group, make_vocab, quads, random_facts
 
 
-def brute_frequency(facts, s, r, o, t):
-    return sum(1 for q in facts if q.s == s and q.r == r and q.o == o and q.t < t)
+def brute_historical(facts, s, r, o, t):
+    """1 if (s, r, o) occurs in `facts` at any timestamp below t, else 0."""
+    return int(any(q.s == s and q.r == r and q.o == o and q.t < t for q in facts))
 
 
 class TestFrequencyIndex:
     def test_empty(self):
         index = build_index([])
-        assert index.frequency(0, 0, 0, 10) == 0
         assert index.indicator(0, 0, 0, 10) == 0
 
     def test_strict_inequality(self):
-        index = build_index([Quadruple(1, 2, 3, 0), Quadruple(1, 2, 3, 4)])
-        assert index.frequency(1, 2, 3, 5) == 2
-        assert index.frequency(1, 2, 3, 4) == 1
-        assert index.frequency(1, 2, 3, 0) == 0
+        index = build_index([Quadruple(1, 2, 3, 4), Quadruple(1, 2, 3, 0)])
+        assert index.indicator(1, 2, 3, 5) == 1
+        assert index.indicator(1, 2, 3, 1) == 1
+        assert index.indicator(1, 2, 3, 0) == 0
 
     def test_same_timestamp_not_historical(self):
         index = build_index([Quadruple(0, 0, 1, 3)])
@@ -47,16 +47,15 @@ class TestFrequencyIndex:
                 int(np_gen.integers(10)),
                 int(np_gen.integers(16)),
             )
-            assert index.frequency(s, r, o, t) == brute_frequency(facts, s, r, o, t)
+            assert index.indicator(s, r, o, t) == brute_historical(facts, s, r, o, t)
 
     @given(st.lists(st.integers(0, 9), min_size=0, max_size=20), st.data())
     @settings(max_examples=50, deadline=None)
-    def test_frequency_monotone_in_t(self, times, data):
+    def test_indicator_monotone_in_t(self, times, data):
         facts = [Quadruple(0, 0, 0, t) for t in times]
         index = build_index(facts)
-        freqs = [index.frequency(0, 0, 0, t) for t in range(12)]
-        assert all(a <= b for a, b in zip(freqs, freqs[1:]))
         flags = [index.indicator(0, 0, 0, t) for t in range(12)]
+        assert flags == [brute_historical(facts, 0, 0, 0, t) for t in range(12)]
         assert all(a <= b for a, b in zip(flags, flags[1:]))
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2),

@@ -35,7 +35,41 @@ def make_dir(tmp_path, train, valid=(), test=(), num_entities=5, num_relations=3
     return str(d)
 
 
+# one file's whole content, and what follows its path in the refusal it draws
+MALFORMED_FILES = {
+    "id line without a tab": ("entity2id.txt", "e0 0\n", ParseError,
+                              ":1: expected `name<TAB>id`, got 'e0 0'"),
+    "non-integer id": ("relation2id.txt", "r0\t0\nr1\tone\n", ParseError,
+                       ":2: id is not an integer: 'one'"),
+    "gap in the ids": ("entity2id.txt", "e0\t0\ne2\t2\n", LoadError,
+                       ": ids are not dense integers 0..1"),
+    "repeated id": ("entity2id.txt", "e0\t0\ne1\t0\n", LoadError,
+                    ": ids are not dense integers 0..1"),
+    "negative id": ("relation2id.txt", "r0\t-1\n", LoadError,
+                    ": ids are not dense integers 0..0"),
+    "fact with 3 fields": ("train.txt", "0\t0\t1\n", ParseError,
+                           ":1: expected 4 tab-separated fields, got 3"),
+    "non-integer fact field": ("valid.txt", "0\t0\tx\t1\n", ParseError,
+                               ":1: non-integer field in ['0', '0', 'x', '1']"),
+    "object id out of range": ("test.txt", "0\t0\t5\t2\n", ParseError,
+                               ":1: object id 5 outside 0..4"),
+    "relation id out of range": ("train.txt", "0\t0\t1\t0\n0\t3\t1\t1\n", ParseError,
+                                 ":2: relation id 3 outside 0..2"),
+}
+
+
 class TestLoadDataset:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_malformed_file_is_refused(self, tmp_path, case):
+        name, text, error, message = MALFORMED_FILES[case]
+        d = make_dir(tmp_path, [(0, 0, 1, 0)])
+        path = os.path.join(d, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(error) as exc:
+            load_dataset(d)
+        assert str(exc.value) == path + message
+
     def test_fixture_snapshot_sizes(self, tmp_path):
         # 6 facts over timestamps {0, 1, 2} with sizes 2 / 3 / 1
         rows = [

@@ -67,8 +67,11 @@ def _resolve(args) -> cfg.RunConfig:
 
 
 def _write_echo(config: cfg.RunConfig) -> None:
-    os.makedirs(config.out, exist_ok=True)
-    _write(os.path.join(config.out, "config.echo"), config.echo())
+    try:
+        os.makedirs(config.out, exist_ok=True)
+        _write(os.path.join(config.out, "config.echo"), config.echo())
+    except OSError as exc:
+        raise CliError(f"cannot write the output directory {config.out} ({exc.strerror})")
 
 
 def _load_data(config: cfg.RunConfig):
@@ -320,6 +323,9 @@ def run(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"error: the configuration does not fit in memory ({exc})", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import stats as sps
 
 from . import history
+from .autodiff import NumericError
 from .encoders import SemanticEmbeddingTable, adapt_rows, frozen_encoding
 from .model import AblationConfig, MeshModel, forward_queries, score_logits
 from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
@@ -217,27 +218,33 @@ def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond: Temporal
     per timestamp can be cached across calls via `encode_cache` because
     the evaluation-mode encoder is a pure function of its frozen parameters;
     without one, each timestamp's encoding is dropped once it is ranked.
+    With finite parameters and rows, a score can only turn non-finite by an
+    overflow or invalid operation, which raises NumericError.
     """
     ablation = ablation or AblationConfig()
     sem_table = None
-    if ablation.disable_structural:
-        sem_table = adapt_rows(model.adapter.f_h, sem.entity)
-
     known_at, cond_at = known.snapshots(), cond.snapshots()
     ranks, alphas = [], []
     for t, rows in enumerate(query.snapshots()):
         if not len(rows):
             continue
         H = R = None
-        if not ablation.disable_structural:
-            H, R = frozen_encoding(model.encoder, cond_at, t,
-                                   {} if encode_cache is None else encode_cache)
-        bundle = forward_queries(
-            model, H, R, sem, rows[:, 0], rows[:, 1],
-            ablation=ablation, semantic_entity_table=sem_table,
-        )
-        ranks.append(filtered_ranks(score_logits(bundle.q, bundle.score_table).values, rows,
-                                    known_at[t]))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if not ablation.disable_structural:
+                    H, R = frozen_encoding(model.encoder, cond_at, t,
+                                           {} if encode_cache is None else encode_cache)
+                elif sem_table is None:
+                    sem_table = adapt_rows(model.adapter.f_h, sem.entity)
+                bundle = forward_queries(
+                    model, H, R, sem, rows[:, 0], rows[:, 1],
+                    ablation=ablation, semantic_entity_table=sem_table,
+                )
+                ranks.append(filtered_ranks(score_logits(bundle.q, bundle.score_table).values,
+                                            rows, known_at[t]))
+        except FloatingPointError as exc:
+            raise NumericError(f"non-finite scores in the {query.split} split, "
+                               f"timestamp {t}: {exc}") from None
         if bundle.alphas is not None:
             alphas.append(bundle.alphas.values[:, 0])
     raw, filtered = (np.concatenate(column) for column in zip(*ranks))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -128,23 +127,27 @@ def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
 
     `batch_loss(t, rows)` builds the summed loss of the block's (s, r, o, t)
     rows on the step's tape; only `params` receive gradients and move.
-    Returns the mean loss per query. An Adam update that overflows raises
-    NumericError: a weight whose moment is inf would stop moving.
+    Returns the mean loss per query. An overflow or invalid operation in the
+    forward, the backward or the Adam update raises NumericError naming the
+    step: a weight whose moment is inf would stop moving.
     """
     total, count = 0.0, 0
     for t, rows in batches:
-        with ad.Tape() as tape:
-            loss = batch_loss(t, rows)
-            if not np.isfinite(loss.values):
-                raise NumericError(f"non-finite loss in {stage}, epoch {epoch}, timestamp {t}")
-            ad.zero_grads(params)
-            ad.backward(loss, tape)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
+        where = f"{stage}, epoch {epoch}, timestamp {t}"
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                with ad.Tape() as tape:
+                    loss = batch_loss(t, rows)
+                    if not np.isfinite(loss.values):
+                        raise NumericError(f"non-finite loss in {where}")
+                    ad.zero_grads(params)
+                    ad.backward(loss, tape)
+            except FloatingPointError as exc:
+                raise NumericError(f"non-finite value in {where}: {exc}") from None
+            try:
                 ad.adam_step(params, adam)
-        except FloatingPointError as exc:
-            raise NumericError(f"Adam update failed in {stage}, epoch {epoch}, "
-                               f"timestamp {t}: {exc}") from None
+            except FloatingPointError as exc:
+                raise NumericError(f"Adam update failed in {where}: {exc}") from None
         total += loss.item()
         count += len(rows)
     return total / max(count, 1)
@@ -171,16 +174,15 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
 
     named = model.named_parameters()
 
-    def group(*records) -> dict[str, Tensor]:
-        """The parameters held by `records`, by name in model order."""
-        held = {id(t) for record in records for t in ad.named_tensors(record).values()}
-        return {n: t for n, t in named.items() if id(t) in held}
+    def group(*prefixes) -> dict[str, Tensor]:
+        """The parameters under the field paths `prefixes`, by name in model order."""
+        return {n: t for n, t in named.items() if n.startswith(prefixes)}
 
     stage0_losses: list[float] = []
 
     # stage 0: structural encoder (plus its decoder) on link prediction
     if not ablation.disable_structural and config.epochs_stage0 > 0:
-        params0 = list(group(model.encoder, model.decoder_g).values())
+        params0 = list(group("encoder.", "decoder_g.").values())
         adam0 = ad.init_adam(params0, lr=config.learning_rate)
         gen0 = rng.stream(config.seed, rng.DROPOUT, 0)
 
@@ -197,7 +199,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
                 verbose(f"stage0 epoch {epoch}: loss {stage0_losses[-1]:.6f}")
 
     # freeze the structural encoder
-    frozen = group(model.encoder)
+    frozen = group("encoder.")
     frozen_names = sorted(frozen)
     frozen_values = {n: frozen[n].values.copy() for n in frozen_names}
 
@@ -326,10 +328,10 @@ def load_checkpoint(path: str):
 
     The header is checked first: the stored spec against the one its run
     configuration gives (with the stored vocabulary sizes and semantic
-    width), the blob length against the manifest, then the manifest
-    against the parameters of the spec's model built from placeholders,
-    and last the blob against its checksum. Only then is any parameter
-    allocated, each filled from the blob."""
+    width), then the manifest against the (name, shape) list of the spec's
+    model built from placeholders, then the blob against that model's size
+    and last against its checksum. Only then is any parameter allocated,
+    each filled from the blob in model order and refused if non-finite."""
     try:
         with open(path, "rb") as fh:
             line = fh.readline()
@@ -353,37 +355,32 @@ def load_checkpoint(path: str):
         spec = ModelSpec.from_config(header["config"], stored["num_entities"],
                                      stored["num_relations"], stored["llm_dim"])
         manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
-        blob_dtype = np.dtype(spec.dtype).newbyteorder("<")
-        expected = blob_dtype.itemsize * sum(math.prod(shape) for _, shape in manifest)
         checksum = header["sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header ({exc!r})") from None
     if asdict(spec) != stored:
         raise CheckpointError(f"{path}: the header's model spec is not the one its config gives")
-    if len(blob) != expected:
-        raise CheckpointError(f"{path}: {len(blob)} parameter bytes, "
-                              f"the manifest declares {expected}")
     try:
         model = init_model(spec, _Placeholders(spec.dtype))
     except (MemoryError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: cannot build the header's model spec ({exc})") from None
     named = model.named_parameters()
-    names = [name for name, _ in manifest]
-    if len(set(names)) != len(names) or set(names) != set(named):
-        missing = sorted(set(named) - set(names))
-        extra = sorted({n for n in names if names.count(n) > 1 or n not in named})
-        raise CheckpointError(f"{path}: parameter manifest does not fit the spec "
-                              f"(missing {missing}, unknown or repeated {extra})")
-    for name, shape in manifest:
-        if named[name].values.shape != shape:
-            raise CheckpointError(f"{path}: shape {shape} for {name} does not match the spec")
+    if manifest != [(name, t.shape) for name, t in named.items()]:
+        raise CheckpointError(f"{path}: the parameter manifest is not the spec's parameters, "
+                              f"names and shapes, in model order")
+    blob_dtype = np.dtype(spec.dtype).newbyteorder("<")
+    expected = blob_dtype.itemsize * sum(t.values.size for t in named.values())
+    if len(blob) != expected:
+        raise CheckpointError(f"{path}: {len(blob)} parameter bytes, "
+                              f"the spec's model has {expected}")
     if hashlib.sha256(blob).hexdigest() != checksum:
         raise CheckpointError(f"{path}: the parameter bytes do not match the header's "
                               f"SHA-256 (corrupted file)")
     offset = 0
-    for name, shape in manifest:
-        size = named[name].values.size
-        raw = np.frombuffer(blob, dtype=blob_dtype, count=size, offset=offset)
-        named[name].values = raw.reshape(shape).astype(spec.dtype)
-        offset += blob_dtype.itemsize * size
+    for name, t in named.items():
+        raw = np.frombuffer(blob, dtype=blob_dtype, count=t.values.size, offset=offset)
+        if not np.isfinite(raw).all():
+            raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
+        t.values = raw.reshape(t.shape).astype(spec.dtype)
+        offset += raw.nbytes
     return model, header

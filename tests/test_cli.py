@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -338,6 +339,61 @@ class TestTrainEvalCommands:
                             r"timestamp \d+: overflow encountered in \w+\n", err)
         assert not os.path.exists(os.path.join(out, "checkpoint.mesh"))
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_rows_near_float32_max_exit_4(self, command, synth_dataset, train_dir, tmp_path,
+                                          capsys):
+        """Rows at 3e38 overflow the adapters' first product: the stage-1
+        step or the ranked split fails in one line, with no warning."""
+        table = synthetic_embeddings(synth_dataset["vocab"], 16, seed=5)
+        table.entity[...] = 3e38
+        path = str(tmp_path / "huge.emb")
+        save_semantic_embeddings(path, table, binary=True)
+        out = str(tmp_path / "x")
+        argv = (["train", synth_dataset["dir"], *micro_flags(out, epochs_stage0=1)]
+                if command == "train" else
+                ["eval", os.path.join(train_dir, "checkpoint.mesh"), synth_dataset["dir"],
+                 "--out", out])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "--embeddings", path]) == 4
+        where = ("non-finite value in stage 1, epoch 1, timestamp" if command == "train"
+                 else "non-finite scores in the test split, timestamp")
+        assert re.fullmatch(rf"numeric failure: {where} \d+: overflow encountered in \w+\n",
+                            capsys.readouterr().err)
+        assert not os.path.exists(os.path.join(out, "checkpoint.mesh"))
+        assert not os.path.exists(os.path.join(out, "metrics.txt"))
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["stats", "train"])
+    def test_out_at_or_under_a_file_exits_2(self, command, under, synth_dataset, tmp_path,
+                                            capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept\n")
+        out = os.path.join(str(blocker), under) if under else str(blocker)
+        assert run([command, synth_dataset["dir"], *micro_flags(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write the output directory {out} (")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["afile"] and blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("module, allocation", [
+        ("cli", "synthetic_embeddings"), ("training", "init_model")])
+    def test_configuration_beyond_memory_exits_2(self, module, allocation, synth_dataset,
+                                                 tmp_path, capsys, monkeypatch):
+        """The allocation that a huge --llm-dim or --dim reaches first fails as
+        numpy fails it; the real 22 GiB is never asked for."""
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array with shape "
+                              "(100000000, 60) and data type float32")
+
+        monkeypatch.setattr(f"meshtkg.{module}.{allocation}", refuse)
+        out = str(tmp_path / "x")
+        assert run(["train", synth_dataset["dir"], *micro_flags(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the configuration does not fit in memory (Unable to allocate 22.4 GiB for "
+            "an array with shape (100000000, 60) and data type float32)\n")
+        assert not os.path.exists(os.path.join(out, "checkpoint.mesh"))
+
     def test_removed_event_aware_switch_exits_2(self, synth_dataset, tmp_path, capsys):
         # `--omega 0` is the run without the auxiliary expert loss
         cfg_file = tmp_path / "old.cfg"
@@ -633,6 +689,24 @@ def _repeat_param(header, blob):
     return blob + first
 
 
+def _swap_kernels(header, blob):
+    """Exchange the manifest entries of the two decoders' same-shape kernels;
+    the blob and its checksum stay as written."""
+    names = [entry["name"] for entry in header["params"]]
+    i, j = names.index("decoder_g.kernels"), names.index("decoder_l.kernels")
+    params = header["params"]
+    assert params[i]["shape"] == params[j]["shape"]
+    params[i], params[j] = params[j], params[i]
+    return blob
+
+
+def _nan_parameter(header, blob):
+    """A NaN as the first stored value, with the checksum written to match."""
+    blob = np.array(np.nan, "<f4").tobytes() + blob[4:]
+    header["sha256"] = hashlib.sha256(blob).hexdigest()
+    return blob
+
+
 def _drop_checksum(header, blob):
     del header["sha256"]
     return blob
@@ -669,6 +743,8 @@ CHECKPOINT_FAULTS = {
     "over-long blob": lambda raw: raw + bytes(4),
     "omitted parameter": _edit_header(_omit_param),
     "repeated parameter": _edit_header(_repeat_param),
+    "two same-shape parameters swapped in the manifest": _edit_header(_swap_kernels),
+    "non-finite parameter with a matching checksum": _edit_header(_nan_parameter),
     "stored config value out of range": _set_config("dropout", 1.5),
     "stored config value of the wrong type": _set_config("dim", "32"),
     "stored config with an unknown key": _set_config("dimension", 32),

@@ -108,7 +108,6 @@ class Tape:
     nodes: list = field(default_factory=list)
     tracked: set = field(default_factory=set)
     leaves: dict = field(default_factory=dict)
-    check_finite: bool = False
 
     def __enter__(self):
         _TAPES.append(self)
@@ -156,7 +155,7 @@ def _record(op, inputs, out_values, backward_fn) -> Tensor:
     return out
 
 
-def backward(output: Tensor, tape: Tape | None = None) -> None:
+def backward(output: Tensor, tape: Tape) -> None:
     """Populate ``grad`` on every requires_grad tensor feeding ``output``.
 
     Fan-out accumulates additively; requires_grad tensors on the tape with
@@ -165,9 +164,6 @@ def backward(output: Tensor, tape: Tape | None = None) -> None:
     about two gradients at a time, not one per node. The nodes stay on the
     tape until the tape itself is freed.
     """
-    tape = tape if tape is not None else active_tape()
-    if tape is None:
-        raise ValueError("backward needs a tape (none active, none given)")
     if output.values.size != 1:
         raise ValueError(f"backward expects a scalar output, got shape {output.values.shape}")
     grads: dict[int, np.ndarray] = {output.key: np.ones_like(output.values)}
@@ -176,8 +172,6 @@ def backward(output: Tensor, tape: Tape | None = None) -> None:
         g = grads.pop(node.output, None)
         if g is None:
             continue
-        if tape.check_finite and not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient flowing out of `{node.op}`")
         for key, gx in zip(node.inputs, node.backward_fn(g)):
             if gx is None:
                 continue
@@ -373,28 +367,23 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", (a,), out, lambda g: (g * (out > 0),))
 
 
-def leaky_relu(a: Tensor, slope: float) -> Tensor:
-    """max(slope * x, x) for 0 < slope < 1, without a mask selection; the
-    first operand wins on NaN, so NaNs come out as slope * x does. The
-    backward mask is read from the output, which is > 0 exactly where x is:
-    slope * x keeps the sign of x or rounds to -0."""
-    x = a.values
-    if not 0.0 < np.asarray(slope, x.dtype) < 1.0:
-        raise ValueError(f"leaky_relu needs 0 < slope < 1 in {x.dtype}, got {slope}")
-    out = np.maximum(slope * x, x)
-    return _record(
-        "leaky_relu", (a,), out,
-        lambda g: (g * np.maximum(out > 0, slope, dtype=out.dtype),),
-    )
-
-
 # Expected slope of the randomized-leaky rectifier's sampling interval
-# [1/8, 1/3]; used as a fixed slope in both train and eval modes.
+# [1/8, 1/3]; used as a fixed slope in both train and eval modes. It lies
+# inside (0, 1) in float32 and float64 alike.
 RRELU_SLOPE = (1.0 / 8.0 + 1.0 / 3.0) / 2.0
 
 
 def rrelu(a: Tensor) -> Tensor:
-    return leaky_relu(a, RRELU_SLOPE)
+    """max(RRELU_SLOPE * x, x), without a mask selection; the first operand
+    wins on NaN, so NaNs come out as RRELU_SLOPE * x does. The backward mask
+    is read from the output, which is > 0 exactly where x is: RRELU_SLOPE * x
+    keeps the sign of x or rounds to -0."""
+    x = a.values
+    out = np.maximum(RRELU_SLOPE * x, x)
+    return _record(
+        "rrelu", (a,), out,
+        lambda g: (g * np.maximum(out > 0, RRELU_SLOPE, dtype=out.dtype),),
+    )
 
 
 # Rows of q that pick_log_softmax scores against a constant table at a time:
@@ -641,13 +630,16 @@ def grad_check(fn, inputs, eps: float = 1e-4) -> float:
         x.values = np.ascontiguousarray(x.values)  # ravel below must be a view
         x.requires_grad = True
         x.grad = None
-    with Tape(check_finite=True) as tape:
+    with Tape() as tape:
         out = fn(*inputs)
         if out.values.size != 1:
             raise ValueError("grad_check needs a scalar-valued function")
         if not np.all(np.isfinite(out.values)):
             raise NumericError("non-finite forward value at the checked output")
         backward(out, tape)
+    for x in inputs:
+        if x.grad is not None and not np.all(np.isfinite(x.grad)):
+            raise NumericError(f"non-finite gradient at a checked input of shape {x.shape}")
 
     def run():
         return float(fn(*inputs).values)

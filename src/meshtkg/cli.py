@@ -174,7 +174,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     """`eval` prints the metrics and writes them with the gate statistics;
-    `analyze` prints and writes the gate statistics only."""
+    `analyze` prints and writes the gate statistics only. Both write to
+    `--out` only, never to the directory recorded in the checkpoint, which
+    holds the training run's own `config.echo`."""
+    if args.out is None:
+        raise CliError(f"{args.command} needs --out, the directory for its results")
     model, header = training.load_checkpoint(args.checkpoint)
     flags = {key: getattr(args, key, None) for key in ("dataset", *EVAL_FLAGS)}
     try:

@@ -126,10 +126,13 @@ def _coerce(name: str, raw: str):
 
 
 def parse_config_file(path: str) -> dict:
+    """The `key = value` lines of a config file. A line whose first
+    non-blank character is `#` is a comment; a value is everything after
+    the first `=`, stripped, `#` included."""
     values = {}
     for lineno, line in text_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(path, lineno, f"expected `key = value`, got {line!r}")

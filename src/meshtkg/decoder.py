@@ -36,8 +36,6 @@ class ConvTransEParams:
 
 def init_conv_transe(dim: int, channels: int, width: int, dropout: float,
                      gen: np.random.Generator, dtype=np.float32) -> ConvTransEParams:
-    if width % 2 != 1:
-        raise ValueError("kernel width must be odd for same padding")
     k_bound = (6.0 / (2 * width + channels * width)) ** 0.5
     p_bound = (6.0 / (channels * dim + dim)) ** 0.5
     return ConvTransEParams(

@@ -202,7 +202,9 @@ class EmbeddingCoverageError(DatasetError):
 
 
 MAGIC = "tkg-emb"
-FORMAT_VERSION = 1
+# the header's version names the body's layout
+TEXT_VERSION = 1    # `E|R<TAB>id<TAB>values` lines
+PACKED_VERSION = 2  # little-endian float32 rows, entities then relations
 
 
 @dataclass
@@ -235,7 +237,8 @@ def synthetic_embeddings(vocab: Vocabulary, dim: int, seed: int) -> SemanticEmbe
 
 def save_semantic_embeddings(path: str, table: SemanticEmbeddingTable, binary: bool = False) -> None:
     rows = table.entity.shape[0] + table.relation.shape[0]
-    header = f"{MAGIC} {FORMAT_VERSION} {rows} {table.dim}\n"
+    version = PACKED_VERSION if binary else TEXT_VERSION
+    header = f"{MAGIC} {version} {rows} {table.dim}\n"
     if binary:
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii"))
@@ -251,7 +254,8 @@ def save_semantic_embeddings(path: str, table: SemanticEmbeddingTable, binary: b
 
 
 def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingTable:
-    """Read a table in the text or binary layout; every id must be covered."""
+    """Read a table in the layout its header's version names; every id must
+    be covered."""
     if not os.path.isfile(path):
         raise EmbeddingFormatError(f"missing embedding file: {path}")
     with open(path, "rb") as fh:
@@ -265,7 +269,7 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
             raise EmbeddingFormatError(f"{path}: bad header {header!r}")
         if dim < 1:
             raise EmbeddingFormatError(f"{path}: header declares width {dim}, need at least 1")
-        if version != FORMAT_VERSION:
+        if version not in (TEXT_VERSION, PACKED_VERSION):
             raise EmbeddingFormatError(f"{path}: unsupported format version {version}")
         body = fh.read()
 
@@ -280,7 +284,10 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
     if len(body) < 2 * rows * dim:
         raise EmbeddingFormatError(f"{path}: header declares {rows} x {dim} values, "
                                    f"the body holds only {len(body)} bytes")
-    if len(body) == rows * dim * 4 and not body.startswith((b"E\t", b"R\t")):
+    if version == PACKED_VERSION:
+        if len(body) != rows * dim * 4:
+            raise EmbeddingFormatError(f"{path}: header declares {rows} x {dim} packed values "
+                                       f"({rows * dim * 4} bytes), the body holds {len(body)}")
         flat = np.frombuffer(body, dtype="<f4").reshape(rows, dim)
         bad = np.flatnonzero(~np.isfinite(flat).all(axis=1))
         if len(bad):

@@ -63,9 +63,10 @@ def reports_to_kv(named_reports: list[tuple[str, "MetricsReport"]]) -> str:
 
 
 def compute_metrics(ranks) -> MetricsReport:
+    """MRR and Hits@1/3/10 of a rank list; an empty list has none of them."""
     ranks = np.asarray(ranks, dtype=np.float64)
     if ranks.size == 0:
-        raise ValueError("cannot compute metrics over an empty rank list")
+        return MetricsReport(None, None, None, None, 0)
     return MetricsReport(
         mrr=float(np.mean(1.0 / ranks)),
         hits1=float(np.mean(ranks <= 1)),
@@ -81,11 +82,7 @@ def split_metrics(filtered, indicators) -> tuple[MetricsReport, MetricsReport]:
     filtered, indicators = np.asarray(filtered), np.asarray(indicators)
     if not np.all((indicators == 0) | (indicators == 1)):
         raise ValueError("every rank needs a 0/1 indicator tag for split metrics")
-
-    def report(ranks):
-        return compute_metrics(ranks) if ranks.size else MetricsReport(None, None, None, None, 0)
-
-    return report(filtered[indicators == 1]), report(filtered[indicators == 0])
+    return compute_metrics(filtered[indicators == 1]), compute_metrics(filtered[indicators == 0])
 
 
 @dataclass

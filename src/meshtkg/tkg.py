@@ -7,9 +7,8 @@ A dataset directory holds five UTF-8 text files:
     entity2id.txt / relation2id.txt    `name<TAB>id`, ids dense from 0
 
 Raw timestamps (day indices or hours since epoch, depending on the
-distribution) are normalized over the union of all splits: divided by the
-smallest positive gap, shifted to start at 0, and re-indexed to dense
-integers 0..T-1.
+distribution) are re-indexed to their dense rank over the union of all
+splits: the k-th smallest distinct raw time becomes k, for 0..T-1.
 """
 
 from __future__ import annotations
@@ -176,15 +175,11 @@ def _read_fact_file(path: str, num_entities: int, num_relations: int):
 
 
 def _normalize_timestamps(splits: dict[str, np.ndarray]) -> int:
-    """Map raw timestamps to dense 0..T-1 over the union of all splits, in
-    place; returns T."""
-    raw = np.unique(np.concatenate([rows[:, 3] for rows in splits.values()]))
-    if not len(raw):
-        return 0
-    step = int(np.diff(raw).min()) if len(raw) > 1 else 1
-    levels = np.unique((raw - raw[0]) // step)
+    """Map raw timestamps to their dense rank 0..T-1 over the union of all
+    splits, in place; returns T."""
+    levels = np.unique(np.concatenate([rows[:, 3] for rows in splits.values()]))
     for rows in splits.values():
-        rows[:, 3] = np.searchsorted(levels, (rows[:, 3] - raw[0]) // step)
+        rows[:, 3] = np.searchsorted(levels, rows[:, 3])
     return len(levels)
 
 

@@ -105,7 +105,6 @@ def primitive_cases(gen):
         ("sigmoid", lambda a: ad.tensor_sum(ad.sigmoid(a)), [rnd(gen, 2, 3)]),
         ("tanh", lambda a: ad.tensor_sum(ad.tanh(a)), [rnd(gen, 2, 3)]),
         ("relu", lambda a: ad.tensor_sum(ad.relu(a)), [rnd(gen, 2, 3)]),
-        ("leaky_relu", lambda a: ad.tensor_sum(ad.leaky_relu(a, 0.1)), [rnd(gen, 2, 3)]),
         ("rrelu", lambda a: ad.tensor_sum(ad.rrelu(a)), [rnd(gen, 2, 3)]),
         ("pick_log_softmax", lambda q: ad.tensor_sum(ad.tanh(ad.pick_log_softmax(
             q, Tensor(table.astype(q.dtype)), pick_idx))), [rnd(gen, 2, 3)]),
@@ -149,7 +148,7 @@ def test_every_primitive_keeps_float32(recorded):
 
 class TestTapeRetention:
     # ops whose backward reads their own output, which the tape must keep
-    READS_OUTPUT = {"sigmoid", "tanh", "relu", "leaky_relu"}
+    READS_OUTPUT = {"sigmoid", "tanh", "relu", "rrelu"}
 
     def test_outputs_no_backward_reads_are_freed(self, monkeypatch):
         """The tape holds keys and what each backward reads: once the caller
@@ -217,6 +216,22 @@ class TestGradCheck:
 
         with pytest.raises(ad.NumericError):
             grad_check(fn, [x])
+
+    def test_nonfinite_input_gradient_under_a_finite_output_raises(self):
+        """relu sends -inf to 0, so the output is finite, but the zero
+        gradient times inf in `scale`'s backward reaches x as NaN."""
+        x = param(np.array([-1.0, -2.0]))
+
+        def fn(a):
+            return ad.tensor_sum(ad.relu(ad.scale(a, float("inf"))))
+
+        with pytest.raises(ad.NumericError, match="gradient"):
+            grad_check(fn, [x])
+
+    def test_input_without_gradient_passes(self, np_gen):
+        a, unused = rnd(np_gen, 2), rnd(np_gen, 3)
+        assert grad_check(lambda a, b: ad.tensor_sum(ad.tanh(a)), [a, unused]) < 1e-6
+        assert unused.grad is None
 
     def test_bad_eps(self, np_gen):
         with pytest.raises(ValueError):
@@ -359,7 +374,7 @@ def float_arrays(dtype, shape):
         width=np.finfo(dtype).bits, allow_subnormal=True))
 
 
-class TestLeakyReluKernel:
+class TestRreluKernel:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -371,25 +386,17 @@ class TestLeakyReluKernel:
         # gradients reaching the op are computed values, so quiet NaNs only
         g = data.draw(hnp.arrays(dtype, x.shape, elements=st.floats(
             width=info.bits, allow_subnormal=True, allow_nan=False) | st.just(np.nan)))
-        slope = data.draw(st.sampled_from([ad.RRELU_SLOPE, 0.01, 0.5])
-                          | st.floats(1e-40, 0.999))
+        slope = ad.RRELU_SLOPE
         a = param(x)
         with np.errstate(invalid="ignore"):  # slope * signalling NaN sets the flag
             ref_out = np.where(x > 0, x, slope * x)
             ref_grad = np.where(x > 0, g, g * slope)
             with Tape() as tape:
-                out = ad.leaky_relu(a, slope).values
+                out = ad.rrelu(a).values
             (grad,) = tape.nodes[-1].backward_fn(g)
         assert out.dtype == grad.dtype == dtype
         assert np.array_equal(bits(out), bits(ref_out))
         assert np.array_equal(bits(grad), bits(ref_grad))
-
-    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.5, 2.0, float("nan"), 1e-46, 1 - 1e-9])
-    def test_slope_outside_unit_interval_rejected(self, slope):
-        """Outside (0, 1) in the input dtype the max form is wrong: a slope
-        that rounds to 0 in float32 would send inf to NaN (0 * inf)."""
-        with pytest.raises(ValueError, match="slope"):
-            ad.leaky_relu(Tensor(np.ones(3, np.float32)), slope)
 
 
 class TestDropoutKernel:

@@ -530,6 +530,24 @@ def test_eval_without_a_dataset_exits_2(checkpoint, tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_eval_without_out_exits_2_and_leaves_the_run_alone(command, synth_dataset, train_dir,
+                                                            checkpoint, capsys):
+    """Without --out, eval and analyze would write into the training run's
+    directory and rewrite its config.echo with their own flags."""
+    before = {name: read(os.path.join(train_dir, name)) for name in os.listdir(train_dir)
+              if name != "checkpoint.mesh"}
+    assert run([command, checkpoint, synth_dataset["dir"], "--disable-prediction-expert"]) == 2
+    assert capsys.readouterr().err == f"error: {command} needs --out, the directory for its results\n"
+    assert {name: read(os.path.join(train_dir, name)) for name in os.listdir(train_dir)
+            if name != "checkpoint.mesh"} == before
+
+
+def test_eval_without_out_exits_2_before_reading_the_checkpoint(tmp_path, capsys):
+    assert run(["eval", str(tmp_path / "none.mesh")]) == 2
+    assert capsys.readouterr().err == "error: eval needs --out, the directory for its results\n"
+
+
 def test_eval_on_a_dataset_of_other_sizes_exits_2(synth_dataset, checkpoint, tmp_path, capsys):
     ds = str(tmp_path / "ds")
     shutil.copytree(synth_dataset["dir"], ds)

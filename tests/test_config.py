@@ -96,6 +96,14 @@ class TestLayering:
         assert cfg2 == cfg
 
 
+    def test_echo_with_a_hash_in_a_value_roundtrips(self, tmp_path):
+        """Only a line whose first non-blank character is `#` is a comment."""
+        cfg = RunConfig(out="runs/a#1", dataset="data #2")
+        path = tmp_path / "config.echo"
+        path.write_text("# a comment\n  # an indented one\n" + cfg.echo())
+        assert RunConfig(**parse_config_file(str(path))) == cfg
+
+
 class TestValidation:
     def test_defaults_validate(self):
         RunConfig()

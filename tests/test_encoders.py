@@ -426,6 +426,19 @@ class TestSemanticTables:
         assert np.array_equal(loaded.entity, table.entity)
         assert np.array_equal(loaded.relation, table.relation)
 
+    def test_packed_body_that_starts_like_a_text_row_loads(self, tmp_path):
+        """The float32 0.50014144 is the bytes `E<TAB>\\x00?`: the header's
+        version, not the body's first bytes, names the layout."""
+        vocab = make_vocab(5, 3)
+        table = synthetic_embeddings(vocab, 12, seed=9)
+        table.entity[0, 0] = 0.50014144
+        path = tmp_path / "emb"
+        save_semantic_embeddings(str(path), table, binary=True)
+        assert path.read_bytes().split(b"\n", 1)[1].startswith(b"E\t")
+        loaded = load_semantic_embeddings(str(path), vocab)
+        assert np.array_equal(loaded.entity, table.entity)
+        assert np.array_equal(loaded.relation, table.relation)
+
     def test_header_row_count(self, tmp_path):
         path = tmp_path / "emb"
         path.write_text("tkg-emb 1 3 4\nE\t0\t1 2 3 4\nE\t1\t1 2 3 4\nR\t0\t1 2 3 4\n")
@@ -451,8 +464,8 @@ class TestSemanticTables:
         (b"tkg-emb 1 2 100000000000000000\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
          "body holds only 16 bytes"),
         (None, EmbeddingFormatError, "missing embedding file"),
-        (b"tkg-emb 2 2 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
-         "unsupported format version 2"),
+        (b"tkg-emb 3 2 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+         "unsupported format version 3"),
         (b"tkg-emb 1 3 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingCoverageError,
          "header declares 3 rows, vocabulary needs 2"),
         (b"tkg-emb 1 2 2\nE\t0\nR\t0\t1 2\n", EmbeddingFormatError,
@@ -465,11 +478,17 @@ class TestSemanticTables:
          "emb:2: non-finite embedding value"),
         (b"tkg-emb 1 2 2\nE\t0\t1 2\n\nR\t0\t1 nan\n", EmbeddingFormatError,
          "emb:4: non-finite embedding value"),
-        (b"tkg-emb 1 2 2\n" + np.array([1, 2, 1, np.inf], dtype="<f4").tobytes(),
+        (b"tkg-emb 2 2 2\n" + np.array([1, 2, 1, np.inf], dtype="<f4").tobytes(),
          EmbeddingFormatError, "non-finite embedding value in binary row R 0"),
+        (b"tkg-emb 2 2 2\n" + np.array([1, 2, 1], dtype="<f4").tobytes(),
+         EmbeddingFormatError, "packed values (16 bytes), the body holds 12"),
+        # a version-1 body is text rows, whatever its length
+        (b"tkg-emb 1 2 2\n" + np.array([1, 2, 1, 3], dtype="<f4").tobytes(),
+         ParseError, "emb:2: byte 0x80 is not UTF-8"),
     ], ids=["header", "row_id", "utf8", "negative_dim", "zero_dim", "sizes_beyond_memory",
             "missing_file", "version", "row_count", "malformed_row", "non_numeric",
-            "id_outside_vocabulary", "inf", "nan_after_blank_line", "non_finite_binary_row"])
+            "id_outside_vocabulary", "inf", "nan_after_blank_line", "non_finite_binary_row",
+            "packed_length", "packed_body_under_text_version"])
     def test_malformed_file_is_refused(self, tmp_path, text, error, message):
         path = tmp_path / "emb"
         if text is not None:

@@ -93,9 +93,8 @@ class TestComputeMetrics:
         report = compute_metrics(np_gen.integers(1, 30, size=200))
         assert report.hits1 <= report.hits3 <= report.hits10
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compute_metrics([])
+    def test_empty_has_no_metrics(self):
+        assert compute_metrics([]) == MetricsReport(None, None, None, None, 0)
 
 
 class TestSplitMetrics:

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshtkg import history, tkg
 from meshtkg.tkg import (
@@ -9,6 +11,7 @@ from meshtkg.tkg import (
     LoadError,
     ParseError,
     Quadruple,
+    _normalize_timestamps,
     add_inverse_relations,
     drop_history_fraction,
     load_dataset,
@@ -101,6 +104,20 @@ class TestLoadDataset:
         vocab, train, _, _ = load_dataset(d)
         assert sorted(q.t for q in quads(train)) == [0, 1, 2]
         assert vocab.num_timestamps == 3
+
+    @given(st.lists(st.lists(st.integers(0, tkg.INT64_MAX)
+                             | st.sampled_from([0, 1, tkg.INT64_MAX - 1, tkg.INT64_MAX]),
+                             max_size=12), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_timestamps_become_their_dense_rank(self, raw):
+        """Any raw times, gaps up to 2**63 - 1 included, map to their rank
+        among the distinct times of every split; T counts those times."""
+        splits = {i: np.array([(0, 0, 0, t) for t in times], dtype=np.int64).reshape(-1, 4)
+                  for i, times in enumerate(raw)}
+        levels = sorted({t for times in raw for t in times})
+        assert _normalize_timestamps(splits) == len(levels)
+        assert [rows[:, 3].tolist() for rows in splits.values()] == [
+            [levels.index(t) for t in times] for times in raw]
 
     def test_shared_time_axis_across_splits(self, tmp_path):
         d = make_dir(tmp_path, [(0, 0, 1, 0)], valid=[(1, 0, 2, 5)], test=[(2, 0, 3, 10)])

@@ -216,7 +216,7 @@ class TestStage1Losses:
             cells = (c.cell_contents for c in fn.__closure__ or ())
             return [a for a in cells if isinstance(a, np.ndarray)]
 
-        def counting_backward(output, tape=None):
+        def counting_backward(output, tape):
             nodes = [(n.op, n.backward_fn, *recorded[n.output]) for n in tape.nodes]
             seen.append((
                 sum(wide(out.values, *kept(fn)) for _, fn, out, _ in nodes),

@@ -14,13 +14,16 @@ float32 for training.
 The tape holds tensor keys and, in each node's backward closure, only the
 arrays that backward reads: an intermediate output no backward reads is
 freed as soon as the caller drops its tensor, and ``backward`` frees each
-intermediate gradient once its node has consumed it.
+intermediate gradient once its node has consumed it. A gather's gradient
+stays row-sparse (``RowGrad``): ``backward`` adds its rows into the
+table's accumulator in place, so no zero table is built per gather.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,6 +158,15 @@ def _record(op, inputs, out_values, backward_fn) -> Tensor:
     return out
 
 
+class RowGrad(NamedTuple):
+    """A row-sparse gradient of a (rows, ...) operand of `shape`: `rows[i]`
+    adds to row `index[i]`, indices repeating."""
+
+    index: np.ndarray
+    rows: np.ndarray
+    shape: tuple
+
+
 def backward(output: Tensor, tape: Tape) -> None:
     """Populate ``grad`` on every requires_grad tensor feeding ``output``.
 
@@ -163,10 +175,18 @@ def backward(output: Tensor, tape: Tape) -> None:
     gradient is dropped once its node has consumed it, so a chain holds
     about two gradients at a time, not one per node. The nodes stay on the
     tape until the tape itself is freed.
+
+    A `RowGrad` is summed per distinct index, in np.add.at order, and added
+    into its key's accumulator in place, which gives the bits of adding the
+    dense zeros-plus-scatter table. The accumulator is a fresh array first
+    (zeros, or a copy) unless backward allocated it itself: a gradient a
+    backward returned may be shared with another key (`add` returns one g
+    for both operands, `reshape` and `concat` views of it).
     """
     if output.values.size != 1:
         raise ValueError(f"backward expects a scalar output, got shape {output.values.shape}")
     grads: dict[int, np.ndarray] = {output.key: np.ones_like(output.values)}
+    owned: set[int] = set()  # keys whose accumulator no other gradient shares
     leaves = {**tape.leaves, output.key: output} if output.requires_grad else tape.leaves
     for node in reversed(tape.nodes):
         g = grads.pop(node.output, None)
@@ -176,7 +196,19 @@ def backward(output: Tensor, tape: Tape) -> None:
             if gx is None:
                 continue
             acc = grads.get(key)
-            grads[key] = gx if acc is None else acc + gx
+            if isinstance(gx, RowGrad):
+                if key not in owned:
+                    acc = np.zeros(gx.shape, gx.rows.dtype) if acc is None else acc.copy()
+                    grads[key] = acc
+                    owned.add(key)
+                unique, slot = np.unique(gx.index, return_inverse=True)
+                compact = np.zeros((len(unique),) + gx.rows.shape[1:], gx.rows.dtype)
+                acc[unique] += _scatter_rows(compact, slot, gx.rows)
+            elif acc is None:
+                grads[key] = gx
+            else:
+                grads[key] = acc + gx
+                owned.add(key)
     for key, leaf in leaves.items():
         g = grads.get(key)
         if g is None:
@@ -269,12 +301,21 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def gather_rows(table: Tensor, index) -> Tensor:
-    """Embedding lookup: out[i] = table[index[i]]."""
+    """Embedding lookup: out[i] = table[index[i]]; its gradient is the
+    row-sparse RowGrad(index, g, table shape)."""
     index = np.asarray(index, dtype=np.int64)
     out = table.values[index]
-    shape, dtype = table.shape, table.dtype
-    return _record("gather_rows", (table,), out,
-                   lambda g: (_scatter_rows(np.zeros(shape, dtype), index, g),))
+    shape = table.shape
+    return _record("gather_rows", (table,), out, lambda g: (RowGrad(index, g, shape),))
+
+
+def add_rows(base: Tensor, rows: Tensor, index) -> Tensor:
+    """out = base with rows[i] added to row index[i]; the indices are
+    distinct, so each row of base gets at most one addition."""
+    index = np.asarray(index, dtype=np.int64)
+    out = base.values.copy()
+    out[index] += rows.values
+    return _record("add_rows", (base, rows), out, lambda g: (g, g[index]))
 
 
 def scatter_add_rows(values: Tensor, index, num_rows: int) -> Tensor:

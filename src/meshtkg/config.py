@@ -78,6 +78,10 @@ class RunConfig:
                 raise ValueError(f"config field {f.name} must be of type {f.type}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"config field {f.name} must be finite")
+            # `echo` writes one `key = value` line, read back stripped
+            if f.type == "str" and (value != value.strip() or "\n" in value or "\r" in value):
+                raise ValueError(f"config field {f.name} must have no surrounding blanks "
+                                 f"and no line break, got {value!r}")
         positive = (
             "dim", "llm_dim", "adapter_hidden", "channels", "kernel_width",
             "layers", "num_historical", "num_nonhistorical", "learning_rate",

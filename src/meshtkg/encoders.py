@@ -105,15 +105,15 @@ def init_structural_encoder(num_entities: int, num_relations_aug: int, dim: int,
 def aggregate(layer: LayerParams, X: Tensor, R: Tensor, rows: np.ndarray) -> Tensor:
     """One aggregation layer over a snapshot's fact rows (s, r, o, ...):
     X[o] @ self plus, for each o with an in-edge, the mean of X[s] + R[r]
-    over its in-edges @ agg. The agg transform runs only on those rows, so
-    a row with no in-edge gets X @ self alone."""
+    over its in-edges @ agg. The agg transform runs only on those rows and
+    is added into them in place, so a row with no in-edge gets X @ self
+    alone and no (|E|, d) zero table is built."""
     s_idx, r_idx, o_idx = rows[:, 0], rows[:, 1], rows[:, 2]
     dst, slot, in_deg = np.unique(o_idx, return_inverse=True, return_counts=True)
     inv_deg = Tensor(np.divide(1.0, in_deg.astype(X.dtype))[:, None])
     msg = ad.add(ad.gather_rows(X, s_idx), ad.gather_rows(R, r_idx))
     agg = ad.mul(ad.scatter_add_rows(msg, slot, len(dst)), inv_deg)
-    return ad.add(ad.scatter_add_rows(ad.matmul(agg, layer.agg), dst, X.shape[0]),
-                  ad.matmul(X, layer.self))
+    return ad.add_rows(ad.matmul(X, layer.self), ad.matmul(agg, layer.agg), dst)
 
 
 def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, *,

@@ -23,6 +23,8 @@ other moving part.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -153,12 +155,34 @@ def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
     return total / max(count, 1)
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let each training step reuse the memory the previous step freed:
+    arrays below 64 MiB come from the heap instead of their own mappings,
+    and the heap keeps up to 1 GiB of free top space instead of returning
+    it to the kernel, so a step's arrays do not fault their pages in again.
+    Set once per process, through glibc's mallopt; without it (another C
+    library) nothing changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 64 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
                 valid_tkg: TemporalKG, sem: SemanticEmbeddingTable,
                 verbose=None) -> TrainResult:
     """Run both training stages and keep the parameters of the stage-1
     epoch with the best validation MRR, as `evaluate(split="valid")`
     measures it."""
+    _keep_freed_heap()
     ablation = AblationConfig.from_config(config)
 
     if config.epochs_stage1 > 0 and not valid_tkg.num_facts:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from meshtkg import autodiff as ad
 from meshtkg.tkg import Quadruple, TemporalKG, Vocabulary, write_dataset
 
 
@@ -65,8 +66,6 @@ def recorded(monkeypatch):
     """Tensor key -> (output Tensor, operand Tensors) of every autodiff op
     run while the fixture is active, read through a spy on
     `autodiff._record`: tape nodes hold keys, not tensors."""
-    from meshtkg import autodiff as ad
-
     seen = {}
     record = ad._record
 
@@ -149,3 +148,18 @@ def trained(synth_dataset, tmp_path_factory):
         config, synth_dataset["vocab"], synth_dataset["train"], synth_dataset["valid"], sem
     )
     return {"config": config, "result": result, "sem": sem, **synth_dataset}
+
+
+def dense_gather(table, index):
+    """`autodiff.gather_rows` with a dense backward: a zero table of the
+    operand's shape with the rows added at their indices (np.add.at); the
+    oracle of the row-sparse one."""
+    index = np.asarray(index, dtype=np.int64)
+    shape, dtype = table.shape, table.dtype
+
+    def backward_fn(g):
+        out = np.zeros(shape, dtype)
+        np.add.at(out, index, g)
+        return (out,)
+
+    return ad._record("gather_rows", (table,), table.values[index], backward_fn)

@@ -14,6 +14,8 @@ from meshtkg import autodiff as ad
 from meshtkg import rng
 from meshtkg.autodiff import Tape, Tensor, backward, grad_check, param
 
+from conftest import dense_gather
+
 UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
 
 
@@ -99,6 +101,8 @@ def primitive_cases(gen):
         ("reshape", lambda a: ad.tensor_sum(ad.tanh(ad.reshape(a, (3, 2)))), [rnd(gen, 2, 3)]),
         ("gather", lambda a: ad.tensor_sum(ad.sigmoid(ad.gather_rows(a, idx))), [rnd(gen, 4, 3)]),
         ("scatter", lambda a: ad.tensor_sum(ad.sigmoid(ad.scatter_add_rows(a, idx, 4))), [rnd(gen, 3, 3)]),
+        ("add_rows", lambda a, b: ad.tensor_sum(ad.sigmoid(ad.add_rows(a, b, pick_idx))),
+         [rnd(gen, 4, 3), rnd(gen, 2, 3)]),
         ("concat", lambda a, b: ad.tensor_sum(ad.sigmoid(ad.concat([a, b], axis=1))), [rnd(gen, 2, 2), rnd(gen, 2, 3)]),
         ("slice", lambda a: ad.tensor_sum(ad.sigmoid(ad.slice_last(a, 1, 3))), [rnd(gen, 2, 4)]),
         ("pick", lambda a: ad.tensor_sum(ad.sigmoid(ad.pick_last(a, pick_idx))), [rnd(gen, 2, 4)]),
@@ -127,9 +131,9 @@ def test_every_primitive_passes_grad_check():
 
 
 def test_every_primitive_keeps_float32(recorded):
-    """Forward outputs and every backward gradient stay in the input dtype;
-    one float64 gradient would push the rest of a float32 backward pass
-    into float64."""
+    """Forward outputs and every backward gradient stay in the input dtype
+    (the rows of a row-sparse one); one float64 gradient would push the
+    rest of a float32 backward pass into float64."""
     gen = np.random.default_rng(7)
     widened = []
     for name, fn, inputs in primitive_cases(gen):
@@ -139,7 +143,8 @@ def test_every_primitive_keeps_float32(recorded):
         for node in tape.nodes:
             out = recorded[node.output][0].values
             g = gen.standard_normal(out.shape).astype(np.float32)
-            grads = [gx for gx in node.backward_fn(g) if gx is not None]
+            grads = [gx.rows if isinstance(gx, ad.RowGrad) else gx
+                     for gx in node.backward_fn(g) if gx is not None]
             dtypes = {out.dtype} | {np.asarray(gx).dtype for gx in grads}
             if dtypes != {np.dtype(np.float32)}:
                 widened.append((name, node.op, sorted(map(str, dtypes))))
@@ -495,6 +500,84 @@ class TestScatterRows:
         got = ad._scatter_rows(start.copy(), index, rows)
         assert got.dtype == dtype
         assert np.array_equal(bits(got), bits(want))
+
+
+GATHER_I, GATHER_J = np.array([0, 2, 2, 5, 0]), np.array([2, 3, 2, 2, 5])
+
+
+def _fan_in_graphs(gather):
+    """name -> loss of leaves (T, U, V, W), each graph reaching a table by
+    gathers with repeated indices and by a dense path."""
+    i, j = GATHER_I, GATHER_J
+
+    def s(x, f=ad.tanh):
+        return ad.tensor_sum(f(x))
+
+    return {
+        # one g for both gathers (add's backward), the dense path first
+        "add_of_two_gathers": lambda T, U, V, W: ad.add(
+            s(ad.add(gather(T, i), gather(T, j))), s(ad.matmul(T, W), ad.sigmoid)),
+        # the dense path recorded first, so its gradient arrives last
+        "dense_path_first": lambda T, U, V, W: ad.add(
+            s(ad.matmul(T, W), ad.sigmoid), s(ad.add(gather(T, i), gather(T, j)))),
+        # T's gradient is the g that add(T, U) also hands to U
+        "accumulator_shared_by_add": lambda T, U, V, W: ad.add(
+            s(gather(T, i)), s(ad.add(T, U), ad.sigmoid)),
+        # T's gradient is a view (reshape) of the g that add also hands to V
+        "accumulator_is_a_view": lambda T, U, V, W: ad.add(
+            s(gather(T, j)), s(ad.add(ad.reshape(T, (4, 6)), V), ad.sigmoid)),
+        # gathered intermediates: a scaled table and a concatenation
+        "gathered_intermediates": lambda T, U, V, W: s(ad.add(
+            gather(ad.scale(T, 1.5), i),
+            ad.add(gather(U, j), gather(ad.concat([T, U], axis=0), i + 6)))),
+    }
+
+
+def _fan_in_grads(name, gather, dtype):
+    gen = np.random.default_rng(17)
+    leaves = [param(gen.standard_normal(shape).astype(dtype))
+              for shape in ((6, 4), (6, 4), (4, 6), (4, 3))]
+    with Tape() as tape:
+        backward(_fan_in_graphs(gather)[name](*leaves), tape)
+    return [x.grad for x in leaves], tape
+
+
+class TestRowSparseGather:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(_fan_in_graphs(ad.gather_rows)))
+    def test_table_gradients_match_dense_oracle_bit_for_bit(self, name, dtype, recorded):
+        """Every leaf's gradient has the bits of the dense zeros-plus-scatter
+        backward, and each gather hands backward its rows, not a table."""
+        want, _ = _fan_in_grads(name, dense_gather, dtype)
+        recorded.clear()
+        got, tape = _fan_in_grads(name, ad.gather_rows, dtype)
+        assert [g is None for g in got] == [w is None for w in want]
+        for w, g in zip(want, got):
+            if w is not None:
+                assert g.dtype == dtype and np.array_equal(bits(g), bits(w))
+        gathers = [n for n in tape.nodes if n.op == "gather_rows"]
+        assert gathers
+        for node in gathers:
+            out = recorded[node.output][0].values
+            (rows,) = node.backward_fn(np.ones_like(out))
+            assert isinstance(rows, ad.RowGrad) and rows.rows.shape == out.shape
+
+    def test_backward_allocates_no_second_table(self):
+        """Two gathers of a 2 MiB table: backward builds one table-sized
+        gradient and adds both gathers' rows into it in place."""
+        table = param(np.ones((2**14, 16)))
+        with Tape() as tape:
+            loss = ad.tensor_sum(ad.add(ad.gather_rows(table, GATHER_I),
+                                        ad.gather_rows(table, GATHER_J)))
+        tracemalloc.start()
+        try:
+            backward(loss, tape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table.grad.sum(axis=1), 16 * np.bincount(
+            np.concatenate([GATHER_I, GATHER_J]), minlength=2**14))
+        assert peak < 1.5 * table.values.nbytes, peak / table.values.nbytes
 
 
 def _pick_tape(q, table, idx, table_grad):

@@ -301,6 +301,15 @@ class TestTrainEvalCommands:
         assert run(["train", synth_dataset["dir"], "--out", str(tmp_path / "x"),
                     "--dropout", "1.5"]) == 2
 
+    def test_value_the_echo_cannot_hold_exits_2_in_one_line(self, synth_dataset, tmp_path,
+                                                           capsys):
+        out = str(tmp_path / "x") + "\n"
+        assert run(["train", synth_dataset["dir"], "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config field out must have no surrounding blanks and no line break, "
+            f"got {out!r}\n")
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("line, message", [
         (b"dim = abc", "cannot parse int config value 'abc' for dim"),
         (b"dim = \xff", "byte 0xff is not UTF-8"),

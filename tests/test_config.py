@@ -118,6 +118,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("out", " runs/a "), ("out", "runs/a\t"), ("dataset", "d\nseed = 5"),
+        ("out", "a\rb"), ("embeddings", "\u00a0e.emb"),
+    ], ids=["blanks", "trailing_tab", "newline", "carriage_return", "unicode_blank"])
+    def test_values_echo_cannot_hold_rejected(self, field, value):
+        """`echo` writes one `key = value` line per field and the reader
+        strips each value, so such a value would not read back."""
+        with pytest.raises(ValueError, match=f"config field {field} must have no surrounding"):
+            RunConfig(**{field: value})
+
     def test_both_paths_disabled_rejected(self):
         with pytest.raises(ValueError, match="both"):
             RunConfig(disable_semantic=True, disable_structural=True)

@@ -24,7 +24,7 @@ from meshtkg.encoders import (
 )
 from meshtkg.tkg import ParseError, Quadruple, TemporalKG, Vocabulary, add_inverse_relations
 
-from conftest import group, make_vocab
+from conftest import dense_gather, group, make_vocab
 
 
 def sigmoid(x):
@@ -234,6 +234,19 @@ def dense_aggregate(layer, X: Tensor, R: Tensor, rows: np.ndarray) -> Tensor:
     return ad.add(ad.matmul(agg, layer.agg), ad.matmul(X, layer.self))
 
 
+def scattered_aggregate(layer, X: Tensor, R: Tensor, rows: np.ndarray) -> Tensor:
+    """`encoders.aggregate` with the agg rows scattered into a zero (|E|, d)
+    table that is then added to X @ self; the bit-for-bit oracle of its
+    in-place rows."""
+    s_idx, r_idx, o_idx = rows[:, 0], rows[:, 1], rows[:, 2]
+    dst, slot, in_deg = np.unique(o_idx, return_inverse=True, return_counts=True)
+    inv_deg = Tensor(np.divide(1.0, in_deg.astype(X.dtype))[:, None])
+    msg = ad.add(ad.gather_rows(X, s_idx), ad.gather_rows(R, r_idx))
+    agg = ad.mul(ad.scatter_add_rows(msg, slot, len(dst)), inv_deg)
+    return ad.add(ad.scatter_add_rows(ad.matmul(agg, layer.agg), dst, X.shape[0]),
+                  ad.matmul(X, layer.self))
+
+
 def skewed_snapshots(seed, num_entities, num_relations, facts_per_step, count):
     """`count` snapshots of facts and their inverses (relation + R), with
     Zipf-skewed entity popularity as in news-event data, so objects repeat
@@ -257,7 +270,8 @@ ENCODER_SHAPES = {"tiny": (60, 6, 12), "icews14": (7128, 230, 246)}
 class TestSparseAggregation:
     def _encode(self, monkeypatch, layer_fn, shape, dim, dtype):
         """Outputs and every encoder gradient of a 2-layer, window-3 encode,
-        with dropout drawn from a Philox stream, under `layer_fn`."""
+        with dropout drawn from a Philox stream, under `layer_fn`; and the
+        op of each recorded node."""
         num_entities, num_relations, facts = ENCODER_SHAPES[shape]
         params = init_structural_encoder(num_entities, 2 * num_relations, dim, layers=2,
                                          window=3, dropout=0.2, gen=np.random.default_rng(4),
@@ -272,7 +286,8 @@ class TestSparseAggregation:
             H, R = encode_structural(params, snapshots, t=3, gen=rng.stream(1, rng.DROPOUT))
             loss = ad.add(ad.tensor_sum(ad.mul(H, w_h)), ad.tensor_sum(ad.mul(R, w_r)))
             ad.backward(loss, tape)
-        return H.values, R.values, {n: t.grad for n, t in named.items()}
+        return (H.values, R.values, {n: t.grad for n, t in named.items()},
+                [node.op for node in tape.nodes])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dim", [32, 100])
@@ -296,6 +311,25 @@ class TestSparseAggregation:
         for name, want in oracle.items():
             bound = 16 * eps * max(1.0, np.abs(want).max())
             assert np.abs(grads[name] - want).max() <= bound, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [32, 100])
+    @pytest.mark.parametrize("shape", ["tiny", "icews14"])
+    def test_matches_scattered_layer_and_dense_gathers_bit_for_bit(self, monkeypatch, shape,
+                                                                    dim, dtype):
+        """Outputs and every encoder gradient have the bits of the zero-table
+        forms: each layer's agg rows scattered into an (|E|, d) table, and
+        each gather's gradient a table too. Each of the 2 layers over 3
+        snapshots adds its agg rows in place instead."""
+        got = self._encode(monkeypatch, encoders.aggregate, shape, dim, dtype)
+        assert got[3].count("add_rows") == 2 * 3
+        monkeypatch.setattr(ad, "gather_rows", dense_gather)
+        want = self._encode(monkeypatch, scattered_aggregate, shape, dim, dtype)
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == dtype and g.tobytes() == w.tobytes()
+        assert got[2].keys() == want[2].keys()
+        for name, w in want[2].items():
+            assert got[2][name].tobytes() == w.tobytes(), name
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_without_in_edge_gets_self_transform(self, dtype):

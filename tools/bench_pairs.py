@@ -10,11 +10,18 @@ pairs run the base first, even pairs the working tree first. Each run is a
 fresh process. The host's speed drifts by tens of percent over seconds, so
 only runs made next to each other are compared.
 
-Prints one row per pair and end-to-end metric (the metrics and their
-directions are read from BENCHMARK.json), then per metric the pairs won by
-the working tree, the medians with their quartiles and the ratio of the
-medians (working tree over base). Exits 1 if any run fails or reports a
-failed operation.
+Prints one row per pair and end-to-end metric (the metrics, their
+directions and bounds are read from BENCHMARK.json), then per metric the
+pairs won by the working tree, the medians with their quartiles, the ratio
+of the medians (working tree over base) and two verdicts:
+
+- gain: the working tree won at least nine tenths of the pairs (an equal
+  pair counts for neither side), and its median is better than the base's by
+  more than the base's quartile distance;
+- bound: the working tree's median is no worse than the base's by more than
+  the metric's relative bound.
+
+Exits 1 if any run fails or reports a failed operation.
 """
 
 from __future__ import annotations
@@ -90,6 +97,25 @@ def spread(values: list) -> str:
     return f"{med:.10g} [{q1:.10g}-{q3:.10g}]"
 
 
+def quartile_distance(values: list) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def verdicts(pairs: list, better: str, bound: float) -> tuple[int, bool, bool]:
+    """(pairs won by the working tree, gain, within bound) of one metric's
+    (base, here) pairs; see the module docstring."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (here - base) > 0 for base, here in pairs)
+    base_med = statistics.median(b for b, _ in pairs)
+    gain = sign * (statistics.median(h for _, h in pairs) - base_med)
+    return (wins,
+            10 * wins >= 9 * len(pairs) and gain > quartile_distance([b for b, _ in pairs]),
+            gain >= -bound * abs(base_med))
+
+
 def compare(workload: str, base_tree: str, args, metrics: list) -> bool:
     print(f"workload {workload} (shape {args.shape}, seed {args.seed}, "
           f"{args.seconds:g} s per run, base {args.base} -> working tree)")
@@ -113,15 +139,16 @@ def compare(workload: str, base_tree: str, args, metrics: list) -> bool:
         pairs = rows[m["name"]]
         if not pairs:
             continue
-        sign = 1 if m["better"] == "higher" else -1
-        wins = sum(sign * (here - base) > 0 for base, here in pairs)
+        wins, gain, within = verdicts(pairs, m["better"], m["bound"])
         ties = sum(here == base for base, here in pairs)
         base_med = statistics.median(b for b, _ in pairs)
         here_med = statistics.median(h for _, h in pairs)
         ratio = here_med / base_med if base_med else float("nan")
         print(f"  {m['name']:<16} ({m['better']} is better) won {wins} of {len(pairs)}"
               f"{f', {ties} equal' if ties else ''}; median {spread([b for b, _ in pairs])}"
-              f" -> {spread([h for _, h in pairs])} {m['unit']}; ratio {ratio:.4f}")
+              f" -> {spread([h for _, h in pairs])} {m['unit']}; ratio {ratio:.4f}; "
+              f"gain rule {'holds' if gain else 'fails'}; "
+              f"{'within' if within else 'beyond'} its {m['bound']:g} bound")
     return ok
 
 

@@ -4,15 +4,18 @@ Subcommands: prepare, stats, naive, emit-prompts, train, eval, analyze,
 sweep. Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numeric failure. Configuration layering (profile < config file <
 MESH_* environment < flags) lives in `config`; every command writes the
-fully resolved configuration to `<out>/config.echo`.
+fully resolved configuration to `<out>/config.echo`. A command that reports
+results prints its tables on stdout and writes its result records to
+`<out>/results.json`, which `json.load` reads back.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 from . import config as cfg
 from . import evaluation as ev
@@ -100,6 +103,17 @@ def _write(path, text):
         fh.write(text)
 
 
+def write_results(out: str, records) -> None:
+    """`<out>/results.json`: the result dataclasses in `records` as JSON
+    objects of their fields (an empty bucket's metrics are null, an infinite
+    t statistic is `Infinity`)."""
+    _write(os.path.join(out, "results.json"), json.dumps(records, indent=1, default=asdict) + "\n")
+
+
+def _eval_records(result: ev.EvalResult) -> dict:
+    return {**dict(result.named_reports()), "gates": result.gate_stats}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -121,8 +135,7 @@ def cmd_stats(args) -> int:
     vocab, train, valid, test = _load_data(config)
     report = history.dataset_stats(vocab, train, valid, test)
     print(report.to_text(), end="")
-    _write(os.path.join(config.out, "stats.txt"), report.to_text())
-    _write(os.path.join(config.out, "stats.tsv"), report.to_kv())
+    write_results(config.out, report)
     return 0
 
 
@@ -131,10 +144,8 @@ def cmd_naive(args) -> int:
     _write_echo(config)
     vocab, train, valid, test = _load_data(config)
     result = ev.evaluate_naive(vocab, train, valid, test, split=args.split)
-    text = ev.format_reports(result.named_reports())
-    print(text, end="")
-    _write(os.path.join(config.out, "naive_metrics.txt"), text)
-    _write(os.path.join(config.out, "naive_metrics.tsv"), ev.reports_to_kv(result.named_reports()))
+    print(ev.format_reports(result.named_reports()), end="")
+    write_results(config.out, dict(result.named_reports()))
     return 0
 
 
@@ -173,10 +184,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """`eval` prints the metrics and writes them with the gate statistics;
-    `analyze` prints and writes the gate statistics only. Both write to
-    `--out` only, never to the directory recorded in the checkpoint, which
-    holds the training run's own `config.echo`."""
+    """`eval` prints the metrics, `analyze` the gate statistics; both write
+    the same results. Both write to `--out` only, never to the directory
+    recorded in the checkpoint, which holds the training run's own
+    `config.echo`."""
     if args.out is None:
         raise CliError(f"{args.command} needs --out, the directory for its results")
     model, header = training.load_checkpoint(args.checkpoint)
@@ -202,15 +213,11 @@ def cmd_eval(args) -> int:
     _write_echo(config)
     result = ev.evaluate(model, vocab, train, valid, test, sem,
                          ablation=AblationConfig.from_config(config), split=args.split)
-    gates = result.gate_stats.to_text()
     if args.command == "eval":
-        text = ev.format_reports(result.named_reports())
-        print(text, end="")
-        _write(os.path.join(config.out, "metrics.txt"), text)
-        _write(os.path.join(config.out, "metrics.tsv"), ev.reports_to_kv(result.named_reports()))
+        print(ev.format_reports(result.named_reports()), end="")
     else:
-        print(gates, end="")
-    _write(os.path.join(config.out, "gate_stats.txt"), gates)
+        print(result.gate_stats.to_text(), end="")
+    write_results(config.out, _eval_records(result))
     return 0
 
 
@@ -249,15 +256,15 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise CliError(f"sweep setting {tag}: {exc}")
     _write_echo(config)
-    rows = ["setting\tMRR\tH@3\tH@10"]
+    records = {}
     for tag, run_cfg in runs:
         result, data, sem = _train_run(run_cfg)
         eval_result = ev.evaluate(result.model, *data, sem,
                                   ablation=AblationConfig.from_config(run_cfg))
         report = eval_result.overall
-        rows.append(f"{tag}\t{100 * report.mrr:.2f}\t{100 * report.hits3:.2f}\t{100 * report.hits10:.2f}")
-        print(rows[-1])
-    _write(os.path.join(config.out, "sweep.tsv"), "\n".join(rows) + "\n")
+        print(f"{tag}\t{100 * report.mrr:.2f}\t{100 * report.hits3:.2f}\t{100 * report.hits10:.2f}")
+        records[tag] = _eval_records(eval_result)
+    write_results(config.out, records)
     return 0
 
 

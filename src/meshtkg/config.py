@@ -78,10 +78,15 @@ class RunConfig:
                 raise ValueError(f"config field {f.name} must be of type {f.type}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"config field {f.name} must be finite")
-            # `echo` writes one `key = value` line, read back stripped
-            if f.type == "str" and (value != value.strip() or "\n" in value or "\r" in value):
-                raise ValueError(f"config field {f.name} must have no surrounding blanks "
-                                 f"and no line break, got {value!r}")
+            # `echo` writes one UTF-8 `key = value` line, read back stripped;
+            # a surrogate (what a non-UTF-8 argv byte decodes to) has no UTF-8
+            # form, and a path with a NUL cannot be opened
+            if f.type == "str" and (value != value.strip() or "\n" in value or "\r" in value
+                                    or "\0" in value
+                                    or any("\ud800" <= c <= "\udfff" for c in value)):
+                raise ValueError(f"config field {f.name} must have no surrounding blanks, "
+                                 f"no line break, no NUL and no character UTF-8 cannot "
+                                 f"encode, got {value!r}")
         positive = (
             "dim", "llm_dim", "adapter_hidden", "channels", "kernel_width",
             "layers", "num_historical", "num_nonhistorical", "learning_rate",

@@ -326,6 +326,8 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
         target = tables[kind]
         if idx < 0 or idx >= target.shape[0]:
             raise EmbeddingCoverageError(f"{path}:{lineno}: {kind} id {idx} outside vocabulary")
+        if not np.isnan(target[idx, 0]):
+            raise EmbeddingFormatError(f"{path}:{lineno}: {kind} id {idx} given twice")
         target[idx] = row
     missing_e, missing_r = (np.flatnonzero(np.isnan(t[:, 0]))[:10].tolist()
                             for t in tables.values())

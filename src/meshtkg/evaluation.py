@@ -52,16 +52,6 @@ def format_reports(named_reports: list[tuple[str, "MetricsReport"]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reports_to_kv(named_reports: list[tuple[str, "MetricsReport"]]) -> str:
-    lines = []
-    for name, report in named_reports:
-        lines.append(f"count\t{name}\t{report.count}")
-        for metric in ("mrr", "hits1", "hits3", "hits10"):
-            value = getattr(report, metric)
-            lines.append(f"{metric}\t{name}\t" + ("n/a" if value is None else f"{value:.6f}"))
-    return "\n".join(lines) + "\n"
-
-
 def compute_metrics(ranks) -> MetricsReport:
     """MRR and Hits@1/3/10 of a rank list; an empty list has none of them."""
     ranks = np.asarray(ranks, dtype=np.float64)

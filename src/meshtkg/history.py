@@ -107,19 +107,6 @@ class StatsReport:
     historical_test: int
     historical_rate: float
 
-    def to_kv(self) -> str:
-        lines = [
-            f"entities\t{self.num_entities}",
-            f"relations\t{self.num_relations}",
-            f"train\t{self.num_train}",
-            f"valid\t{self.num_valid}",
-            f"test\t{self.num_test}",
-            f"timestamps\t{self.num_timestamps}",
-            f"historical_test\t{self.historical_test}",
-            f"historical_rate\t{self.historical_rate:.4f}",
-        ]
-        return "\n".join(lines) + "\n"
-
     def to_text(self) -> str:
         rows = [
             ("|E|", str(self.num_entities)),

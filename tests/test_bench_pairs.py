@@ -1,7 +1,10 @@
-"""The verdicts `tools/bench_pairs.py` prints per metric, on hand-made pairs."""
+"""The verdicts `tools/bench_pairs.py` prints per metric, on hand-made pairs,
+and its clean-up on SIGTERM."""
 
 import importlib.util
 import os
+import signal
+import time
 
 import pytest
 
@@ -49,3 +52,32 @@ def test_median_within_bound(better, factor, within):
 
 def test_one_pair_has_no_quartile_distance():
     assert bench_pairs.verdicts([(1.0, 1.1)], "higher", 0.1) == (1, True, True)
+
+
+def test_sigterm_deletes_the_exported_tree(monkeypatch):
+    trees = []
+
+    def export(rev, dest):
+        trees.append(dest)
+        open(os.path.join(dest, "marker"), "w").close()
+
+    def compare(workload, base_tree, args, metrics):
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(10)   # the handler interrupts this at once
+        raise AssertionError("SIGTERM was not turned into SystemExit")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "compare", compare)
+    def default_action(signum, frame):
+        raise AssertionError("SIGTERM kept its default action, which ends the process "
+                             "and leaves the tree behind")
+
+    # stands in for the default action, so that a failure does not end pytest
+    previous = signal.signal(signal.SIGTERM, default_action)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(["--base", "HEAD", "--shape", "tiny", "--pairs", "1"])
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert exc.value.code == 128 + signal.SIGTERM
+    assert len(trees) == 1 and not os.path.exists(trees[0])

@@ -6,15 +6,19 @@ import re
 import shutil
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meshtkg import tkg, training
-from meshtkg.cli import build_parser, run
+from meshtkg.cli import build_parser, run, write_results
 from meshtkg.config import CHOICES, RunConfig
 from meshtkg.encoders import save_semantic_embeddings, synthetic_embeddings
+from meshtkg.evaluation import GateStats, MetricsReport, gate_statistics
+from meshtkg.history import StatsReport
 
 from conftest import micro_config
 
@@ -22,6 +26,15 @@ from conftest import micro_config
 def read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def results(out):
+    with open(os.path.join(out, "results.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+BUCKETS = ["all", "historical", "non-historical"]
+METRICS = ["mrr", "hits1", "hits3", "hits10", "count"]
 
 
 def micro_flags(out, **extra):
@@ -42,10 +55,10 @@ class TestDataCommands:
         assert run(["stats", synth_dataset["dir"], "--out", out]) == 0
         printed = capsys.readouterr().out
         assert "|F_his|" in printed
-        kv = dict(line.split("\t") for line in read(os.path.join(out, "stats.tsv")).strip().split("\n"))
-        assert kv["entities"] == "30"
-        assert kv["train"] == str(synth_dataset["train"].num_facts)
-        assert os.path.exists(os.path.join(out, "config.echo"))
+        stats = results(out)
+        assert stats["num_entities"] == 30
+        assert stats["num_train"] == synth_dataset["train"].num_facts
+        assert sorted(os.listdir(out)) == ["config.echo", "results.json"]
 
     def test_prepare_roundtrip(self, synth_dataset, tmp_path):
         out = str(tmp_path / "o")
@@ -83,7 +96,12 @@ class TestDataCommands:
         out = str(tmp_path / "o")
         assert run(["naive", synth_dataset["dir"], "--out", out]) == 0
         assert "MRR" in capsys.readouterr().out
-        assert os.path.exists(os.path.join(out, "naive_metrics.tsv"))
+        buckets = results(out)
+        assert list(buckets) == BUCKETS
+        assert all(list(report) == METRICS for report in buckets.values())
+        assert buckets["all"]["count"] == (buckets["historical"]["count"]
+                                           + buckets["non-historical"]["count"])
+        assert sorted(os.listdir(out)) == ["config.echo", "results.json"]
 
     def test_emit_prompts(self, synth_dataset, tmp_path):
         out = str(tmp_path / "o")
@@ -146,6 +164,36 @@ class TestDataCommands:
             run(["stats", synth_dataset["dir"], "--out", str(tmp_path / "o"), *flag])
         assert exc.value.code == 2
         assert capsys.readouterr().err == message
+
+
+# every code point but the surrogates: JSON reads an escaped surrogate pair
+# back as the one character it encodes
+ANY_TEXT = st.text()
+FLOATS = st.floats(allow_nan=False)        # infinities included
+REPORTS = st.one_of(
+    st.builds(MetricsReport, *[st.none() | FLOATS] * 4, st.integers(min_value=0)),
+    st.builds(GateStats, st.none() | FLOATS, st.none() | FLOATS, st.integers(min_value=0),
+              st.none() | FLOATS, st.none() | FLOATS, st.integers(min_value=0),
+              st.none() | FLOATS, st.none() | FLOATS, ANY_TEXT),
+    st.builds(StatsReport, *[st.integers()] * 7, FLOATS),
+)
+
+
+def plain(records):
+    return ({key: plain(value) for key, value in records.items()}
+            if isinstance(records, dict) else asdict(records))
+
+
+@settings(max_examples=200, deadline=None)
+@example(records=gate_statistics([1.0, 1.0], [0.5, 0.5]))   # welch_t's numpy infinity
+@given(records=st.one_of(REPORTS, st.dictionaries(ANY_TEXT, REPORTS),
+                         st.dictionaries(ANY_TEXT, st.dictionaries(ANY_TEXT, REPORTS))))
+def test_results_read_back(records, tmp_path_factory):
+    """`json.load` of results.json gives every field of every record, an
+    infinity and any text among them."""
+    out = str(tmp_path_factory.mktemp("results"))
+    write_results(out, records)
+    assert results(out) == plain(records)
 
 
 def test_one_train_flag_per_config_field(capsys):
@@ -213,12 +261,17 @@ class TestTrainEvalCommands:
         out = str(tmp_path / "ev")
         assert run(["eval", ckpt, synth_dataset["dir"], "--out", out]) == 0
         printed = capsys.readouterr().out
-        assert "historical" in printed
-        assert os.path.exists(os.path.join(out, "metrics.tsv"))
-        assert os.path.exists(os.path.join(out, "gate_stats.txt"))
+        assert "historical" in printed and "alpha_1" not in printed
+        evaluated = results(out)
+        assert list(evaluated) == [*BUCKETS, "gates"]
+        assert evaluated["gates"]["n_his"] == evaluated["historical"]["count"]
         out2 = str(tmp_path / "an")
         assert run(["analyze", ckpt, synth_dataset["dir"], "--out", out2]) == 0
-        assert "alpha_1" in read(os.path.join(out2, "gate_stats.txt"))
+        printed = capsys.readouterr().out
+        assert "alpha_1" in printed and "MRR" not in printed
+        # the two commands write the same results and differ only in what they print
+        assert read(os.path.join(out2, "results.json")) == read(os.path.join(out, "results.json"))
+        assert sorted(os.listdir(out2)) == ["config.echo", "results.json"]
 
     def test_eval_valid_reports_the_best_valid_mrr(self, synth_dataset, train_dir, tmp_path):
         """The checkpoint holds the kept epoch: `eval --split valid` on it
@@ -228,9 +281,7 @@ class TestTrainEvalCommands:
                     "--out", out, "--split", "valid"]) == 0
         logged = [line.split("\t")[2] for line in
                   read(os.path.join(train_dir, "training.log")).splitlines()]
-        tsv = dict(line.rsplit("\t", 1) for line in
-                   read(os.path.join(out, "metrics.tsv")).splitlines())
-        assert tsv["mrr\tall"] == max(logged, key=float)
+        assert f"{results(out)['all']['mrr']:.6f}" == max(logged, key=float)
 
     def test_analyze_without_prediction_expert_reports_no_statistics(
             self, synth_dataset, train_dir, tmp_path):
@@ -238,9 +289,9 @@ class TestTrainEvalCommands:
         out = str(tmp_path / "an")
         assert run(["analyze", os.path.join(train_dir, "checkpoint.mesh"), synth_dataset["dir"],
                     "--out", out, "--disable-prediction-expert"]) == 0
-        lines = read(os.path.join(out, "gate_stats.txt")).splitlines()
-        assert lines[1].split() == ["Mean", "n/a", "n/a"]
-        assert lines[4].startswith("p-value      n/a") and "disable_prediction_expert" in lines[4]
+        gates = results(out)["gates"]
+        assert gates["mean_his"] is None and gates["mean_nhis"] is None
+        assert gates["p_value"] is None and "disable_prediction_expert" in gates["note"]
 
     def test_eval_ablation_flag_changes_metrics(self, synth_dataset, train_dir, tmp_path):
         ckpt = os.path.join(train_dir, "checkpoint.mesh")
@@ -248,7 +299,7 @@ class TestTrainEvalCommands:
         out_b = str(tmp_path / "b")
         assert run(["eval", ckpt, synth_dataset["dir"], "--out", out_a]) == 0
         assert run(["eval", ckpt, synth_dataset["dir"], "--out", out_b, "--disable-semantic"]) == 0
-        assert read(os.path.join(out_a, "metrics.tsv")) != read(os.path.join(out_b, "metrics.tsv"))
+        assert results(out_a)["all"] != results(out_b)["all"]
 
     def test_adapters_sized_from_embedding_file(self, synth_dataset, narrow_embeddings, tmp_path):
         # the file's width, not llm_dim, sizes the adapters; eval must rebuild them
@@ -259,7 +310,7 @@ class TestTrainEvalCommands:
         out_ev = str(tmp_path / "narrow_eval")
         ckpt = os.path.join(out, "checkpoint.mesh")
         assert run(["eval", ckpt, synth_dataset["dir"], "--out", out_ev]) == 0
-        assert os.path.exists(os.path.join(out_ev, "metrics.tsv"))
+        assert results(out_ev)["all"]["count"] > 0
         # both echoes and the stored configuration name the width the model ran at
         for echo_dir in (out, out_ev):
             assert "\nllm_dim = 8\n" in read(os.path.join(echo_dir, "config.echo"))
@@ -301,14 +352,24 @@ class TestTrainEvalCommands:
         assert run(["train", synth_dataset["dir"], "--out", str(tmp_path / "x"),
                     "--dropout", "1.5"]) == 2
 
+    @pytest.mark.parametrize("suffix, where", [
+        ("\n", "flag"), ("\udcff", "flag"), ("\0x", "file"),
+    ], ids=["line_break", "not_utf8", "nul"])
     def test_value_the_echo_cannot_hold_exits_2_in_one_line(self, synth_dataset, tmp_path,
-                                                           capsys):
-        out = str(tmp_path / "x") + "\n"
-        assert run(["train", synth_dataset["dir"], "--out", out]) == 2
+                                                           capsys, suffix, where):
+        # a command-line byte that is not UTF-8 reaches argv as a surrogate
+        out = str(tmp_path / "o") + suffix
+        argv = ["stats", synth_dataset["dir"]]
+        if where == "flag":
+            argv += ["--out", out]
+        else:
+            (tmp_path / "run.cfg").write_text(f"out = {out}\n", encoding="utf-8")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert run(argv) == 2
         assert capsys.readouterr().err == (
-            f"error: config field out must have no surrounding blanks and no line break, "
-            f"got {out!r}\n")
-        assert not os.path.exists(out)
+            "error: config field out must have no surrounding blanks, no line break, no NUL "
+            f"and no character UTF-8 cannot encode, got {out!r}\n")
+        assert os.listdir(tmp_path) == (["run.cfg"] if where == "file" else [])
 
     @pytest.mark.parametrize("line, message", [
         (b"dim = abc", "cannot parse int config value 'abc' for dim"),
@@ -370,7 +431,7 @@ class TestTrainEvalCommands:
         assert re.fullmatch(rf"numeric failure: {where} \d+: overflow encountered in \w+\n",
                             capsys.readouterr().err)
         assert not os.path.exists(os.path.join(out, "checkpoint.mesh"))
-        assert not os.path.exists(os.path.join(out, "metrics.txt"))
+        assert not os.path.exists(os.path.join(out, "results.json"))
 
     @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
     @pytest.mark.parametrize("command", ["stats", "train"])
@@ -447,15 +508,18 @@ class TestTrainEvalCommands:
 
 
 class TestSweep:
-    def test_omega_sweep_writes_summary(self, synth_dataset, tmp_path):
+    def test_omega_sweep_writes_summary(self, synth_dataset, tmp_path, capsys):
         out = str(tmp_path / "sweep")
         argv = ["sweep", synth_dataset["dir"], *micro_flags(out, epochs_stage0=2, epochs_stage1=1),
                 "--omega-list", "0.5,1.0"]
         assert run(argv) == 0
-        rows = read(os.path.join(out, "sweep.tsv")).strip().split("\n")
-        assert rows[0] == "setting\tMRR\tH@3\tH@10"
-        assert len(rows) == 3
-        assert rows[1].startswith("omega_0.5\t")
+        rows = capsys.readouterr().out.splitlines()
+        settings = results(out)
+        assert list(settings) == ["omega_0.5", "omega_1"]
+        for row, (tag, evaluated) in zip(rows, settings.items(), strict=True):
+            assert list(evaluated) == [*BUCKETS, "gates"]
+            assert row == "\t".join([tag, *(f"{100 * evaluated['all'][metric]:.2f}"
+                                            for metric in ("mrr", "hits3", "hits10"))])
         assert os.path.isdir(os.path.join(out, "omega_1"))
 
     def test_mn_sweep(self, synth_dataset, tmp_path):
@@ -463,8 +527,7 @@ class TestSweep:
         argv = ["sweep", synth_dataset["dir"], *micro_flags(out, epochs_stage0=1, epochs_stage1=1),
                 "--mn-grid", "1x1,2x1"]
         assert run(argv) == 0
-        rows = read(os.path.join(out, "sweep.tsv")).strip().split("\n")
-        assert rows[1].startswith("m1n1\t") and rows[2].startswith("m2n1\t")
+        assert list(results(out)) == ["m1n1", "m2n1"]
 
     @pytest.mark.parametrize("axis, message", [
         (["--mn-grid", "1x1,0x1"], "sweep setting m0n1: "),

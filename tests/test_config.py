@@ -1,6 +1,8 @@
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshtkg.config import RunConfig, env_overrides, parse_config_file, resolve
 from meshtkg.tkg import ParseError
@@ -103,6 +105,22 @@ class TestLayering:
         path.write_text("# a comment\n  # an indented one\n" + cfg.echo())
         assert RunConfig(**parse_config_file(str(path))) == cfg
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.fixed_dictionaries({
+        name: st.text(alphabet=st.one_of(st.characters(), st.characters(categories=["Cs"]),
+                                         st.sampled_from("\0\n\r\t =#")))
+        for name in ("out", "dataset", "embeddings")}))
+    def test_string_values_echo_round_trip(self, values, tmp_path_factory):
+        """A string value RunConfig accepts is written by `echo` as UTF-8
+        and read back unchanged; any other is refused when built."""
+        try:
+            cfg = RunConfig(**values)
+        except ValueError:
+            return
+        path = tmp_path_factory.mktemp("echo") / "config.echo"
+        path.write_bytes(cfg.echo().encode("utf-8"))
+        assert RunConfig(**parse_config_file(str(path))) == cfg
+
 
 class TestValidation:
     def test_defaults_validate(self):
@@ -120,11 +138,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("out", " runs/a "), ("out", "runs/a\t"), ("dataset", "d\nseed = 5"),
-        ("out", "a\rb"), ("embeddings", "\u00a0e.emb"),
-    ], ids=["blanks", "trailing_tab", "newline", "carriage_return", "unicode_blank"])
+        ("out", "a\rb"), ("embeddings", "\u00a0e.emb"), ("out", "o\udcff"), ("out", "o\0x"),
+    ], ids=["blanks", "trailing_tab", "newline", "carriage_return", "unicode_blank",
+            "not_utf8", "nul"])
     def test_values_echo_cannot_hold_rejected(self, field, value):
-        """`echo` writes one `key = value` line per field and the reader
-        strips each value, so such a value would not read back."""
+        """`echo` writes one UTF-8 `key = value` line per field and the
+        reader strips each value, so such a value would not read back; a
+        path with a NUL cannot be opened."""
         with pytest.raises(ValueError, match=f"config field {field} must have no surrounding"):
             RunConfig(**{field: value})
 

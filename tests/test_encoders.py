@@ -508,6 +508,8 @@ class TestSemanticTables:
          "emb:2: non-numeric embedding value"),
         (b"tkg-emb 1 2 2\nE\t0\t1 2\nE\t1\t1 2\n", EmbeddingCoverageError,
          "emb:3: E id 1 outside vocabulary"),
+        (b"tkg-emb 1 2 2\nE\t0\t1 2\nR\t0\t1 2\nE\t0\t9 9\n", EmbeddingFormatError,
+         "emb:4: E id 0 given twice"),
         (b"tkg-emb 1 2 2\nE\t0\tinf 2\nR\t0\t1 2\n", EmbeddingFormatError,
          "emb:2: non-finite embedding value"),
         (b"tkg-emb 1 2 2\nE\t0\t1 2\n\nR\t0\t1 nan\n", EmbeddingFormatError,
@@ -521,7 +523,7 @@ class TestSemanticTables:
          ParseError, "emb:2: byte 0x80 is not UTF-8"),
     ], ids=["header", "row_id", "utf8", "negative_dim", "zero_dim", "sizes_beyond_memory",
             "missing_file", "version", "row_count", "malformed_row", "non_numeric",
-            "id_outside_vocabulary", "inf", "nan_after_blank_line", "non_finite_binary_row",
+            "id_outside_vocabulary", "repeated_id", "inf", "nan_after_blank_line", "non_finite_binary_row",
             "packed_length", "packed_body_under_text_version"])
     def test_malformed_file_is_refused(self, tmp_path, text, error, message):
         path = tmp_path / "emb"

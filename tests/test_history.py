@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshtkg.cli import write_results
 from meshtkg.evaluation import filtered_ranks
 from meshtkg.history import (
     build_index,
@@ -179,12 +181,13 @@ class TestDatasetStats:
         assert report.historical_test == expected
         assert report.num_train == 20 and report.num_valid == 5 and report.num_test == 30
 
-    def test_report_formats(self):
+    def test_report_formats(self, tmp_path):
         vocab = make_vocab(3, 1, 2)
         report = dataset_stats(
             vocab, group([(0, 0, 1, 0)], "train"), group([], "valid"), group([(0, 0, 1, 1)], "test")
         )
-        kv = dict(line.split("\t") for line in report.to_kv().strip().split("\n"))
-        assert kv["historical_test"] == "1"
+        write_results(str(tmp_path), report)
+        with open(tmp_path / "results.json", encoding="utf-8") as fh:
+            assert json.load(fh)["historical_test"] == 1
         assert "Rate_his" in report.to_text()
         assert "100.0%" in report.to_text()

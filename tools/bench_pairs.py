@@ -21,7 +21,8 @@ of the medians (working tree over base) and two verdicts:
 - bound: the working tree's median is no worse than the base's by more than
   the metric's relative bound.
 
-Exits 1 if any run fails or reports a failed operation.
+Exits 1 if any run fails or reports a failed operation. On SIGTERM it kills
+the running bench, deletes the exported tree and exits 143.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -152,9 +154,16 @@ def compare(workload: str, base_tree: str, args, metrics: list) -> bool:
     return ok
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     args, metrics = parse_args(argv)
     sys.stdout.reconfigure(line_buffering=True)  # rows appear as pairs finish
+    # SIGTERM unwinds like Ctrl-C: subprocess.run kills the running bench and
+    # the exported tree is deleted
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     ok = True
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as base_tree:
         export(args.base, base_tree)

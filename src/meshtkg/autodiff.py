@@ -5,11 +5,11 @@ Small numpy-backed engine: a ``Tensor`` wraps a dense array, and while a
 chain rule backwards. With no active tape the primitives are plain numpy
 calls, which is what evaluation-mode code paths use.
 
-Gradient flow starts at tensors created with ``requires_grad=True`` and
-propagates through everything derived from them. ``backward`` fills the
-``grad`` field of those tensors (accumulating, as in most frameworks).
-Precision follows the input arrays: float64 for gradient checking,
-float32 for training.
+A tape names what it differentiates: ``Tape(params)`` records an op when
+an operand is one of ``params`` or a recorded output, and ``backward``
+returns one gradient per parameter. Tensors carry no gradient state; any
+other tensor is a constant on that tape. Precision follows the input
+arrays: float64 for gradient checking, float32 for training.
 
 The tape holds tensor keys and, in each node's backward closure, only the
 arrays that backward reads: an intermediate output no backward reads is
@@ -38,12 +38,10 @@ _KEYS = itertools.count()
 
 
 class Tensor:
-    __slots__ = ("values", "requires_grad", "grad", "key")
+    __slots__ = ("values", "key")
 
-    def __init__(self, values, requires_grad: bool = False, dtype=None):
+    def __init__(self, values, dtype=None):
         self.values = np.asarray(values, dtype=dtype)
-        self.requires_grad = requires_grad
-        self.grad = None
         self.key = next(_KEYS)
 
     @property
@@ -58,11 +56,7 @@ class Tensor:
         return float(self.values)
 
     def __repr__(self):
-        return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
-
-
-def param(values, dtype=None) -> Tensor:
-    return Tensor(values, requires_grad=True, dtype=dtype)
+        return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype})"
 
 
 def named_tensors(record, prefix: str = "") -> dict[str, Tensor]:
@@ -93,24 +87,24 @@ class Node:
     backward_fn: object  # out_grad -> tuple of input grads (None = no flow)
 
 
-@dataclass
 class Tape:
-    """Recorded operations, appended in construction (topological) order.
+    """Recorded operations on the way from `params` to a loss, appended in
+    construction (topological) order.
 
-    `tracked` holds the keys of recorded outputs and `leaves` the
-    requires_grad operands by key, so that backward can fill their `grad`
-    (zeros for one with no path to the output). Once it has exited, nothing
-    refers back to the tape, so a step's tape and every array its closures
-    kept are freed when the last reference to the tape goes.
+    `tracked` holds the keys a gradient can reach: the parameters' and
+    those of recorded outputs. Once it has exited, nothing refers back to
+    the tape, so a step's tape and every array its closures kept are freed
+    when the last reference to the tape goes.
 
     The entered tapes form one process-wide stack: entering a tape makes
     it the active one until it exits, and the tape it covered is active
     again after that.
     """
 
-    nodes: list = field(default_factory=list)
-    tracked: set = field(default_factory=set)
-    leaves: dict = field(default_factory=dict)
+    def __init__(self, params):
+        self.params = list(params)
+        self.nodes: list[Node] = []
+        self.tracked = {p.key for p in self.params}
 
     def __enter__(self):
         _TAPES.append(self)
@@ -129,12 +123,6 @@ def active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
-def _flows(x: Tensor, tape: Tape) -> bool:
-    """Whether a gradient can reach x on this tape: it requires grad itself
-    or was produced by a recorded node."""
-    return x.requires_grad or x.key in tape.tracked
-
-
 def _needs_grad(*inputs: Tensor) -> tuple:
     """Per operand, whether a gradient can reach it on the active tape (all
     false with none). A primitive computes no backward product for a
@@ -143,16 +131,13 @@ def _needs_grad(*inputs: Tensor) -> tuple:
     tape = active_tape()
     if tape is None:
         return (False,) * len(inputs)
-    return tuple(_flows(x, tape) for x in inputs)
+    return tuple(x.key in tape.tracked for x in inputs)
 
 
 def _record(op, inputs, out_values, backward_fn) -> Tensor:
     out = Tensor(out_values)
     tape = active_tape()
-    if tape is not None and any(_flows(x, tape) for x in inputs):
-        for x in inputs:
-            if x.requires_grad:
-                tape.leaves[x.key] = x
+    if tape is not None and any(x.key in tape.tracked for x in inputs):
         tape.nodes.append(Node(op, tuple(x.key for x in inputs), out.key, backward_fn))
         tape.tracked.add(out.key)
     return out
@@ -167,14 +152,15 @@ class RowGrad(NamedTuple):
     shape: tuple
 
 
-def backward(output: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` on every requires_grad tensor feeding ``output``.
+def backward(output: Tensor, tape: Tape) -> list:
+    """Per parameter of ``tape``, in order, the gradient of the scalar
+    ``output`` in the parameter's dtype and shape (zeros with no path to
+    it), in arrays built by this call and kept by nothing else.
 
-    Fan-out accumulates additively; requires_grad tensors on the tape with
-    no path to the output receive zero gradients. Each intermediate
-    gradient is dropped once its node has consumed it, so a chain holds
-    about two gradients at a time, not one per node. The nodes stay on the
-    tape until the tape itself is freed.
+    Fan-out accumulates additively. Each intermediate gradient is dropped
+    once its node has consumed it, so a chain holds about two gradients at
+    a time, not one per node. The nodes stay on the tape until the tape
+    itself is freed.
 
     A `RowGrad` is summed per distinct index, in np.add.at order, and added
     into its key's accumulator in place, which gives the bits of adding the
@@ -187,7 +173,6 @@ def backward(output: Tensor, tape: Tape) -> None:
         raise ValueError(f"backward expects a scalar output, got shape {output.values.shape}")
     grads: dict[int, np.ndarray] = {output.key: np.ones_like(output.values)}
     owned: set[int] = set()  # keys whose accumulator no other gradient shares
-    leaves = {**tape.leaves, output.key: output} if output.requires_grad else tape.leaves
     for node in reversed(tape.nodes):
         g = grads.pop(node.output, None)
         if g is None:
@@ -209,12 +194,9 @@ def backward(output: Tensor, tape: Tape) -> None:
             else:
                 grads[key] = acc + gx
                 owned.add(key)
-    for key, leaf in leaves.items():
-        g = grads.get(key)
-        if g is None:
-            g = np.zeros_like(leaf.values)
-        g = g.astype(leaf.values.dtype, copy=False).reshape(leaf.values.shape)
-        leaf.grad = g if leaf.grad is None else leaf.grad + g
+    return [np.zeros_like(p.values) if (g := grads.get(p.key)) is None
+            else g.astype(p.values.dtype, copy=False).reshape(p.values.shape)
+            for p in tape.params]
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -669,25 +651,22 @@ def grad_check(fn, inputs, eps: float = 1e-4) -> float:
         raise ValueError("eps must be positive")
     for x in inputs:
         x.values = np.ascontiguousarray(x.values)  # ravel below must be a view
-        x.requires_grad = True
-        x.grad = None
-    with Tape() as tape:
+    with Tape(inputs) as tape:
         out = fn(*inputs)
         if out.values.size != 1:
             raise ValueError("grad_check needs a scalar-valued function")
         if not np.all(np.isfinite(out.values)):
             raise NumericError("non-finite forward value at the checked output")
-        backward(out, tape)
-    for x in inputs:
-        if x.grad is not None and not np.all(np.isfinite(x.grad)):
+        grads = backward(out, tape)
+    for x, g in zip(inputs, grads):
+        if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient at a checked input of shape {x.shape}")
 
     def run():
         return float(fn(*inputs).values)
 
     worst = 0.0
-    for x in inputs:
-        analytic = x.grad if x.grad is not None else np.zeros_like(x.values)
+    for x, analytic in zip(inputs, grads):
         flat = x.values.ravel()
         for i in range(flat.size):
             orig = flat[i]
@@ -723,21 +702,19 @@ def init_adam(params, lr: float = 1e-3) -> AdamState:
     return state
 
 
-def adam_step(params, state: AdamState) -> None:
-    """Bias-corrected Adam update in place; missing grads count as zero.
+def adam_step(params, grads, state: AdamState) -> None:
+    """Bias-corrected Adam update in place of each parameter by its
+    gradient in `grads` (as `backward` returns them).
 
     The moments and the parameters are updated in their own buffers, with
     the bits of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
     p -= (lr (m / c1)) / (sqrt(v / c2) + eps)."""
-    if len(params) != len(state.m):
-        raise ValueError("parameter list does not match optimizer state")
+    if not len(params) == len(grads) == len(state.m):
+        raise ValueError("parameter, gradient and optimizer state lists differ in length")
     state.step += 1
     t = state.step
     c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
-    for i, p in enumerate(params):
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.values)
+    for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.values.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.values.shape}")
         m, v = state.m[i], state.v[i]
@@ -757,8 +734,3 @@ def adam_step(params, state: AdamState) -> None:
         denom += ADAM_EPS
         step /= denom
         p.values -= step
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.grad = None

@@ -39,10 +39,10 @@ def init_conv_transe(dim: int, channels: int, width: int, dropout: float,
     k_bound = (6.0 / (2 * width + channels * width)) ** 0.5
     p_bound = (6.0 / (channels * dim + dim)) ** 0.5
     return ConvTransEParams(
-        kernels=ad.param(gen.uniform(-k_bound, k_bound, (channels, 2, width)), dtype=dtype),
-        kernel_bias=ad.param(np.zeros(channels, dtype=dtype)),
-        proj=ad.param(gen.uniform(-p_bound, p_bound, (channels * dim, dim)), dtype=dtype),
-        proj_bias=ad.param(np.zeros(dim, dtype=dtype)),
+        kernels=Tensor(gen.uniform(-k_bound, k_bound, (channels, 2, width)), dtype=dtype),
+        kernel_bias=Tensor(np.zeros(channels, dtype=dtype)),
+        proj=Tensor(gen.uniform(-p_bound, p_bound, (channels * dim, dim)), dtype=dtype),
+        proj_bias=Tensor(np.zeros(dim, dtype=dtype)),
         dropout=dropout,
     )
 

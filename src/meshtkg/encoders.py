@@ -49,9 +49,9 @@ def init_gru(in_dim: int, hidden: int, gen: np.random.Generator, dtype=np.float3
     bx = (6.0 / (in_dim + 3 * hidden)) ** 0.5
     bh = (6.0 / (hidden + 3 * hidden)) ** 0.5
     return GruParams(
-        wx=ad.param(gen.uniform(-bx, bx, (in_dim, 3 * hidden)), dtype=dtype),
-        wh=ad.param(gen.uniform(-bh, bh, (hidden, 3 * hidden)), dtype=dtype),
-        b=ad.param(np.zeros(3 * hidden, dtype=dtype)),
+        wx=Tensor(gen.uniform(-bx, bx, (in_dim, 3 * hidden)), dtype=dtype),
+        wh=Tensor(gen.uniform(-bh, bh, (hidden, 3 * hidden)), dtype=dtype),
+        b=Tensor(np.zeros(3 * hidden, dtype=dtype)),
     )
 
 
@@ -88,11 +88,11 @@ def init_structural_encoder(num_entities: int, num_relations_aug: int, dim: int,
     w_bound = (6.0 / (2 * dim)) ** 0.5
 
     def square():
-        return ad.param(gen.uniform(-w_bound, w_bound, (dim, dim)), dtype=dtype)
+        return Tensor(gen.uniform(-w_bound, w_bound, (dim, dim)), dtype=dtype)
 
     return StructuralEncoderParams(
-        entity_emb=ad.param(gen.uniform(-emb_bound, emb_bound, (num_entities, dim)), dtype=dtype),
-        relation_emb=ad.param(gen.uniform(-emb_bound, emb_bound, (num_relations_aug, dim)), dtype=dtype),
+        entity_emb=Tensor(gen.uniform(-emb_bound, emb_bound, (num_entities, dim)), dtype=dtype),
+        relation_emb=Tensor(gen.uniform(-emb_bound, emb_bound, (num_relations_aug, dim)), dtype=dtype),
         # every agg matrix is drawn before every self matrix
         layer=[LayerParams(agg, square()) for agg in [square() for _ in range(layers)]],
         ent_cell=init_gru(dim, dim, gen, dtype),
@@ -158,7 +158,8 @@ def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, 
 def frozen_encoding(params: StructuralEncoderParams, snapshots: list, t: int,
                     cache: dict) -> tuple[Tensor, Tensor]:
     """The frozen, dropout-free encoder's (H, R) at t as constant Tensors; a
-    miss encodes them, on the active tape if any, and stores the arrays under t."""
+    miss encodes them, recording nothing on a tape that is not given the
+    encoder's parameters, and stores the arrays under t."""
     if t not in cache:
         cache[t] = tuple(x.values for x in encode_structural(params, snapshots, t))
     return tuple(Tensor(v) for v in cache[t])
@@ -235,7 +236,22 @@ def synthetic_embeddings(vocab: Vocabulary, dim: int, seed: int) -> SemanticEmbe
     )
 
 
+def _nonfinite_row(entity: np.ndarray, relation: np.ndarray) -> str | None:
+    """`E id` or `R id` of the first row holding a non-finite value, or None."""
+    for kind, block in (("E", entity), ("R", relation)):
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+        if len(bad):
+            return f"{kind} {bad[0]}"
+    return None
+
+
 def save_semantic_embeddings(path: str, table: SemanticEmbeddingTable, binary: bool = False) -> None:
+    """Write the table in the text or the packed layout; a row holding a
+    non-finite value, which the reader refuses, is a ValueError before the
+    file is opened."""
+    bad = _nonfinite_row(table.entity, table.relation)
+    if bad:
+        raise ValueError(f"non-finite embedding value in row {bad}")
     rows = table.entity.shape[0] + table.relation.shape[0]
     version = PACKED_VERSION if binary else TEXT_VERSION
     header = f"{MAGIC} {version} {rows} {table.dim}\n"
@@ -289,14 +305,11 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
             raise EmbeddingFormatError(f"{path}: header declares {rows} x {dim} packed values "
                                        f"({rows * dim * 4} bytes), the body holds {len(body)}")
         flat = np.frombuffer(body, dtype="<f4").reshape(rows, dim)
-        bad = np.flatnonzero(~np.isfinite(flat).all(axis=1))
-        if len(bad):
-            row = int(bad[0])
-            kind, idx = ("E", row) if row < vocab.num_entities else ("R", row - vocab.num_entities)
-            raise EmbeddingFormatError(f"{path}: non-finite embedding value in binary row {kind} {idx}")
-        entity = flat[: vocab.num_entities].copy()
-        relation = flat[vocab.num_entities:].copy()
-        return SemanticEmbeddingTable(entity, relation, dim, source=path)
+        entity, relation = flat[:vocab.num_entities], flat[vocab.num_entities:]
+        bad = _nonfinite_row(entity, relation)
+        if bad:
+            raise EmbeddingFormatError(f"{path}: non-finite embedding value in binary row {bad}")
+        return SemanticEmbeddingTable(entity.copy(), relation.copy(), dim, source=path)
 
     # a row never given stays NaN, which no parsed row can be
     tables = {"E": np.full((vocab.num_entities, dim), np.nan, dtype=np.float32),
@@ -359,10 +372,10 @@ def _init_mlp(in_dim, mid, out_dim, gen, dtype) -> MlpParams:
     b1 = (6.0 / (in_dim + mid)) ** 0.5
     b2 = (6.0 / (mid + out_dim)) ** 0.5
     return MlpParams(
-        w1=ad.param(gen.uniform(-b1, b1, (in_dim, mid)), dtype=dtype),
-        b1=ad.param(np.zeros(mid, dtype=dtype)),
-        w2=ad.param(gen.uniform(-b2, b2, (mid, out_dim)), dtype=dtype),
-        b2=ad.param(np.zeros(out_dim, dtype=dtype)),
+        w1=Tensor(gen.uniform(-b1, b1, (in_dim, mid)), dtype=dtype),
+        b1=Tensor(np.zeros(mid, dtype=dtype)),
+        w2=Tensor(gen.uniform(-b2, b2, (mid, out_dim)), dtype=dtype),
+        b2=Tensor(np.zeros(out_dim, dtype=dtype)),
     )
 
 

@@ -3,7 +3,9 @@
 The frequency index answers, for any (s, r, o, t), whether the triple
 (s, r, o) occurred strictly before t: the binary indicator that
 classifies events as historical or non-historical. Only a triple's
-first occurrence decides it, so that is all the index keeps.
+first occurrence decides it, so that is all the index keeps per triple;
+beside it, the naive baseline's sorted (s, r) pairs and subjects, each
+with its objects.
 
 The naive baseline ranks candidate objects for a query (s, r, ?, t) by
 how often they were seen with (s, r) in training; if the pair was never

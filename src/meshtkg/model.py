@@ -101,7 +101,7 @@ class ExpertParams:
         # sources and all experts start symmetric, so nothing collapses
         # before training speaks
         shapes = [(gate_dim, num_experts), (num_experts,)] * 2
-        return cls(*(ad.param(np.zeros(shape, dtype=dtype)) for shape in shapes))
+        return cls(*(Tensor(np.zeros(shape, dtype=dtype)) for shape in shapes))
 
 
 def expert_mix(experts: ExpertParams, gate: Tensor, q_g: Tensor, q_s: Tensor,

@@ -207,9 +207,21 @@ def load_dataset(directory: str):
 
 
 def write_dataset(directory: str, vocab: Vocabulary, train, valid, test) -> None:
-    """Write a normalized dataset back to the text format."""
+    """Write a normalized dataset back to the text format. A name that
+    `load_dataset` would misread or refuse, or that UTF-8 cannot encode, is
+    a ValueError before any file is written: one holding a tab, `\\n`,
+    `\\r` or a lone surrogate, or one repeated within its kind."""
+    kinds = (("entity", vocab.entity_names), ("relation", vocab.relation_names))
+    for kind, names in kinds:
+        seen = set()
+        for name in names:
+            if any(c in "\t\n\r" or "\ud800" <= c <= "\udfff" for c in name):
+                raise ValueError(f"{kind} name {name!r} holds a tab, a line break or a surrogate")
+            if name in seen:
+                raise ValueError(f"{kind} name {name!r} is repeated")
+            seen.add(name)
     os.makedirs(directory, exist_ok=True)
-    for kind, names in (("entity", vocab.entity_names), ("relation", vocab.relation_names)):
+    for kind, names in kinds:
         with open(os.path.join(directory, f"{kind}2id.txt"), "w", encoding="utf-8") as fh:
             for i, name in enumerate(names):
                 fh.write(f"{name}\t{i}\n")

@@ -5,7 +5,10 @@ link-prediction objective alone, then freezes every encoder parameter.
 Stage 1 trains the adapters, both decoders, the event-aware gates, and
 the prediction expert on the combined loss: the major prediction loss
 plus omega times the two event-type expert losses, which exist when the
-forward pass runs the experts (both paths on) and omega > 0. Because the
+forward pass runs the experts (both paths on) and omega > 0. Each step
+runs on an `autodiff.Tape` of its stage's parameters, and `backward`
+returns their gradients for the Adam update: anything else, such as the
+frozen encoder in stage 1, is a constant that records nothing. Because the
 encoder is frozen, its per-timestamp output is cached and reused across
 stage-1 epochs (numerically identical to re-encoding, just cheaper).
 After each stage-1 epoch, `evaluation.evaluate(split="valid")` measures
@@ -128,7 +131,7 @@ def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
     batch.
 
     `batch_loss(t, rows)` builds the summed loss of the block's (s, r, o, t)
-    rows on the step's tape; only `params` receive gradients and move.
+    rows on the step's `Tape(params)`; only `params` receive gradients and move.
     Returns the mean loss per query. An overflow or invalid operation in the
     forward, the backward or the Adam update raises NumericError naming the
     step: a weight whose moment is inf would stop moving.
@@ -138,18 +141,18 @@ def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
         where = f"{stage}, epoch {epoch}, timestamp {t}"
         with np.errstate(over="raise", invalid="raise"):
             try:
-                with ad.Tape() as tape:
+                with ad.Tape(params) as tape:
                     loss = batch_loss(t, rows)
                     if not np.isfinite(loss.values):
                         raise NumericError(f"non-finite loss in {where}")
-                    ad.zero_grads(params)
-                    ad.backward(loss, tape)
+                    grads = ad.backward(loss, tape)
             except FloatingPointError as exc:
                 raise NumericError(f"non-finite value in {where}: {exc}") from None
             try:
-                ad.adam_step(params, adam)
+                ad.adam_step(params, grads, adam)
             except FloatingPointError as exc:
                 raise NumericError(f"Adam update failed in {where}: {exc}") from None
+            del grads  # not held through the next step's forward and backward
         total += loss.item()
         count += len(rows)
     return total / max(count, 1)
@@ -234,18 +237,14 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     gen1 = rng.stream(config.seed, rng.DROPOUT, 1)
 
     # the frozen encoder and the fixed training facts make each timestamp's
-    # encoding and historical indicators constants: compute them once, the
-    # encodings before the first step so that none is computed on a step's
-    # tape, and read them as constants, since with no history (t = 0,
-    # window 0) they are the frozen embedding tables themselves
+    # encoding and historical indicators constants: compute them once and
+    # read them as constants, since with no history (t = 0, window 0) they
+    # are the frozen embedding tables themselves
     encoded: dict[int, tuple] = {}
     historical: list = []
     if config.epochs_stage1 > 0:
         historical = train_aug.snapshots(
             build_index(train_aug.array).indicator(*train_aug.array.T))
-        if not ablation.disable_structural:
-            for t, _ in batches:
-                frozen_encoding(model.encoder, snapshots, t, encoded)
     valid_cache: dict[int, tuple] = {}
 
     def stage1_loss(t, rows):
@@ -311,8 +310,13 @@ def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
     parameter blobs in the spec's dtype, in manifest order.
 
     The file is written as `<path>.tmp` and renamed over `path`, so `path`
-    holds either its old content or the whole new checkpoint."""
+    holds either its old content or the whole new checkpoint. A non-finite
+    parameter, which `load_checkpoint` refuses, is a ValueError before
+    anything is written."""
     named = model.named_parameters()
+    for name, t in named.items():
+        if not np.isfinite(t.values).all():
+            raise ValueError(f"parameter {name} holds a non-finite value")
     blob_dtype = np.dtype(model.spec.dtype).newbyteorder("<")
     blob = b"".join(np.ascontiguousarray(t.values, dtype=blob_dtype).tobytes()
                     for t in named.values())

@@ -1,8 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from meshtkg import autodiff as ad
 from meshtkg.tkg import Quadruple, TemporalKG, Vocabulary, write_dataset
+
+# Hypothesis reports a falsifying example through hypothesis.extra._patching,
+# whose import of libcst warns (a DeprecationWarning from mypy_extensions);
+# under `-W error` that import fails and pytest prints INTERNALERROR instead
+# of the example. Importing the module once here, with that warning ignored,
+# leaves it cached for the report; every other warning still raises.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # an install without libcst reports without patches
+        pass
 
 
 def make_vocab(num_entities, num_relations, num_timestamps=0):

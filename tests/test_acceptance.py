@@ -17,7 +17,7 @@ import pytest
 
 from meshtkg import autodiff as ad
 from meshtkg import rng
-from meshtkg.autodiff import Tensor, grad_check, param
+from meshtkg.autodiff import Tensor, grad_check
 from meshtkg.config import resolve
 from meshtkg.encoders import synthetic_embeddings
 from meshtkg.evaluation import (
@@ -165,8 +165,8 @@ def test_criterion_3_gradient_integrity():
         num_historical=1, num_nonhistorical=1, gate_input="structural",
         dtype=np.float64,
     ), np.random.default_rng(34))
-    H_g = param(gen.standard_normal((7, 5)))
-    R_g = param(gen.standard_normal((6, 5)))
+    H_g = Tensor(gen.standard_normal((7, 5)))
+    R_g = Tensor(gen.standard_normal((6, 5)))
     sem = synthetic_embeddings(make_vocab(7, 3), 11, seed=2)
     s_idx = np.array([0, 2, 6])
     r_idx = np.array([1, 5, 0])

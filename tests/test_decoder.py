@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from meshtkg import autodiff as ad
-from meshtkg.autodiff import Tensor, grad_check, param
+from meshtkg.autodiff import Tensor, grad_check
 from meshtkg.decoder import ConvTransEParams, decode, init_conv_transe
 
 
 def zero_params(d, channels, width):
     return ConvTransEParams(
-        kernels=param(np.zeros((channels, 2, width))),
-        kernel_bias=param(np.zeros(channels)),
-        proj=param(np.zeros((channels * d, d))),
-        proj_bias=param(np.zeros(d)),
+        kernels=Tensor(np.zeros((channels, 2, width))),
+        kernel_bias=Tensor(np.zeros(channels)),
+        proj=Tensor(np.zeros((channels * d, d))),
+        proj_bias=Tensor(np.zeros(d)),
         dropout=0.0,
     )
 
@@ -47,10 +47,10 @@ def test_hand_computed_convolution_and_projection():
     expected = flat @ proj + 1.0
 
     params = ConvTransEParams(
-        kernels=param(kernels),
-        kernel_bias=param(np.zeros(C)),
-        proj=param(proj.copy()),
-        proj_bias=param(np.ones(d)),
+        kernels=Tensor(kernels),
+        kernel_bias=Tensor(np.zeros(C)),
+        proj=Tensor(proj.copy()),
+        proj_bias=Tensor(np.ones(d)),
         dropout=0.0,
     )
     q = decode(params, Tensor(h[None, :]), Tensor(r[None, :]))
@@ -61,8 +61,8 @@ def test_gradients_match_finite_differences():
     gen = np.random.default_rng(11)
     d, C, w = 4, 2, 3
     params = init_conv_transe(d, C, w, 0.0, gen, dtype=np.float64)
-    h = param(gen.standard_normal((2, d)))
-    r = param(gen.standard_normal((2, d)))
+    h = Tensor(gen.standard_normal((2, d)))
+    r = Tensor(gen.standard_normal((2, d)))
 
     def fn(h, r, k, kb, pj, pb):
         p = ConvTransEParams(kernels=k, kernel_bias=kb, proj=pj, proj_bias=pb, dropout=0.0)

@@ -3,14 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from meshtkg import autodiff as ad
 from meshtkg import encoders, rng
-from meshtkg.autodiff import Tensor, grad_check, param
+from meshtkg.autodiff import Tensor, grad_check
 from meshtkg.encoders import (
     EmbeddingCoverageError,
     EmbeddingFormatError,
     GruParams,
+    SemanticEmbeddingTable,
     adapt_rows,
     emit_prompts,
     encode_structural,
@@ -100,11 +104,11 @@ class TestStructuralEncoder:
         tkg = add_inverse_relations(group([(0, 0, 1, 0), (1, 1, 2, 1), (2, 0, 3, 1)]), 2)
         edges = tkg.snapshots()
         named = ad.named_tensors(params)
-        with ad.Tape() as tape:
+        with ad.Tape(named.values()) as tape:
             H, R = encode_structural(params, edges, t=2)
             loss = ad.add(ad.tensor_sum(ad.sigmoid(H)), ad.tensor_sum(ad.sigmoid(R)))
-            ad.backward(loss, tape)
-        missing = [n for n, t in named.items() if t.grad is None or not np.any(t.grad)]
+            grads = ad.backward(loss, tape)
+        missing = [n for n, g in zip(named, grads) if not np.any(g)]
         assert not missing, f"no gradient reached: {missing}"
 
     def test_encoder_gradient_check_small(self):
@@ -120,8 +124,8 @@ class TestStructuralEncoder:
             H, R = encode_structural(params, edges, t=1)
             return ad.add(ad.tensor_sum(ad.sigmoid(H)), ad.tensor_sum(ad.sigmoid(R)))
 
-        ent = param(params.entity_emb.values.copy())
-        rel = param(params.relation_emb.values.copy())
+        ent = Tensor(params.entity_emb.values.copy())
+        rel = Tensor(params.relation_emb.values.copy())
         assert grad_check(fn, [ent, rel], eps=1e-5) < 1e-4
 
 
@@ -174,17 +178,13 @@ class TestGruCell:
         gen = np.random.default_rng(12)
         cell = init_gru(3, 2, gen, dtype=np.float64)
         cell.b.values[...] = gen.standard_normal(6)
-        inputs = [param(gen.standard_normal((4, 3))), param(gen.standard_normal((4, 2)))]
+        inputs = [Tensor(gen.standard_normal((4, 3))), Tensor(gen.standard_normal((4, 2)))]
         weights = gen.standard_normal((4, 2))
 
         def grads(cell_fn):
-            tensors = inputs + [cell.wx, cell.wh, cell.b]
-            for t in tensors:
-                t.grad = None
-            with ad.Tape() as tape:
+            with ad.Tape(inputs + [cell.wx, cell.wh, cell.b]) as tape:
                 out = cell_fn(cell, *inputs)
-                ad.backward(ad.tensor_sum(ad.mul(out, Tensor(weights))), tape)
-            return [t.grad for t in tensors]
+                return ad.backward(ad.tensor_sum(ad.mul(out, Tensor(weights))), tape)
 
         for fused, composed in zip(grads(gru_cell), grads(composed_gru_cell)):
             assert fused.shape == composed.shape
@@ -195,8 +195,8 @@ class TestGruCell:
         never a (B, 3d) pre-activation or a view into one."""
         gen = np.random.default_rng(13)
         cell = init_gru(5, 4, gen, dtype=np.float32)
-        x, h = param(gen.standard_normal((9, 5))), param(gen.standard_normal((9, 4)))
-        with ad.Tape() as tape:
+        x, h = Tensor(gen.standard_normal((9, 5))), Tensor(gen.standard_normal((9, 4)))
+        with ad.Tape([x, h, cell.wx, cell.wh, cell.b]) as tape:
             gru_cell(cell, x, h)
         kept = []
         for cell_ref in tape.nodes[-1].backward_fn.__closure__:
@@ -209,9 +209,9 @@ class TestGruCell:
     def test_hand_computed_step(self):
         d = 2
         cell = GruParams(
-            wx=param(np.zeros((d, 3 * d))),
-            wh=param(np.zeros((d, 3 * d))),
-            b=param(np.array([0.1, 0.1, -0.2, -0.2, 0.5, 0.5])),
+            wx=Tensor(np.zeros((d, 3 * d))),
+            wh=Tensor(np.zeros((d, 3 * d))),
+            b=Tensor(np.array([0.1, 0.1, -0.2, -0.2, 0.5, 0.5])),
         )
         h = Tensor(np.array([[1.0, -1.0]]))
         x = Tensor(np.zeros((1, d)))
@@ -282,11 +282,11 @@ class TestSparseAggregation:
         w_r = Tensor(weights.standard_normal((2 * num_relations, dim)).astype(dtype))
         monkeypatch.setattr(encoders, "aggregate", layer_fn)
         named = ad.named_tensors(params)
-        with ad.Tape() as tape:
+        with ad.Tape(named.values()) as tape:
             H, R = encode_structural(params, snapshots, t=3, gen=rng.stream(1, rng.DROPOUT))
             loss = ad.add(ad.tensor_sum(ad.mul(H, w_h)), ad.tensor_sum(ad.mul(R, w_r)))
-            ad.backward(loss, tape)
-        return (H.values, R.values, {n: t.grad for n, t in named.items()},
+            grads = ad.backward(loss, tape)
+        return (H.values, R.values, dict(zip(named, grads)),
                 [node.op for node in tape.nodes])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -334,7 +334,7 @@ class TestSparseAggregation:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_without_in_edge_gets_self_transform(self, dtype):
         gen = np.random.default_rng(8)
-        layer = encoders.LayerParams(*(param(gen.standard_normal((4, 4)).astype(dtype))
+        layer = encoders.LayerParams(*(Tensor(gen.standard_normal((4, 4)).astype(dtype))
                                        for _ in range(2)))
         X = Tensor(gen.standard_normal((5, 4)).astype(dtype))
         R = Tensor(gen.standard_normal((3, 4)).astype(dtype))
@@ -347,14 +347,14 @@ class TestSparseAggregation:
 
     def test_snapshot_with_no_facts(self):
         gen = np.random.default_rng(9)
-        layer = encoders.LayerParams(*(param(gen.standard_normal((4, 4))) for _ in range(2)))
-        X, R = param(gen.standard_normal((5, 4))), param(gen.standard_normal((3, 4)))
-        with ad.Tape() as tape:
+        layer = encoders.LayerParams(*(Tensor(gen.standard_normal((4, 4))) for _ in range(2)))
+        X, R = Tensor(gen.standard_normal((5, 4))), Tensor(gen.standard_normal((3, 4)))
+        with ad.Tape([layer.agg, layer.self, X, R]) as tape:
             out = encoders.aggregate(layer, X, R, np.empty((0, 4), np.int64))
-            ad.backward(ad.tensor_sum(out), tape)
+            g_agg, _, g_x, g_r = ad.backward(ad.tensor_sum(out), tape)
         assert np.array_equal(out.values, X.values @ layer.self.values)
-        assert not np.any(layer.agg.grad) and not np.any(R.grad)
-        assert np.array_equal(X.grad, np.ones((5, 4)) @ layer.self.values.T)
+        assert not np.any(g_agg) and not np.any(g_r)
+        assert np.array_equal(g_x, np.ones((5, 4)) @ layer.self.values.T)
 
 
 def prompt_lines(tmp_path):
@@ -404,7 +404,7 @@ class TestFrozenEncoding:
         H_ref, R_ref = encode_structural(params, snapshots, 2)
         assert list(cache) == [2]
         assert np.array_equal(H.values, H_ref.values) and np.array_equal(R.values, R_ref.values)
-        assert not (H.requires_grad or R.requires_grad)
+        assert {H.key, R.key}.isdisjoint(t.key for t in ad.named_tensors(params).values())
         # a hit encodes nothing and wraps the stored arrays
         monkeypatch.setattr(encoders, "encode_structural", None)
         H2, R2 = encoders.frozen_encoding(params, snapshots, 2, cache)
@@ -413,7 +413,7 @@ class TestFrozenEncoding:
     def test_no_history_gives_constants_over_the_embedding_tables(self, np_gen):
         params = init_structural_encoder(5, 4, 8, layers=2, window=3, dropout=0.0, gen=np_gen)
         H, R = encoders.frozen_encoding(params, group([(0, 0, 1, 0)]).snapshots(), 0, {})
-        assert H is not params.entity_emb and not H.requires_grad
+        assert H is not params.entity_emb and R is not params.relation_emb
         assert H.values is params.entity_emb.values and R.values is params.relation_emb.values
 
 
@@ -459,6 +459,42 @@ class TestSemanticTables:
         loaded = load_semantic_embeddings(path, vocab)
         assert np.array_equal(loaded.entity, table.entity)
         assert np.array_equal(loaded.relation, table.relation)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_finite_rows_round_trip_bit_for_bit(self, binary, data, tmp_path_factory):
+        """Any finite float32 rows, -0.0, subnormals and the extremes
+        included, come back with their bits, in either layout."""
+        num_entities, num_relations, dim = data.draw(
+            st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(1, 5)))
+        info = np.finfo(np.float32)
+        finite = st.floats(width=32, allow_nan=False, allow_infinity=False,
+                           allow_subnormal=True) | st.sampled_from(
+            [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, info.tiny,
+             info.max, info.min])
+        entity, relation = (data.draw(hnp.arrays(np.float32, (n, dim), elements=finite))
+                            for n in (num_entities, num_relations))
+        path = str(tmp_path_factory.mktemp("emb") / "emb")
+        save_semantic_embeddings(path, SemanticEmbeddingTable(entity, relation, dim, "drawn"),
+                                 binary=binary)
+        loaded = load_semantic_embeddings(path, make_vocab(num_entities, num_relations))
+        assert loaded.entity.tobytes() == entity.tobytes()
+        assert loaded.relation.tobytes() == relation.tobytes()
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind, row", [("E", 2), ("R", 1)])
+    def test_non_finite_row_refused_before_writing(self, tmp_path, binary, value, kind, row):
+        """A row the reader would refuse is named by kind and id, and no
+        file is written."""
+        table = synthetic_embeddings(make_vocab(3, 2), 4, seed=1)
+        (table.entity if kind == "E" else table.relation)[row, 1] = value
+        table.relation[-1, 0] = np.nan  # a later bad row is not the one named
+        path = tmp_path / "emb"
+        with pytest.raises(ValueError, match=f"^non-finite embedding value in row {kind} {row}$"):
+            save_semantic_embeddings(str(path), table, binary=binary)
+        assert not path.exists()
 
     def test_packed_body_that_starts_like_a_text_row_loads(self, tmp_path):
         """The float32 0.50014144 is the bytes `E<TAB>\\x00?`: the header's

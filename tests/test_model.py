@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshtkg import autodiff as ad
-from meshtkg.autodiff import Tensor, grad_check, param
+from meshtkg.autodiff import Tensor, grad_check
 from meshtkg.decoder import decode
 from meshtkg.encoders import adapt_rows, synthetic_embeddings
 from meshtkg.model import (
@@ -125,9 +125,9 @@ class TestExpertMix:
         gen = np.random.default_rng(4)
         m, n, g, d = 2, 1, 5, 3
         experts = random_experts(gen, g, m + n)
-        gate = param(gen.standard_normal((2, g)))
-        q_g = param(gen.standard_normal((2, d)))
-        q_s = param(gen.standard_normal((2, d)))
+        gate = Tensor(gen.standard_normal((2, g)))
+        q_g = Tensor(gen.standard_normal((2, d)))
+        q_s = Tensor(gen.standard_normal((2, d)))
 
         def fn(*_):
             p, q_his, q_nhis = expert_mix(experts, gate, q_g, q_s, m)
@@ -227,7 +227,7 @@ class TestForwardQueries:
         for m, n in ((1, 1), (3, 2)):
             model = small_model(num_historical=m, num_nonhistorical=n)
             H_g, R_g, sem, s_idx, r_idx = small_inputs(model)
-            with ad.Tape() as tape:
+            with ad.Tape(model.named_parameters().values()) as tape:
                 bundle = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
             assert bundle.alphas.shape == (3, m + n)
             sizes.append([node.op for node in tape.nodes])
@@ -276,11 +276,11 @@ class TestForwardQueries:
             for name, t in model.named_parameters().items()
             if not name.startswith("encoder.")
         }
-        with ad.Tape() as tape:
+        with ad.Tape(trained.values()) as tape:
             bundle = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
             loss = ad.tensor_sum(ad.sigmoid(score_logits(bundle.q, bundle.score_table)))
-            ad.backward(loss, tape)
-        missing = [n for n, t in trained.items() if t.grad is None]
+            grads = ad.backward(loss, tape)
+        missing = [n for n, g in zip(trained, grads) if not np.any(g)]
         assert not missing, f"no gradient reached: {missing}"
 
     def test_pipeline_grad_check(self):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from meshtkg.tkg import (
     LoadError,
     ParseError,
     Quadruple,
+    Vocabulary,
     _normalize_timestamps,
     add_inverse_relations,
     drop_history_fraction,
@@ -238,6 +240,68 @@ class TestLoadDataset:
         assert sorted(quads(tkg)) == sorted(Quadruple(*f) for f in facts)
         for t, snap in enumerate(tkg.snapshots()):
             assert np.all(snap[:, 3] == t)
+
+
+# names from a wide alphabet: any code point, lone surrogates included, and
+# the characters a line-based reader could take for a separator
+NAMES = st.text(alphabet=st.one_of(st.characters(), st.characters(categories=["Cs"]),
+                                   st.sampled_from("\t\n\r\x0b\x0c\x1c\x85\u2028 \0")),
+                max_size=4)
+
+
+def unwritable(names) -> bool:
+    """Whether write_dataset must refuse a kind's names: one holds a tab, a
+    line break or a surrogate, or one is repeated."""
+    return len(set(names)) != len(names) or any(
+        c in "\t\n\r" or 0xD800 <= ord(c) <= 0xDFFF for name in names for c in name)
+
+
+class TestWriteDataset:
+    @pytest.mark.parametrize("entities, relations, message", [
+        (["a\tb", "c"], ["r"], "entity name 'a\\tb' holds a tab"),
+        (["a\nb", "c"], ["r"], "entity name 'a\\nb' holds a tab, a line break"),
+        (["a", "c"], ["r\r"], "relation name 'r\\r' holds a tab, a line break"),
+        (["a\ud800", "c"], ["r"], "entity name 'a\\ud800' holds a tab, a line break or a "
+                                   "surrogate"),
+        (["a", "a"], ["r"], "entity name 'a' is repeated"),
+        (["a", "c"], ["r", "r"], "relation name 'r' is repeated"),
+    ], ids=["tab", "newline", "carriage_return", "surrogate", "repeated_entity",
+            "repeated_relation"])
+    def test_unreadable_name_refused_before_any_file(self, tmp_path, entities, relations,
+                                                     message):
+        """Names the reader would misread (a tab splits the line) or refuse
+        (a line break, a repeat) are refused, naming the kind and the name."""
+        splits = (group([(0, 0, 1, 0)], "train"), group([(1, 0, 0, 1)], "valid"),
+                  group([(0, 0, 1, 2)], "test"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_dataset(str(tmp_path / "ds"), Vocabulary(entities, relations, 3), *splits)
+        assert not (tmp_path / "ds").exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(entities=st.lists(NAMES, min_size=1, max_size=4),
+           relations=st.lists(NAMES, min_size=1, max_size=3), data=st.data())
+    def test_round_trip(self, entities, relations, data, tmp_path_factory):
+        """Any vocabulary the writer accepts, with facts whose timestamps are
+        their dense rank over the splits (the reader renumbers any others),
+        loads back equal; any other is refused before a file is written."""
+        fact = st.tuples(st.integers(0, len(entities) - 1), st.integers(0, len(relations) - 1),
+                         st.integers(0, len(entities) - 1), st.integers(0, 3))
+        raw = [data.draw(st.lists(fact, max_size=5)) for _ in range(3)]
+        levels = sorted({f[3] for facts in raw for f in facts})
+        splits = [group([(s, r, o, levels.index(t)) for s, r, o, t in facts], split)
+                  for facts, split in zip(raw, ("train", "valid", "test"))]
+        vocab = Vocabulary(entities, relations, len(levels))
+        directory = tmp_path_factory.mktemp("rt") / "ds"
+        if unwritable(entities) or unwritable(relations):
+            with pytest.raises(ValueError):
+                write_dataset(str(directory), vocab, *splits)
+            assert not directory.exists()
+            return
+        write_dataset(str(directory), vocab, *splits)
+        loaded, *tkgs = load_dataset(str(directory))
+        assert loaded == vocab
+        for want, got in zip(splits, tkgs):
+            assert got.split == want.split and np.array_equal(got.array, want.array)
 
 
 class TestInverseRelations:

@@ -3,6 +3,7 @@ import platform
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 import meshtkg
 from meshtkg import autodiff as ad
-from meshtkg import encoders
+from meshtkg import encoders, training
 from meshtkg.autodiff import NumericError, Tensor
-from meshtkg.config import RunConfig
+from meshtkg.config import CHOICES, RunConfig
 from meshtkg.encoders import synthetic_embeddings
 from meshtkg.model import ModelSpec, forward_queries, init_model, score_logits
 from meshtkg.training import (
@@ -160,12 +161,11 @@ class TestStage1Losses:
         params = [t for n, t in model.named_parameters().items() if not n.startswith("encoder.")]
 
         def step(terms_fn):
-            ad.zero_grads(params)
-            with ad.Tape() as tape:
+            with ad.Tape(params) as tape:
                 bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1])
                 terms = terms_fn(bundle)
-                ad.backward(total_loss(*terms, omega), tape)
-            return [t.values for t in terms], [p.grad for p in params]
+                grads = ad.backward(total_loss(*terms, omega), tape)
+            return [t.values for t in terms], grads
 
         def oracle(bundle):
             full_his, full_nhis = (score_logits(q, bundle.score_table)
@@ -337,29 +337,42 @@ class TestTrainModel:
             assert np.all(t.values == 0.0)
 
     @pytest.mark.parametrize("window", [3, 0])
-    def test_stage1_leaves_encoder_without_gradients(self, synth_dataset, tmp_path, window):
-        """Stage 1 computes no gradient for the frozen encoder, also at the
-        timestamps whose encoding is the embedding tables themselves (t = 0,
-        and every t under window 0)."""
+    def test_stage1_leaves_encoder_without_gradients(self, synth_dataset, tmp_path, window,
+                                                     monkeypatch, recorded):
+        """No op recorded in stage 1 reads a frozen encoder tensor, also at
+        the timestamps whose encoding is the embedding tables themselves
+        (t = 0, and every t under window 0)."""
         config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=0,
                               epochs_stage1=1, window=window)
         sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
+        reads = []
+        backward = ad.backward
+
+        def spy(output, tape):
+            reads.extend(x.key for n in tape.nodes for x in recorded[n.output][1])
+            recorded.clear()
+            return backward(output, tape)
+
+        monkeypatch.setattr(ad, "backward", spy)
         result = train_model(config, synth_dataset["vocab"], synth_dataset["train"],
                              synth_dataset["valid"], sem)
-        graded = [n for n, t in ad.named_tensors(result.model.encoder).items()
-                  if t.grad is not None]
-        assert graded == []
+        encoder = {t.key for t in ad.named_tensors(result.model.encoder).values()}
+        assert reads and encoder.isdisjoint(reads)
 
     def test_stage1_encodes_each_timestamp_once_off_the_tape(self, synth_dataset, tmp_path,
                                                             monkeypatch):
-        """The frozen encodings of every training timestamp are computed
-        before the first stage-1 step, and validation's once per run."""
+        """The frozen encoding of each timestamp is computed once per run,
+        the training ones inside the first epoch's steps, and records no
+        node on a step's tape."""
         calls = []
         encode = encoders.encode_structural
 
         def spy(params, snapshots, t, **kwargs):
-            calls.append((t, ad.active_tape()))
-            return encode(params, snapshots, t, **kwargs)
+            tape = ad.active_tape()
+            before = len(tape.nodes) if tape else 0
+            out = encode(params, snapshots, t, **kwargs)
+            calls.append((t, tape is not None, (len(tape.nodes) if tape else 0) - before))
+            return out
 
         monkeypatch.setattr(encoders, "encode_structural", spy)
         config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=0,
@@ -367,8 +380,35 @@ class TestTrainModel:
         sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
         train_model(config, synth_dataset["vocab"], synth_dataset["train"],
                     synth_dataset["valid"], sem)
-        assert [t for t, _ in calls] == list(range(17))   # 14 training, 3 validation
-        assert all(tape is None for _, tape in calls)
+        assert [t for t, _, _ in calls] == list(range(17))   # 14 training, 3 validation
+        assert [taped for _, taped, _ in calls] == [True] * 14 + [False] * 3
+        assert all(added == 0 for _, _, added in calls)
+
+    def test_step_gradients_are_freed_before_the_next_forward(self, synth_dataset, tmp_path,
+                                                             monkeypatch):
+        """The gradient arrays a step hands to Adam are dead when the next
+        step's forward starts, in both stages, so they never stand beside
+        the next step's forward and backward arrays."""
+        refs, alive = [], []
+        backward, forward = ad.backward, training.forward_queries
+
+        def spy_backward(output, tape):
+            grads = backward(output, tape)
+            refs[:] = [weakref.ref(g) for g in grads]
+            return grads
+
+        def spy_forward(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "backward", spy_backward)
+        monkeypatch.setattr(training, "forward_queries", spy_forward)
+        config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=1,
+                              epochs_stage1=1)
+        sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
+        train_model(config, synth_dataset["vocab"], synth_dataset["train"],
+                    synth_dataset["valid"], sem)
+        assert len(alive) == 2 * 14 and not any(alive)
 
     def test_adam_overflow_raises_numeric_error(self, synth_dataset, tmp_path):
         """Semantic rows of 1e30 overflow the float32 second moments of the
@@ -520,6 +560,47 @@ class TestCheckpoint:
         for name, tensor in model.named_parameters().items():
             assert b[name].values.dtype == np.float64, name
             assert np.array_equal(tensor.values, b[name].values), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(dtype=st.sampled_from(CHOICES["dtype"]), gate_input=st.sampled_from(
+        CHOICES["gate_input"]), m=st.integers(1, 3), n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1))
+    def test_any_tiny_spec_round_trips(self, dtype, gate_input, m, n, seed, tmp_path_factory):
+        """A checkpoint of any tiny spec loads back with the parameters'
+        bytes, names and dtypes and the stored RunConfig equal."""
+        config = RunConfig(dtype=dtype, gate_input=gate_input, num_historical=m,
+                           num_nonhistorical=n, dim=4, llm_dim=3, adapter_hidden=5, channels=2,
+                           layers=1, seed=seed)
+        gen = np.random.default_rng(seed)
+        model = init_model(ModelSpec.from_config(config, 5, 2, config.llm_dim), gen)
+        for t in ad.named_tensors(model.experts).values():  # move the zero-initialised gates
+            t.values[...] = gen.standard_normal(t.shape)
+        path = str(tmp_path_factory.mktemp("ckpt") / "model.mesh")
+        frozen = sorted(ad.named_tensors(model.encoder, "encoder."))
+        save_checkpoint(path, model, config, frozen, seed)
+        loaded, header = load_checkpoint(path)
+        assert header["config"] == config and header["frozen"] == frozen
+        assert loaded.spec == model.spec
+        want, got = model.named_parameters(), loaded.named_parameters()
+        assert list(got) == list(want)
+        for name, t in want.items():
+            assert got[name].values.dtype == t.values.dtype, name
+            assert got[name].values.tobytes() == t.values.tobytes(), name
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_refused_before_writing(self, tmp_path, value):
+        """A parameter `load_checkpoint` would refuse is named, and neither
+        the checkpoint nor its temporary file is written."""
+        config = RunConfig(dim=8, llm_dim=8, adapter_hidden=8, channels=2)
+        model = init_model(ModelSpec.from_config(config, 6, 2, config.llm_dim),
+                           np.random.default_rng(5))
+        model.decoder_l.proj.values[3, 1] = value
+        model.experts.pred_b.values[0] = np.nan  # a later bad parameter is not the one named
+        path = tmp_path / "model.mesh"
+        with pytest.raises(ValueError,
+                           match=r"^parameter decoder_l\.proj holds a non-finite value$"):
+            save_checkpoint(str(path), model, config, [], 1)
+        assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def _load_bytes(saved, raw):

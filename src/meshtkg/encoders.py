@@ -19,6 +19,7 @@ the working dimension.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,24 +217,41 @@ class SemanticEmbeddingTable:
     source: str
 
 
+# Rows at least this wide are drawn on every core the process may use (numpy
+# fills an array without holding the GIL). Median of 5 calls over 7,358 rows
+# on 2 vCPUs, one thread against two: 0.045 s / 0.060 s at width 64, 0.106 s /
+# 0.162 s at 512, 0.188 s / 0.145 s at 768 and 0.836 s / 0.478 s at 4,096.
+THREADED_WIDTH = 768
+
+
 def synthetic_embeddings(vocab: Vocabulary, dim: int, seed: int) -> SemanticEmbeddingTable:
     """Unit-variance pseudo-normal rows, each determined solely by
-    (seed, kind, id); a stand-in for text-encoder hidden states."""
+    (seed, kind, id); a stand-in for text-encoder hidden states. Row i is
+    the float64 `standard_normal(dim)` draw of `rng.stream(seed, kind, i)`,
+    rounded to float32."""
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
+    entity = np.empty((vocab.num_entities, dim), dtype=np.float32)
+    relation = np.empty((vocab.num_relations, dim), dtype=np.float32)
+    blocks = ((entity, rng.SYNTH_ENTITY), (relation, rng.SYNTH_RELATION))
+    workers = len(os.sched_getaffinity(0)) if dim >= THREADED_WIDTH else 1
 
-    def rows(kind_domain, count):
-        table = np.empty((count, dim), dtype=np.float32)
-        for i in range(count):
-            table[i] = rng.stream(seed, kind_domain, i).standard_normal(dim)
-        return table
+    def draw(part: int) -> None:
+        """Share `part` of `workers` of each block's rows, drawn through one
+        re-keyed bit generator into one float64 row buffer."""
+        gen = rng.stream(seed, rng.SYNTH_ENTITY)
+        row = np.empty(dim)
+        for table, domain in blocks:
+            for i in range(len(table) * part // workers, len(table) * (part + 1) // workers):
+                rng.rekey(gen.bit_generator, seed, domain, i)
+                gen.standard_normal(out=row)
+                table[i] = row
 
-    return SemanticEmbeddingTable(
-        entity=rows(rng.SYNTH_ENTITY, vocab.num_entities),
-        relation=rows(rng.SYNTH_RELATION, vocab.num_relations),
-        dim=dim,
-        source=f"synthetic:{seed}",
-    )
+    with ThreadPoolExecutor(workers) as pool:
+        # reading each result raises a worker's exception here
+        list(pool.map(draw, range(workers)))
+    return SemanticEmbeddingTable(entity=entity, relation=relation, dim=dim,
+                                  source=f"synthetic:{seed}")
 
 
 def _nonfinite_row(entity: np.ndarray, relation: np.ndarray) -> str | None:

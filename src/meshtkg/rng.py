@@ -19,10 +19,17 @@ SYNTH_RELATION = 5
 _MASK64 = (1 << 64) - 1
 
 
+def rekey(bitgen: np.random.Philox, seed: int, domain: int, index: int = 0) -> None:
+    """Reset `bitgen` to the start of stream (seed, domain, index): its key,
+    a zero counter and an empty output buffer, as a new Philox with that key."""
+    key = (seed & _MASK64, ((domain & 0xFFFFFFFF) << 32) | (index & 0xFFFFFFFF))
+    bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+                    "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Independent generator for (seed, domain, index)."""
-    key = np.array(
-        [seed & _MASK64, ((domain & 0xFFFFFFFF) << 32) | (index & 0xFFFFFFFF)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    # `Philox(key=...)` would first seed itself from OS entropy; this seed draws none
+    bitgen = np.random.Philox(0)
+    rekey(bitgen, seed, domain, index)
+    return np.random.Generator(bitgen)

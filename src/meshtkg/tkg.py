@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import io
 import os
+import re
+import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -102,21 +105,24 @@ class TemporalKG:
         return np.split(rows, np.searchsorted(t, np.arange(1, t[-1] + 1)))
 
 
-def text_lines(path: str, data: bytes | None = None, start: int = 1):
-    """(line number, line) for every non-empty line of a UTF-8 text file,
-    newline stripped, numbered from `start`. `data`, when given, is the
-    file's bytes from line `start` on, already read. A byte that is not
-    UTF-8 is a ParseError at its line."""
+def read_text(path: str, data: bytes | None = None, start: int = 1) -> str:
+    """The text of a UTF-8 file, each line break (`\\r\\n`, `\\r` or `\\n`)
+    read as `\\n`. `data`, when given, is the file's bytes from line `start`
+    on, already read. A byte that is not UTF-8 is a ParseError at its line."""
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
     try:
-        text = io.StringIO(data.decode("utf-8"), newline=None)
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ParseError(path, data.count(b"\n", 0, exc.start) + start,
                          f"byte {data[exc.start]:#04x} is not UTF-8") from None
-    for lineno, line in enumerate(text, start=start):
-        line = line.rstrip("\n")
+
+
+def text_lines(path: str, data: bytes | None = None, start: int = 1):
+    """(line number, line) for every non-empty line of `read_text`'s text,
+    newline stripped, numbered from `start`."""
+    for lineno, line in enumerate(read_text(path, data, start).split("\n"), start=start):
         if line:
             yield lineno, line
 
@@ -139,39 +145,91 @@ def _read_id_file(path: str) -> list[str]:
         raise LoadError(f"{path}: ids are not dense integers 0..{len(pairs) - 1}")
     names = [name for _, name in pairs]
     if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
+        dupes = sorted(name for name, count in Counter(names).items() if count > 1)
         raise LoadError(f"{path}: duplicate names {dupes[:5]}")
     return names
 
 
-def _read_fact_file(path: str, num_entities: int, num_relations: int):
+# A fact line: four tab-separated integer fields, then any further columns.
+# A field is ASCII digits with an optional sign, padded by any whitespace but
+# a tab (int() also reads `1_0` and other scripts' digits; this does not).
+_FIELD = r"[^\S\t\n]*[+-]?[0-9]+[^\S\t\n]*"
+_FACT_LINE = re.compile(rf"(?:{_FIELD}\t){{3}}{_FIELD}(?:\t.*)?")
+# the first line of a text that is neither blank nor a fact line
+_BAD_FACT_LINE = re.compile(rf"^(?!(?:{_FACT_LINE.pattern})?$)", re.M)
+# numpy's int64 parser reads fields made of these characters as _FIELD does;
+# it misreads some others (the letter `\u01fe` as 462), hence the search
+_PLAIN = b"0123456789+- \t\n"
+
+
+def _int_rows(text: str) -> np.ndarray | None:
+    """Columns 0-3 of the non-blank lines as (N, 4) int64, in one pass; None
+    when numpy cannot read a field as an int64."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a text with no rows
+            # numpy 1.x reads an integer beyond int64 through a float, warning
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t",
+                              comments=None, usecols=range(4), ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _first_refusal(rows: np.ndarray, num_entities: int, num_relations: int):
+    """(row, message) of the first row that breaks a range, sign or order
+    rule, the earliest rule first within a row; None if none does. `rows`
+    is int64, or Python ints where one is beyond int64."""
+    s, r, o, t = rows.T
+    rules = (
+        ((s < 0) | (s >= num_entities),
+         lambda i: f"subject id {s[i]} outside 0..{num_entities - 1}"),
+        ((o < 0) | (o >= num_entities),
+         lambda i: f"object id {o[i]} outside 0..{num_entities - 1}"),
+        ((r < 0) | (r >= num_relations),
+         lambda i: f"relation id {r[i]} outside 0..{num_relations - 1}"),
+        (t < 0, lambda i: f"negative timestamp {t[i]}"),
+        (t > INT64_MAX, lambda i: f"timestamp {t[i]} above the int64 maximum {INT64_MAX}"),
+        (np.r_[False, t[1:] < t[:-1]], lambda i: f"timestamp {t[i]} decreases after {t[i - 1]}"),
+    )
+    broken = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(rules) if mask.any()]
+    if not broken:
+        return None
+    row, k = min(broken)
+    return row, rules[k][1](row)
+
+
+def _read_fact_file(path: str, num_entities: int, num_relations: int) -> np.ndarray:
     if not os.path.isfile(path):
         raise LoadError(f"missing split file: {path}")
-    rows = []
-    prev_t = None
-    for lineno, line in text_lines(path):
-        parts = line.split("\t")
-        if len(parts) < 4:
-            raise ParseError(path, lineno, f"expected 4 tab-separated fields, got {len(parts)}")
-        try:
-            s, r, o, t = (int(parts[i]) for i in range(4))
-        except ValueError:
-            raise ParseError(path, lineno, f"non-integer field in {parts[:4]!r}")
-        if s < 0 or s >= num_entities:
-            raise ParseError(path, lineno, f"subject id {s} outside 0..{num_entities - 1}")
-        if o < 0 or o >= num_entities:
-            raise ParseError(path, lineno, f"object id {o} outside 0..{num_entities - 1}")
-        if r < 0 or r >= num_relations:
-            raise ParseError(path, lineno, f"relation id {r} outside 0..{num_relations - 1}")
-        if t < 0:
-            raise ParseError(path, lineno, f"negative timestamp {t}")
-        if t > INT64_MAX:
-            raise ParseError(path, lineno, f"timestamp {t} above the int64 maximum {INT64_MAX}")
-        if prev_t is not None and t < prev_t:
-            raise ParseError(path, lineno, f"timestamp {t} decreases after {prev_t}")
-        prev_t = t
-        rows.append((s, r, o, t))
-    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = read_text(path, data)
+    rows = None
+    # only a text with other characters needs the (slower) search first
+    if not text.encode().translate(None, _PLAIN) or not _BAD_FACT_LINE.search(text):
+        rows = _int_rows(text)
+    if rows is not None and _first_refusal(rows, num_entities, num_relations) is None:
+        return rows
+    raise _refusal(path, data, num_entities, num_relations)
+
+
+def _refusal(path: str, data: bytes, num_entities: int, num_relations: int) -> ParseError:
+    """The error naming the first line that `_FACT_LINE` or a row rule of
+    `_first_refusal` refuses; built only when the one-pass read fails."""
+    lines = list(text_lines(path, data))
+    good = list(takewhile(lambda item: _FACT_LINE.fullmatch(item[1]), lines))
+    rows = np.array([[int(field) for field in line.split("\t")[:4]] for _, line in good],
+                    dtype=object).reshape(-1, 4)
+    refused = _first_refusal(rows, num_entities, num_relations)
+    if refused is not None:
+        row, message = refused
+        return ParseError(path, good[row][0], message)
+    lineno, line = lines[len(good)]
+    fields = line.split("\t")
+    if len(fields) < 4:
+        return ParseError(path, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
+    return ParseError(path, lineno, f"non-integer field in {fields[:4]!r}")
 
 
 def _normalize_timestamps(splits: dict[str, np.ndarray]) -> int:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meshtkg import tkg, training
+from meshtkg import encoders, rng, tkg, training
 from meshtkg.cli import build_parser, run, write_results
 from meshtkg.config import CHOICES, RunConfig
 from meshtkg.encoders import save_semantic_embeddings, synthetic_embeddings
@@ -463,6 +463,28 @@ class TestTrainEvalCommands:
             "error: the configuration does not fit in memory (Unable to allocate 22.4 GiB for "
             "an array with shape (100000000, 60) and data type float32)\n")
         assert not os.path.exists(os.path.join(out, "checkpoint.mesh"))
+
+    def test_memory_error_in_a_draw_worker_exits_2(self, synth_dataset, tmp_path, capsys,
+                                                   monkeypatch):
+        """Wide synthetic rows are drawn by one thread per core; an allocation
+        failing in the second worker's rows is the one-line exit 2."""
+        rekey = rng.rekey
+        last = synth_dataset["vocab"].num_entities - 1
+
+        def failing(bitgen, seed, domain, index=0):
+            if (domain, index) == (rng.SYNTH_ENTITY, last):
+                raise MemoryError("Unable to allocate 32.0 KiB for an array with shape (4096,) "
+                                  "and data type float64")
+            rekey(bitgen, seed, domain, index)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(rng, "rekey", failing)
+        out = str(tmp_path / "x")
+        flags = micro_flags(out, llm_dim=encoders.THREADED_WIDTH)
+        assert run(["train", synth_dataset["dir"], *flags]) == 2
+        assert capsys.readouterr().err == (
+            "error: the configuration does not fit in memory (Unable to allocate 32.0 KiB for "
+            "an array with shape (4096,) and data type float64)\n")
 
     def test_removed_event_aware_switch_exits_2(self, synth_dataset, tmp_path, capsys):
         # `--omega 0` is the run without the auxiliary expert loss

@@ -1,3 +1,5 @@
+import os
+import random
 import re
 import warnings
 
@@ -417,6 +419,13 @@ class TestFrozenEncoding:
         assert H.values is params.entity_emb.values and R.values is params.relation_emb.values
 
 
+def philox_stream(seed, domain, index):
+    """A new Philox keyed by (seed, domain, index), as `rng` defines its
+    streams; built without `rng`."""
+    key = np.array([seed % 2**64, (domain % 2**32) << 32 | index % 2**32], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 class TestSemanticTables:
     def test_synthetic_deterministic(self):
         vocab = make_vocab(4, 2)
@@ -427,17 +436,64 @@ class TestSemanticTables:
         c = synthetic_embeddings(vocab, 16, seed=4)
         assert not np.array_equal(a.entity, c.entity)
 
-    @pytest.mark.parametrize("num_relations", [0, 3])
-    def test_synthetic_rows_are_their_streams_draws(self, num_relations):
-        """Row i is the float64 draw of stream (seed, kind, i), rounded to
-        float32, bit for bit."""
-        table = synthetic_embeddings(make_vocab(4, num_relations), 7, seed=5)
+    @pytest.mark.parametrize("num_entities, num_relations, dim", [
+        (4, 0, 7), (4, 3, 7), (0, 0, 7), (1, 0, 7), (1, 1, 7), (5, 2, 4096), (1, 1, 4096)])
+    def test_synthetic_rows_are_their_streams_draws(self, num_entities, num_relations, dim):
+        """Row i is the float64 draw of a new Philox keyed by (seed, kind, i),
+        rounded to float32, bit for bit; width 4,096 is drawn on every core."""
+        assert 4096 >= encoders.THREADED_WIDTH
+        table = synthetic_embeddings(make_vocab(num_entities, num_relations), dim, seed=5)
         for block, kind in ((table.entity, rng.SYNTH_ENTITY), (table.relation, rng.SYNTH_RELATION)):
-            want = np.array([rng.stream(5, kind, i).standard_normal(7) for i in range(len(block))],
-                            dtype=np.float32).reshape(-1, 7)
+            want = np.array([philox_stream(5, kind, i).standard_normal(dim)
+                             for i in range(len(block))], dtype=np.float32).reshape(-1, dim)
             assert block.dtype == np.float32
             assert block.tobytes() == want.tobytes()
-        assert table.relation.shape == (num_relations, 7)
+        assert table.entity.shape == (num_entities, dim)
+        assert table.relation.shape == (num_relations, dim)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_synthetic_rows_do_not_depend_on_the_core_count(self, monkeypatch, cpus):
+        """One thread, two, or more threads than rows draw the same bytes."""
+        vocab = make_vocab(5, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = synthetic_embeddings(vocab, encoders.THREADED_WIDTH, seed=2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        got = synthetic_embeddings(vocab, encoders.THREADED_WIDTH, seed=2)
+        assert got.entity.tobytes() == want.entity.tobytes()
+        assert got.relation.tobytes() == want.relation.tobytes()
+
+    def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
+        """Two workers split the 5 entity rows 2 / 3: row 4 is the second's."""
+        rekey = rng.rekey
+
+        def failing(bitgen, seed, domain, index=0):
+            if (domain, index) == (rng.SYNTH_ENTITY, 4):
+                raise MemoryError("Unable to allocate row 4")
+            rekey(bitgen, seed, domain, index)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(rng, "rekey", failing)
+        with pytest.raises(MemoryError, match="row 4"):
+            synthetic_embeddings(make_vocab(5, 1), encoders.THREADED_WIDTH, seed=1)
+
+    def test_streams_draw_no_os_entropy(self, monkeypatch):
+        """A stream is fixed by its key, so building one calls no
+        `random.getrandbits` for OS entropy (it reads `random._urandom`), as
+        a Philox built from a key alone does for a seed it then discards."""
+        class EntropyRead(Exception):
+            pass
+
+        def refuse(numbytes):
+            raise EntropyRead
+
+        keys = ((1, rng.INIT, 0), (2**64 + 3, rng.DROPOUT, 2**32 + 7))
+        monkeypatch.setattr(random, "_urandom", refuse)
+        with pytest.raises(EntropyRead):
+            philox_stream(*keys[0])
+        got = [rng.stream(*key).standard_normal(9) for key in keys]
+        monkeypatch.undo()
+        for key, draw in zip(keys, got):
+            assert draw.tobytes() == philox_stream(*key).standard_normal(9).tobytes()
 
     def test_synthetic_rows_differ(self):
         table = synthetic_embeddings(make_vocab(3, 1), 8, seed=0)

@@ -3,8 +3,10 @@
     python3 tools/run_digest.py
 
 Writes a seeded tiny event stream (`bench/stream.py`'s TINY shape) to a
-temporary directory, runs prepare, stats, naive, emit-prompts, train, eval,
-analyze, an omega sweep and a 1x1/2x2 expert-count sweep on it at default
+temporary directory, with a copy of it in `\\r\\n` line breaks and blank
+lines whose `stats` results file must equal the original's (the digest
+shows both hashes). It runs prepare, stats on both, naive, emit-prompts,
+train, eval, analyze, an omega sweep and a 1x1/2x2 expert-count sweep at default
 settings, then a train and an eval run each with the structural path off,
 with the semantic path off, with the literal loss and the concatenated gate
 input, and with `--window 0` (every timestamp encoded with no history),
@@ -48,6 +50,7 @@ STREAMS = {"data": stream.TINY, "data-blocks": dict(stream.TINY, facts_per_step=
 COMMANDS = (
     ["prepare", "data", "--out", "prepare"],
     ["stats", "data", "--out", "stats"],
+    ["stats", "data-crlf", "--out", "stats-crlf"],
     ["naive", "data", "--out", "naive"],
     ["emit-prompts", "data", "--out", "prompts", "--domain", "political",
      "--datatype", "historical"],
@@ -108,7 +111,15 @@ def run_command(command: list) -> str:
 
 
 def write_inputs(top: str) -> None:
-    """The embedding files, one table in both layouts, and the config file."""
+    """The `\\r\\n` copy of the stream, the embedding files, one table in
+    both layouts, and the config file."""
+    os.makedirs(os.path.join(top, "data-crlf"))
+    for name in sorted(os.listdir(os.path.join(top, "data"))):
+        with open(os.path.join(top, "data", name), "rb") as fh:
+            text = fh.read()
+        with open(os.path.join(top, "data-crlf", name), "wb") as fh:
+            # a blank line first and after every line
+            fh.write(b"\r\n" + text.replace(b"\n", b"\r\n\r\n"))
     vocab = load_dataset(os.path.join(top, "data"))[0]
     table = synthetic_embeddings(vocab, EMBEDDING_WIDTH, EMBEDDING_SEED)
     save_semantic_embeddings(os.path.join(top, "emb.txt"), table)

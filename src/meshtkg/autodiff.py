@@ -409,64 +409,43 @@ def rrelu(a: Tensor) -> Tensor:
     )
 
 
-# Rows of q that pick_log_softmax scores against a constant table at a time:
-# a (64, 7128) float32 block is 1.8 MB, about one L2 cache.
-SCORE_ROWS = 64
-
-
-def _row_blocks(n: int) -> list:
-    """[lo, hi) bounds of near-equal blocks of at most SCORE_ROWS rows over n
-    rows. A batch of at most SCORE_ROWS rows is one block, and a larger one
-    gets blocks of at least SCORE_ROWS // 2 rows: a 1- or 2-row product can
-    round differently from the same rows inside a larger one."""
-    count = -(-n // SCORE_ROWS)
-    edges = [i * n // count for i in range(count + 1)] if count else []
-    return list(zip(edges, edges[1:]))
-
-
 def pick_log_softmax(q: Tensor, table: Tensor, index) -> Tensor:
     """Fused linear softmax cross-entropy: out[b] = log_softmax(q @ table.T)[b,
     index[b]] for queries q (B, d) and a table (|E|, d), with one exp pass;
     the score gradient is g * (onehot - softmax).
 
-    Against a constant table the scores are computed SCORE_ROWS rows at a
-    time into one reused block, and backward keeps only the (B, d) product
-    (softmax - onehot) @ table, so no |E|-wide array outlives the call.
-    When the table takes a gradient, one (B, |E|) buffer holds the scores,
-    then the softmax, and in backward (which runs once) the score gradient.
-    Either way each product uses the transposed copy of the table that
-    `score_logits` multiplies by, so the bits are those of scoring first."""
+    One (B, |E|) buffer holds the scores, then the softmax. Against a
+    constant table it then holds the score gradient's direction, and the
+    (B, d) product (softmax - onehot) @ table is formed before the call
+    returns: backward keeps only that, so no |E|-wide array outlives the
+    call. When the table takes a gradient, backward (which runs once) keeps
+    the buffer and turns it into the score gradient. Either way each product
+    uses the transposed copy of the table that `score_logits` multiplies by,
+    so the bits are those of scoring first."""
     if q.shape[-1] != table.shape[-1]:
         raise ValueError(f"query dim {q.shape[-1]} vs entity table dim {table.shape[-1]}")
     index = np.asarray(index, dtype=np.int64)
     qv = q.values
     tt = table.values.T.copy()
     grad_q, grad_t = _needs_grad(q, table)
-    out = np.empty(qv.shape[0], dtype=np.result_type(qv, tt))
-    if grad_t:  # one block of every row, kept for backward
-        blocks, height = [(0, len(out))], len(out)
-    else:
-        blocks, height = _row_blocks(len(out)), min(len(out), SCORE_ROWS)
-    buf = np.empty((height, tt.shape[1]), dtype=out.dtype)
-    jac = np.empty(qv.shape, dtype=out.dtype) if grad_q and not grad_t else None
-    for lo, hi in blocks:
-        rows, picks = np.arange(hi - lo), index[lo:hi]
-        b = np.matmul(qv[lo:hi], tt, out=buf[:hi - lo])
-        b -= b.max(axis=-1, keepdims=True)
-        picked = b[rows, picks]
-        np.exp(b, out=b)
-        total = b.sum(axis=-1, keepdims=True)
-        out[lo:hi] = picked - np.log(total[:, 0])
-        if grad_q or grad_t:
-            b /= total
-        if jac is not None:
-            b[rows, picks] += -1.0
-            np.matmul(b, tt.T, out=jac[lo:hi])
+    rows = np.arange(len(qv))
+    buf = qv @ tt
+    buf -= buf.max(axis=-1, keepdims=True)
+    picked = buf[rows, index]
+    np.exp(buf, out=buf)
+    total = buf.sum(axis=-1, keepdims=True)
+    out = picked - np.log(total[:, 0])
+    if grad_q or grad_t:
+        buf /= total
     if not grad_t:
+        jac = None
+        if grad_q:
+            buf[rows, index] += -1.0
+            jac = buf @ tt.T
         return _record("pick_log_softmax", (q, table), out,
                        lambda g: (jac * (-g)[:, None], None))
 
-    def backward_fn(g):  # rows and buf span the whole batch here
+    def backward_fn(g):
         np.multiply(buf, -g[:, None], out=buf)
         buf[rows, index] += g
         return (buf @ tt.T if grad_q else None, (qv.T @ buf).T)

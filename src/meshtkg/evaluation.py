@@ -278,9 +278,9 @@ def evaluate_naive(vocab: Vocabulary, train: TemporalKG, valid: TemporalKG,
     """Frequency-ranking baseline under the same filtered protocol."""
     augmented, known, query, indicators = _query_split(train, valid, test, vocab.num_relations,
                                                        split)
-    counts = history.build_index(augmented[0].array)
+    seen = history.seen_objects(augmented[0].array)
     ranks = [
-        filtered_ranks(history.naive_scores(counts, rows[:, 0], rows[:, 1], vocab.num_entities),
+        filtered_ranks(history.naive_scores(seen, rows[:, 0], rows[:, 1], vocab.num_entities),
                        rows, known_rows)
         for rows, known_rows in zip(query.snapshots(), known.snapshots())
     ]

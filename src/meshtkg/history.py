@@ -3,9 +3,7 @@
 The frequency index answers, for any (s, r, o, t), whether the triple
 (s, r, o) occurred strictly before t: the binary indicator that
 classifies events as historical or non-historical. Only a triple's
-first occurrence decides it, so that is all the index keeps per triple;
-beside it, the naive baseline's sorted (s, r) pairs and subjects, each
-with its objects.
+first occurrence decides it, so that is all the index keeps per triple.
 
 The naive baseline ranks candidate objects for a query (s, r, ?, t) by
 how often they were seen with (s, r) in training; if the pair was never
@@ -45,8 +43,7 @@ def matching(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.
 
 class FrequencyIndex:
     """Sorted packed keys over a fact array: per triple, the time of its
-    first occurrence; per (s, r) pair and per subject, the objects seen
-    with it.
+    first occurrence.
 
     Immutable after :func:`build_index`; every query takes arrays (or
     scalars) and costs O(log N) per element.
@@ -60,11 +57,6 @@ class FrequencyIndex:
         # the NO_KEY entry never occurs, so it keeps the largest time
         self.first = np.full(len(self.triples), np.iinfo(np.int64).max)
         np.minimum.at(self.first, run.reshape(-1), t)
-        pairs = pack(s, r)
-        pair_order = np.argsort(pairs, kind="stable")
-        self.pairs, self.pair_objects = pairs[pair_order], o[pair_order]
-        subject_order = np.argsort(s, kind="stable")
-        self.subjects, self.subject_objects = s[subject_order], o[subject_order]
 
     def indicator(self, s, r, o, t):
         """1 where (s, r, o) occurred before t (a historical event), else 0."""
@@ -77,24 +69,37 @@ def build_index(facts) -> FrequencyIndex:
     return FrequencyIndex(facts)
 
 
+def seen_objects(facts) -> tuple:
+    """The naive baseline's sorted packed (s, r) pairs, their objects, the
+    sorted subjects and their objects, over a fact array; ties keep the
+    facts' order."""
+    facts = np.asarray(facts, dtype=np.int64).reshape(-1, 4)
+    s, r, o, _ = facts.T
+    pairs = pack(s, r)
+    pair_order = np.argsort(pairs, kind="stable")
+    subject_order = np.argsort(s, kind="stable")
+    return pairs[pair_order], o[pair_order], s[subject_order], o[subject_order]
+
+
 def _object_counts(sorted_keys, objects, keys, num_entities: int) -> np.ndarray:
     i, j = matching(sorted_keys, keys)
     flat = np.bincount(i * num_entities + objects[j], minlength=len(keys) * num_entities)
     return flat.reshape(len(keys), num_entities)
 
 
-def naive_scores(index: FrequencyIndex, s, r, num_entities: int) -> np.ndarray:
-    """(B, |E|) frequency-baseline scores for the queries (s_b, r_b, ?).
+def naive_scores(seen: tuple, s, r, num_entities: int) -> np.ndarray:
+    """(B, |E|) frequency-baseline scores for the queries (s_b, r_b, ?),
+    from the `seen_objects` of the training facts.
 
     Candidates order by how often they were seen with (s, r); if the pair
     was never seen, by how often with s under any relation; ties by id.
     Every score in a row is distinct, so ranks have no ties.
     """
+    pairs, pair_objects, subjects, subject_objects = seen
     s, r = np.atleast_1d(s, r)
-    counts = _object_counts(index.pairs, index.pair_objects, pack(s, r), num_entities)
+    counts = _object_counts(pairs, pair_objects, pack(s, r), num_entities)
     unseen = ~counts.any(axis=1)
-    counts[unseen] = _object_counts(index.subjects, index.subject_objects, s[unseen],
-                                    num_entities)
+    counts[unseen] = _object_counts(subjects, subject_objects, s[unseen], num_entities)
     return counts * num_entities - np.arange(num_entities)
 
 

@@ -127,6 +127,13 @@ def text_lines(path: str, data: bytes | None = None, start: int = 1):
             yield lineno, line
 
 
+# An integer field of a fact or id line: ASCII digits with an optional sign,
+# padded by any whitespace but a tab (int() also reads `1_0` and other
+# scripts' digits; this does not).
+_FIELD = r"[^\S\t\n]*[+-]?[0-9]+[^\S\t\n]*"
+_ID = re.compile(_FIELD)
+
+
 def _read_id_file(path: str) -> list[str]:
     if not os.path.isfile(path):
         raise LoadError(f"missing vocabulary file: {path}")
@@ -135,11 +142,9 @@ def _read_id_file(path: str) -> list[str]:
         parts = line.split("\t")
         if len(parts) < 2:
             raise ParseError(path, lineno, f"expected `name<TAB>id`, got {line!r}")
-        try:
-            idx = int(parts[-1])
-        except ValueError:
+        if not _ID.fullmatch(parts[-1]):
             raise ParseError(path, lineno, f"id is not an integer: {parts[-1]!r}")
-        pairs.append((idx, parts[0]))
+        pairs.append((int(parts[-1]), parts[0]))
     pairs.sort()
     if [idx for idx, _ in pairs] != list(range(len(pairs))):
         raise LoadError(f"{path}: ids are not dense integers 0..{len(pairs) - 1}")
@@ -151,9 +156,6 @@ def _read_id_file(path: str) -> list[str]:
 
 
 # A fact line: four tab-separated integer fields, then any further columns.
-# A field is ASCII digits with an optional sign, padded by any whitespace but
-# a tab (int() also reads `1_0` and other scripts' digits; this does not).
-_FIELD = r"[^\S\t\n]*[+-]?[0-9]+[^\S\t\n]*"
 _FACT_LINE = re.compile(rf"(?:{_FIELD}\t){{3}}{_FIELD}(?:\t.*)?")
 # the first line of a text that is neither blank nor a fact line
 _BAD_FACT_LINE = re.compile(rf"^(?!(?:{_FACT_LINE.pattern})?$)", re.M)

@@ -19,9 +19,9 @@ exist. `literal` reads each target's logit through a sigmoid and sums:
 L = -sum sigmoid(logit[o]) (and the expert terms gated by the historical
 indicator). It is exact but saturates easily, so the default
 `cross_entropy` mode applies the usual log-softmax objective to the same
-scores, through `autodiff.pick_log_softmax`, which never keeps a
-(batch, |E|) array against stage 1's constant table. Both share every
-other moving part.
+scores, through `autodiff.pick_log_softmax`: it scores the whole batch
+in one (batch, |E|) buffer and, against stage 1's constant table, keeps
+only a (batch, d) array for backward. Both share every other moving part.
 """
 
 from __future__ import annotations

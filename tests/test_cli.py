@@ -126,6 +126,16 @@ class TestDataCommands:
         assert err.startswith("data error:") and "relation2id.txt:5" in err
         assert err.count("\n") == 1
 
+    def test_id_that_int_reads_exits_3(self, synth_dataset, tmp_path, capsys):
+        """`int()` reads `3_0` as 30, the next dense entity id."""
+        ds = str(tmp_path / "ds")
+        shutil.copytree(synth_dataset["dir"], ds)
+        path = os.path.join(ds, "entity2id.txt")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("extra\t3_0\n")
+        assert run(["stats", ds, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"data error: {path}:31: id is not an integer: '3_0'\n"
+
     @pytest.mark.parametrize("command", ["stats", "train"])
     def test_timestamp_above_int64_exits_3(self, synth_dataset, tmp_path, capsys, command):
         ds = str(tmp_path / "ds")

@@ -12,6 +12,7 @@ from meshtkg.history import (
     build_index,
     dataset_stats,
     naive_scores,
+    seen_objects,
 )
 from meshtkg.tkg import Quadruple
 
@@ -72,32 +73,22 @@ class TestFrequencyIndex:
         want = [int(any(f[:3] == q[:3] and f[3] < q[3] for f in facts)) for q in queries]
         assert got.tolist() == want
 
-    def test_counters_sum_to_corpus(self, np_gen):
-        facts = random_facts(np_gen, 157, 6, 3, 9)
-        index = build_index(facts)
-        pairs = np.array(sorted({(q.s, q.r) for q in facts}))
-        subjects = np.unique(pairs[:, 0])
-
-        def counts(s, r):
-            # scores are count * |E| - id
-            return (naive_scores(index, s, r, 6) + np.arange(6)) // 6
-
-        assert counts(pairs[:, 0], pairs[:, 1]).sum() == 157
-        # relation 3 never occurs, so every subject falls back to its own counts
-        assert counts(subjects, np.full(len(subjects), 3)).sum() == 157
+    def test_keeps_only_the_first_occurrences(self, np_gen):
+        index = build_index(random_facts(np_gen, 40, 6, 3, 9))
+        assert sorted(vars(index)) == ["first", "triples"]
 
 
-def naive_rank(index, s, r, o, filter_out=()):
+def naive_rank(seen, s, r, o, filter_out=()):
     """The baseline's filtered rank of o as `evaluate_naive` computes it."""
     known = np.array([(s, r, e, 0) for e in filter_out], dtype=np.int64).reshape(-1, 4)
-    _, filtered = filtered_ranks(naive_scores(index, s, r, 8), np.array([[s, r, o, 0]]), known)
+    _, filtered = filtered_ranks(naive_scores(seen, s, r, 8), np.array([[s, r, o, 0]]), known)
     return filtered[0]
 
 
-def naive_predict(index, s, r, num_entities):
+def naive_predict(seen, s, r, num_entities):
     """The baseline's full candidate ranking for (s, r, ?): descending
     count, then id."""
-    return np.argsort(-naive_scores(index, s, r, num_entities)[0])
+    return np.argsort(-naive_scores(seen, s, r, num_entities)[0])
 
 
 def oracle_naive_order(facts, s, r, num_entities):
@@ -109,49 +100,63 @@ def oracle_naive_order(facts, s, r, num_entities):
 
 
 class TestNaiveBaseline:
+    def test_counters_sum_to_corpus(self, np_gen):
+        facts = random_facts(np_gen, 157, 6, 3, 9)
+        seen = seen_objects(facts)
+        pairs = np.array(sorted({(q.s, q.r) for q in facts}))
+        subjects = np.unique(pairs[:, 0])
+
+        def counts(s, r):
+            # scores are count * |E| - id
+            return (naive_scores(seen, s, r, 6) + np.arange(6)) // 6
+
+        assert counts(pairs[:, 0], pairs[:, 1]).sum() == 157
+        # relation 3 never occurs, so every subject falls back to its own counts
+        assert counts(subjects, np.full(len(subjects), 3)).sum() == 157
+
     def test_count_order_forced(self):
         facts = [Quadruple(0, 0, 5, 0), Quadruple(0, 0, 5, 1), Quadruple(0, 0, 6, 2)]
-        index = build_index(facts)
-        ranking = naive_predict(index, 0, 0, num_entities=8)
+        seen = seen_objects(facts)
+        ranking = naive_predict(seen, 0, 0, num_entities=8)
         assert list(ranking[:2]) == [5, 6]
 
     def test_subject_fallback(self):
         facts = [Quadruple(0, 1, 4, 0), Quadruple(0, 1, 4, 1), Quadruple(0, 2, 3, 0)]
-        index = build_index(facts)
+        seen = seen_objects(facts)
         # relation 0 never seen with subject 0: falls back to subject counts
-        ranking = naive_predict(index, 0, 0, num_entities=6)
+        ranking = naive_predict(seen, 0, 0, num_entities=6)
         assert list(ranking[:2]) == [4, 3]
 
     def test_matches_counting_oracle(self, np_gen):
         facts = random_facts(np_gen, 50, 7, 3, 6)
-        index = build_index(facts)
+        seen = seen_objects(facts)
         for _ in range(20):
             s, r = int(np_gen.integers(7)), int(np_gen.integers(3))
-            got = list(naive_predict(index, s, r, num_entities=7))
+            got = list(naive_predict(seen, s, r, num_entities=7))
             assert got == oracle_naive_order(facts, s, r, 7)
 
     def test_ranking_is_permutation(self, np_gen):
         facts = random_facts(np_gen, 30, 9, 2, 4)
-        index = build_index(facts)
-        ranking = naive_predict(index, 3, 1, num_entities=9)
+        seen = seen_objects(facts)
+        ranking = naive_predict(seen, 3, 1, num_entities=9)
         assert sorted(ranking) == list(range(9))
 
     def test_naive_rank_agrees_with_full_ranking(self, np_gen):
         facts = random_facts(np_gen, 80, 8, 3, 7)
-        index = build_index(facts)
+        seen = seen_objects(facts)
         for _ in range(40):
             s, r, o = (int(np_gen.integers(8)), int(np_gen.integers(3)), int(np_gen.integers(8)))
             order = oracle_naive_order(facts, s, r, 8)
-            assert naive_rank(index, s, r, o) == order.index(o) + 1
+            assert naive_rank(seen, s, r, o) == order.index(o) + 1
 
     def test_naive_rank_filtering(self, np_gen):
         facts = random_facts(np_gen, 80, 8, 3, 7)
-        index = build_index(facts)
+        seen = seen_objects(facts)
         for _ in range(40):
             s, r, o = (int(np_gen.integers(8)), int(np_gen.integers(3)), int(np_gen.integers(8)))
             filter_out = {int(e) for e in np_gen.integers(8, size=3)} - {o}
             order = [e for e in oracle_naive_order(facts, s, r, 8) if e not in filter_out]
-            assert naive_rank(index, s, r, o, filter_out) == order.index(o) + 1
+            assert naive_rank(seen, s, r, o, filter_out) == order.index(o) + 1
 
 
 class TestDatasetStats:

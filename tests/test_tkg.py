@@ -47,6 +47,14 @@ MALFORMED_FILES = {
                               ":1: expected `name<TAB>id`, got 'e0 0'"),
     "non-integer id": ("relation2id.txt", "r0\t0\nr1\tone\n", ParseError,
                        ":2: id is not an integer: 'one'"),
+    "digit separator in an id": ("entity2id.txt", "e0\t0\ne1\t0_1\n", ParseError,
+                                 ":2: id is not an integer: '0_1'"),
+    "non-ASCII digit in an id": ("entity2id.txt", "e0\t0\ne1\t1\ne2\t\u0662\n", ParseError,
+                                 ":3: id is not an integer: '\u0662'"),
+    "decimal id": ("relation2id.txt", "r0\t1.0\n", ParseError,
+                   ":1: id is not an integer: '1.0'"),
+    "empty id": ("relation2id.txt", "r0\t0\nr1\t\n", ParseError,
+                 ":2: id is not an integer: ''"),
     "gap in the ids": ("entity2id.txt", "e0\t0\ne2\t2\n", LoadError,
                        ": ids are not dense integers 0..1"),
     "repeated id": ("entity2id.txt", "e0\t0\ne1\t0\n", LoadError,
@@ -112,6 +120,12 @@ class TestLoadDataset:
         with pytest.raises(error) as exc:
             load_dataset(d)
         assert str(exc.value) == path + message
+
+    def test_signed_and_padded_ids_are_read(self, tmp_path):
+        d = make_dir(tmp_path, [(0, 0, 1, 0)])
+        write_lines(os.path.join(d, "entity2id.txt"),
+                    ["e3\t 3", "e0\t0", "e4\t+4 ", "e1\t 1", "e2\t+2"])
+        assert load_dataset(d)[0].entity_names == ["e0", "e1", "e2", "e3", "e4"]
 
     def test_fixture_snapshot_sizes(self, tmp_path):
         # 6 facts over timestamps {0, 1, 2} with sizes 2 / 3 / 1

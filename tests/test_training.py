@@ -203,10 +203,10 @@ class TestStage1Losses:
         array with |E| in its shape, the |E|-wide picks, and the |E|-wide
         sigmoids. There is one pick for the major term, plus one for the
         expert queries (one per event) when the expert terms are on. The
-        cross-entropy picks score the frozen encoder's constant table in
-        row blocks, so no node outputs or keeps an |E|-wide array; the
-        literal loss reads one (B, |E|) score product per pick, and no
-        sigmoid runs |E|-wide: it puts only each event's picked logit
+        cross-entropy picks score the frozen encoder's constant table and
+        keep only a (B, d) product, so no node outputs or keeps an |E|-wide
+        array; the literal loss reads one (B, |E|) score product per pick,
+        and no sigmoid runs |E|-wide: it puts only each event's picked logit
         through one."""
         config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=0,
                               epochs_stage1=1, **overrides)

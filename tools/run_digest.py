@@ -11,8 +11,8 @@ settings, then a train and an eval run each with the structural path off,
 with the semantic path off, with the literal loss and the concatenated gate
 input, and with `--window 0` (every timestamp encoded with no history),
 and last a train and an eval run on a second stream of TINY's shape with
-40 facts per timestamp, whose 80 queries per batch cross a score block of
-`autodiff.pick_log_softmax`. Then it runs what those leave at their
+40 facts per timestamp, whose 80 queries per batch are the digest's one
+batch above 64 rows. Then it runs what those leave at their
 defaults: a train and an eval run each with no prediction expert, with
 the semantic gate input and in float64; a train run on a text embedding
 file and an eval run of it on the same rows in the binary layout (both

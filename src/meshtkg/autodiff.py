@@ -14,9 +14,18 @@ arrays: float64 for gradient checking, float32 for training.
 The tape holds tensor keys and, in each node's backward closure, only the
 arrays that backward reads: an intermediate output no backward reads is
 freed as soon as the caller drops its tensor, and ``backward`` frees each
-intermediate gradient once its node has consumed it. A gather's gradient
-stays row-sparse (``RowGrad``): ``backward`` adds its rows into the
-table's accumulator in place, so no zero table is built per gather.
+intermediate gradient once its node has consumed it. Such arrays are a
+1-byte mask for dropout, the output for sigmoid, tanh, ReLU and rrelu,
+and an operand only where the other operand needs a gradient. A gather's
+gradient stays row-sparse (``RowGrad``): ``backward`` adds its rows into
+the table's accumulator in place, so no zero table is built per gather.
+
+The kernels keep float32 in float32: a one-buffer sigmoid, rrelu as the
+branch-free max(RRELU_SLOPE * x, x) with its one fixed slope, a
+gate-major fused GRU cell (`gru`), an im2col `conv1d`, and the fused
+linear softmax cross-entropy `pick_log_softmax`, which scores the whole
+batch in one (B, |E|) buffer. Around them: `grad_check`, `adam_step`,
+and `named_tensors`, which names every Tensor of a dataclass record.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
 """Command-line entry point.
 
-Subcommands: prepare, stats, naive, emit-prompts, train, eval, analyze,
-sweep. Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numeric failure. Configuration layering (profile < config file <
-MESH_* environment < flags) lives in `config`; every command writes the
-fully resolved configuration to `<out>/config.echo`. A command that reports
-results prints its tables on stdout and writes its result records to
-`<out>/results.json`, which `json.load` reads back.
+Subcommands are the keys of `COMMANDS`. Exit codes: 0 success, 2
+configuration error, 3 data error, 4 numeric failure. Configuration
+layering (profile < config file < MESH_* environment < flags) lives in
+`config`; every command writes the fully resolved configuration to
+`<out>/config.echo`. A command that reports results prints its tables on
+stdout and writes its result records to `<out>/results.json`, which
+`json.load` reads back.
+
+Each RunConfig field but the positional dataset is one flag. `eval` and
+`analyze` are one command that differs only in what it prints, `train`
+and `sweep` share one training run (`_train_run`), and `write_results`
+is the one writer of `results.json`.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Precedence, lowest to highest: profile preset, config file (flat
 `key = value` lines), environment variables (`MESH_<KEY>`), command-line
 flags. Every run writes the fully resolved configuration to
 `config.echo`, and a run started from that echo reproduces the original
-bit for bit (same seed, same streams).
+bit for bit (same seed, same streams). Config files are read through
+`tkg.text_lines`. The RunConfig checks every field when it is built, with
+the allowed values of the enumerated fields in `CHOICES`, which the CLI
+shares; a `model.ModelSpec` is only derived from a checked RunConfig.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ plus self-loop transform) through L layers, then entity and relation
 tables evolve via gated recurrent cells. The learned transform runs only
 on the rows with an in-edge in the snapshot (a few hundred of ICEWS14's
 7,128 entities); every other row gets its self-loop transform alone.
-Encoding at time t reads only snapshots strictly before t.
+Encoding at time t reads only snapshots strictly before t. The frozen
+encoder's tables are cached per timestamp in one place,
+`frozen_encoding`, which stage 1 and evaluation read as constants.
 
 Semantic path: prompts rendered per entity/relation name are handed to an
 external text encoder offline; its output embeddings come back through a
@@ -27,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng
 from .autodiff import Tensor
-from .tkg import DatasetError, Vocabulary, text_lines
+from .tkg import _ID, DatasetError, Vocabulary, text_lines
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +162,8 @@ def frozen_encoding(params: StructuralEncoderParams, snapshots: list, t: int,
                     cache: dict) -> tuple[Tensor, Tensor]:
     """The frozen, dropout-free encoder's (H, R) at t as constant Tensors; a
     miss encodes them, recording nothing on a tape that is not given the
-    encoder's parameters, and stores the arrays under t."""
+    encoder's parameters, and stores the arrays under t. The one cache of
+    the frozen tables, for stage 1 and evaluation alike."""
     if t not in cache:
         cache[t] = tuple(x.values for x in encode_structural(params, snapshots, t))
     return tuple(Tensor(v) for v in cache[t])
@@ -224,17 +227,27 @@ class SemanticEmbeddingTable:
 THREADED_WIDTH = 768
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on; all of them where the OS cannot
+    say (no `os.sched_getaffinity`, as on macOS and Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def synthetic_embeddings(vocab: Vocabulary, dim: int, seed: int) -> SemanticEmbeddingTable:
     """Unit-variance pseudo-normal rows, each determined solely by
     (seed, kind, id); a stand-in for text-encoder hidden states. Row i is
     the float64 `standard_normal(dim)` draw of `rng.stream(seed, kind, i)`,
-    rounded to float32."""
+    rounded to float32. Rows THREADED_WIDTH or wider are drawn on every
+    core the process may use, by one re-keyed bit generator and row buffer
+    per worker; the rows do not depend on the worker count."""
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
     entity = np.empty((vocab.num_entities, dim), dtype=np.float32)
     relation = np.empty((vocab.num_relations, dim), dtype=np.float32)
     blocks = ((entity, rng.SYNTH_ENTITY), (relation, rng.SYNTH_RELATION))
-    workers = len(os.sched_getaffinity(0)) if dim >= THREADED_WIDTH else 1
+    workers = _usable_cores() if dim >= THREADED_WIDTH else 1
 
     def draw(part: int) -> None:
         """Share `part` of `workers` of each block's rows, drawn through one
@@ -289,7 +302,18 @@ def save_semantic_embeddings(path: str, table: SemanticEmbeddingTable, binary: b
 
 def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingTable:
     """Read a table in the layout its header's version names; every id must
-    be covered."""
+    be covered.
+
+    A header declaring more values than the body can hold (at least 2 bytes
+    per text value, exactly 4 per packed one) is refused before any table
+    is allocated. Each text row is checked where it is parsed, and refused
+    at its `path:line`: an id that is not an integer by the id and fact
+    files' field rule, a value that is not a number, beyond the float32
+    range, `inf` or `nan`, a byte that is not UTF-8, and a kind and id an
+    earlier row gave. An id that no row gives leaves its row NaN, and the
+    file is refused naming the first ten such ids per kind. Packed rows
+    are checked once, and the first non-finite one is named by kind and
+    id."""
     if not os.path.isfile(path):
         raise EmbeddingFormatError(f"missing embedding file: {path}")
     with open(path, "rb") as fh:
@@ -337,10 +361,9 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
         if len(fields) != 3 or fields[0] not in tables:
             raise EmbeddingFormatError(f"{path}:{lineno}: expected `E|R<TAB>id<TAB>values`")
         kind, idx_s, vals = fields
-        try:
-            idx = int(idx_s)
-        except ValueError:
+        if not _ID.fullmatch(idx_s):
             raise EmbeddingFormatError(f"{path}:{lineno}: id is not an integer: {idx_s!r}")
+        idx = int(idx_s)
         try:
             with np.errstate(over="raise"):
                 row = np.array(vals.split(), dtype=np.float32)

@@ -6,6 +6,11 @@ Protocol: every fact of the evaluated split is queried in both directions
 filtering"). Ties get the mid-rank, so the outcome does not depend on
 candidate enumeration order, and any strictly monotone transform of the
 scores (logits vs probabilities) yields identical metrics.
+
+`filtered_ranks` is the one ranking kernel: one vectorised call per
+snapshot gives its raw and filtered rank arrays, and a split's ranks
+become one per-query record array (`EvalResult.results`). `evaluate` is
+the one scorer of a split, for `eval`, `analyze` and stage-1 validation.
 """
 
 from __future__ import annotations
@@ -275,7 +280,10 @@ def evaluate(model: MeshModel, vocab: Vocabulary, train: TemporalKG, valid: Temp
 
 def evaluate_naive(vocab: Vocabulary, train: TemporalKG, valid: TemporalKG,
                    test: TemporalKG, split: str = "test") -> EvalResult:
-    """Frequency-ranking baseline under the same filtered protocol."""
+    """Frequency-ranking baseline under the same filtered protocol. It
+    counts training facts only, while the historical indicator and the
+    model's encoder read every fact before the query time, across splits;
+    the filter still takes every split's facts."""
     augmented, known, query, indicators = _query_split(train, valid, test, vocab.num_relations,
                                                        split)
     seen = history.seen_objects(augmented[0].array)

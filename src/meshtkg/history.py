@@ -3,12 +3,17 @@
 The frequency index answers, for any (s, r, o, t), whether the triple
 (s, r, o) occurred strictly before t: the binary indicator that
 classifies events as historical or non-historical. Only a triple's
-first occurrence decides it, so that is all the index keeps per triple.
+first occurrence decides it, so that is all the index keeps per triple:
+sorted packed (s, r, o) keys with each one's first time. Callers ask it
+once per split, with arrays.
 
 The naive baseline ranks candidate objects for a query (s, r, ?, t) by
 how often they were seen with (s, r) in training; if the pair was never
 seen, by how often they were seen with s under any relation. It needs no
 training and is surprisingly competitive on repetitive event streams.
+Its sorted (s, r) pairs and subjects (`seen_objects`) are built by
+`evaluation.evaluate_naive` alone. `dataset_stats` gives the split sizes
+and the historical share of the test set (`StatsReport`).
 """
 
 from __future__ import annotations

@@ -9,9 +9,13 @@ expert outputs into the final query vector. The gates and the weights
 are one column per expert of two matrices, so the layer is one pass for
 any expert count. Entities are scored by their logits against the
 entity table: ranking reads `score_logits` directly, which gives the same
-ranks as probabilities would. The losses take the query and the table
-that `forward_queries` returns and score them themselves (see
-`training`), so the forward pass builds no (batch, |E|) array.
+ranks as probabilities would, and so does the literal loss. The losses
+take the query and the table that `forward_queries` returns and score
+them themselves (see `training`), so the forward pass builds no
+(batch, |E|) array. `forward_queries` is the one forward path of stage 0,
+stage 1 and evaluation. `MeshModel`'s fields are the parameter schema:
+every parameter name, training group and checkpoint blob comes from one
+`named_tensors` walk.
 """
 
 from __future__ import annotations

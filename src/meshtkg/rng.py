@@ -4,7 +4,9 @@ Every stochastic choice in the package (init, dropout masks, history
 subsampling, synthetic embeddings) draws from a Philox counter-based
 generator keyed by (seed, domain, index). Philox output is fixed by its
 key, so results are reproducible across runs and platforms, and streams
-for different purposes never interact.
+for different purposes never interact. `stream` builds a generator and
+`rekey` resets a bit generator to a stream's start (key, counter and
+buffer), so no stream reads OS entropy.
 """
 
 import numpy as np

@@ -9,6 +9,19 @@ A dataset directory holds five UTF-8 text files:
 Raw timestamps (day indices or hours since epoch, depending on the
 distribution) are re-indexed to their dense rank over the union of all
 splits: the k-th smallest distinct raw time becomes k, for 0..T-1.
+
+A split is one `TemporalKG`, a time-sorted (N, 4) int64 array cut into
+per-timestamp blocks by `snapshots`. Around it: loading, inverse
+augmentation, merging (concatenate, then stable sort), temporal
+resplitting and history dropping.
+
+`read_text` and `text_lines` are the one reader of every text input:
+dataset files, config files and embedding text rows. A fact file is
+parsed in one `np.loadtxt` pass, then range-, sign- and order-checked as
+arrays; only when that fails is the first refused line searched for, by
+the same field rule (`_FIELD`) and the same row checks. A vocabulary
+beyond `history`'s packed-key range (2**ID_BITS entities, 2**(ID_BITS-1)
+relations, since inverse relations double their ids) is refused at load.
 """
 
 from __future__ import annotations

@@ -184,7 +184,14 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
                 verbose=None) -> TrainResult:
     """Run both training stages and keep the parameters of the stage-1
     epoch with the best validation MRR, as `evaluate(split="valid")`
-    measures it."""
+    measures it.
+
+    The process's heap policy is set first (`_keep_freed_heap`). Stage 0
+    trains the parameters under the field paths "encoder." and
+    "decoder_g." through `forward_queries` with the semantic path off;
+    stage 1 trains every parameter but the frozen "encoder." group. Stage
+    1's tape never names the encoder, so `frozen_encoding` fills its cache
+    inside the first epoch's steps and records nothing."""
     _keep_freed_heap()
     ablation = AblationConfig.from_config(config)
 
@@ -296,6 +303,8 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
 # checkpoints
 
 CHECKPOINT_MAGIC = "meshckpt"
+# version 2 kept one gate tensor per expert and version 3 had no checksum;
+# a file of another version is refused and must be retrained
 CHECKPOINT_VERSION = 4
 
 

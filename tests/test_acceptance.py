@@ -1,6 +1,15 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 PASS/FAIL line (run with `pytest -s` to see them inline).
 
+The criteria: (1) dataset statistics and (2) the naive baseline against
+published numbers; (3) gradient integrity of every autodiff primitive and
+the composed pipeline against central differences; (4) the literal loss
+formulas against brute-force loops; (5) the bit-exact decomposition of the
+fused query into historical + non-historical parts; (6) ranking metrics
+against a sort-based oracle; (7) the stage-0 freeze invariant; (8)
+desk-scale learning on ICEWS14; (9) training determinism and checkpoint
+round-trips; (10) gate symmetry at initialisation.
+
 Criteria 1, 2, and 8 check published reference numbers on the real ICEWS
 benchmark datasets. Those directories are not redistributable with this
 package; point MESH_DATA_DIR (default: ./data) at a directory containing

@@ -710,6 +710,21 @@ def test_embedding_value_beyond_float32_exits_3(synth_dataset, tmp_path, capsys)
                                        f"float32 range\n")
 
 
+@pytest.mark.parametrize("row_id", ["0_2", "\u0662"])
+def test_embedding_id_not_in_ascii_digits_exits_3(row_id, synth_dataset, tmp_path, capsys):
+    """An id that int() reads as 2 is refused at its line, not filled into row 2."""
+    path = str(tmp_path / "wide.emb")
+    save_semantic_embeddings(path, synthetic_embeddings(synth_dataset["vocab"], 4, seed=5))
+    lines = read(path).splitlines(keepends=True)
+    lines[3] = lines[3].replace("E\t2\t", f"E\t{row_id}\t", 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    out = str(tmp_path / "out")
+    assert run(["train", synth_dataset["dir"], *micro_flags(out), "--embeddings", path]) == 3
+    assert capsys.readouterr().err == (f"data error: {path}:4: id is not an integer: "
+                                       f"{row_id!r}\n")
+
+
 @pytest.mark.parametrize("command", ["stats", "naive"])
 def test_vocabulary_beyond_packed_keys_exits_3(command, synth_dataset, tmp_path, capsys,
                                                 monkeypatch):

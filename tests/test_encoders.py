@@ -462,6 +462,17 @@ class TestSemanticTables:
         assert got.entity.tobytes() == want.entity.tobytes()
         assert got.relation.tobytes() == want.relation.tobytes()
 
+    def test_synthetic_rows_without_sched_getaffinity(self, monkeypatch):
+        """Where the OS has no affinity call, the threaded width draws over
+        `os.cpu_count()` workers the bytes it draws on Linux."""
+        vocab = make_vocab(5, 2)
+        want = synthetic_embeddings(vocab, encoders.THREADED_WIDTH, seed=2)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        got = synthetic_embeddings(vocab, encoders.THREADED_WIDTH, seed=2)
+        assert got.entity.tobytes() == want.entity.tobytes()
+        assert got.relation.tobytes() == want.relation.tobytes()
+
     def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
         """Two workers split the 5 entity rows 2 / 3: row 4 is the second's."""
         rekey = rng.rekey
@@ -583,6 +594,11 @@ class TestSemanticTables:
         (b"tkg-emb x 3 4\n", EmbeddingFormatError, "bad header"),
         (b"tkg-emb 1 2 2\nE\tzero\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
          "emb:2: id is not an integer"),
+        # ids that int() reads as 0 but the id and fact files' field rule refuses
+        (b"tkg-emb 1 2 2\nE\t0_0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+         "emb:2: id is not an integer: '0_0'"),
+        ("tkg-emb 1 2 2\nE\t0\t1 2\nR\t\u0660\t1 2\n".encode(), EmbeddingFormatError,
+         "emb:3: id is not an integer: '\u0660'"),
         (b"tkg-emb 1 2 2\nE\t0\t1 2\nR\t0\t1 \xff\n", ParseError, "emb:3: byte 0xff is not UTF-8"),
         (b"tkg-emb 1 2 -4\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError, "width -4"),
         (b"tkg-emb 1 2 0\n", EmbeddingFormatError, "width 0"),
@@ -613,7 +629,7 @@ class TestSemanticTables:
         # a version-1 body is text rows, whatever its length
         (b"tkg-emb 1 2 2\n" + np.array([1, 2, 1, 3], dtype="<f4").tobytes(),
          ParseError, "emb:2: byte 0x80 is not UTF-8"),
-    ], ids=["header", "row_id", "utf8", "negative_dim", "zero_dim", "sizes_beyond_memory",
+    ], ids=["header", "row_id", "row_id_underscore", "row_id_other_script", "utf8", "negative_dim", "zero_dim", "sizes_beyond_memory",
             "missing_file", "version", "row_count", "malformed_row", "non_numeric",
             "id_outside_vocabulary", "repeated_id", "inf", "nan_after_blank_line", "non_finite_binary_row",
             "packed_length", "packed_body_under_text_version"])

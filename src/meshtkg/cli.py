@@ -5,8 +5,8 @@ configuration error, 3 data error, 4 numeric failure. Configuration
 layering (profile < config file < MESH_* environment < flags) lives in
 `config`; every command writes the fully resolved configuration to
 `<out>/config.echo`. A command that reports results prints its tables on
-stdout and writes its result records to `<out>/results.json`, which
-`json.load` reads back.
+stdout, all in one layout (`text_table`), and writes its result records to
+`<out>/results.json`, which `json.load` reads back.
 
 Each RunConfig field but the positional dataset is one flag. `eval` and
 `analyze` are one command that differs only in what it prints, `train`
@@ -17,10 +17,11 @@ is the one writer of `results.json`.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 
 from . import config as cfg
 from . import evaluation as ev
@@ -42,8 +43,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-# eval and analyze take the switches of the forward pass only
-EVAL_FLAGS = ("out", "embeddings", *(f.name for f in fields(AblationConfig)))
+# eval and analyze take the switches of the forward pass only, from the
+# environment and the flags; --out is a flag alone, since a MESH_OUT set for
+# a training run names that run's own directory
+EVAL_KEYS = ("dataset", "embeddings", *(f.name for f in fields(AblationConfig)))
+EVAL_FLAGS = ("out", *EVAL_KEYS[1:])
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names=None) -> None:
@@ -119,6 +123,30 @@ def _eval_records(result: ev.EvalResult) -> dict:
     return {**dict(result.named_reports()), "gates": result.gate_stats}
 
 
+def text_table(rows, note: str = "") -> str:
+    """The one layout of the stdout tables: each column left-aligned to its
+    widest cell, columns two blanks apart, trailing blanks cut; a row may
+    end before the last column. A note follows in parentheses on its own
+    line."""
+    widths = [max(map(len, column)) for column in itertools.zip_longest(*rows, fillvalue="")]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+             for row in rows]
+    return "".join(line + "\n" for line in lines + ([f"({note})"] if note else []))
+
+
+def _fixed(value, digits: int, scale: float = 1.0) -> str:
+    return "n/a" if value is None else f"{scale * value:.{digits}f}"
+
+
+def _metrics_table(named_reports) -> str:
+    rows = [["bucket", "queries", "MRR", "H@1", "H@3", "H@10"]]
+    for name, m in named_reports:
+        rows.append([name, str(m.count),
+                     *(_fixed(v, 2, 100.0) for v in (m.mrr, m.hits1, m.hits3, m.hits10))])
+    empty = [name for name, m in named_reports if not m.count]
+    return text_table(rows, f"empty bucket: {', '.join(empty)}" if empty else "")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -139,7 +167,11 @@ def cmd_stats(args) -> int:
     _write_echo(config)
     vocab, train, valid, test = _load_data(config)
     report = history.dataset_stats(vocab, train, valid, test)
-    print(report.to_text(), end="")
+    # StatsReport's fields in order: seven counts, then the historical rate
+    labels = ("|E|", "|R|", "train", "valid", "test", "|T|", "|F_his|")
+    rows = [[label, str(count)] for label, count in zip(labels, astuple(report))]
+    rate = _fixed(report.historical_rate, 1, 100.0) + "%"
+    print(text_table([*rows, ["Rate_his", rate]]), end="")
     write_results(config.out, report)
     return 0
 
@@ -149,7 +181,7 @@ def cmd_naive(args) -> int:
     _write_echo(config)
     vocab, train, valid, test = _load_data(config)
     result = ev.evaluate_naive(vocab, train, valid, test, split=args.split)
-    print(ev.format_reports(result.named_reports()), end="")
+    print(_metrics_table(result.named_reports()), end="")
     write_results(config.out, dict(result.named_reports()))
     return 0
 
@@ -192,14 +224,16 @@ def cmd_eval(args) -> int:
     """`eval` prints the metrics, `analyze` the gate statistics; both write
     the same results. Both write to `--out` only, never to the directory
     recorded in the checkpoint, which holds the training run's own
-    `config.echo`."""
+    `config.echo`. The `EVAL_KEYS` of the environment override the
+    checkpoint's configuration, and the flags override both."""
     if args.out is None:
         raise CliError(f"{args.command} needs --out, the directory for its results")
     model, header = training.load_checkpoint(args.checkpoint)
     flags = {key: getattr(args, key, None) for key in ("dataset", *EVAL_FLAGS)}
     try:
-        config = replace(header["config"],
-                         **{key: value for key, value in flags.items() if value is not None})
+        layers = cfg.env_overrides(names=EVAL_KEYS)
+        layers.update({key: value for key, value in flags.items() if value is not None})
+        config = replace(header["config"], **layers)
     except ValueError as exc:
         raise CliError(str(exc))
     if not config.dataset:
@@ -219,9 +253,16 @@ def cmd_eval(args) -> int:
     result = ev.evaluate(model, vocab, train, valid, test, sem,
                          ablation=AblationConfig.from_config(config), split=args.split)
     if args.command == "eval":
-        print(ev.format_reports(result.named_reports()), end="")
+        print(_metrics_table(result.named_reports()), end="")
     else:
-        print(result.gate_stats.to_text(), end="")
+        g = result.gate_stats
+        print(text_table([
+            ["alpha_1", "Historical", "Non-Historical"],
+            ["Mean", _fixed(g.mean_his, 4), _fixed(g.mean_nhis, 4)],
+            ["Std", _fixed(g.std_his, 4), _fixed(g.std_nhis, 4)],
+            ["n", str(g.n_his), str(g.n_nhis)],
+            ["p-value", _fixed(g.p_value, 6)],
+        ], g.note), end="")
     write_results(config.out, _eval_records(result))
     return 0
 

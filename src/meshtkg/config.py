@@ -158,10 +158,12 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def env_overrides(environ=None) -> dict:
+def env_overrides(environ=None, names=tuple(RunConfig.__dataclass_fields__)) -> dict:
+    """The `MESH_<KEY>` variables of `environ` (the process environment by
+    default) for the RunConfig fields in `names`, each parsed as its field."""
     environ = os.environ if environ is None else environ
     values = {}
-    for name in RunConfig.__dataclass_fields__:
+    for name in names:
         variable = f"MESH_{name.upper()}"
         if variable in environ:
             try:

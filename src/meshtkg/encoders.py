@@ -304,16 +304,17 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
     """Read a table in the layout its header's version names; every id must
     be covered.
 
-    A header declaring more values than the body can hold (at least 2 bytes
-    per text value, exactly 4 per packed one) is refused before any table
-    is allocated. Each text row is checked where it is parsed, and refused
-    at its `path:line`: an id that is not an integer by the id and fact
-    files' field rule, a value that is not a number, beyond the float32
-    range, `inf` or `nan`, a byte that is not UTF-8, and a kind and id an
-    earlier row gave. An id that no row gives leaves its row NaN, and the
-    file is refused naming the first ten such ids per kind. Packed rows
-    are checked once, and the first non-finite one is named by kind and
-    id."""
+    A header whose version, row count or width is not an integer by the id
+    and fact files' field rule is refused, and so is one declaring more
+    values than the body can hold (at least 2 bytes per text value, exactly
+    4 per packed one), before any table is allocated. Each text row is
+    checked where it is parsed, and refused at its `path:line`: an id that
+    is not an integer by the id and fact files' field rule, a value that is
+    not a number, beyond the float32 range, `inf` or `nan`, a byte that is
+    not UTF-8, and a kind and id an earlier row gave. An id that no row
+    gives leaves its row NaN, and the file is refused naming the first ten
+    such ids per kind. Packed rows are checked once, and the first
+    non-finite one is named by kind and id."""
     if not os.path.isfile(path):
         raise EmbeddingFormatError(f"missing embedding file: {path}")
     with open(path, "rb") as fh:
@@ -323,7 +324,7 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
             magic, version, rows, dim = parts[0], *map(int, parts[1:])
         except (IndexError, ValueError):
             magic = None
-        if magic != MAGIC:
+        if magic != MAGIC or not all(map(_ID.fullmatch, parts[1:])):
             raise EmbeddingFormatError(f"{path}: bad header {header!r}")
         if dim < 1:
             raise EmbeddingFormatError(f"{path}: header declares width {dim}, need at least 1")

@@ -7,10 +7,11 @@ filtering"). Ties get the mid-rank, so the outcome does not depend on
 candidate enumeration order, and any strictly monotone transform of the
 scores (logits vs probabilities) yields identical metrics.
 
-`filtered_ranks` is the one ranking kernel: one vectorised call per
-snapshot gives its raw and filtered rank arrays, and a split's ranks
-become one per-query record array (`EvalResult.results`). `evaluate` is
-the one scorer of a split, for `eval`, `analyze` and stage-1 validation.
+`filtered_ranks` is the one ranking kernel, called once per snapshot by
+`ranked_queries`, the one loop over a split, whose scorer is the model's
+(`evaluate`, for `eval`, `analyze` and stage-1 validation) or the naive
+baseline's (`evaluate_naive`). A split's ranks become one per-query
+record array (`EvalResult.results`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 from . import history
 from .autodiff import NumericError
@@ -34,27 +35,6 @@ class MetricsReport:
     hits3: float | None
     hits10: float | None
     count: int
-
-    @property
-    def empty(self) -> bool:
-        return self.count == 0
-
-    def row(self, bucket: str) -> list[str]:
-        def fmt(v):
-            return "n/a" if v is None else f"{100.0 * v:.2f}"
-
-        return [bucket, str(self.count), fmt(self.mrr), fmt(self.hits1), fmt(self.hits3), fmt(self.hits10)]
-
-
-def format_reports(named_reports: list[tuple[str, "MetricsReport"]]) -> str:
-    header = ["bucket", "queries", "MRR", "H@1", "H@3", "H@10"]
-    rows = [header] + [report.row(name) for name, report in named_reports]
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-    empties = [name for name, report in named_reports if report.empty]
-    if empties:
-        lines.append(f"(empty bucket: {', '.join(empties)})")
-    return "\n".join(lines) + "\n"
 
 
 def compute_metrics(ranks) -> MetricsReport:
@@ -95,19 +75,6 @@ class GateStats:
     p_value: float | None = None
     note: str = ""
 
-    def to_text(self) -> str:
-        def fmt(v, digits=4):
-            return "n/a" if v is None else f"{v:.{digits}f}"
-
-        lines = [
-            "alpha_1      Historical  Non-Historical",
-            f"Mean         {fmt(self.mean_his)}      {fmt(self.mean_nhis)}",
-            f"Std          {fmt(self.std_his)}      {fmt(self.std_nhis)}",
-            f"n            {self.n_his}           {self.n_nhis}",
-            f"p-value      {fmt(self.p_value, 6)}" + (f"  ({self.note})" if self.note else ""),
-        ]
-        return "\n".join(lines) + "\n"
-
 
 def welch_t(mean1, var1, n1, mean2, var2, n2) -> tuple[float, float]:
     """Unequal-variance t statistic and its degrees of freedom."""
@@ -137,7 +104,7 @@ def gate_statistics(alpha_his, alpha_nhis) -> GateStats:
     t, df = welch_t(out.mean_his, np.var(a1, ddof=1), a1.size,
                     out.mean_nhis, np.var(a2, ddof=1), a2.size)
     out.t_stat = t
-    out.p_value = float(sps.t.sf(t, df))
+    out.p_value = float(stdtr(df, -t))   # the upper tail, as scipy.stats.t.sf(t, df)
     return out
 
 
@@ -196,51 +163,58 @@ def _eval_result(query: TemporalKG, indicators: np.ndarray, raw: np.ndarray,
                       results)
 
 
-def ranked_queries(model: MeshModel, sem: SemanticEmbeddingTable, cond: TemporalKG,
-                   query: TemporalKG, known: TemporalKG,
-                   ablation: AblationConfig | None = None,
-                   encode_cache: dict | None = None):
-    """Rank every query of `query` (already inverse-augmented) with the
-    encoder conditioned on `cond`, which holds the queried timestamps, and
-    each query's filter taken from `known`'s facts at its timestamp.
+def ranked_queries(query: TemporalKG, known: TemporalKG, scores):
+    """Rank every query of `query` (already inverse-augmented), each query's
+    filter taken from `known`'s facts at its timestamp, by the scorer
+    `scores(t, rows)`: the (B, |E|) scores of one snapshot's rows.
 
-    Returns (raw, filtered, alpha) aligned with `query.array`: the ranks
-    and the prediction expert's weight on the first expert, or None for
-    alpha when the ablation runs no prediction expert. The encoder output
-    per timestamp can be cached across calls via `encode_cache` because
-    the evaluation-mode encoder is a pure function of its frozen parameters;
-    without one, each timestamp's encoding is dropped once it is ranked.
-    With finite parameters and rows, a score can only turn non-finite by an
-    overflow or invalid operation, which raises NumericError.
+    Returns the (raw, filtered) ranks aligned with `query.array`. An
+    overflow or invalid operation while a snapshot is scored raises
+    NumericError naming the split and timestamp; with finite parameters and
+    rows, that is the only way a model score can turn non-finite.
     """
-    ablation = ablation or AblationConfig()
-    sem_table = None
-    known_at, cond_at = known.snapshots(), cond.snapshots()
-    ranks, alphas = [], []
+    known_at = known.snapshots()
+    ranks = []
     for t, rows in enumerate(query.snapshots()):
         if not len(rows):
             continue
-        H = R = None
         try:
             with np.errstate(over="raise", invalid="raise"):
-                if not ablation.disable_structural:
-                    H, R = frozen_encoding(model.encoder, cond_at, t,
-                                           {} if encode_cache is None else encode_cache)
-                elif sem_table is None:
-                    sem_table = adapt_rows(model.adapter.f_h, sem.entity)
-                bundle = forward_queries(
-                    model, H, R, sem, rows[:, 0], rows[:, 1],
-                    ablation=ablation, semantic_entity_table=sem_table,
-                )
-                ranks.append(filtered_ranks(score_logits(bundle.q, bundle.score_table).values,
-                                            rows, known_at[t]))
+                ranks.append(filtered_ranks(scores(t, rows), rows, known_at[t]))
         except FloatingPointError as exc:
             raise NumericError(f"non-finite scores in the {query.split} split, "
                                f"timestamp {t}: {exc}") from None
+    return tuple(np.concatenate(column) for column in zip(*ranks))
+
+
+def model_scores(model: MeshModel, sem: SemanticEmbeddingTable, cond: TemporalKG,
+                 alphas: list, ablation: AblationConfig | None = None,
+                 encode_cache: dict | None = None):
+    """The model's scorer for `ranked_queries`, the encoder conditioned on
+    `cond`, which holds the queried timestamps; each call appends the
+    prediction expert's weight on the first expert to `alphas`, if the
+    ablation runs that expert. `encode_cache` keeps each timestamp's
+    encoding across calls (the evaluation-mode encoder is a pure function
+    of its frozen parameters); without one, it is dropped once scored."""
+    ablation = ablation or AblationConfig()
+    cond_at = cond.snapshots()
+    sem_table = None
+
+    def scores(t, rows):
+        nonlocal sem_table
+        H = R = None
+        if not ablation.disable_structural:
+            H, R = frozen_encoding(model.encoder, cond_at, t,
+                                   {} if encode_cache is None else encode_cache)
+        elif sem_table is None:
+            sem_table = adapt_rows(model.adapter.f_h, sem.entity)
+        bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
+                                 ablation=ablation, semantic_entity_table=sem_table)
         if bundle.alphas is not None:
             alphas.append(bundle.alphas.values[:, 0])
-    raw, filtered = (np.concatenate(column) for column in zip(*ranks))
-    return raw, filtered, np.concatenate(alphas) if alphas else None
+        return score_logits(bundle.q, bundle.score_table).values
+
+    return scores
 
 
 def _query_split(train: TemporalKG, valid: TemporalKG, test: TemporalKG, num_relations: int,
@@ -268,12 +242,14 @@ def evaluate(model: MeshModel, vocab: Vocabulary, train: TemporalKG, valid: Temp
     augmented, known, query, indicators = _query_split(train, valid, test, vocab.num_relations,
                                                        split)
     cond = known if split == "test" else merge(*augmented[:2])
-    raw, filtered, alpha = ranked_queries(model, sem, cond, query, known,
-                                          ablation=ablation, encode_cache=encode_cache)
-    if alpha is None:
+    alphas = []
+    raw, filtered = ranked_queries(query, known, model_scores(model, sem, cond, alphas, ablation,
+                                                              encode_cache))
+    if not alphas:
         off = [name for name, on in vars(ablation).items() if on]
         gates = GateStats(note=f"no prediction-expert weights under {', '.join(off)}")
     else:
+        alpha = np.concatenate(alphas)
         gates = gate_statistics(alpha[indicators == 1], alpha[indicators == 0])
     return _eval_result(query, indicators, raw, filtered, gates)
 
@@ -287,10 +263,6 @@ def evaluate_naive(vocab: Vocabulary, train: TemporalKG, valid: TemporalKG,
     augmented, known, query, indicators = _query_split(train, valid, test, vocab.num_relations,
                                                        split)
     seen = history.seen_objects(augmented[0].array)
-    ranks = [
-        filtered_ranks(history.naive_scores(seen, rows[:, 0], rows[:, 1], vocab.num_entities),
-                       rows, known_rows)
-        for rows, known_rows in zip(query.snapshots(), known.snapshots())
-    ]
-    raw, filtered = (np.concatenate(column) for column in zip(*ranks))
+    raw, filtered = ranked_queries(query, known, lambda t, rows: history.naive_scores(
+        seen, rows[:, 0], rows[:, 1], vocab.num_entities))
     return _eval_result(query, indicators, raw, filtered, GateStats())

@@ -119,20 +119,6 @@ class StatsReport:
     historical_test: int
     historical_rate: float
 
-    def to_text(self) -> str:
-        rows = [
-            ("|E|", str(self.num_entities)),
-            ("|R|", str(self.num_relations)),
-            ("train", str(self.num_train)),
-            ("valid", str(self.num_valid)),
-            ("test", str(self.num_test)),
-            ("|T|", str(self.num_timestamps)),
-            ("|F_his|", str(self.historical_test)),
-            ("Rate_his", f"{100.0 * self.historical_rate:.1f}%"),
-        ]
-        width = max(len(k) for k, _ in rows)
-        return "\n".join(f"{k:<{width}}  {v}" for k, v in rows) + "\n"
-
 
 def dataset_stats(vocab: Vocabulary, train: TemporalKG, valid: TemporalKG, test: TemporalKG) -> StatsReport:
     """Split sizes plus the historical share of the test set.

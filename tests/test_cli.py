@@ -4,6 +4,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict, fields
@@ -102,6 +104,15 @@ class TestDataCommands:
         assert buckets["all"]["count"] == (buckets["historical"]["count"]
                                            + buckets["non-historical"]["count"])
         assert sorted(os.listdir(out)) == ["config.echo", "results.json"]
+
+    def test_naive_names_an_empty_bucket(self, tiny_dataset_dir, tmp_path, capsys):
+        # every test fact of the tiny dataset repeats a training fact
+        out = str(tmp_path / "o")
+        assert run(["naive", tiny_dataset_dir, "--out", out]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-2].split() == ["non-historical", "0", "n/a", "n/a", "n/a", "n/a"]
+        assert printed[-1] == "(empty bucket: non-historical)"
+        assert results(out)["non-historical"]["mrr"] is None
 
     def test_emit_prompts(self, synth_dataset, tmp_path):
         out = str(tmp_path / "o")
@@ -279,6 +290,13 @@ class TestTrainEvalCommands:
         assert run(["analyze", ckpt, synth_dataset["dir"], "--out", out2]) == 0
         printed = capsys.readouterr().out
         assert "alpha_1" in printed and "MRR" not in printed
+        # each cell of the gate table starts under its column's header
+        header, _, _, counts, p_value = printed.splitlines()
+        gates = results(out2)["gates"]
+        assert counts.split() == ["n", str(gates["n_his"]), str(gates["n_nhis"])]
+        starts = [[cell.start() for cell in re.finditer(r"\S+", line)] for line in (header, counts)]
+        assert starts[0] == starts[1]
+        assert p_value.split() == ["p-value", f"{gates['p_value']:.6f}"]
         # the two commands write the same results and differ only in what they print
         assert read(os.path.join(out2, "results.json")) == read(os.path.join(out, "results.json"))
         assert sorted(os.listdir(out2)) == ["config.echo", "results.json"]
@@ -294,7 +312,7 @@ class TestTrainEvalCommands:
         assert f"{results(out)['all']['mrr']:.6f}" == max(logged, key=float)
 
     def test_analyze_without_prediction_expert_reports_no_statistics(
-            self, synth_dataset, train_dir, tmp_path):
+            self, synth_dataset, train_dir, tmp_path, capsys):
         # the fixed uniform weights of the ablation are no measurement to test
         out = str(tmp_path / "an")
         assert run(["analyze", os.path.join(train_dir, "checkpoint.mesh"), synth_dataset["dir"],
@@ -302,6 +320,52 @@ class TestTrainEvalCommands:
         gates = results(out)["gates"]
         assert gates["mean_his"] is None and gates["mean_nhis"] is None
         assert gates["p_value"] is None and "disable_prediction_expert" in gates["note"]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1].split() == ["Mean", "n/a", "n/a"]
+        assert printed[-2:] == ["p-value  n/a", f"({gates['note']})"]
+
+    def test_analyze_with_a_bucket_below_two_samples(self, synth_dataset, train_dir, tmp_path,
+                                                      capsys):
+        # one test fact, a repeat of a training fact: two historical queries
+        ds = str(tmp_path / "ds")
+        shutil.copytree(synth_dataset["dir"], ds)
+        s, r, o, _ = synth_dataset["train"].array[0]
+        with open(os.path.join(ds, "test.txt"), "w", encoding="utf-8") as fh:
+            fh.write(f"{s}\t{r}\t{o}\t19\n")
+        out = str(tmp_path / "an")
+        assert run(["analyze", os.path.join(train_dir, "checkpoint.mesh"), ds, "--out", out]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1].split()[::2] == ["Mean", "n/a"]
+        assert printed[2].split()[::2] == ["Std", "n/a"]
+        assert printed[3].split() == ["n", "2", "0"]
+        assert printed[-2:] == ["p-value  n/a",
+                                "(statistics unavailable: a bucket has fewer than 2 samples)"]
+
+    def test_eval_reads_the_environment_below_the_flags(self, synth_dataset, train_dir,
+                                                         tmp_path, monkeypatch):
+        ckpt = os.path.join(train_dir, "checkpoint.mesh")
+        out_flag, out_env = str(tmp_path / "flag"), str(tmp_path / "env")
+        assert run(["eval", ckpt, synth_dataset["dir"], "--out", out_flag,
+                    "--disable-semantic"]) == 0
+        monkeypatch.setenv("MESH_DISABLE_SEMANTIC", "1")
+        assert run(["eval", ckpt, synth_dataset["dir"], "--out", out_env]) == 0
+        assert read(os.path.join(out_env, "results.json")) == read(
+            os.path.join(out_flag, "results.json"))
+        # MESH_DATASET overrides the checkpoint's dataset, the positional one overrides both
+        monkeypatch.setenv("MESH_DATASET", str(tmp_path / "none"))
+        assert run(["eval", ckpt, "--out", str(tmp_path / "recorded")]) == 3
+        assert run(["eval", ckpt, synth_dataset["dir"], "--out", str(tmp_path / "given")]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_bad_environment_value_exits_2_for_eval(self, command, synth_dataset, train_dir,
+                                                    tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MESH_DISABLE_SEMANTIC", "maybe")
+        out = str(tmp_path / "x")
+        assert run([command, os.path.join(train_dir, "checkpoint.mesh"), synth_dataset["dir"],
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == ("error: MESH_DISABLE_SEMANTIC: cannot parse boolean "
+                                           "config value 'maybe' for disable_semantic\n")
+        assert not os.path.exists(out)
 
     def test_eval_ablation_flag_changes_metrics(self, synth_dataset, train_dir, tmp_path):
         ckpt = os.path.join(train_dir, "checkpoint.mesh")
@@ -647,6 +711,26 @@ def test_eval_without_out_exits_2_and_leaves_the_run_alone(command, synth_datase
             if name != "checkpoint.mesh"} == before
 
 
+def test_mesh_out_does_not_stand_in_for_eval_out(synth_dataset, train_dir, checkpoint,
+                                                  capsys, monkeypatch):
+    """A MESH_OUT exported for a training run names that run's directory."""
+    monkeypatch.setenv("MESH_OUT", train_dir)
+    before = sorted(os.listdir(train_dir))
+    assert run(["eval", checkpoint, synth_dataset["dir"]]) == 2
+    assert capsys.readouterr().err == "error: eval needs --out, the directory for its results\n"
+    assert sorted(os.listdir(train_dir)) == before
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """The gate-weight test takes its Student-t tail from scipy.special;
+    scipy.stats would double the start-up time and memory of every command."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tkg.__file__))}
+    code = "import sys, meshtkg.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_eval_without_out_exits_2_before_reading_the_checkpoint(tmp_path, capsys):
     assert run(["eval", str(tmp_path / "none.mesh")]) == 2
     assert capsys.readouterr().err == "error: eval needs --out, the directory for its results\n"
@@ -675,6 +759,7 @@ def test_eval_with_both_paths_disabled_exits_2(synth_dataset, checkpoint, tmp_pa
 # and the message it draws
 EMBEDDING_FAULTS = {
     "bad header": ("tkg-emb x 34 4\n", "bad header"),
+    "header integer int() reads": ("tkg-emb 1 3_4 4\n", "bad header 'tkg-emb 1 3_4 4'"),
     # 30 entity rows of 10**16 float32 values (1.2 EiB) are beyond any memory
     "sizes beyond memory": ("tkg-emb 1 34 10000000000000000\n", "body holds only 0 bytes"),
 }

@@ -592,6 +592,13 @@ class TestSemanticTables:
 
     @pytest.mark.parametrize("text, error, message", [
         (b"tkg-emb x 3 4\n", EmbeddingFormatError, "bad header"),
+        # header integers that int() reads but the id and fact files' field rule refuses
+        (b"tkg-emb 1 0_2 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+         "bad header 'tkg-emb 1 0_2 2'"),
+        (b"tkg-emb 1 2 0_2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+         "bad header 'tkg-emb 1 2 0_2'"),
+        (b"tkg-emb 0_1 2 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+         "bad header 'tkg-emb 0_1 2 2'"),
         (b"tkg-emb 1 2 2\nE\tzero\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
          "emb:2: id is not an integer"),
         # ids that int() reads as 0 but the id and fact files' field rule refuses
@@ -629,7 +636,8 @@ class TestSemanticTables:
         # a version-1 body is text rows, whatever its length
         (b"tkg-emb 1 2 2\n" + np.array([1, 2, 1, 3], dtype="<f4").tobytes(),
          ParseError, "emb:2: byte 0x80 is not UTF-8"),
-    ], ids=["header", "row_id", "row_id_underscore", "row_id_other_script", "utf8", "negative_dim", "zero_dim", "sizes_beyond_memory",
+    ], ids=["header", "header_rows_underscore", "header_width_underscore",
+            "header_version_underscore", "row_id", "row_id_underscore", "row_id_other_script", "utf8", "negative_dim", "zero_dim", "sizes_beyond_memory",
             "missing_file", "version", "row_count", "malformed_row", "non_numeric",
             "id_outside_vocabulary", "repeated_id", "inf", "nan_after_blank_line", "non_finite_binary_row",
             "packed_length", "packed_body_under_text_version"])

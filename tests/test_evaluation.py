@@ -10,7 +10,6 @@ from meshtkg.evaluation import (
     evaluate,
     evaluate_naive,
     filtered_ranks,
-    format_reports,
     gate_statistics,
     split_metrics,
     welch_t,
@@ -101,9 +100,7 @@ class TestSplitMetrics:
     def test_all_historical_flags_empty_bucket(self):
         his, nhis = split_metrics(np.array([1.0, 2.0]), np.array([1, 1]))
         assert his.count == 2
-        assert nhis.empty and nhis.mrr is None
-        text = format_reports([("historical", his), ("non-historical", nhis)])
-        assert "empty bucket: non-historical" in text
+        assert nhis.count == 0 and nhis.mrr is None
 
     def test_hand_labeled_buckets(self, np_gen):
         ranks = np_gen.integers(1, 10, size=10).astype(float)
@@ -145,7 +142,26 @@ class TestGateStatistics:
         stats = gate_statistics([0.5], [0.4, 0.6])
         assert stats.t_stat is None
         assert "fewer than 2" in stats.note
-        assert "n/a" in stats.to_text()
+        assert stats.std_his is None and stats.p_value is None
+
+    def test_p_value_is_scipy_stats_t_sf_bit_for_bit(self):
+        """`scipy.special.stdtr(df, -t)` is the upper tail that
+        `scipy.stats.t.sf(t, df)` computes, on a grid of shifts and scales
+        that reaches t = 0 and t = +-inf."""
+        from scipy import stats as sps
+
+        base = np.array([0.1, 0.4, 0.35, 0.8, 0.55, 0.3])
+        cases = [(base, base), ([1.0] * 3, [0.5] * 3), ([0.5] * 3, [1.0] * 3)]
+        cases += [(base + shift, base[::-1] * scale)
+                  for shift in np.linspace(-2.0, 2.0, 17) for scale in (1e-3, 0.5, 1.0, 4.0)]
+        seen = set()
+        for a, b in cases:
+            a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+            stats = gate_statistics(a, b)
+            _, df = welch_t(a.mean(), a.var(ddof=1), a.size, b.mean(), b.var(ddof=1), b.size)
+            assert stats.p_value == float(sps.t.sf(stats.t_stat, df))
+            seen.add(stats.t_stat)
+        assert {0.0, np.inf, -np.inf} <= seen
 
 
 class TestFilterSets:
@@ -182,7 +198,7 @@ class TestFilterSets:
 class TestEvaluate:
     def test_matches_scripted_per_query_oracle(self, trained):
         """Full evaluation equals a per-query recomputation from scratch."""
-        from meshtkg.evaluation import ranked_queries
+        from meshtkg.evaluation import model_scores, ranked_queries
         from meshtkg.history import build_index
         from meshtkg.tkg import merge
 
@@ -199,8 +215,8 @@ class TestEvaluate:
         scripted = []
         for q in quads(test_aug):
             single = group([q], "test")
-            _, filtered, _ = ranked_queries(trained["result"].model, trained["sem"], known,
-                                            single, known)
+            _, filtered = ranked_queries(single, known, model_scores(
+                trained["result"].model, trained["sem"], known, []))
             scripted.append((*q, float(filtered[0]), int(index.indicator(*q))))
         assert len(scripted) == len(result.results)
         got = sorted((r.s, r.r, r.o, r.t, r.filtered_rank, r.indicator) for r in result.results)
@@ -279,3 +295,31 @@ class TestEvaluateNaive:
         result = evaluate_naive(synth_dataset["vocab"], synth_dataset["train"],
                                 synth_dataset["valid"], synth_dataset["test"])
         assert all(r.filtered_rank <= r.raw_rank for r in result.results)
+
+    def test_matches_per_query_oracle(self, synth_dataset):
+        """Every record equals a per-query recomputation: the query's
+        baseline scores over the training facts, ranked by the sort oracle
+        with the time-aware filter drawn from every split."""
+        from meshtkg.history import build_index, naive_scores, seen_objects
+
+        result = evaluate_naive(synth_dataset["vocab"], synth_dataset["train"],
+                                synth_dataset["valid"], synth_dataset["test"])
+        num_entities = synth_dataset["vocab"].num_entities
+        num_relations = synth_dataset["vocab"].num_relations
+        train_aug, valid_aug, test_aug = (add_inverse_relations(synth_dataset[split], num_relations)
+                                          for split in ("train", "valid", "test"))
+        known = quads(train_aug) + quads(valid_aug) + quads(test_aug)
+        index = build_index(np.array(known))
+        seen = seen_objects(train_aug.array)
+        scripted = []
+        for q in quads(test_aug):
+            scores = naive_scores(seen, q.s, q.r, num_entities)[0]
+            filter_out = {k.o for k in known if (k.s, k.r, k.t) == (q.s, q.r, q.t)} - {q.o}
+            scripted.append((*q, sort_oracle_rank(scores, q.o),
+                             sort_oracle_rank(scores, q.o, filter_out),
+                             int(index.indicator(*q))))
+        got = sorted((r.s, r.r, r.o, r.t, r.raw_rank, r.filtered_rank, r.indicator)
+                     for r in result.results)
+        assert got == sorted(scripted)
+        assert result.overall.mrr == pytest.approx(
+            sum(1.0 / q[5] for q in scripted) / len(scripted), abs=1e-12)

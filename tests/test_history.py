@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshtkg.cli import write_results
+from meshtkg.cli import run, write_results
 from meshtkg.evaluation import filtered_ranks
 from meshtkg.history import (
     build_index,
@@ -14,7 +14,7 @@ from meshtkg.history import (
     naive_scores,
     seen_objects,
 )
-from meshtkg.tkg import Quadruple
+from meshtkg.tkg import Quadruple, write_dataset
 
 from conftest import group, make_vocab, quads, random_facts
 
@@ -186,13 +186,15 @@ class TestDatasetStats:
         assert report.historical_test == expected
         assert report.num_train == 20 and report.num_valid == 5 and report.num_test == 30
 
-    def test_report_formats(self, tmp_path):
+    def test_report_formats(self, tmp_path, capsys):
         vocab = make_vocab(3, 1, 2)
-        report = dataset_stats(
-            vocab, group([(0, 0, 1, 0)], "train"), group([], "valid"), group([(0, 0, 1, 1)], "test")
-        )
+        splits = group([(0, 0, 1, 0)], "train"), group([], "valid"), group([(0, 0, 1, 1)], "test")
+        report = dataset_stats(vocab, *splits)
         write_results(str(tmp_path), report)
         with open(tmp_path / "results.json", encoding="utf-8") as fh:
             assert json.load(fh)["historical_test"] == 1
-        assert "Rate_his" in report.to_text()
-        assert "100.0%" in report.to_text()
+        write_dataset(str(tmp_path / "ds"), vocab, *splits)
+        assert run(["stats", str(tmp_path / "ds"), "--out", str(tmp_path / "o")]) == 0
+        printed = capsys.readouterr().out
+        assert "Rate_his" in printed
+        assert "100.0%" in printed

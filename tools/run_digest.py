@@ -11,10 +11,11 @@ settings, then a train and an eval run each with the structural path off,
 with the semantic path off, with the literal loss and the concatenated gate
 input, and with `--window 0` (every timestamp encoded with no history),
 and last a train and an eval run on a second stream of TINY's shape with
-40 facts per timestamp, whose 80 queries per batch are the digest's one
-batch above 64 rows. Then it runs what those leave at their
-defaults: a train and an eval run each with no prediction expert, with
-the semantic gate input and in float64; a train run on a text embedding
+40 facts per timestamp, whose snapshots of 80 queries are the digest's
+largest training and ranking batches. Then it runs what those leave at
+their defaults: a train and an eval run each with no prediction expert, with
+the semantic gate input and in float64, and an analyze run of the first,
+whose gate table ends in a note row; a train run on a text embedding
 file and an eval run of it on the same rows in the binary layout (both
 written by `save_semantic_embeddings`); a train run from a `--config`
 file; and naive runs with `--max-timestamps`, with `--drop-history`, and
@@ -74,6 +75,7 @@ COMMANDS = (
                          ("float64", ["--dtype", "float64"]))
       for command in (["train", "data", "--out", f"train-{tag}", *flags],
                       ["eval", f"train-{tag}/checkpoint.mesh", "data", "--out", f"eval-{tag}"])),
+    ["analyze", "train-nopred/checkpoint.mesh", "data", "--out", "analyze-nopred"],
     ["train", "data", "--out", "train-emb", "--embeddings", "emb.txt"],
     ["eval", "train-emb/checkpoint.mesh", "data", "--out", "eval-emb", "--embeddings", "emb.bin"],
     ["train", "data", "--out", "train-config", "--config", "run.cfg"],

@@ -6,12 +6,12 @@ layering (profile < config file < MESH_* environment < flags) lives in
 `config`; every command writes the fully resolved configuration to
 `<out>/config.echo`. A command that reports results prints its tables on
 stdout, all in one layout (`text_table`), and writes its result records to
-`<out>/results.json`, which `json.load` reads back.
+`<out>/results.json`, which `json.load` reads back. Every file goes through
+`tkg.write_file`, whose WriteError is the one-line exit 2.
 
 Each RunConfig field but the positional dataset is one flag. `eval` and
-`analyze` are one command that differs only in what it prints, `train`
-and `sweep` share one training run (`_train_run`), and `write_results`
-is the one writer of `results.json`.
+`analyze` are one command that differs only in what it prints, and `train`
+and `sweep` share one training run (`_train_run`).
 """
 
 from __future__ import annotations
@@ -79,11 +79,7 @@ def _resolve(args) -> cfg.RunConfig:
 
 
 def _write_echo(config: cfg.RunConfig) -> None:
-    try:
-        os.makedirs(config.out, exist_ok=True)
-        _write(os.path.join(config.out, "config.echo"), config.echo())
-    except OSError as exc:
-        raise CliError(f"cannot write the output directory {config.out} ({exc.strerror})")
+    tkg.write_file(os.path.join(config.out, "config.echo"), [config.echo()])
 
 
 def _load_data(config: cfg.RunConfig):
@@ -107,16 +103,12 @@ def _semantic_table(config: cfg.RunConfig, vocab):
     return replace(config, llm_dim=sem.dim), sem
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def write_results(out: str, records) -> None:
     """`<out>/results.json`: the result dataclasses in `records` as JSON
     objects of their fields (an empty bucket's metrics are null, an infinite
     t statistic is `Infinity`)."""
-    _write(os.path.join(out, "results.json"), json.dumps(records, indent=1, default=asdict) + "\n")
+    tkg.write_file(os.path.join(out, "results.json"),
+                   [json.dumps(records, indent=1, default=asdict) + "\n"])
 
 
 def _eval_records(result: ev.EvalResult) -> dict:
@@ -187,6 +179,11 @@ def cmd_naive(args) -> int:
 
 
 def cmd_emit_prompts(args) -> int:
+    for flag, value in (("--domain", args.domain), ("--datatype", args.datatype)):
+        # each prompt is one `kind<TAB>id<TAB>prompt` line of UTF-8
+        if any(c in "\t\n\r" or "\ud800" <= c <= "\udfff" for c in value):
+            raise CliError(f"{flag} must hold no tab, no line break and no character "
+                           f"UTF-8 cannot encode, got {value!r}")
     config = _resolve(args)
     _write_echo(config)
     vocab, _, _, _ = _load_data(config)
@@ -197,17 +194,17 @@ def cmd_emit_prompts(args) -> int:
 
 
 def _train_run(config: cfg.RunConfig, verbose=None):
-    """Train one run into `config.out`: the config echo, `training.log` and
-    `checkpoint.mesh`. Returns the result, the data splits and the
+    """Train one run into `config.out`: the config echo, `checkpoint.mesh`
+    and `training.log`. Returns the result, the data splits and the
     semantic table."""
     data = _load_data(config)
     config, sem = _semantic_table(config, data[0])
     _write_echo(config)
     result = training.train_model(config, *data[:3], sem, verbose=verbose)
-    _write(os.path.join(config.out, "training.log"),
-           "".join(line + "\n" for line in result.log_lines))
     training.save_checkpoint(os.path.join(config.out, "checkpoint.mesh"),
                              result.model, config, result.frozen_names, config.seed)
+    tkg.write_file(os.path.join(config.out, "training.log"),
+                   [line + "\n" for line in result.log_lines])
     return result, data, sem
 
 
@@ -371,7 +368,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except CliError as exc:
+    except (CliError, tkg.WriteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DatasetError as exc:

@@ -103,6 +103,8 @@ class RunConfig:
                 raise ValueError(f"config field {name} must be >= 0")
         if self.kernel_width % 2 == 0:
             raise ValueError("kernel_width must be odd")
+        if not self.out:
+            raise ValueError("config field out must not be empty")
         if self.max_timestamps in (1, 2):
             raise ValueError("max_timestamps must be 0 (no cap) or at least 3 (one per split)")
         if not 0.0 <= self.dropout < 1.0:

@@ -23,13 +23,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import autodiff as ad
 from . import rng
 from .autodiff import Tensor
-from .tkg import _ID, DatasetError, Vocabulary, text_lines
+from .tkg import _ID, DatasetError, ParseError, Vocabulary, text_lines, write_file
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +191,12 @@ def emit_prompts(vocab: Vocabulary, domain: str, datatype: str, path: str) -> in
     ):
         filled = template.replace("<DATA DOMAIN>", domain).replace("<DATA TYPE>", datatype)
         lines += [f"{kind}\t{i}\t{filled.replace(hole, name)}\n" for i, name in enumerate(names)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    write_file(path, lines)
     return len(lines)
 
 
 # ---------------------------------------------------------------------------
 # semantic embedding tables
-
-class EmbeddingFormatError(DatasetError):
-    """Embedding file violates its declared header or row format."""
-
-
-class EmbeddingCoverageError(DatasetError):
-    """Embedding file does not cover the vocabulary."""
-
 
 MAGIC = "tkg-emb"
 # the header's version names the body's layout
@@ -286,18 +278,14 @@ def save_semantic_embeddings(path: str, table: SemanticEmbeddingTable, binary: b
     rows = table.entity.shape[0] + table.relation.shape[0]
     version = PACKED_VERSION if binary else TEXT_VERSION
     header = f"{MAGIC} {version} {rows} {table.dim}\n"
+    blocks = (("E", table.entity), ("R", table.relation))
     if binary:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(np.ascontiguousarray(table.entity, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(table.relation, dtype="<f4").tobytes())
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        for kind, block in (("E", table.entity), ("R", table.relation)):
-            for i, row in enumerate(block):
-                # 9 significant digits round-trip binary32 exactly
-                fh.write(f"{kind}\t{i}\t" + " ".join(f"{v:.9g}" for v in row) + "\n")
+        body = (np.ascontiguousarray(block, dtype="<f4").tobytes() for _, block in blocks)
+    else:
+        # 9 significant digits round-trip binary32 exactly
+        body = (f"{kind}\t{i}\t" + " ".join(f"{v:.9g}" for v in row) + "\n"
+                for kind, block in blocks for i, row in enumerate(block))
+    write_file(path, chain([header], body))
 
 
 def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingTable:
@@ -316,7 +304,7 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
     such ids per kind. Packed rows are checked once, and the first
     non-finite one is named by kind and id."""
     if not os.path.isfile(path):
-        raise EmbeddingFormatError(f"missing embedding file: {path}")
+        raise DatasetError(f"missing embedding file: {path}")
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").strip()
         parts = header.split()
@@ -325,33 +313,33 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
         except (IndexError, ValueError):
             magic = None
         if magic != MAGIC or not all(map(_ID.fullmatch, parts[1:])):
-            raise EmbeddingFormatError(f"{path}: bad header {header!r}")
+            raise DatasetError(f"{path}: bad header {header!r}")
         if dim < 1:
-            raise EmbeddingFormatError(f"{path}: header declares width {dim}, need at least 1")
+            raise DatasetError(f"{path}: header declares width {dim}, need at least 1")
         if version not in (TEXT_VERSION, PACKED_VERSION):
-            raise EmbeddingFormatError(f"{path}: unsupported format version {version}")
+            raise DatasetError(f"{path}: unsupported format version {version}")
         body = fh.read()
 
     expected_rows = vocab.num_entities + vocab.num_relations
     if rows != expected_rows:
-        raise EmbeddingCoverageError(
+        raise DatasetError(
             f"{path}: header declares {rows} rows, vocabulary needs {expected_rows}"
         )
     # binary rows take exactly 4 bytes per value, text rows at least 2 (a
     # digit and a separator): refuse a body too short for the header's
     # sizes before allocating the tables
     if len(body) < 2 * rows * dim:
-        raise EmbeddingFormatError(f"{path}: header declares {rows} x {dim} values, "
-                                   f"the body holds only {len(body)} bytes")
+        raise DatasetError(f"{path}: header declares {rows} x {dim} values, "
+                           f"the body holds only {len(body)} bytes")
     if version == PACKED_VERSION:
         if len(body) != rows * dim * 4:
-            raise EmbeddingFormatError(f"{path}: header declares {rows} x {dim} packed values "
-                                       f"({rows * dim * 4} bytes), the body holds {len(body)}")
+            raise DatasetError(f"{path}: header declares {rows} x {dim} packed values "
+                               f"({rows * dim * 4} bytes), the body holds {len(body)}")
         flat = np.frombuffer(body, dtype="<f4").reshape(rows, dim)
         entity, relation = flat[:vocab.num_entities], flat[vocab.num_entities:]
         bad = _nonfinite_row(entity, relation)
         if bad:
-            raise EmbeddingFormatError(f"{path}: non-finite embedding value in binary row {bad}")
+            raise DatasetError(f"{path}: non-finite embedding value in binary row {bad}")
         return SemanticEmbeddingTable(entity.copy(), relation.copy(), dim, source=path)
 
     # a row never given stays NaN, which no parsed row can be
@@ -360,34 +348,33 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
     for lineno, line in text_lines(path, body, start=2):
         fields = line.split("\t")
         if len(fields) != 3 or fields[0] not in tables:
-            raise EmbeddingFormatError(f"{path}:{lineno}: expected `E|R<TAB>id<TAB>values`")
+            raise ParseError(path, lineno, "expected `E|R<TAB>id<TAB>values`")
         kind, idx_s, vals = fields
         if not _ID.fullmatch(idx_s):
-            raise EmbeddingFormatError(f"{path}:{lineno}: id is not an integer: {idx_s!r}")
+            raise ParseError(path, lineno, f"id is not an integer: {idx_s!r}")
         idx = int(idx_s)
         try:
             with np.errstate(over="raise"):
                 row = np.array(vals.split(), dtype=np.float32)
         except ValueError:
-            raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric embedding value")
+            raise ParseError(path, lineno, "non-numeric embedding value")
         except FloatingPointError:
-            raise EmbeddingFormatError(f"{path}:{lineno}: embedding value beyond the float32 range")
+            raise ParseError(path, lineno, "embedding value beyond the float32 range")
         if row.shape[0] != dim:
-            raise EmbeddingFormatError(
-                f"{path}:{lineno}: row has {row.shape[0]} values, header declares {dim}"
-            )
+            raise ParseError(path, lineno,
+                             f"row has {row.shape[0]} values, header declares {dim}")
         if not np.isfinite(row).all():
-            raise EmbeddingFormatError(f"{path}:{lineno}: non-finite embedding value")
+            raise ParseError(path, lineno, "non-finite embedding value")
         target = tables[kind]
         if idx < 0 or idx >= target.shape[0]:
-            raise EmbeddingCoverageError(f"{path}:{lineno}: {kind} id {idx} outside vocabulary")
+            raise ParseError(path, lineno, f"{kind} id {idx} outside vocabulary")
         if not np.isnan(target[idx, 0]):
-            raise EmbeddingFormatError(f"{path}:{lineno}: {kind} id {idx} given twice")
+            raise ParseError(path, lineno, f"{kind} id {idx} given twice")
         target[idx] = row
     missing_e, missing_r = (np.flatnonzero(np.isnan(t[:, 0]))[:10].tolist()
                             for t in tables.values())
     if missing_e or missing_r:
-        raise EmbeddingCoverageError(
+        raise DatasetError(
             f"{path}: missing entity ids {missing_e} and relation ids {missing_r}"
         )
     return SemanticEmbeddingTable(tables["E"], tables["R"], dim, source=path)

@@ -16,7 +16,9 @@ augmentation, merging (concatenate, then stable sort), temporal
 resplitting and history dropping.
 
 `read_text` and `text_lines` are the one reader of every text input:
-dataset files, config files and embedding text rows. A fact file is
+dataset files, config files and embedding text rows, and `write_file` is
+the one writer of every output file, each written to `<path>.tmp` and
+renamed over its path. A fact file is
 parsed in one `np.loadtxt` pass, then range-, sign- and order-checked as
 arrays; only when that fails is the first refused line searched for, by
 the same field rule (`_FIELD`) and the same row checks. A vocabulary
@@ -26,6 +28,7 @@ relations, since inverse relations double their ids) is refused at load.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import re
@@ -46,11 +49,12 @@ ID_BITS = 20
 
 
 class DatasetError(Exception):
-    """Base class for dataset loading and validation failures."""
+    """Input data that cannot be read: a missing, malformed or inconsistent
+    dataset, embedding or checkpoint file."""
 
 
-class LoadError(DatasetError):
-    """A required file is missing or unreadable."""
+class WriteError(OSError):
+    """An output file that cannot be written; the message names it."""
 
 
 class ParseError(DatasetError, ValueError):
@@ -132,6 +136,25 @@ def read_text(path: str, data: bytes | None = None, start: int = 1) -> str:
                          f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
+def write_file(path: str, chunks) -> None:
+    """Write `chunks` (str, as UTF-8, or bytes) to `<path>.tmp`, making its
+    directory, then rename it over `path`, so `path` holds its old content
+    or the whole new file. An OSError is a WriteError naming `path`, and
+    leaves no `<path>.tmp`."""
+    tmp = path + ".tmp"
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path} ({exc.strerror})") from None
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
 def text_lines(path: str, data: bytes | None = None, start: int = 1):
     """(line number, line) for every non-empty line of `read_text`'s text,
     newline stripped, numbered from `start`."""
@@ -149,22 +172,22 @@ _ID = re.compile(_FIELD)
 
 def _read_id_file(path: str) -> list[str]:
     if not os.path.isfile(path):
-        raise LoadError(f"missing vocabulary file: {path}")
+        raise DatasetError(f"missing vocabulary file: {path}")
     pairs = []
     for lineno, line in text_lines(path):
         parts = line.split("\t")
-        if len(parts) < 2:
+        if len(parts) != 2:
             raise ParseError(path, lineno, f"expected `name<TAB>id`, got {line!r}")
         if not _ID.fullmatch(parts[-1]):
             raise ParseError(path, lineno, f"id is not an integer: {parts[-1]!r}")
         pairs.append((int(parts[-1]), parts[0]))
     pairs.sort()
     if [idx for idx, _ in pairs] != list(range(len(pairs))):
-        raise LoadError(f"{path}: ids are not dense integers 0..{len(pairs) - 1}")
+        raise DatasetError(f"{path}: ids are not dense integers 0..{len(pairs) - 1}")
     names = [name for _, name in pairs]
     if len(set(names)) != len(names):
         dupes = sorted(name for name, count in Counter(names).items() if count > 1)
-        raise LoadError(f"{path}: duplicate names {dupes[:5]}")
+        raise DatasetError(f"{path}: duplicate names {dupes[:5]}")
     return names
 
 
@@ -216,7 +239,7 @@ def _first_refusal(rows: np.ndarray, num_entities: int, num_relations: int):
 
 def _read_fact_file(path: str, num_entities: int, num_relations: int) -> np.ndarray:
     if not os.path.isfile(path):
-        raise LoadError(f"missing split file: {path}")
+        raise DatasetError(f"missing split file: {path}")
     with open(path, "rb") as fh:
         data = fh.read()
     text = read_text(path, data)
@@ -267,7 +290,7 @@ def load_dataset(directory: str):
         path = os.path.join(directory, f"{kind}2id.txt")
         names[kind] = _read_id_file(path)
         if len(names[kind]) > limit:
-            raise LoadError(f"{path}: {len(names[kind])} {kind} ids, above the limit of {limit}")
+            raise DatasetError(f"{path}: {len(names[kind])} {kind} ids, above the limit of {limit}")
     splits = {
         split: _read_fact_file(
             os.path.join(directory, f"{split}.txt"), len(names["entity"]), len(names["relation"])
@@ -293,14 +316,12 @@ def write_dataset(directory: str, vocab: Vocabulary, train, valid, test) -> None
             if name in seen:
                 raise ValueError(f"{kind} name {name!r} is repeated")
             seen.add(name)
-    os.makedirs(directory, exist_ok=True)
     for kind, names in kinds:
-        with open(os.path.join(directory, f"{kind}2id.txt"), "w", encoding="utf-8") as fh:
-            for i, name in enumerate(names):
-                fh.write(f"{name}\t{i}\n")
+        write_file(os.path.join(directory, f"{kind}2id.txt"),
+                   (f"{name}\t{i}\n" for i, name in enumerate(names)))
     for tkg in (train, valid, test):
-        with open(os.path.join(directory, f"{tkg.split}.txt"), "w", encoding="utf-8") as fh:
-            np.savetxt(fh, tkg.array, fmt="%d", delimiter="\t")
+        write_file(os.path.join(directory, f"{tkg.split}.txt"),
+                   (f"{s}\t{r}\t{o}\t{t}\n" for s, r, o, t in tkg.array.tolist()))
 
 
 def merge(*tkgs: TemporalKG) -> TemporalKG:

@@ -30,7 +30,6 @@ import ctypes
 import functools
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ from .model import (
     init_model,
     score_logits,
 )
-from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations
+from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, write_file
 
 
 # stage 0 trains the structural encoder and its decoder on their own
@@ -308,20 +307,15 @@ CHECKPOINT_MAGIC = "meshckpt"
 CHECKPOINT_VERSION = 4
 
 
-class CheckpointError(DatasetError, ValueError):
-    """A checkpoint file that cannot be read back into a model."""
-
-
 def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
                     frozen_names: list, seed: int) -> None:
     """Versioned container: JSON header line (model spec, run configuration,
     parameter manifest, SHA-256 of the parameter bytes), then little-endian
     parameter blobs in the spec's dtype, in manifest order.
 
-    The file is written as `<path>.tmp` and renamed over `path`, so `path`
-    holds either its old content or the whole new checkpoint. A non-finite
-    parameter, which `load_checkpoint` refuses, is a ValueError before
-    anything is written."""
+    The file is written by `tkg.write_file`, so `path` holds either its old
+    content or the whole new checkpoint. A non-finite parameter, which
+    `load_checkpoint` refuses, is a ValueError before anything is written."""
     named = model.named_parameters()
     for name, t in named.items():
         if not np.isfinite(t.values).all():
@@ -339,11 +333,7 @@ def save_checkpoint(path: str, model: MeshModel, config: RunConfig,
         "params": [{"name": n, "shape": list(t.values.shape)} for n, t in named.items()],
         "sha256": hashlib.sha256(blob).hexdigest(),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_file(path, [json.dumps(header) + "\n", blob])
 
 
 class _Placeholders:
@@ -361,7 +351,7 @@ class _Placeholders:
 def load_checkpoint(path: str):
     """Rebuild the model from a checkpoint's spec and blobs; returns
     (model, header), the header's stored run configuration rebuilt as a
-    RunConfig. Raises CheckpointError for anything unreadable.
+    RunConfig. Raises DatasetError for anything unreadable.
 
     The header is checked first: the stored spec against the one its run
     configuration gives (with the stored vocabulary sizes and semantic
@@ -374,15 +364,15 @@ def load_checkpoint(path: str):
             line = fh.readline()
             blob = fh.read()
     except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read the checkpoint ({exc.strerror})") from None
+        raise DatasetError(f"{path}: cannot read the checkpoint ({exc.strerror})") from None
     try:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint header ({exc})") from None
+        raise DatasetError(f"{path}: unreadable checkpoint header ({exc})") from None
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path} is not a model checkpoint")
+        raise DatasetError(f"{path} is not a model checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+        raise DatasetError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
     try:
         missing = set(RunConfig.__dataclass_fields__) - set(header["config"])
         if missing:
@@ -394,30 +384,30 @@ def load_checkpoint(path: str):
         manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
         checksum = header["sha256"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad checkpoint header ({exc!r})") from None
+        raise DatasetError(f"{path}: bad checkpoint header ({exc!r})") from None
     if asdict(spec) != stored:
-        raise CheckpointError(f"{path}: the header's model spec is not the one its config gives")
+        raise DatasetError(f"{path}: the header's model spec is not the one its config gives")
     try:
         model = init_model(spec, _Placeholders(spec.dtype))
     except (MemoryError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: cannot build the header's model spec ({exc})") from None
+        raise DatasetError(f"{path}: cannot build the header's model spec ({exc})") from None
     named = model.named_parameters()
     if manifest != [(name, t.shape) for name, t in named.items()]:
-        raise CheckpointError(f"{path}: the parameter manifest is not the spec's parameters, "
-                              f"names and shapes, in model order")
+        raise DatasetError(f"{path}: the parameter manifest is not the spec's parameters, "
+                           f"names and shapes, in model order")
     blob_dtype = np.dtype(spec.dtype).newbyteorder("<")
     expected = blob_dtype.itemsize * sum(t.values.size for t in named.values())
     if len(blob) != expected:
-        raise CheckpointError(f"{path}: {len(blob)} parameter bytes, "
-                              f"the spec's model has {expected}")
+        raise DatasetError(f"{path}: {len(blob)} parameter bytes, "
+                           f"the spec's model has {expected}")
     if hashlib.sha256(blob).hexdigest() != checksum:
-        raise CheckpointError(f"{path}: the parameter bytes do not match the header's "
-                              f"SHA-256 (corrupted file)")
+        raise DatasetError(f"{path}: the parameter bytes do not match the header's "
+                           f"SHA-256 (corrupted file)")
     offset = 0
     for name, t in named.items():
         raw = np.frombuffer(blob, dtype=blob_dtype, count=t.values.size, offset=offset)
         if not np.isfinite(raw).all():
-            raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
+            raise DatasetError(f"{path}: parameter {name} holds a non-finite value")
         t.values = raw.reshape(t.shape).astype(spec.dtype)
         offset += raw.nbytes
     return model, header

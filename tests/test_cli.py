@@ -123,6 +123,21 @@ class TestDataCommands:
         assert len(lines) == 30 + 4
         assert lines[0].startswith("E\t0\tIn the context of political,")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--domain", "a\tb"), ("--datatype", "x\ny"), ("--datatype", "x\ry"),
+        # what the argv byte 0xff, which is not UTF-8, decodes to
+        ("--domain", "a\udcffb"),
+    ], ids=["tab", "line_feed", "carriage_return", "non_utf8_byte"])
+    def test_emit_prompts_refuses_a_value_that_breaks_its_lines(self, synth_dataset, tmp_path,
+                                                                capsys, flag, value):
+        out = str(tmp_path / "o")
+        values = {"--domain": "political", "--datatype": "historical", flag: value}
+        argv = ["emit-prompts", synth_dataset["dir"], "--out", out]
+        assert run(argv + [item for pair in values.items() for item in pair]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must hold no tab") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert run(["stats", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
 
@@ -516,7 +531,7 @@ class TestTrainEvalCommands:
         out = os.path.join(str(blocker), under) if under else str(blocker)
         assert run([command, synth_dataset["dir"], *micro_flags(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write the output directory {out} (")
+        assert err.startswith(f"error: cannot write {os.path.join(out, 'config.echo')} (")
         assert err.count("\n") == 1
         assert os.listdir(tmp_path) == ["afile"] and blocker.read_text() == "kept\n"
 
@@ -736,6 +751,53 @@ def test_eval_without_out_exits_2_before_reading_the_checkpoint(tmp_path, capsys
     assert capsys.readouterr().err == "error: eval needs --out, the directory for its results\n"
 
 
+# each output file, under --out, and the command that writes it
+OUTPUT_FILES = {
+    "stats results.json": (["stats"], "results.json"),
+    "naive results.json": (["naive"], "results.json"),
+    "eval results.json": (["eval"], "results.json"),
+    "analyze results.json": (["analyze"], "results.json"),
+    "sweep results.json": (["sweep", "--omega-list", "1"], "results.json"),
+    "train training.log": (["train"], "training.log"),
+    "train checkpoint.mesh": (["train"], "checkpoint.mesh"),
+    "emit-prompts prompts.tsv": (["emit-prompts", "--domain", "d", "--datatype", "t"],
+                                 "prompts.tsv"),
+    "prepare dataset/train.txt": (["prepare"], os.path.join("dataset", "train.txt")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_FILES))
+def test_unwritable_output_file_exits_2(case, synth_dataset, checkpoint, tmp_path, capsys):
+    """A directory where an output file goes is named in one line, and no
+    `<path>.tmp` is left; the checkpoint is saved before the training log."""
+    (command, *extra), name = OUTPUT_FILES[case]
+    out = str(tmp_path / "out")
+    path = os.path.join(out, name)
+    os.makedirs(path)
+    if command in ("eval", "analyze"):
+        argv = [command, checkpoint, synth_dataset["dir"], "--out", out]
+    else:
+        argv = [command, synth_dataset["dir"],
+                *micro_flags(out, epochs_stage0=1, epochs_stage1=1), *extra]
+    assert run(argv) == 2
+    assert re.fullmatch(rf"error: cannot write {re.escape(path)} \(.+\)\n",
+                        capsys.readouterr().err)
+    assert os.path.isdir(path) and not os.path.exists(path + ".tmp")
+    if name == "training.log":
+        training.load_checkpoint(os.path.join(out, "checkpoint.mesh"))
+
+
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_empty_out_exits_2_and_writes_nothing(command, synth_dataset, checkpoint, tmp_path,
+                                              capsys, monkeypatch):
+    """An empty --out would put the output files in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    inputs = [checkpoint, synth_dataset["dir"]] if command == "eval" else [synth_dataset["dir"]]
+    assert run([command, *inputs, "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: config field out must not be empty\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_eval_on_a_dataset_of_other_sizes_exits_2(synth_dataset, checkpoint, tmp_path, capsys):
     ds = str(tmp_path / "ds")
     shutil.copytree(synth_dataset["dir"], ds)
@@ -823,7 +885,7 @@ def test_vocabulary_beyond_packed_keys_exits_3(command, synth_dataset, tmp_path,
 
 def test_missing_checkpoint_exits_3(synth_dataset, tmp_path, capsys):
     path = str(tmp_path / "missing.mesh")
-    with pytest.raises(training.CheckpointError):
+    with pytest.raises(tkg.DatasetError):
         training.load_checkpoint(path)
     assert run(["eval", path, synth_dataset["dir"], "--out", str(tmp_path / "ev")]) == 3
     err = capsys.readouterr().err
@@ -982,7 +1044,7 @@ def test_bad_checkpoint_exits_3(fault, synth_dataset, train_dir, tmp_path, capsy
     path = str(tmp_path / "bad.mesh")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_FAULTS[fault](raw))
-    with pytest.raises(training.CheckpointError):
+    with pytest.raises(tkg.DatasetError):
         training.load_checkpoint(path)
     code = run(["eval", path, synth_dataset["dir"], "--out", str(tmp_path / "ev")])
     err = capsys.readouterr().err
@@ -1004,7 +1066,7 @@ def test_load_checkpoint_memory_is_bounded_by_the_file(fault, train_dir, tmp_pat
     try:
         try:
             training.load_checkpoint(path)
-        except training.CheckpointError:
+        except tkg.DatasetError:
             assert fault is not None
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -13,8 +13,6 @@ from meshtkg import autodiff as ad
 from meshtkg import encoders, rng
 from meshtkg.autodiff import Tensor, grad_check
 from meshtkg.encoders import (
-    EmbeddingCoverageError,
-    EmbeddingFormatError,
     GruParams,
     SemanticEmbeddingTable,
     adapt_rows,
@@ -28,7 +26,8 @@ from meshtkg.encoders import (
     save_semantic_embeddings,
     synthetic_embeddings,
 )
-from meshtkg.tkg import ParseError, Quadruple, TemporalKG, Vocabulary, add_inverse_relations
+from meshtkg.tkg import (DatasetError, ParseError, Quadruple, TemporalKG, Vocabulary,
+                         add_inverse_relations)
 
 from conftest import dense_gather, group, make_vocab
 
@@ -587,52 +586,52 @@ class TestSemanticTables:
     def test_dimension_mismatch_rejected(self, tmp_path):
         path = tmp_path / "emb"
         path.write_text("tkg-emb 1 2 4\nE\t0\t1 2 3\nR\t0\t1 2 3 4\n")
-        with pytest.raises(EmbeddingFormatError, match="declares 4"):
+        with pytest.raises(DatasetError, match="declares 4"):
             load_semantic_embeddings(str(path), make_vocab(1, 1))
 
     @pytest.mark.parametrize("text, error, message", [
-        (b"tkg-emb x 3 4\n", EmbeddingFormatError, "bad header"),
+        (b"tkg-emb x 3 4\n", DatasetError, "bad header"),
         # header integers that int() reads but the id and fact files' field rule refuses
-        (b"tkg-emb 1 0_2 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+        (b"tkg-emb 1 0_2 2\nE\t0\t1 2\nR\t0\t1 2\n", DatasetError,
          "bad header 'tkg-emb 1 0_2 2'"),
-        (b"tkg-emb 1 2 0_2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+        (b"tkg-emb 1 2 0_2\nE\t0\t1 2\nR\t0\t1 2\n", DatasetError,
          "bad header 'tkg-emb 1 2 0_2'"),
-        (b"tkg-emb 0_1 2 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+        (b"tkg-emb 0_1 2 2\nE\t0\t1 2\nR\t0\t1 2\n", DatasetError,
          "bad header 'tkg-emb 0_1 2 2'"),
-        (b"tkg-emb 1 2 2\nE\tzero\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+        (b"tkg-emb 1 2 2\nE\tzero\t1 2\nR\t0\t1 2\n", DatasetError,
          "emb:2: id is not an integer"),
         # ids that int() reads as 0 but the id and fact files' field rule refuses
-        (b"tkg-emb 1 2 2\nE\t0_0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+        (b"tkg-emb 1 2 2\nE\t0_0\t1 2\nR\t0\t1 2\n", DatasetError,
          "emb:2: id is not an integer: '0_0'"),
-        ("tkg-emb 1 2 2\nE\t0\t1 2\nR\t\u0660\t1 2\n".encode(), EmbeddingFormatError,
+        ("tkg-emb 1 2 2\nE\t0\t1 2\nR\t\u0660\t1 2\n".encode(), DatasetError,
          "emb:3: id is not an integer: '\u0660'"),
         (b"tkg-emb 1 2 2\nE\t0\t1 2\nR\t0\t1 \xff\n", ParseError, "emb:3: byte 0xff is not UTF-8"),
-        (b"tkg-emb 1 2 -4\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError, "width -4"),
-        (b"tkg-emb 1 2 0\n", EmbeddingFormatError, "width 0"),
+        (b"tkg-emb 1 2 -4\nE\t0\t1 2\nR\t0\t1 2\n", DatasetError, "width -4"),
+        (b"tkg-emb 1 2 0\n", DatasetError, "width 0"),
         # rows of 10**17 values are beyond any memory: refused before allocating
-        (b"tkg-emb 1 2 100000000000000000\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+        (b"tkg-emb 1 2 100000000000000000\nE\t0\t1 2\nR\t0\t1 2\n", DatasetError,
          "body holds only 16 bytes"),
-        (None, EmbeddingFormatError, "missing embedding file"),
-        (b"tkg-emb 3 2 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingFormatError,
+        (None, DatasetError, "missing embedding file"),
+        (b"tkg-emb 3 2 2\nE\t0\t1 2\nR\t0\t1 2\n", DatasetError,
          "unsupported format version 3"),
-        (b"tkg-emb 1 3 2\nE\t0\t1 2\nR\t0\t1 2\n", EmbeddingCoverageError,
+        (b"tkg-emb 1 3 2\nE\t0\t1 2\nR\t0\t1 2\n", DatasetError,
          "header declares 3 rows, vocabulary needs 2"),
-        (b"tkg-emb 1 2 2\nE\t0\nR\t0\t1 2\n", EmbeddingFormatError,
+        (b"tkg-emb 1 2 2\nE\t0\nR\t0\t1 2\n", DatasetError,
          "emb:2: expected `E|R<TAB>id<TAB>values`"),
-        (b"tkg-emb 1 2 2\nE\t0\t1 x\nR\t0\t1 2\n", EmbeddingFormatError,
+        (b"tkg-emb 1 2 2\nE\t0\t1 x\nR\t0\t1 2\n", DatasetError,
          "emb:2: non-numeric embedding value"),
-        (b"tkg-emb 1 2 2\nE\t0\t1 2\nE\t1\t1 2\n", EmbeddingCoverageError,
+        (b"tkg-emb 1 2 2\nE\t0\t1 2\nE\t1\t1 2\n", DatasetError,
          "emb:3: E id 1 outside vocabulary"),
-        (b"tkg-emb 1 2 2\nE\t0\t1 2\nR\t0\t1 2\nE\t0\t9 9\n", EmbeddingFormatError,
+        (b"tkg-emb 1 2 2\nE\t0\t1 2\nR\t0\t1 2\nE\t0\t9 9\n", DatasetError,
          "emb:4: E id 0 given twice"),
-        (b"tkg-emb 1 2 2\nE\t0\tinf 2\nR\t0\t1 2\n", EmbeddingFormatError,
+        (b"tkg-emb 1 2 2\nE\t0\tinf 2\nR\t0\t1 2\n", DatasetError,
          "emb:2: non-finite embedding value"),
-        (b"tkg-emb 1 2 2\nE\t0\t1 2\n\nR\t0\t1 nan\n", EmbeddingFormatError,
+        (b"tkg-emb 1 2 2\nE\t0\t1 2\n\nR\t0\t1 nan\n", DatasetError,
          "emb:4: non-finite embedding value"),
         (b"tkg-emb 2 2 2\n" + np.array([1, 2, 1, np.inf], dtype="<f4").tobytes(),
-         EmbeddingFormatError, "non-finite embedding value in binary row R 0"),
+         DatasetError, "non-finite embedding value in binary row R 0"),
         (b"tkg-emb 2 2 2\n" + np.array([1, 2, 1], dtype="<f4").tobytes(),
-         EmbeddingFormatError, "packed values (16 bytes), the body holds 12"),
+         DatasetError, "packed values (16 bytes), the body holds 12"),
         # a version-1 body is text rows, whatever its length
         (b"tkg-emb 1 2 2\n" + np.array([1, 2, 1, 3], dtype="<f4").tobytes(),
          ParseError, "emb:2: byte 0x80 is not UTF-8"),
@@ -654,7 +653,7 @@ class TestSemanticTables:
         path.write_text(f"tkg-emb 1 3 2\nE\t0\t1 2\nE\t1\t0.5 {value}\nR\t0\t1 2\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EmbeddingFormatError,
+            with pytest.raises(DatasetError,
                                match=rf"^{re.escape(str(path))}:3: .* beyond the float32 range$"):
                 load_semantic_embeddings(str(path), make_vocab(2, 1))
 
@@ -669,7 +668,7 @@ class TestSemanticTables:
     def test_missing_id_listed(self, tmp_path):
         path = tmp_path / "emb"
         path.write_text("tkg-emb 1 4 2\nE\t0\t1 2\nR\t1\t1 2\n")
-        with pytest.raises(EmbeddingCoverageError,
+        with pytest.raises(DatasetError,
                            match=re.escape("missing entity ids [1] and relation ids [0]")):
             load_semantic_embeddings(str(path), make_vocab(2, 2))
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from meshtkg import history, tkg
 from meshtkg.tkg import (
     DatasetError,
-    LoadError,
     ParseError,
     Quadruple,
     Vocabulary,
@@ -45,6 +44,8 @@ def make_dir(tmp_path, train, valid=(), test=(), num_entities=5, num_relations=3
 MALFORMED_FILES = {
     "id line without a tab": ("entity2id.txt", "e0 0\n", ParseError,
                               ":1: expected `name<TAB>id`, got 'e0 0'"),
+    "id line with three fields": ("entity2id.txt", "e0\textra\t0\n", ParseError,
+                                  ":1: expected `name<TAB>id`, got 'e0\\textra\\t0'"),
     "non-integer id": ("relation2id.txt", "r0\t0\nr1\tone\n", ParseError,
                        ":2: id is not an integer: 'one'"),
     "digit separator in an id": ("entity2id.txt", "e0\t0\ne1\t0_1\n", ParseError,
@@ -55,11 +56,11 @@ MALFORMED_FILES = {
                    ":1: id is not an integer: '1.0'"),
     "empty id": ("relation2id.txt", "r0\t0\nr1\t\n", ParseError,
                  ":2: id is not an integer: ''"),
-    "gap in the ids": ("entity2id.txt", "e0\t0\ne2\t2\n", LoadError,
+    "gap in the ids": ("entity2id.txt", "e0\t0\ne2\t2\n", DatasetError,
                        ": ids are not dense integers 0..1"),
-    "repeated id": ("entity2id.txt", "e0\t0\ne1\t0\n", LoadError,
+    "repeated id": ("entity2id.txt", "e0\t0\ne1\t0\n", DatasetError,
                     ": ids are not dense integers 0..1"),
-    "negative id": ("relation2id.txt", "r0\t-1\n", LoadError,
+    "negative id": ("relation2id.txt", "r0\t-1\n", DatasetError,
                     ": ids are not dense integers 0..0"),
     "fact with 3 fields": ("train.txt", "0\t0\t1\n", ParseError,
                            ":1: expected 4 tab-separated fields, got 3"),
@@ -294,7 +295,7 @@ class TestLoadDataset:
     def test_missing_file_names_it(self, tmp_path):
         d = make_dir(tmp_path, [(0, 0, 1, 0)])
         os.remove(os.path.join(d, "valid.txt"))
-        with pytest.raises(LoadError, match="valid.txt"):
+        with pytest.raises(DatasetError, match="valid.txt"):
             load_dataset(d)
 
     def test_entity_out_of_range_reports_line(self, tmp_path):
@@ -309,7 +310,7 @@ class TestLoadDataset:
         write_lines(d / "relation2id.txt", ["r\t0"])
         for name in ("train", "valid", "test"):
             write_lines(d / f"{name}.txt", [])
-        with pytest.raises(LoadError, match="duplicate"):
+        with pytest.raises(DatasetError, match="duplicate"):
             load_dataset(str(d))
 
     def test_duplicate_name_among_icews18_many_entities(self, tmp_path):
@@ -318,7 +319,7 @@ class TestLoadDataset:
         d = make_dir(tmp_path, [(0, 0, 1, 0)], num_entities=23_033)
         path = os.path.join(d, "entity2id.txt")
         write_lines(path, [f"e{i}\t{i}" for i in range(23_032)] + ["e5\t23032"])
-        with pytest.raises(LoadError) as exc:
+        with pytest.raises(DatasetError) as exc:
             load_dataset(d)
         assert str(exc.value) == f"{path}: duplicate names ['e5']"
 
@@ -341,7 +342,7 @@ class TestLoadDataset:
                      num_relations=num_relations)
         path = os.path.join(d, f"{kind}2id.txt")
         count = num_entities if kind == "entity" else num_relations
-        with pytest.raises(LoadError) as exc:
+        with pytest.raises(DatasetError) as exc:
             load_dataset(d)
         assert str(exc.value) == f"{path}: {count} {kind} ids, above the limit of {limit}"
 

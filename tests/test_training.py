@@ -18,7 +18,6 @@ from meshtkg.config import CHOICES, RunConfig
 from meshtkg.encoders import synthetic_embeddings
 from meshtkg.model import ModelSpec, forward_queries, init_model, score_logits
 from meshtkg.training import (
-    CheckpointError,
     expert_losses,
     load_checkpoint,
     major_loss,
@@ -613,7 +612,7 @@ class TestCheckpoint:
     def test_any_truncation_rejected(self, saved, data):
         raw = saved["raw"]
         cut = data.draw(st.integers(0, len(raw) - 1))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DatasetError):
             self._load_bytes(saved, raw[:cut])
 
     @given(data=st.data())
@@ -623,7 +622,7 @@ class TestCheckpoint:
         start = raw.index(b"\n") + 1
         flipped = bytearray(raw)
         flipped[data.draw(st.integers(start, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
-        with pytest.raises(CheckpointError, match="SHA-256"):
+        with pytest.raises(DatasetError, match="SHA-256"):
             self._load_bytes(saved, bytes(flipped))
 
     def test_failed_save_leaves_the_previous_file(self, tmp_path):
@@ -643,5 +642,5 @@ class TestCheckpoint:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b'{"format": "something-else"}\n')
-        with pytest.raises(ValueError, match="not a model checkpoint"):
+        with pytest.raises(DatasetError, match="not a model checkpoint"):
             load_checkpoint(str(path))

@@ -25,11 +25,14 @@ branch-free max(RRELU_SLOPE * x, x) with its one fixed slope, a
 gate-major fused GRU cell (`gru`), an im2col `conv1d`, and the fused
 linear softmax cross-entropy `pick_log_softmax`, which scores the whole
 batch in one (B, |E|) buffer. Around them: `grad_check`, `adam_step`,
-and `named_tensors`, which names every Tensor of a dataclass record.
+`named_tensors`, which names every Tensor of a dataclass record, and
+`numeric_guard`, the one place where numpy's overflow or invalid operation
+becomes a NumericError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple
@@ -39,6 +42,17 @@ import numpy as np
 
 class NumericError(Exception):
     """A non-finite value surfaced during forward or backward."""
+
+
+@contextlib.contextmanager
+def numeric_guard(prefix: str):
+    """Raise numpy's overflow or invalid operation inside the block as a
+    NumericError `<prefix>: <numpy's message>`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"{prefix}: {exc}") from None
 
 
 # Tensor keys: unique for the life of the process, unlike id(), which a new

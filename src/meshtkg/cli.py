@@ -4,10 +4,13 @@ Subcommands are the keys of `COMMANDS`. Exit codes: 0 success, 2
 configuration error, 3 data error, 4 numeric failure. Configuration
 layering (profile < config file < MESH_* environment < flags) lives in
 `config`; every command writes the fully resolved configuration to
-`<out>/config.echo`. A command that reports results prints its tables on
-stdout, all in one layout (`text_table`), and writes its result records to
-`<out>/results.json`, which `json.load` reads back. Every file goes through
-`tkg.write_file`, whose WriteError is the one-line exit 2.
+`<out>/config.echo`. A command that reports results writes its result
+records to `<out>/results.json`, which `json.load` reads back, then prints
+its tables on stdout, all in one layout (`text_table`); `sweep` prints each
+setting's row once that setting's run is saved. Every output file goes
+through `tkg.write_file`, whose WriteError is the one-line exit 2, and every
+input file through `tkg.read_file`, whose DatasetError is the one-line exit
+3 (2 for a `--config` file).
 
 Each RunConfig field but the positional dataset is one flag. `eval` and
 `analyze` are one command that differs only in what it prints, and `train`
@@ -74,7 +77,7 @@ def _resolve(args) -> cfg.RunConfig:
     }
     try:
         return cfg.resolve(flag_values, config_file=getattr(args, "config", None))
-    except (ValueError, OSError) as exc:
+    except (ValueError, DatasetError) as exc:  # a config file is configuration
         raise CliError(str(exc))
 
 
@@ -163,8 +166,8 @@ def cmd_stats(args) -> int:
     labels = ("|E|", "|R|", "train", "valid", "test", "|T|", "|F_his|")
     rows = [[label, str(count)] for label, count in zip(labels, astuple(report))]
     rate = _fixed(report.historical_rate, 1, 100.0) + "%"
-    print(text_table([*rows, ["Rate_his", rate]]), end="")
     write_results(config.out, report)
+    print(text_table([*rows, ["Rate_his", rate]]), end="")
     return 0
 
 
@@ -173,8 +176,8 @@ def cmd_naive(args) -> int:
     _write_echo(config)
     vocab, train, valid, test = _load_data(config)
     result = ev.evaluate_naive(vocab, train, valid, test, split=args.split)
-    print(_metrics_table(result.named_reports()), end="")
     write_results(config.out, dict(result.named_reports()))
+    print(_metrics_table(result.named_reports()), end="")
     return 0
 
 
@@ -249,6 +252,7 @@ def cmd_eval(args) -> int:
     _write_echo(config)
     result = ev.evaluate(model, vocab, train, valid, test, sem,
                          ablation=AblationConfig.from_config(config), split=args.split)
+    write_results(config.out, _eval_records(result))
     if args.command == "eval":
         print(_metrics_table(result.named_reports()), end="")
     else:
@@ -260,7 +264,6 @@ def cmd_eval(args) -> int:
             ["n", str(g.n_his), str(g.n_nhis)],
             ["p-value", _fixed(g.p_value, 6)],
         ], g.note), end="")
-    write_results(config.out, _eval_records(result))
     return 0
 
 

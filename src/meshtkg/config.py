@@ -5,7 +5,7 @@ Precedence, lowest to highest: profile preset, config file (flat
 flags. Every run writes the fully resolved configuration to
 `config.echo`, and a run started from that echo reproduces the original
 bit for bit (same seed, same streams). Config files are read through
-`tkg.text_lines`. The RunConfig checks every field when it is built, with
+`tkg.read_file`. The RunConfig checks every field when it is built, with
 the allowed values of the enumerated fields in `CHOICES`, which the CLI
 shares; a `model.ModelSpec` is only derived from a checked RunConfig.
 """
@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .tkg import ParseError, text_lines
+from .tkg import ParseError, read_file, text_lines
 
 PROFILES = {
     # full-scale settings
@@ -144,7 +144,7 @@ def parse_config_file(path: str) -> dict:
     non-blank character is `#` is a comment; a value is everything after
     the first `=`, stripped, `#` included."""
     values = {}
-    for lineno, line in text_lines(path):
+    for lineno, line in text_lines(path, read_file(path)):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

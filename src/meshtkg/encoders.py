@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng
 from .autodiff import Tensor
-from .tkg import _ID, DatasetError, ParseError, Vocabulary, text_lines, write_file
+from .tkg import _ID, DatasetError, ParseError, Vocabulary, read_file, text_lines, write_file
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +303,19 @@ def load_semantic_embeddings(path: str, vocab: Vocabulary) -> SemanticEmbeddingT
     gives leaves its row NaN, and the file is refused naming the first ten
     such ids per kind. Packed rows are checked once, and the first
     non-finite one is named by kind and id."""
-    if not os.path.isfile(path):
-        raise DatasetError(f"missing embedding file: {path}")
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").strip()
-        parts = header.split()
-        try:
-            magic, version, rows, dim = parts[0], *map(int, parts[1:])
-        except (IndexError, ValueError):
-            magic = None
-        if magic != MAGIC or not all(map(_ID.fullmatch, parts[1:])):
-            raise DatasetError(f"{path}: bad header {header!r}")
-        if dim < 1:
-            raise DatasetError(f"{path}: header declares width {dim}, need at least 1")
-        if version not in (TEXT_VERSION, PACKED_VERSION):
-            raise DatasetError(f"{path}: unsupported format version {version}")
-        body = fh.read()
-
+    line, _, body = read_file(path).partition(b"\n")
+    header = line.decode("ascii", errors="replace").strip()
+    parts = header.split()
+    try:
+        magic, version, rows, dim = parts[0], *map(int, parts[1:])
+    except (IndexError, ValueError):
+        magic = None
+    if magic != MAGIC or not all(map(_ID.fullmatch, parts[1:])):
+        raise DatasetError(f"{path}: bad header {header!r}")
+    if dim < 1:
+        raise DatasetError(f"{path}: header declares width {dim}, need at least 1")
+    if version not in (TEXT_VERSION, PACKED_VERSION):
+        raise DatasetError(f"{path}: unsupported format version {version}")
     expected_rows = vocab.num_entities + vocab.num_relations
     if rows != expected_rows:
         raise DatasetError(

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import history
-from .autodiff import NumericError
+from .autodiff import numeric_guard
 from .encoders import SemanticEmbeddingTable, adapt_rows, frozen_encoding
 from .model import AblationConfig, MeshModel, forward_queries, score_logits
 from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
@@ -178,12 +178,8 @@ def ranked_queries(query: TemporalKG, known: TemporalKG, scores):
     for t, rows in enumerate(query.snapshots()):
         if not len(rows):
             continue
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                ranks.append(filtered_ranks(scores(t, rows), rows, known_at[t]))
-        except FloatingPointError as exc:
-            raise NumericError(f"non-finite scores in the {query.split} split, "
-                               f"timestamp {t}: {exc}") from None
+        with numeric_guard(f"non-finite scores in the {query.split} split, timestamp {t}"):
+            ranks.append(filtered_ranks(scores(t, rows), rows, known_at[t]))
     return tuple(np.concatenate(column) for column in zip(*ranks))
 
 

@@ -15,15 +15,16 @@ per-timestamp blocks by `snapshots`. Around it: loading, inverse
 augmentation, merging (concatenate, then stable sort), temporal
 resplitting and history dropping.
 
-`read_text` and `text_lines` are the one reader of every text input:
-dataset files, config files and embedding text rows, and `write_file` is
-the one writer of every output file, each written to `<path>.tmp` and
-renamed over its path. A fact file is
-parsed in one `np.loadtxt` pass, then range-, sign- and order-checked as
-arrays; only when that fails is the first refused line searched for, by
-the same field rule (`_FIELD`) and the same row checks. A vocabulary
-beyond `history`'s packed-key range (2**ID_BITS entities, 2**(ID_BITS-1)
-relations, since inverse relations double their ids) is refused at load.
+`read_file` is the one reader of every input file (dataset, config,
+embedding and checkpoint files), each read whole, and `write_file` the
+one writer of every output file, each written to `<path>.tmp` and
+renamed over its path. `read_text` and `text_lines` decode the bytes of
+every text input. A fact file is parsed in one `np.loadtxt` pass, then
+range-, sign- and order-checked as arrays; only when that fails is the
+first refused line searched for, by the same field rule (`_FIELD`) and
+the same row checks. A vocabulary beyond `history`'s packed-key range
+(2**ID_BITS entities, 2**(ID_BITS-1) relations, since inverse relations
+double their ids) is refused at load.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ ID_BITS = 20
 
 
 class DatasetError(Exception):
-    """Input data that cannot be read: a missing, malformed or inconsistent
-    dataset, embedding or checkpoint file."""
+    """Input that cannot be used: a file that cannot be read, or a malformed
+    or inconsistent dataset, embedding or checkpoint file."""
 
 
 class WriteError(OSError):
@@ -122,18 +123,25 @@ class TemporalKG:
         return np.split(rows, np.searchsorted(t, np.arange(1, t[-1] + 1)))
 
 
-def read_text(path: str, data: bytes | None = None, start: int = 1) -> str:
-    """The text of a UTF-8 file, each line break (`\\r\\n`, `\\r` or `\\n`)
-    read as `\\n`. `data`, when given, is the file's bytes from line `start`
-    on, already read. A byte that is not UTF-8 is a ParseError at its line."""
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
+def read_text(path: str, data: bytes, start: int = 1) -> str:
+    """The text of `data`, the UTF-8 bytes of `path` from line `start` on,
+    each line break (`\\r\\n`, `\\r` or `\\n`) read as `\\n`. A byte that
+    is not UTF-8 is a ParseError at its line."""
     try:
         return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ParseError(path, data.count(b"\n", 0, exc.start) + start,
                          f"byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
+def read_file(path: str) -> bytes:
+    """The whole content of the input file `path`. An OSError is a
+    DatasetError naming `path`."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path} ({exc.strerror})") from None
 
 
 def write_file(path: str, chunks) -> None:
@@ -155,7 +163,7 @@ def write_file(path: str, chunks) -> None:
             os.remove(tmp)
 
 
-def text_lines(path: str, data: bytes | None = None, start: int = 1):
+def text_lines(path: str, data: bytes, start: int = 1):
     """(line number, line) for every non-empty line of `read_text`'s text,
     newline stripped, numbered from `start`."""
     for lineno, line in enumerate(read_text(path, data, start).split("\n"), start=start):
@@ -171,10 +179,8 @@ _ID = re.compile(_FIELD)
 
 
 def _read_id_file(path: str) -> list[str]:
-    if not os.path.isfile(path):
-        raise DatasetError(f"missing vocabulary file: {path}")
     pairs = []
-    for lineno, line in text_lines(path):
+    for lineno, line in text_lines(path, read_file(path)):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ParseError(path, lineno, f"expected `name<TAB>id`, got {line!r}")
@@ -238,10 +244,7 @@ def _first_refusal(rows: np.ndarray, num_entities: int, num_relations: int):
 
 
 def _read_fact_file(path: str, num_entities: int, num_relations: int) -> np.ndarray:
-    if not os.path.isfile(path):
-        raise DatasetError(f"missing split file: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_file(path)
     text = read_text(path, data)
     rows = None
     # only a text with other characters needs the (slower) search first

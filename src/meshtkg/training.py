@@ -50,7 +50,7 @@ from .model import (
     init_model,
     score_logits,
 )
-from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, write_file
+from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, read_file, write_file
 
 
 # stage 0 trains the structural encoder and its decoder on their own
@@ -138,20 +138,14 @@ def _train_epoch(batches, batch_loss, params: list, adam: ad.AdamState,
     total, count = 0.0, 0
     for t, rows in batches:
         where = f"{stage}, epoch {epoch}, timestamp {t}"
-        with np.errstate(over="raise", invalid="raise"):
-            try:
-                with ad.Tape(params) as tape:
-                    loss = batch_loss(t, rows)
-                    if not np.isfinite(loss.values):
-                        raise NumericError(f"non-finite loss in {where}")
-                    grads = ad.backward(loss, tape)
-            except FloatingPointError as exc:
-                raise NumericError(f"non-finite value in {where}: {exc}") from None
-            try:
-                ad.adam_step(params, grads, adam)
-            except FloatingPointError as exc:
-                raise NumericError(f"Adam update failed in {where}: {exc}") from None
-            del grads  # not held through the next step's forward and backward
+        with ad.numeric_guard(f"non-finite value in {where}"), ad.Tape(params) as tape:
+            loss = batch_loss(t, rows)
+            if not np.isfinite(loss.values):
+                raise NumericError(f"non-finite loss in {where}")
+            grads = ad.backward(loss, tape)
+        with ad.numeric_guard(f"Adam update failed in {where}"):
+            ad.adam_step(params, grads, adam)
+        del grads  # not held through the next step's forward and backward
         total += loss.item()
         count += len(rows)
     return total / max(count, 1)
@@ -359,12 +353,7 @@ def load_checkpoint(path: str):
     model built from placeholders, then the blob against that model's size
     and last against its checksum. Only then is any parameter allocated,
     each filled from the blob in model order and refused if non-finite."""
-    try:
-        with open(path, "rb") as fh:
-            line = fh.readline()
-            blob = fh.read()
-    except OSError as exc:
-        raise DatasetError(f"{path}: cannot read the checkpoint ({exc.strerror})") from None
+    line, _, blob = read_file(path).partition(b"\n")
     try:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

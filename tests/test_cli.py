@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -780,8 +781,10 @@ def test_unwritable_output_file_exits_2(case, synth_dataset, checkpoint, tmp_pat
         argv = [command, synth_dataset["dir"],
                 *micro_flags(out, epochs_stage0=1, epochs_stage1=1), *extra]
     assert run(argv) == 2
-    assert re.fullmatch(rf"error: cannot write {re.escape(path)} \(.+\)\n",
-                        capsys.readouterr().err)
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"error: cannot write {re.escape(path)} \(.+\)\n", captured.err)
+    if command in ("stats", "naive", "eval", "analyze"):
+        assert captured.out == ""  # results.json is written before the table is printed
     assert os.path.isdir(path) and not os.path.exists(path + ".tmp")
     if name == "training.log":
         training.load_checkpoint(os.path.join(out, "checkpoint.mesh"))
@@ -890,6 +893,49 @@ def test_missing_checkpoint_exits_3(synth_dataset, tmp_path, capsys):
     assert run(["eval", path, synth_dataset["dir"], "--out", str(tmp_path / "ev")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "missing.mesh" in err and err.count("\n") == 1
+
+
+# each input file: a dataset file, or what the flag or argument names
+INPUT_FILES = ["entity2id.txt", "relation2id.txt", "train.txt", "valid.txt", "test.txt",
+               "--embeddings", "checkpoint", "--config"]
+
+
+@pytest.mark.parametrize("name", INPUT_FILES)
+def test_unreadable_input_file_exits_in_one_line_naming_it(name, synth_dataset, checkpoint,
+                                                           tmp_path, capsys):
+    """A directory planted where an input file goes cannot be read, as a
+    `chmod 000` file cannot by any user but root: exit 3 (2 for a config
+    file, which is configuration) with one line naming it."""
+    ds = str(tmp_path / "ds")
+    shutil.copytree(synth_dataset["dir"], ds)
+    out = str(tmp_path / "out")
+    path = os.path.join(ds, name) if name.endswith(".txt") else str(tmp_path / name.strip("-"))
+    argv = {"--embeddings": ["eval", checkpoint, ds, "--out", out, "--embeddings", path],
+            "checkpoint": ["eval", path, ds, "--out", out],
+            "--config": ["stats", ds, "--out", out, "--config", path]
+            }.get(name, ["stats", ds, "--out", out])
+    if os.path.exists(path):
+        os.remove(path)
+    os.makedirs(path)
+    prefix = "error" if name == "--config" else "data error"
+    assert run(argv) == (2 if name == "--config" else 3)
+    assert re.fullmatch(rf"{prefix}: cannot read {re.escape(path)} \(.+\)\n",
+                        capsys.readouterr().err)
+
+
+def test_fact_file_without_read_permission_exits_3(synth_dataset, tmp_path, capsys,
+                                                   monkeypatch):
+    """The `PermissionError` a `chmod 000` fact file raises for any user but root."""
+    path = os.path.join(synth_dataset["dir"], "train.txt")
+
+    def guarded_open(file, *args, **kwargs):
+        if file == path:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(tkg, "open", guarded_open, raising=False)
+    assert run(["stats", synth_dataset["dir"], "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"data error: cannot read {path} (Permission denied)\n"
 
 
 # each command, and the split that is emptied under it

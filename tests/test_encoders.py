@@ -1,6 +1,7 @@
 import os
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -611,7 +612,7 @@ class TestSemanticTables:
         # rows of 10**17 values are beyond any memory: refused before allocating
         (b"tkg-emb 1 2 100000000000000000\nE\t0\t1 2\nR\t0\t1 2\n", DatasetError,
          "body holds only 16 bytes"),
-        (None, DatasetError, "missing embedding file"),
+        (None, DatasetError, "cannot read"),
         (b"tkg-emb 3 2 2\nE\t0\t1 2\nR\t0\t1 2\n", DatasetError,
          "unsupported format version 3"),
         (b"tkg-emb 1 3 2\nE\t0\t1 2\nR\t0\t1 2\n", DatasetError,
@@ -671,6 +672,21 @@ class TestSemanticTables:
         with pytest.raises(DatasetError,
                            match=re.escape("missing entity ids [1] and relation ids [0]")):
             load_semantic_embeddings(str(path), make_vocab(2, 2))
+
+    def test_packed_file_loads_without_a_second_copy(self, tmp_path):
+        """Loading peaks at the body plus the tables it becomes, about twice
+        the file; a copy of the whole file held beside the body would make
+        it about three times."""
+        vocab = make_vocab(2000, 48)
+        path = str(tmp_path / "emb")
+        save_semantic_embeddings(path, synthetic_embeddings(vocab, 256, seed=1), binary=True)
+        tracemalloc.start()
+        try:
+            load_semantic_embeddings(path, vocab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * os.path.getsize(path), (peak, os.path.getsize(path))
 
 
 class TestAdapters:

@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -559,6 +560,23 @@ class TestCheckpoint:
         for name, tensor in model.named_parameters().items():
             assert b[name].values.dtype == np.float64, name
             assert np.array_equal(tensor.values, b[name].values), name
+
+    def test_load_holds_no_second_copy_of_the_file(self, tmp_path):
+        """Loading peaks at the parameter bytes plus the parameters they
+        become, about twice the file; a copy of the whole file held beside
+        the parameter bytes would make it about three times."""
+        config = RunConfig(dim=64, llm_dim=512, adapter_hidden=512, channels=8)
+        model = init_model(ModelSpec.from_config(config, 1000, 20, config.llm_dim),
+                           np.random.default_rng(1))
+        path = str(tmp_path / "model.mesh")
+        save_checkpoint(path, model, config, [], 1)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * os.path.getsize(path), (peak, os.path.getsize(path))
 
     @settings(max_examples=25, deadline=None)
     @given(dtype=st.sampled_from(CHOICES["dtype"]), gate_input=st.sampled_from(

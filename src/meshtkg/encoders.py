@@ -9,7 +9,11 @@ on the rows with an in-edge in the snapshot (a few hundred of ICEWS14's
 7,128 entities); every other row gets its self-loop transform alone.
 Encoding at time t reads only snapshots strictly before t. The frozen
 encoder's tables are cached per timestamp in one place,
-`frozen_encoding`, which stage 1 and evaluation read as constants.
+`frozen_encoding`, which stage 1 and evaluation read as constants. It
+encodes only the entity rows its window's facts touch (a median of 508 of
+7,128 on the ICEWS14-shaped bench stream); every other row takes its
+value from the no-edge chain, which it computes once per cache and
+window length.
 
 Semantic path: prompts rendered per entity/relation name are handed to an
 external text encoder offline; its output embeddings come back through a
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -120,6 +124,14 @@ def aggregate(layer: LayerParams, X: Tensor, R: Tensor, rows: np.ndarray) -> Ten
     return ad.add_rows(ad.matmul(X, layer.self), ad.matmul(agg, layer.agg), dst)
 
 
+def history_window(params: StructuralEncoderParams, snapshots: list, t: int) -> list:
+    """The last `params.window` blocks of `snapshots` strictly before t; a t
+    outside 0..len(snapshots) is a ValueError."""
+    if t < 0 or t > len(snapshots):
+        raise ValueError(f"timestamp {t} outside the available history (0..{len(snapshots)})")
+    return snapshots[max(0, t - params.window):t]
+
+
 def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, *,
                       gen: np.random.Generator | None = None):
     """Entity and relation tables conditioned on the last `params.window`
@@ -128,14 +140,12 @@ def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, 
     With no history (t = 0 or window 0) the initial embedding tables are
     returned as-is.
     """
-    if t < 0 or t > len(snapshots):
-        raise ValueError(f"timestamp {t} outside the available history (0..{len(snapshots)})")
     num_relations = params.relation_emb.shape[0]
     dtype = params.entity_emb.dtype
 
     H = params.entity_emb
     R = params.relation_emb
-    for rows in snapshots[max(0, t - params.window):t]:
+    for rows in history_window(params, snapshots, t):
         s_idx, r_idx, o_idx = rows[:, 0], rows[:, 1], rows[:, 2]
 
         # relation evolution: previous rows joined with the mean embedding of
@@ -159,14 +169,53 @@ def encode_structural(params: StructuralEncoderParams, snapshots: list, t: int, 
     return H, R
 
 
+# the cache key of the no-edge chain; every other key is a timestamp
+NO_EDGE_CHAIN = "no-edge chain"
+
+
 def frozen_encoding(params: StructuralEncoderParams, snapshots: list, t: int,
                     cache: dict) -> tuple[Tensor, Tensor]:
     """The frozen, dropout-free encoder's (H, R) at t as constant Tensors; a
     miss encodes them, recording nothing on a tape that is not given the
     encoder's parameters, and stores the arrays under t. The one cache of
-    the frozen tables, for stage 1 and evaluation alike."""
+    the frozen tables, for stage 1 and evaluation alike.
+
+    With no history (t = 0 or window 0) the arrays are the embedding
+    tables themselves. Otherwise a miss runs `encode_structural` on the
+    window's sub-graph only: the rows of the entities that are a subject or
+    an object in it, with R dense over every relation. A row with no
+    in-edge evolves by its own row alone, so each other row of H is the
+    no-edge chain's: row i of `encode_structural` over as many snapshots
+    with no facts. The chain is stored under NO_EDGE_CHAIN as a dict from
+    length to table (0: the embedding table itself), one table per length
+    a window has asked for, each built one empty step at a time from the
+    longest shorter one stored. The result has the bits of
+    encoding the whole table wherever a row of a matrix product does not
+    depend on how many rows it is computed with, which the tests check
+    byte for byte at several shapes, in float32 and float64."""
     if t not in cache:
-        cache[t] = tuple(x.values for x in encode_structural(params, snapshots, t))
+        window = history_window(params, snapshots, t)
+        if not window:
+            cache[t] = (params.entity_emb.values, params.relation_emb.values)
+        else:
+            length = len(window)
+            no_edge = cache.setdefault(NO_EDGE_CHAIN, {0: params.entity_emb.values})
+            if length not in no_edge:
+                done = max(k for k in no_edge if k < length)
+                H = no_edge[done]
+                for _ in range(length - done):
+                    step = replace(params, entity_emb=Tensor(H), window=1)
+                    H = encode_structural(step, [window[0][:0]], 1)[0].values
+                no_edge[length] = H
+            ids = np.unique(np.concatenate([rows[:, [0, 2]] for rows in window]))
+            local = [rows.copy() for rows in window]
+            for rows in local:
+                rows[:, [0, 2]] = np.searchsorted(ids, rows[:, [0, 2]])
+            sub = replace(params, entity_emb=Tensor(params.entity_emb.values[ids]))
+            H_sub, R = encode_structural(sub, local, length)
+            H = no_edge[length].copy()
+            H[ids] = H_sub.values
+            cache[t] = (H, R.values)
     return tuple(Tensor(v) for v in cache[t])
 
 

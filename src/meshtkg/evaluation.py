@@ -191,17 +191,21 @@ def model_scores(model: MeshModel, sem: SemanticEmbeddingTable, cond: TemporalKG
     prediction expert's weight on the first expert to `alphas`, if the
     ablation runs that expert. `encode_cache` keeps each timestamp's
     encoding across calls (the evaluation-mode encoder is a pure function
-    of its frozen parameters); without one, it is dropped once scored."""
+    of its frozen parameters). Without one, the scorer keeps its own cache
+    and drops each timestamp's tables once they are scored, so only
+    `frozen_encoding`'s no-edge chain outlives a timestamp."""
     ablation = ablation or AblationConfig()
     cond_at = cond.snapshots()
+    cache = {} if encode_cache is None else encode_cache
     sem_table = None
 
     def scores(t, rows):
         nonlocal sem_table
         H = R = None
         if not ablation.disable_structural:
-            H, R = frozen_encoding(model.encoder, cond_at, t,
-                                   {} if encode_cache is None else encode_cache)
+            H, R = frozen_encoding(model.encoder, cond_at, t, cache)
+            if encode_cache is None:
+                del cache[t]
         elif sem_table is None:
             sem_table = adapt_rows(model.adapter.f_h, sem.entity)
         bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],

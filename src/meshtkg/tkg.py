@@ -16,13 +16,14 @@ augmentation, merging (concatenate, then stable sort), temporal
 resplitting and history dropping.
 
 `read_file` is the one reader of every input file (dataset, config,
-embedding and checkpoint files), each read whole, and `write_file` the
+embedding and checkpoint files), each read whole, and `write_files` the
 one writer of every output file, each written to `<path>.tmp` and
-renamed over its path. `read_text` and `text_lines` decode the bytes of
-every text input. A fact file is parsed in one `np.loadtxt` pass, then
-range-, sign- and order-checked as arrays; only when that fails is the
-first refused line searched for, by the same field rule (`_FIELD`) and
-the same row checks. A vocabulary beyond `history`'s packed-key range
+renamed over its path once every file of its set is written (a
+dataset's five files are one set). `read_text` and `text_lines` decode
+the bytes of every text input. A fact file is parsed in one `np.loadtxt`
+pass, then range-, sign- and order-checked as arrays; only when that
+fails is the first refused line searched for, by the same field rule
+(`_FIELD`) and the same row checks. A vocabulary beyond `history`'s packed-key range
 (2**ID_BITS entities, 2**(ID_BITS-1) relations, since inverse relations
 double their ids) is refused at load.
 """
@@ -30,6 +31,7 @@ double their ids) is refused at load.
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import os
 import re
@@ -144,23 +146,36 @@ def read_file(path: str) -> bytes:
         raise DatasetError(f"cannot read {path} ({exc.strerror})") from None
 
 
-def write_file(path: str, chunks) -> None:
-    """Write `chunks` (str, as UTF-8, or bytes) to `<path>.tmp`, making its
-    directory, then rename it over `path`, so `path` holds its old content
-    or the whole new file. An OSError is a WriteError naming `path`, and
-    leaves no `<path>.tmp`."""
-    tmp = path + ".tmp"
+def write_files(files: dict) -> None:
+    """Write each `path: chunks` of `files` (str chunks as UTF-8, or bytes)
+    to `<path>.tmp`, making its directory, and only once every file is
+    written rename each over its path, so the paths hold their old content
+    or the whole new set. A path that is a directory, where a rename within
+    one directory fails, is refused before the first rename. An OSError is
+    a WriteError naming the path, and leaves no `<path>.tmp`."""
+    path = None
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-        os.replace(tmp, path)
+        for path, chunks in files.items():
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path + ".tmp", "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        for path in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path in files:
+            os.replace(path + ".tmp", path)
     except OSError as exc:
         raise WriteError(f"cannot write {path} ({exc.strerror})") from None
     finally:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for written in files:
+            with contextlib.suppress(OSError):
+                os.remove(written + ".tmp")
+
+
+def write_file(path: str, chunks) -> None:
+    """`write_files` of the one file `path`."""
+    write_files({path: chunks})
 
 
 def text_lines(path: str, data: bytes, start: int = 1):
@@ -306,7 +321,8 @@ def load_dataset(directory: str):
 
 
 def write_dataset(directory: str, vocab: Vocabulary, train, valid, test) -> None:
-    """Write a normalized dataset back to the text format. A name that
+    """Write a normalized dataset back to the text format, its five files
+    replaced as one set (`write_files`). A name that
     `load_dataset` would misread or refuse, or that UTF-8 cannot encode, is
     a ValueError before any file is written: one holding a tab, `\\n`,
     `\\r` or a lone surrogate, or one repeated within its kind."""
@@ -319,12 +335,12 @@ def write_dataset(directory: str, vocab: Vocabulary, train, valid, test) -> None
             if name in seen:
                 raise ValueError(f"{kind} name {name!r} is repeated")
             seen.add(name)
-    for kind, names in kinds:
-        write_file(os.path.join(directory, f"{kind}2id.txt"),
-                   (f"{name}\t{i}\n" for i, name in enumerate(names)))
-    for tkg in (train, valid, test):
-        write_file(os.path.join(directory, f"{tkg.split}.txt"),
-                   (f"{s}\t{r}\t{o}\t{t}\n" for s, r, o, t in tkg.array.tolist()))
+    files = {os.path.join(directory, f"{kind}2id.txt"):
+             (f"{name}\t{i}\n" for i, name in enumerate(names)) for kind, names in kinds}
+    files.update((os.path.join(directory, f"{tkg.split}.txt"),
+                  (f"{s}\t{r}\t{o}\t{t}\n" for s, r, o, t in tkg.array.tolist()))
+                 for tkg in (train, valid, test))
+    write_files(files)
 
 
 def merge(*tkgs: TemporalKG) -> TemporalKG:

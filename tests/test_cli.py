@@ -82,6 +82,27 @@ class TestDataCommands:
         assert train.num_facts == original - int(0.5 * original)
         assert test.num_facts == synth_dataset["test"].num_facts  # only train is thinned
 
+    def test_prepare_replaces_the_dataset_files_as_one_set(self, synth_dataset,
+                                                           tiny_dataset_dir, tmp_path, capsys):
+        """A split that cannot be written leaves every earlier file of the
+        set as it was, the id files included, and no `<path>.tmp`."""
+        out = str(tmp_path / "o")
+        dataset = tmp_path / "o" / "dataset"
+        assert run(["prepare", tiny_dataset_dir, "--out", out]) == 0
+        before = {name: (dataset / name).read_bytes()
+                  for name in ("entity2id.txt", "relation2id.txt")}
+        os.remove(os.path.join(dataset, "train.txt"))
+        os.makedirs(os.path.join(dataset, "train.txt"))
+        capsys.readouterr()
+        assert run(["prepare", synth_dataset["dir"], "--out", out]) == 2
+        path = os.path.join(dataset, "train.txt")
+        assert re.fullmatch(rf"error: cannot write {re.escape(path)} \(.+\)\n",
+                            capsys.readouterr().err)
+        for name, content in before.items():
+            assert (dataset / name).read_bytes() == content
+        assert sorted(os.listdir(dataset)) == ["entity2id.txt", "relation2id.txt", "test.txt",
+                                               "train.txt", "valid.txt"]
+
     def test_prepare_too_few_timestamps_exits_3(self, tiny_dataset_dir, tmp_path, capsys):
         ds = str(tmp_path / "one_timestamp")
         shutil.copytree(tiny_dataset_dir, ds)

@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from meshtkg.encoders import (
 from meshtkg.tkg import (DatasetError, ParseError, Quadruple, TemporalKG, Vocabulary,
                          add_inverse_relations)
 
-from conftest import dense_gather, group, make_vocab
+from conftest import dense_gather, group, make_vocab, synth_repetitive_facts
 
 
 def sigmoid(x):
@@ -398,19 +399,77 @@ class TestPrompts:
 
 class TestFrozenEncoding:
     def test_miss_stores_the_arrays_and_a_hit_reads_them(self, np_gen, monkeypatch):
-        params = init_structural_encoder(6, 6, 10, layers=2, window=3, dropout=0.0, gen=np_gen)
+        """A miss stores the timestamp's tables and the no-edge chain up to
+        its window's length; a hit encodes nothing and wraps the stored
+        arrays."""
+        params = init_structural_encoder(8, 6, 10, layers=2, window=3, dropout=0.0, gen=np_gen)
         snapshots = add_inverse_relations(group([(0, 0, 1, 0), (2, 1, 3, 1), (4, 2, 5, 1)]),
                                           3).snapshots()
         cache = {}
         H, R = encoders.frozen_encoding(params, snapshots, 2, cache)
         H_ref, R_ref = encode_structural(params, snapshots, 2)
-        assert list(cache) == [2]
+        assert set(cache) == {2, encoders.NO_EDGE_CHAIN}
+        chain = cache[encoders.NO_EDGE_CHAIN]
+        assert sorted(chain) == [0, 2] and chain[0] is params.entity_emb.values
+        assert np.array_equal(chain[2][6:], H_ref.values[6:])   # entities 6 and 7 have no fact
         assert np.array_equal(H.values, H_ref.values) and np.array_equal(R.values, R_ref.values)
         assert {H.key, R.key}.isdisjoint(t.key for t in ad.named_tensors(params).values())
-        # a hit encodes nothing and wraps the stored arrays
         monkeypatch.setattr(encoders, "encode_structural", None)
         H2, R2 = encoders.frozen_encoding(params, snapshots, 2, cache)
         assert H2.values is cache[2][0] and R2.values is cache[2][1]
+
+    @pytest.mark.parametrize("t", [-1, 3])
+    def test_timestamp_outside_the_history_is_refused(self, t):
+        params = init_structural_encoder(4, 2, 4, layers=1, window=3, dropout=0.0,
+                                         gen=np.random.default_rng(0))
+        cache = {}
+        with pytest.raises(ValueError, match="outside the available history"):
+            encoders.frozen_encoding(params, group([(0, 0, 1, 0), (1, 0, 2, 1)]).snapshots(),
+                                     t, cache)
+        assert cache == {}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_whole_table_encoding_bit_for_bit(self, dtype):
+        """At every timestamp of a stream with a 3-snapshot gap (so one
+        window holds no fact at all), at windows 0-3, with and without
+        inverse facts (without them, some subjects are never an object)."""
+        facts = group([f for f in synth_repetitive_facts(seed=5, num_timestamps=10, per_step=6)
+                       if not 3 <= f.t <= 5])
+        for snapshots, window in product([facts.snapshots(),
+                                          add_inverse_relations(facts, 4).snapshots()], range(4)):
+            params = init_structural_encoder(30, 8, 8, layers=2, window=window, dropout=0.2,
+                                             gen=np.random.default_rng(window), dtype=dtype)
+            cache = {}
+            for t in range(len(snapshots) + 1):
+                H, R = encoders.frozen_encoding(params, snapshots, t, cache)
+                H_ref, R_ref = encode_structural(params, snapshots, t)
+                assert H.values.dtype == R.values.dtype == dtype
+                assert H.values.tobytes() == H_ref.values.tobytes(), (window, t)
+                assert R.values.tobytes() == R_ref.values.tobytes(), (window, t)
+
+    @pytest.mark.parametrize("dim", [32, 100])
+    def test_matches_the_whole_table_encoding_bit_for_bit_at_icews14_shape(self, dim):
+        """7,128 entities, 230 relations and 246 facts a timestamp whose
+        subjects and objects are Zipf-skewed, so a window touches a few
+        hundred rows: the restricted products go through other BLAS paths
+        (small-matrix, threaded) than the whole table's."""
+        gen = np.random.default_rng(14)
+        num_entities, num_relations, per_step, steps = 7128, 230, 246, 5
+        popularity = 1.0 / np.arange(1, num_entities + 1) ** 1.1
+        popularity = (popularity / popularity.sum())[gen.permutation(num_entities)]
+        s, o = gen.choice(num_entities, size=(2, per_step * steps), p=popularity)
+        r = gen.integers(num_relations, size=per_step * steps)
+        t = np.repeat(np.arange(steps), per_step)
+        snapshots = add_inverse_relations(TemporalKG(np.stack([s, r, o, t], axis=1), "train"),
+                                          num_relations).snapshots()
+        params = init_structural_encoder(num_entities, 2 * num_relations, dim, layers=2,
+                                         window=3, dropout=0.2, gen=gen)
+        cache = {}
+        for t in (1, 3, 5):
+            H, R = encoders.frozen_encoding(params, snapshots, t, cache)
+            H_ref, R_ref = encode_structural(params, snapshots, t)
+            assert H.values.tobytes() == H_ref.values.tobytes(), t
+            assert R.values.tobytes() == R_ref.values.tobytes(), t
 
     def test_no_history_gives_constants_over_the_embedding_tables(self, np_gen):
         params = init_structural_encoder(5, 4, 8, layers=2, window=3, dropout=0.0, gen=np_gen)

@@ -28,7 +28,7 @@ from meshtkg.training import (
     train_model,
 )
 
-from meshtkg.tkg import DatasetError
+from meshtkg.tkg import DatasetError, add_inverse_relations, merge
 
 from conftest import group, make_vocab, micro_config
 
@@ -362,8 +362,9 @@ class TestTrainModel:
     def test_stage1_encodes_each_timestamp_once_off_the_tape(self, synth_dataset, tmp_path,
                                                             monkeypatch):
         """The frozen encoding of each timestamp is computed once per run,
-        the training ones inside the first epoch's steps, and records no
-        node on a step's tape."""
+        the training ones inside the first epoch's steps; the no-edge chain
+        once per cache and window length; and no call records a node on a
+        step's tape."""
         calls = []
         encode = encoders.encode_structural
 
@@ -371,7 +372,8 @@ class TestTrainModel:
             tape = ad.active_tape()
             before = len(tape.nodes) if tape else 0
             out = encode(params, snapshots, t, **kwargs)
-            calls.append((t, tape is not None, (len(tape.nodes) if tape else 0) - before))
+            facts = sum(map(len, snapshots[max(0, t - params.window):t]))
+            calls.append((facts, t, tape is not None, (len(tape.nodes) if tape else 0) - before))
             return out
 
         monkeypatch.setattr(encoders, "encode_structural", spy)
@@ -380,9 +382,19 @@ class TestTrainModel:
         sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
         train_model(config, synth_dataset["vocab"], synth_dataset["train"],
                     synth_dataset["valid"], sem)
-        assert [t for t, _, _ in calls] == list(range(17))   # 14 training, 3 validation
-        assert [taped for _, taped, _ in calls] == [True] * 14 + [False] * 3
-        assert all(added == 0 for _, _, added in calls)
+        cond = merge(*(add_inverse_relations(synth_dataset[split], 4)
+                       for split in ("train", "valid"))).snapshots()
+        windows = [sum(map(len, cond[max(0, t - config.window):t])) for t in range(1, 17)]
+        assert all(windows)   # so only a chain step encodes a window with no fact
+        encoded = [call for call in calls if call[0]]
+        chain = [call for call in calls if not call[0]]
+        # t = 0 reads the embedding tables; 13 training timestamps, 3 validation
+        assert [facts for facts, _, _, _ in encoded] == windows
+        assert [taped for _, _, taped, _ in encoded] == [True] * 13 + [False] * 3
+        # one step per length: in the training cache at t = 1, 2, 3, in the
+        # validation cache all three at its first timestamp
+        assert [(t, taped) for _, t, taped, _ in chain] == [(1, True)] * 3 + [(1, False)] * 3
+        assert all(added == 0 for _, _, _, added in calls)
 
     def test_step_gradients_are_freed_before_the_next_forward(self, synth_dataset, tmp_path,
                                                              monkeypatch):

@@ -13,7 +13,8 @@ encoder's tables are cached per timestamp in one place,
 encodes only the entity rows its window's facts touch (a median of 508 of
 7,128 on the ICEWS14-shaped bench stream); every other row takes its
 value from the no-edge chain, which it computes once per cache and
-window length.
+window length. An entry keeps only the touched rows, their ids, R and
+the window's length, and each read rebuilds H from the chain's table.
 
 Semantic path: prompts rendered per entity/relation name are handed to an
 external text encoder offline; its output embeddings come back through a
@@ -177,22 +178,27 @@ def frozen_encoding(params: StructuralEncoderParams, snapshots: list, t: int,
                     cache: dict) -> tuple[Tensor, Tensor]:
     """The frozen, dropout-free encoder's (H, R) at t as constant Tensors; a
     miss encodes them, recording nothing on a tape that is not given the
-    encoder's parameters, and stores the arrays under t. The one cache of
-    the frozen tables, for stage 1 and evaluation alike.
+    encoder's parameters, and stores what it computed under t. The one
+    cache of the frozen tables, for stage 1 and evaluation alike.
 
-    With no history (t = 0 or window 0) the arrays are the embedding
-    tables themselves. Otherwise a miss runs `encode_structural` on the
-    window's sub-graph only: the rows of the entities that are a subject or
-    an object in it, with R dense over every relation. A row with no
-    in-edge evolves by its own row alone, so each other row of H is the
-    no-edge chain's: row i of `encode_structural` over as many snapshots
-    with no facts. The chain is stored under NO_EDGE_CHAIN as a dict from
-    length to table (0: the embedding table itself), one table per length
-    a window has asked for, each built one empty step at a time from the
-    longest shorter one stored. The result has the bits of
+    With no history (t = 0 or window 0) the entry is the embedding tables
+    themselves, returned as they are. Otherwise a miss runs
+    `encode_structural` on the window's sub-graph only: the rows of the
+    entities that are a subject or an object in it, with R dense over every
+    relation. The entry holds the sorted ids, their rows of H, R and the
+    window's length. A row with no in-edge evolves by its own row alone, so
+    each other row of H is the no-edge chain's: row i of
+    `encode_structural` over as many snapshots with no facts. The chain is
+    stored under NO_EDGE_CHAIN as a dict from length to table (0: the
+    embedding table itself), one table per length a window has asked for,
+    each built one empty step at a time from the longest shorter one
+    stored. Each read rebuilds H as a fresh copy of the chain's table at
+    the entry's length with the rows written in, so writing into it leaves
+    the cache as it was; R is the stored array. The result has the bits of
     encoding the whole table wherever a row of a matrix product does not
     depend on how many rows it is computed with, which the tests check
-    byte for byte at several shapes, in float32 and float64."""
+    byte for byte at several shapes, in float32 and float64, on a miss and
+    on a hit."""
     if t not in cache:
         window = history_window(params, snapshots, t)
         if not window:
@@ -213,10 +219,13 @@ def frozen_encoding(params: StructuralEncoderParams, snapshots: list, t: int,
                 rows[:, [0, 2]] = np.searchsorted(ids, rows[:, [0, 2]])
             sub = replace(params, entity_emb=Tensor(params.entity_emb.values[ids]))
             H_sub, R = encode_structural(sub, local, length)
-            H = no_edge[length].copy()
-            H[ids] = H_sub.values
-            cache[t] = (H, R.values)
-    return tuple(Tensor(v) for v in cache[t])
+            cache[t] = (ids, H_sub.values, R.values, length)
+    if len(cache[t]) == 2:
+        return tuple(Tensor(v) for v in cache[t])
+    ids, rows, R, length = cache[t]
+    H = cache[NO_EDGE_CHAIN][length].copy()
+    H[ids] = rows
+    return Tensor(H), Tensor(R)
 
 
 # ---------------------------------------------------------------------------

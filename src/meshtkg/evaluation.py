@@ -191,8 +191,9 @@ def model_scores(model: MeshModel, sem: SemanticEmbeddingTable, cond: TemporalKG
     prediction expert's weight on the first expert to `alphas`, if the
     ablation runs that expert. `encode_cache` keeps each timestamp's
     encoding across calls (the evaluation-mode encoder is a pure function
-    of its frozen parameters). Without one, the scorer keeps its own cache
-    and drops each timestamp's tables once they are scored, so only
+    of its frozen parameters); an entry holds the rows its window touches,
+    their ids, R and the window's length. Without one, the scorer keeps its
+    own cache and drops each timestamp's entry once it is scored, so only
     `frozen_encoding`'s no-edge chain outlives a timestamp."""
     ablation = ablation or AblationConfig()
     cond_at = cond.snapshots()

@@ -10,7 +10,9 @@ runs on an `autodiff.Tape` of its stage's parameters, and `backward`
 returns their gradients for the Adam update: anything else, such as the
 frozen encoder in stage 1, is a constant that records nothing. Because the
 encoder is frozen, its per-timestamp output is cached and reused across
-stage-1 epochs (numerically identical to re-encoding, just cheaper).
+stage-1 epochs (numerically identical to re-encoding, just cheaper): the
+cache keeps each window's touched entity rows and R, not whole tables, and
+rebuilds H from them on each read.
 After each stage-1 epoch, `evaluation.evaluate(split="valid")` measures
 the validation MRR, and the best epoch's parameters are kept.
 

@@ -399,9 +399,10 @@ class TestPrompts:
 
 class TestFrozenEncoding:
     def test_miss_stores_the_arrays_and_a_hit_reads_them(self, np_gen, monkeypatch):
-        """A miss stores the timestamp's tables and the no-edge chain up to
-        its window's length; a hit encodes nothing and wraps the stored
-        arrays."""
+        """A miss stores the window's sorted ids, their rows, R and the
+        window's length, and the no-edge chain up to that length; a hit
+        encodes nothing and rebuilds H into a fresh array, so writing into
+        a returned H leaves the next read unchanged."""
         params = init_structural_encoder(8, 6, 10, layers=2, window=3, dropout=0.0, gen=np_gen)
         snapshots = add_inverse_relations(group([(0, 0, 1, 0), (2, 1, 3, 1), (4, 2, 5, 1)]),
                                           3).snapshots()
@@ -412,11 +413,19 @@ class TestFrozenEncoding:
         chain = cache[encoders.NO_EDGE_CHAIN]
         assert sorted(chain) == [0, 2] and chain[0] is params.entity_emb.values
         assert np.array_equal(chain[2][6:], H_ref.values[6:])   # entities 6 and 7 have no fact
+        ids, rows, R_values, length = cache[2]
+        assert ids.tolist() == [0, 1, 2, 3, 4, 5] and length == 2
+        assert rows.tobytes() == H_ref.values[ids].tobytes()
+        assert R.values is R_values
         assert np.array_equal(H.values, H_ref.values) and np.array_equal(R.values, R_ref.values)
         assert {H.key, R.key}.isdisjoint(t.key for t in ad.named_tensors(params).values())
         monkeypatch.setattr(encoders, "encode_structural", None)
         H2, R2 = encoders.frozen_encoding(params, snapshots, 2, cache)
-        assert H2.values is cache[2][0] and R2.values is cache[2][1]
+        assert H2.values.tobytes() == H.values.tobytes() and R2.values is R_values
+        assert not any(np.shares_memory(H2.values, a) for a in (H.values, rows, chain[2]))
+        H2.values[:] = 0.0
+        H3, _ = encoders.frozen_encoding(params, snapshots, 2, cache)
+        assert H3.values.tobytes() == H.values.tobytes()
 
     @pytest.mark.parametrize("t", [-1, 3])
     def test_timestamp_outside_the_history_is_refused(self, t):
@@ -441,41 +450,72 @@ class TestFrozenEncoding:
                                              gen=np.random.default_rng(window), dtype=dtype)
             cache = {}
             for t in range(len(snapshots) + 1):
-                H, R = encoders.frozen_encoding(params, snapshots, t, cache)
                 H_ref, R_ref = encode_structural(params, snapshots, t)
-                assert H.values.dtype == R.values.dtype == dtype
-                assert H.values.tobytes() == H_ref.values.tobytes(), (window, t)
-                assert R.values.tobytes() == R_ref.values.tobytes(), (window, t)
+                for read in ("miss", "hit"):
+                    assert (t in cache) == (read == "hit")
+                    H, R = encoders.frozen_encoding(params, snapshots, t, cache)
+                    assert H.values.dtype == R.values.dtype == dtype
+                    assert H.values.tobytes() == H_ref.values.tobytes(), (window, t, read)
+                    assert R.values.tobytes() == R_ref.values.tobytes(), (window, t, read)
 
     @pytest.mark.parametrize("dim", [32, 100])
     def test_matches_the_whole_table_encoding_bit_for_bit_at_icews14_shape(self, dim):
         """7,128 entities, 230 relations and 246 facts a timestamp whose
         subjects and objects are Zipf-skewed, so a window touches a few
         hundred rows: the restricted products go through other BLAS paths
-        (small-matrix, threaded) than the whole table's."""
-        gen = np.random.default_rng(14)
-        num_entities, num_relations, per_step, steps = 7128, 230, 246, 5
-        popularity = 1.0 / np.arange(1, num_entities + 1) ** 1.1
-        popularity = (popularity / popularity.sum())[gen.permutation(num_entities)]
-        s, o = gen.choice(num_entities, size=(2, per_step * steps), p=popularity)
-        r = gen.integers(num_relations, size=per_step * steps)
-        t = np.repeat(np.arange(steps), per_step)
-        snapshots = add_inverse_relations(TemporalKG(np.stack([s, r, o, t], axis=1), "train"),
-                                          num_relations).snapshots()
-        params = init_structural_encoder(num_entities, 2 * num_relations, dim, layers=2,
-                                         window=3, dropout=0.2, gen=gen)
+        (small-matrix, threaded) than the whole table's. Each t is read
+        twice, a miss and then a hit."""
+        params, snapshots = icews14_shaped_encoder(dim)
         cache = {}
         for t in (1, 3, 5):
-            H, R = encoders.frozen_encoding(params, snapshots, t, cache)
             H_ref, R_ref = encode_structural(params, snapshots, t)
-            assert H.values.tobytes() == H_ref.values.tobytes(), t
-            assert R.values.tobytes() == R_ref.values.tobytes(), t
+            for read in ("miss", "hit"):
+                assert (t in cache) == (read == "hit")
+                H, R = encoders.frozen_encoding(params, snapshots, t, cache)
+                assert H.values.tobytes() == H_ref.values.tobytes(), (t, read)
+                assert R.values.tobytes() == R_ref.values.tobytes(), (t, read)
+
+    def test_an_entry_holds_only_the_rows_its_window_touches(self):
+        """At the ICEWS14 shape no timestamp's entry holds an |E|-row array:
+        its bytes are at most the touched rows and R, plus its ids."""
+        params, snapshots = icews14_shaped_encoder(32)
+        num_entities, dim = params.entity_emb.shape
+        itemsize = params.entity_emb.values.itemsize
+        cache = {}
+        for t in range(1, 6):
+            encoders.frozen_encoding(params, snapshots, t, cache)
+        for t in range(1, 6):
+            arrays = [a for a in cache[t] if isinstance(a, np.ndarray)]
+            assert all(a.base is None and len(a) < num_entities for a in arrays), t
+            window = encoders.history_window(params, snapshots, t)
+            touched = len(np.unique(np.concatenate([rows[:, [0, 2]] for rows in window])))
+            ids = cache[t][0]
+            bound = (touched * dim + params.relation_emb.shape[0] * dim) * itemsize + ids.nbytes
+            assert sum(a.nbytes for a in arrays) <= bound, t
 
     def test_no_history_gives_constants_over_the_embedding_tables(self, np_gen):
         params = init_structural_encoder(5, 4, 8, layers=2, window=3, dropout=0.0, gen=np_gen)
         H, R = encoders.frozen_encoding(params, group([(0, 0, 1, 0)]).snapshots(), 0, {})
         assert H is not params.entity_emb and R is not params.relation_emb
         assert H.values is params.entity_emb.values and R.values is params.relation_emb.values
+
+
+def icews14_shaped_encoder(dim):
+    """An encoder over 7,128 entities and 2 x 230 relations, and five
+    inverse-augmented snapshots of 246 facts whose subjects and objects are
+    Zipf-skewed, so a window touches a few hundred rows."""
+    gen = np.random.default_rng(14)
+    num_entities, num_relations, per_step, steps = 7128, 230, 246, 5
+    popularity = 1.0 / np.arange(1, num_entities + 1) ** 1.1
+    popularity = (popularity / popularity.sum())[gen.permutation(num_entities)]
+    s, o = gen.choice(num_entities, size=(2, per_step * steps), p=popularity)
+    r = gen.integers(num_relations, size=per_step * steps)
+    t = np.repeat(np.arange(steps), per_step)
+    snapshots = add_inverse_relations(TemporalKG(np.stack([s, r, o, t], axis=1), "train"),
+                                      num_relations).snapshots()
+    params = init_structural_encoder(num_entities, 2 * num_relations, dim, layers=2,
+                                     window=3, dropout=0.2, gen=gen)
+    return params, snapshots
 
 
 def philox_stream(seed, domain, index):

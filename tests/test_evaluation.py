@@ -15,7 +15,7 @@ from meshtkg.evaluation import (
     welch_t,
 )
 from meshtkg.model import AblationConfig
-from meshtkg.tkg import add_inverse_relations
+from meshtkg.tkg import TemporalKG, add_inverse_relations
 
 from conftest import group, quads, sort_oracle_rank
 
@@ -195,6 +195,21 @@ class TestFilterSets:
                                              sort_oracle_rank(scores[i], o, filter_out))
 
 
+def evaluated_records(trained, facts):
+    """The per-query records of evaluating the `trained` model on the test
+    facts `facts`."""
+    return evaluate(trained["result"].model, trained["vocab"], trained["train"],
+                    trained["valid"], TemporalKG(facts, "test"), trained["sem"]).results
+
+
+def redraw_ends(facts, rows, vocab):
+    """A copy of `facts` whose `rows` have a new subject and object."""
+    facts = facts.copy()
+    facts[rows, 0], facts[rows, 2] = np.random.default_rng(19).integers(
+        vocab.num_entities, size=(2, len(facts[rows])))
+    return facts
+
+
 class TestEvaluate:
     def test_matches_scripted_per_query_oracle(self, trained):
         """Full evaluation equals a per-query recomputation from scratch."""
@@ -223,6 +238,31 @@ class TestEvaluate:
         assert got == sorted(scripted)
         mrr_oracle = sum(1.0 / q[4] for q in scripted) / len(scripted)
         assert result.overall.mrr == pytest.approx(mrr_oracle, abs=1e-12)
+
+    def test_rewriting_later_test_facts_changes_nothing_at_or_before_t(self, trained):
+        """Causal evaluation: redraw the subject and object of every test
+        fact after the second test timestamp t; no raw rank, filtered rank
+        or indicator at t or earlier moves, while those after t do."""
+        facts = trained["test"].array
+        t = np.unique(facts[:, 3])[1]
+        a = evaluated_records(trained, facts)
+        b = evaluated_records(trained, redraw_ends(facts, facts[:, 3] > t, trained["vocab"]))
+        assert (a.t <= t).any() and a[a.t <= t].tobytes() == b[b.t <= t].tobytes()
+        assert a[a.t > t].tobytes() != b[b.t > t].tobytes()
+
+    def test_same_time_facts_move_no_raw_rank(self, trained):
+        """Same-time facts act only through the filter: redrawing the subject
+        and object of every other test fact at t leaves the raw rank and
+        indicator of each query at t that was not redrawn unchanged."""
+        facts = trained["test"].array
+        t = np.unique(facts[:, 3])[1]
+        a = evaluated_records(trained, facts)
+        b = evaluated_records(trained, redraw_ends(facts, np.flatnonzero(facts[:, 3] == t)[::2],
+                                              trained["vocab"]))
+        kept = (a.t == t) & (a.s == b.s) & (a.r == b.r) & (a.o == b.o)
+        assert kept.sum() >= (a.t == t).sum() // 3
+        assert np.array_equal(a.raw_rank[kept], b.raw_rank[kept])
+        assert np.array_equal(a.indicator[kept], b.indicator[kept])
 
     def test_bucket_counts_sum(self, trained):
         result = evaluate(trained["result"].model, trained["vocab"], trained["train"],

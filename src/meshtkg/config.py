@@ -101,6 +101,10 @@ class RunConfig:
         for name in ("window", "epochs_stage0", "epochs_stage1", "max_timestamps", "omega"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"config field {name} must be >= 0")
+        # a Philox key is 64 bits wide: any other seed would alias one inside
+        for name in ("seed", "synthetic_seed"):
+            if not 0 <= getattr(self, name) < 2**64:
+                raise ValueError(f"config field {name} must be in 0..2**64 - 1")
         if self.kernel_width % 2 == 0:
             raise ValueError("kernel_width must be odd")
         if not self.out:

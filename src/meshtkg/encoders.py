@@ -11,10 +11,11 @@ Encoding at time t reads only snapshots strictly before t. The frozen
 encoder's tables are cached per timestamp in one place,
 `frozen_encoding`, which stage 1 and evaluation read as constants. It
 encodes only the entity rows its window's facts touch (a median of 508 of
-7,128 on the ICEWS14-shaped bench stream); every other row takes its
-value from the no-edge chain, which it computes once per cache and
-window length. An entry keeps only the touched rows, their ids, R and
-the window's length, and each read rebuilds H from the chain's table.
+7,128 on the ICEWS14-shaped bench stream; none with no history); every
+other row takes its value from the no-edge chain, which it computes once
+per cache and window length. Every entry keeps only the touched rows,
+their ids, R and the window's length, and every read returns fresh
+tables: H rebuilt from the chain's table and a copy of R.
 
 Semantic path: prompts rendered per entity/relation name are handed to an
 external text encoder offline; its output embeddings come back through a
@@ -181,51 +182,45 @@ def frozen_encoding(params: StructuralEncoderParams, snapshots: list, t: int,
     encoder's parameters, and stores what it computed under t. The one
     cache of the frozen tables, for stage 1 and evaluation alike.
 
-    With no history (t = 0 or window 0) the entry is the embedding tables
-    themselves, returned as they are. Otherwise a miss runs
-    `encode_structural` on the window's sub-graph only: the rows of the
-    entities that are a subject or an object in it, with R dense over every
-    relation. The entry holds the sorted ids, their rows of H, R and the
-    window's length. A row with no in-edge evolves by its own row alone, so
-    each other row of H is the no-edge chain's: row i of
-    `encode_structural` over as many snapshots with no facts. The chain is
-    stored under NO_EDGE_CHAIN as a dict from length to table (0: the
-    embedding table itself), one table per length a window has asked for,
-    each built one empty step at a time from the longest shorter one
-    stored. Each read rebuilds H as a fresh copy of the chain's table at
-    the entry's length with the rows written in, so writing into it leaves
-    the cache as it was; R is the stored array. The result has the bits of
+    A miss runs `encode_structural` on the window's sub-graph only: the
+    rows of the entities that are a subject or an object in it (none with
+    no history, at t = 0 or window 0), with R dense over every relation.
+    The entry holds the sorted ids, their rows of H, R and the window's
+    length. A row with no in-edge evolves by its own row alone, so each
+    other row of H is the no-edge chain's: row i of `encode_structural`
+    over as many snapshots with no facts. The chain is stored under
+    NO_EDGE_CHAIN as a dict from length to table (0: the embedding table
+    itself), one table per length a window has asked for, each built by
+    one `encode_structural` call over the empty snapshots that follow the
+    longest shorter one stored. Every read returns H as a fresh copy of
+    the chain's table at the entry's length with the rows written in, and
+    a fresh copy of R, so writing into either leaves the cache and the
+    encoder's parameters as they were. The result has the bits of
     encoding the whole table wherever a row of a matrix product does not
     depend on how many rows it is computed with, which the tests check
     byte for byte at several shapes, in float32 and float64, on a miss and
     on a hit."""
     if t not in cache:
         window = history_window(params, snapshots, t)
-        if not window:
-            cache[t] = (params.entity_emb.values, params.relation_emb.values)
-        else:
-            length = len(window)
-            no_edge = cache.setdefault(NO_EDGE_CHAIN, {0: params.entity_emb.values})
-            if length not in no_edge:
-                done = max(k for k in no_edge if k < length)
-                H = no_edge[done]
-                for _ in range(length - done):
-                    step = replace(params, entity_emb=Tensor(H), window=1)
-                    H = encode_structural(step, [window[0][:0]], 1)[0].values
-                no_edge[length] = H
-            ids = np.unique(np.concatenate([rows[:, [0, 2]] for rows in window]))
-            local = [rows.copy() for rows in window]
-            for rows in local:
-                rows[:, [0, 2]] = np.searchsorted(ids, rows[:, [0, 2]])
-            sub = replace(params, entity_emb=Tensor(params.entity_emb.values[ids]))
-            H_sub, R = encode_structural(sub, local, length)
-            cache[t] = (ids, H_sub.values, R.values, length)
-    if len(cache[t]) == 2:
-        return tuple(Tensor(v) for v in cache[t])
+        length = len(window)
+        no_edge = cache.setdefault(NO_EDGE_CHAIN, {0: params.entity_emb.values})
+        if length not in no_edge:
+            done = max(k for k in no_edge if k < length)
+            start = replace(params, entity_emb=Tensor(no_edge[done]))
+            empty = [window[0][:0]] * (length - done)
+            no_edge[length] = encode_structural(start, empty, len(empty))[0].values
+        ids = np.unique(np.concatenate([np.empty((0, 2), np.int64),
+                                        *(rows[:, [0, 2]] for rows in window)]))
+        local = [rows.copy() for rows in window]
+        for rows in local:
+            rows[:, [0, 2]] = np.searchsorted(ids, rows[:, [0, 2]])
+        sub = replace(params, entity_emb=Tensor(params.entity_emb.values[ids]))
+        H_sub, R = encode_structural(sub, local, length)
+        cache[t] = (ids, H_sub.values, R.values, length)
     ids, rows, R, length = cache[t]
     H = cache[NO_EDGE_CHAIN][length].copy()
     H[ids] = rows
-    return Tensor(H), Tensor(R)
+    return Tensor(H), Tensor(R.copy())
 
 
 # ---------------------------------------------------------------------------

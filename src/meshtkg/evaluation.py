@@ -184,33 +184,30 @@ def ranked_queries(query: TemporalKG, known: TemporalKG, scores):
 
 
 def model_scores(model: MeshModel, sem: SemanticEmbeddingTable, cond: TemporalKG,
-                 alphas: list, ablation: AblationConfig | None = None,
+                 alphas: list, ablation: AblationConfig = AblationConfig(),
                  encode_cache: dict | None = None):
     """The model's scorer for `ranked_queries`, the encoder conditioned on
     `cond`, which holds the queried timestamps; each call appends the
     prediction expert's weight on the first expert to `alphas`, if the
-    ablation runs that expert. `encode_cache` keeps each timestamp's
-    encoding across calls (the evaluation-mode encoder is a pure function
-    of its frozen parameters); an entry holds the rows its window touches,
-    their ids, R and the window's length. Without one, the scorer keeps its
-    own cache and drops each timestamp's entry once it is scored, so only
-    `frozen_encoding`'s no-edge chain outlives a timestamp."""
-    ablation = ablation or AblationConfig()
+    ablation runs that expert. The queries of every timestamp are scored
+    against `frozen_encoding`'s H at t or, with the structural path
+    disabled, against the adapted semantic entity table, built once here.
+    `encode_cache` keeps each timestamp's encoding across calls (the
+    evaluation-mode encoder is a pure function of its frozen parameters).
+    Without one, the scorer keeps its own cache and drops each timestamp's
+    entry once it is scored, so only `frozen_encoding`'s no-edge chain
+    outlives a timestamp."""
     cond_at = cond.snapshots()
     cache = {} if encode_cache is None else encode_cache
-    sem_table = None
+    sem_table = adapt_rows(model.adapter.f_h, sem.entity) if ablation.disable_structural else None
 
     def scores(t, rows):
-        nonlocal sem_table
-        H = R = None
+        H, R = sem_table, None
         if not ablation.disable_structural:
             H, R = frozen_encoding(model.encoder, cond_at, t, cache)
             if encode_cache is None:
                 del cache[t]
-        elif sem_table is None:
-            sem_table = adapt_rows(model.adapter.f_h, sem.entity)
-        bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
-                                 ablation=ablation, semantic_entity_table=sem_table)
+        bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1], ablation=ablation)
         if bundle.alphas is not None:
             alphas.append(bundle.alphas.values[:, 0])
         return score_logits(bundle.q, bundle.score_table).values
@@ -235,7 +232,7 @@ def _query_split(train: TemporalKG, valid: TemporalKG, test: TemporalKG, num_rel
 
 def evaluate(model: MeshModel, vocab: Vocabulary, train: TemporalKG, valid: TemporalKG,
              test: TemporalKG, sem: SemanticEmbeddingTable,
-             ablation: AblationConfig | None = None, split: str = "test",
+             ablation: AblationConfig = AblationConfig(), split: str = "test",
              encode_cache: dict | None = None) -> EvalResult:
     """Evaluate one split with time-aware filtering, split metrics, and gate
     statistics. The encoder conditions on every fact that precedes each

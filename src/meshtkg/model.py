@@ -204,22 +204,20 @@ class QueryBundle:
 def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
                     s_idx: np.ndarray, r_idx: np.ndarray, *,
                     gen: np.random.Generator | None = None,
-                    ablation: AblationConfig | None = None,
-                    semantic_entity_table: Tensor | None = None) -> QueryBundle:
-    """Run a batch of (s, r, ?) queries through the configured pipeline.
+                    ablation: AblationConfig = AblationConfig()) -> QueryBundle:
+    """Run a batch of (s, r, ?) queries through the configured pipeline and
+    score them against the entity table H_g the caller hands in.
 
     r_idx may contain inverse relation ids (>= |R|); the semantic path maps
     them onto their base relation rows, since prompts exist only for the
-    original relations. When the structural path is disabled the scores are
-    taken against the adapted semantic entity table (pass it precomputed via
-    `semantic_entity_table` to share work across batches).
+    original relations. When the structural path is disabled, H_g is the
+    adapted semantic entity table, `adapt_rows(model.adapter.f_h,
+    sem.entity)`, and R_g is not read.
 
     The bundle carries the expert queries (q_his, q_nhis) exactly when both
     paths are on; with either path disabled there are no experts, and so
     no expert loss terms.
     """
-    ablation = ablation or AblationConfig()
-
     q_g = None
     if not ablation.disable_structural:
         h_g = ad.gather_rows(H_g, s_idx)
@@ -236,10 +234,7 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     q_s = dec.decode(model.decoder_l, h_l, r_l, gen=gen)
 
     if ablation.disable_structural:
-        table = semantic_entity_table
-        if table is None:
-            table = enc.adapt_rows(model.adapter.f_h, sem.entity)
-        return QueryBundle(q_s, table)
+        return QueryBundle(q_s, H_g)
 
     if spec.gate_input == "structural":
         gate = q_g

@@ -12,7 +12,7 @@ frozen encoder in stage 1, is a constant that records nothing. Because the
 encoder is frozen, its per-timestamp output is cached and reused across
 stage-1 epochs (numerically identical to re-encoding, just cheaper): the
 cache keeps each window's touched entity rows and R, not whole tables, and
-rebuilds H from them on each read.
+rebuilds H from them and copies R on each read.
 After each stage-1 epoch, `evaluation.evaluate(split="valid")` measures
 the validation MRR, and the best epoch's parameters are kept.
 
@@ -40,7 +40,7 @@ from . import autodiff as ad
 from . import rng
 from .autodiff import NumericError, Tensor
 from .config import RunConfig
-from .encoders import SemanticEmbeddingTable, encode_structural, frozen_encoding
+from .encoders import SemanticEmbeddingTable, adapt_rows, encode_structural, frozen_encoding
 from .evaluation import evaluate
 from .history import build_index
 from .model import (
@@ -240,8 +240,8 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
 
     # the frozen encoder and the fixed training facts make each timestamp's
     # encoding and historical indicators constants: compute them once and
-    # read them as constants, since with no history (t = 0, window 0) they
-    # are the frozen embedding tables themselves
+    # read them as constants, through the one read path of every timestamp,
+    # t = 0 and window 0 (no history) among them
     encoded: dict[int, tuple] = {}
     historical: list = []
     if config.epochs_stage1 > 0:
@@ -250,8 +250,9 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     valid_cache: dict[int, tuple] = {}
 
     def stage1_loss(t, rows):
-        H = R = None
-        if not ablation.disable_structural:
+        if ablation.disable_structural:
+            H, R = adapt_rows(model.adapter.f_h, sem.entity), None
+        else:
             H, R = frozen_encoding(model.encoder, snapshots, t, encoded)
         bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
                                  gen=gen1, ablation=ablation)

@@ -704,6 +704,7 @@ BAD_CONFIG_VALUES = {
     "nan learning rate": ["train", "--learning-rate", "nan"],
     "infinite learning rate": ["train", "--learning-rate", "inf"],
     "both paths disabled": ["train", "--disable-semantic", "--disable-structural"],
+    "seed beyond 64 bits": ["train", "--seed", str(2**64 + 1)],   # Philox would read 1
 }
 
 
@@ -1139,3 +1140,61 @@ def test_load_checkpoint_memory_is_bounded_by_the_file(fault, train_dir, tmp_pat
     finally:
         tracemalloc.stop()
     assert peak < 4 * os.path.getsize(path), (peak, os.path.getsize(path))
+
+
+def rewrite_facts(directory, splits, change):
+    """Rewrite each `s<TAB>r<TAB>o<TAB>t` line of the `splits` fact files of
+    `directory` in place as the four ids `change(s, r, o, t)` gives."""
+    for split in splits:
+        path = os.path.join(directory, f"{split}.txt")
+        facts = np.loadtxt(path, dtype=np.int64, delimiter="\t", ndmin=2).tolist()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines("\t".join(map(str, change(*fact))) + "\n" for fact in facts)
+
+
+def written(cwd, commands, monkeypatch, capsys):
+    """The stdout of each CLI command of `commands`, run in the new
+    directory `cwd`, and the bytes of every file they write there, by
+    relative path."""
+    os.makedirs(cwd)
+    monkeypatch.chdir(cwd)
+    out = {}
+    for argv in commands:
+        assert run(argv) == 0
+        out[tuple(argv)] = capsys.readouterr().out
+    for root, _, names in os.walk("."):
+        for name in names:
+            with open(os.path.join(root, name), "rb") as fh:
+                out[os.path.join(root, name)] = fh.read()
+    return out
+
+
+def test_training_never_reads_the_test_split(synth_dataset, tmp_path, monkeypatch, capsys):
+    """`train` loads all three splits, but redrawing the subject and object
+    of every test fact leaves every byte it writes as it was: training.log,
+    config.echo and the checkpoint, header and parameters."""
+    ds = str(tmp_path / "ds")
+    shutil.copytree(synth_dataset["dir"], ds)
+    commands = [["train", ds, *micro_flags("train")]]
+    before = written(tmp_path / "a", commands, monkeypatch, capsys)
+    test_file = read(os.path.join(ds, "test.txt"))
+    gen = np.random.default_rng(19)
+    rewrite_facts(ds, ["test"], lambda s, r, o, t: (gen.integers(30), r, gen.integers(30), t))
+    assert read(os.path.join(ds, "test.txt")) != test_file
+    assert written(tmp_path / "b", commands, monkeypatch, capsys) == before
+
+
+def test_gaps_in_time_are_invisible(synth_dataset, tmp_path, monkeypatch, capsys):
+    """Timestamps act only through their dense rank: mapping every raw
+    timestamp t to 2t + 7 in all three fact files leaves every byte that
+    stats, naive, train and eval print and write as it was."""
+    ds = str(tmp_path / "ds")
+    shutil.copytree(synth_dataset["dir"], ds)
+    commands = [["stats", ds, "--out", "stats"], ["naive", ds, "--out", "naive"],
+                ["train", ds, *micro_flags("train")],
+                ["eval", os.path.join("train", "checkpoint.mesh"), ds, "--out", "eval"]]
+    before = written(tmp_path / "a", commands, monkeypatch, capsys)
+    train_file = read(os.path.join(ds, "train.txt"))
+    rewrite_facts(ds, ["train", "valid", "test"], lambda s, r, o, t: (s, r, o, 2 * t + 7))
+    assert read(os.path.join(ds, "train.txt")) != train_file
+    assert written(tmp_path / "b", commands, monkeypatch, capsys) == before

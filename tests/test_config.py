@@ -148,6 +148,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"config field {field} must have no surrounding"):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["seed", "synthetic_seed"])
+    def test_seeds_are_philox_keys(self, field):
+        """A seed keys a 64-bit Philox word, so a seed outside 0..2**64 - 1
+        would silently run another one (2**64 + 1 as 1, -1 as 2**64 - 1)."""
+        for value in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"config field {field} must be in 0\.\.2\*\*64"):
+                RunConfig(**{field: value})
+        for value in (0, 2**64 - 1):
+            assert getattr(RunConfig(**{field: value}), field) == value
+
     def test_both_paths_disabled_rejected(self):
         with pytest.raises(ValueError, match="both"):
             RunConfig(disable_semantic=True, disable_structural=True)

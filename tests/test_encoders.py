@@ -401,8 +401,8 @@ class TestFrozenEncoding:
     def test_miss_stores_the_arrays_and_a_hit_reads_them(self, np_gen, monkeypatch):
         """A miss stores the window's sorted ids, their rows, R and the
         window's length, and the no-edge chain up to that length; a hit
-        encodes nothing and rebuilds H into a fresh array, so writing into
-        a returned H leaves the next read unchanged."""
+        encodes nothing and returns fresh copies of H and R, so writing into
+        a returned table leaves the next read unchanged."""
         params = init_structural_encoder(8, 6, 10, layers=2, window=3, dropout=0.0, gen=np_gen)
         snapshots = add_inverse_relations(group([(0, 0, 1, 0), (2, 1, 3, 1), (4, 2, 5, 1)]),
                                           3).snapshots()
@@ -416,16 +416,20 @@ class TestFrozenEncoding:
         ids, rows, R_values, length = cache[2]
         assert ids.tolist() == [0, 1, 2, 3, 4, 5] and length == 2
         assert rows.tobytes() == H_ref.values[ids].tobytes()
-        assert R.values is R_values
+        assert R.values.tobytes() == R_values.tobytes()
         assert np.array_equal(H.values, H_ref.values) and np.array_equal(R.values, R_ref.values)
         assert {H.key, R.key}.isdisjoint(t.key for t in ad.named_tensors(params).values())
         monkeypatch.setattr(encoders, "encode_structural", None)
         H2, R2 = encoders.frozen_encoding(params, snapshots, 2, cache)
-        assert H2.values.tobytes() == H.values.tobytes() and R2.values is R_values
+        assert H2.values.tobytes() == H.values.tobytes()
+        assert R2.values.tobytes() == R.values.tobytes()
         assert not any(np.shares_memory(H2.values, a) for a in (H.values, rows, chain[2]))
+        assert not any(np.shares_memory(R2.values, a) for a in (R.values, R_values))
         H2.values[:] = 0.0
-        H3, _ = encoders.frozen_encoding(params, snapshots, 2, cache)
+        R2.values[:] = 0.0
+        H3, R3 = encoders.frozen_encoding(params, snapshots, 2, cache)
         assert H3.values.tobytes() == H.values.tobytes()
+        assert R3.values.tobytes() == R.values.tobytes()
 
     @pytest.mark.parametrize("t", [-1, 3])
     def test_timestamp_outside_the_history_is_refused(self, t):
@@ -494,10 +498,23 @@ class TestFrozenEncoding:
             assert sum(a.nbytes for a in arrays) <= bound, t
 
     def test_no_history_gives_constants_over_the_embedding_tables(self, np_gen):
-        params = init_structural_encoder(5, 4, 8, layers=2, window=3, dropout=0.0, gen=np_gen)
-        H, R = encoders.frozen_encoding(params, group([(0, 0, 1, 0)]).snapshots(), 0, {})
-        assert H is not params.entity_emb and R is not params.relation_emb
-        assert H.values is params.entity_emb.values and R.values is params.relation_emb.values
+        """At t = 0, and at every t with window 0, the tables read are the
+        embedding tables' bytes in arrays of their own: writing into them
+        leaves the encoder's parameters and the next read as they were."""
+        snapshots = group([(0, 0, 1, 0), (1, 1, 2, 1)]).snapshots()
+        for window, t in [(3, 0), (0, 0), (0, 1), (0, 2)]:
+            params = init_structural_encoder(5, 4, 8, layers=2, window=window, dropout=0.0,
+                                             gen=np_gen)
+            want = {name: p.values.copy() for name, p in ad.named_tensors(params).items()}
+            cache = {}
+            for _ in range(2):
+                H, R = encoders.frozen_encoding(params, snapshots, t, cache)
+                assert H.values.tobytes() == want["entity_emb"].tobytes(), (window, t)
+                assert R.values.tobytes() == want["relation_emb"].tobytes(), (window, t)
+                H.values[:] = 0.0
+                R.values[:] = 0.0
+            for name, p in ad.named_tensors(params).items():
+                assert p.values.tobytes() == want[name].tobytes(), (window, t, name)
 
 
 def icews14_shaped_encoder(dim):

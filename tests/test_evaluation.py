@@ -11,11 +11,13 @@ from meshtkg.evaluation import (
     evaluate_naive,
     filtered_ranks,
     gate_statistics,
+    model_scores,
+    ranked_queries,
     split_metrics,
     welch_t,
 )
 from meshtkg.model import AblationConfig
-from meshtkg.tkg import TemporalKG, add_inverse_relations
+from meshtkg.tkg import TemporalKG, add_inverse_relations, merge
 
 from conftest import group, quads, sort_oracle_rank
 
@@ -202,6 +204,19 @@ def evaluated_records(trained, facts):
                     trained["valid"], TemporalKG(facts, "test"), trained["sem"]).results
 
 
+def expert1_weights(trained, facts):
+    """The prediction expert's weight on expert 1 that `model_scores`
+    collects for each query of evaluating the `trained` model on the test
+    facts `facts`, in the order of `evaluate`'s records."""
+    num_relations = trained["vocab"].num_relations
+    splits = [add_inverse_relations(tkg, num_relations)
+              for tkg in (trained["train"], trained["valid"], TemporalKG(facts, "test"))]
+    known, alphas = merge(*splits), []
+    ranked_queries(splits[2], known, model_scores(trained["result"].model, trained["sem"],
+                                                  known, alphas))
+    return np.concatenate(alphas)
+
+
 def redraw_ends(facts, rows, vocab):
     """A copy of `facts` whose `rows` have a new subject and object."""
     facts = facts.copy()
@@ -213,9 +228,7 @@ def redraw_ends(facts, rows, vocab):
 class TestEvaluate:
     def test_matches_scripted_per_query_oracle(self, trained):
         """Full evaluation equals a per-query recomputation from scratch."""
-        from meshtkg.evaluation import model_scores, ranked_queries
         from meshtkg.history import build_index
-        from meshtkg.tkg import merge
 
         result = evaluate(trained["result"].model, trained["vocab"], trained["train"],
                           trained["valid"], trained["test"], trained["sem"])
@@ -249,6 +262,18 @@ class TestEvaluate:
         b = evaluated_records(trained, redraw_ends(facts, facts[:, 3] > t, trained["vocab"]))
         assert (a.t <= t).any() and a[a.t <= t].tobytes() == b[b.t <= t].tobytes()
         assert a[a.t > t].tobytes() != b[b.t > t].tobytes()
+
+    def test_rewriting_later_test_facts_moves_no_expert1_weight_at_or_before_t(self, trained):
+        """Causal evaluation of the gate statistics: redraw the subject and
+        object of every test fact after the second test timestamp t; no
+        query's weight on expert 1 at t or earlier moves."""
+        facts = trained["test"].array
+        t = np.unique(facts[:, 3])[1]
+        later = redraw_ends(facts, facts[:, 3] > t, trained["vocab"])
+        at_or_before = evaluated_records(trained, facts).t <= t
+        a, b = expert1_weights(trained, facts), expert1_weights(trained, later)
+        assert at_or_before.any() and a[at_or_before].tobytes() == b[at_or_before].tobytes()
+        assert a[~at_or_before].tobytes() != b[~at_or_before].tobytes()
 
     def test_same_time_facts_move_no_raw_rank(self, trained):
         """Same-time facts act only through the filter: redrawing the subject
@@ -330,6 +355,19 @@ class TestEvaluateNaive:
         assert result.historical.count + result.nonhistorical.count == result.overall.count
         # the repetitive generator makes the frequency baseline strong
         assert result.overall.hits10 > 0.5
+
+    def test_rewriting_later_test_facts_changes_nothing_at_or_before_t(self, synth_dataset):
+        """Causal evaluation of the baseline: redraw the subject and object
+        of every test fact after the second test timestamp t; no raw rank,
+        filtered rank or indicator at t or earlier moves, while those after
+        t do."""
+        vocab, facts = synth_dataset["vocab"], synth_dataset["test"].array
+        t = np.unique(facts[:, 3])[1]
+        a, b = (evaluate_naive(vocab, synth_dataset["train"], synth_dataset["valid"],
+                               TemporalKG(split_facts, "test")).results
+                for split_facts in (facts, redraw_ends(facts, facts[:, 3] > t, vocab)))
+        assert (a.t <= t).any() and a[a.t <= t].tobytes() == b[b.t <= t].tobytes()
+        assert a[a.t > t].tobytes() != b[b.t > t].tobytes()
 
     def test_filtered_never_exceeds_raw(self, synth_dataset):
         result = evaluate_naive(synth_dataset["vocab"], synth_dataset["train"],

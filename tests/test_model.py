@@ -257,14 +257,18 @@ class TestForwardQueries:
         assert bundle.score_table is H_g
 
     def test_disable_structural_scores_semantic_table(self):
+        """The caller hands in the adapted semantic entity table, and the
+        semantic queries are scored against it; R is not read."""
         model = small_model()
         H_g, R_g, sem, s_idx, r_idx = small_inputs(model)
+        table = adapt_rows(model.adapter.f_h, sem.entity)
         bundle = forward_queries(
-            model, None, None, sem, s_idx, r_idx, ablation=AblationConfig(disable_structural=True)
+            model, table, None, sem, s_idx, r_idx, ablation=AblationConfig(disable_structural=True)
         )
         _, q_s = path_queries(model, H_g, R_g, sem, s_idx, r_idx)
         assert np.array_equal(bits(bundle.q.values), bits(q_s.values))
         assert bundle.q_his is None and bundle.q_nhis is None and bundle.alphas is None
+        assert bundle.score_table is table
         assert bundle.score_table.shape == (model.spec.num_entities, model.spec.dim)
 
     def test_composed_pipeline_gradients(self):

@@ -362,9 +362,9 @@ class TestTrainModel:
     def test_stage1_encodes_each_timestamp_once_off_the_tape(self, synth_dataset, tmp_path,
                                                             monkeypatch):
         """The frozen encoding of each timestamp is computed once per run,
-        the training ones inside the first epoch's steps; the no-edge chain
-        once per cache and window length; and no call records a node on a
-        step's tape."""
+        the training ones inside the first epoch's steps, t = 0 as one
+        sub-graph call with no fact; the no-edge chain by one call per cache
+        and window length; and no call records a node on a step's tape."""
         calls = []
         encode = encoders.encode_structural
 
@@ -385,15 +385,18 @@ class TestTrainModel:
         cond = merge(*(add_inverse_relations(synth_dataset[split], 4)
                        for split in ("train", "valid"))).snapshots()
         windows = [sum(map(len, cond[max(0, t - config.window):t])) for t in range(1, 17)]
-        assert all(windows)   # so only a chain step encodes a window with no fact
-        encoded = [call for call in calls if call[0]]
-        chain = [call for call in calls if not call[0]]
-        # t = 0 reads the embedding tables; 13 training timestamps, 3 validation
+        assert all(windows)   # so only a chain call encodes a window with no fact after t = 0
+        # t = 0: the first step's sub-graph call, over no snapshot
+        assert calls[0] == (0, 0, True, 0)
+        encoded = [call for call in calls[1:] if call[0]]
+        chain = [call for call in calls[1:] if not call[0]]
+        # 13 training timestamps, 3 validation
         assert [facts for facts, _, _, _ in encoded] == windows
         assert [taped for _, _, taped, _ in encoded] == [True] * 13 + [False] * 3
-        # one step per length: in the training cache at t = 1, 2, 3, in the
-        # validation cache all three at its first timestamp
-        assert [(t, taped) for _, t, taped, _ in chain] == [(1, True)] * 3 + [(1, False)] * 3
+        # one call per length: in the training cache one empty snapshot at
+        # each of t = 1, 2, 3, in the validation cache all three at its
+        # first timestamp
+        assert [(t, taped) for _, t, taped, _ in chain] == [(1, True)] * 3 + [(3, False)]
         assert all(added == 0 for _, _, _, added in calls)
 
     def test_step_gradients_are_freed_before_the_next_forward(self, synth_dataset, tmp_path,

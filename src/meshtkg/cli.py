@@ -267,43 +267,33 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_mn(text: str) -> tuple[int, int]:
-    try:
-        m, n = text.lower().split("x")
-        return int(m), int(n)
-    except ValueError:
-        raise CliError(f"expected MxN (like 2x1), got {text!r}")
-
-
 def cmd_sweep(args) -> int:
     config = _resolve(args)
     if bool(args.omega_list) == bool(args.mn_grid):
         raise CliError("sweep needs exactly one of --omega-list or --mn-grid")
-    if args.omega_list:
+    runs = {}
+    for item in filter(None, (args.omega_list or args.mn_grid).split(",")):
         try:
-            settings = [("omega", float(v)) for v in args.omega_list.split(",") if v]
+            if args.omega_list:
+                omega = float(item)
+                tag, changes = f"omega_{omega:g}", {"omega": omega}
+            else:
+                m, n = map(int, item.lower().split("x"))
+                tag, changes = f"m{m}n{n}", {"num_historical": m, "num_nonhistorical": n}
         except ValueError:
-            raise CliError(f"bad --omega-list value: {args.omega_list!r}")
-    else:
-        settings = [("mn", _parse_mn(v)) for v in args.mn_grid.split(",") if v]
-    if not settings:
-        raise CliError("sweep needs at least one setting")
-    runs = []
-    for kind, value in settings:
-        if kind == "omega":
-            tag, changes = f"omega_{value:g}", {"omega": value}
-        else:
-            tag = f"m{value[0]}n{value[1]}"
-            changes = {"num_historical": value[0], "num_nonhistorical": value[1]}
-        if any(tag == done for done, _ in runs):
+            raise CliError(f"bad --omega-list value: {args.omega_list!r}" if args.omega_list
+                           else f"expected MxN (like 2x1), got {item!r}")
+        if tag in runs:
             raise CliError(f"sweep repeats the setting {tag}")
         try:
-            runs.append((tag, replace(config, out=os.path.join(config.out, tag), **changes)))
+            runs[tag] = replace(config, out=os.path.join(config.out, tag), **changes)
         except ValueError as exc:
             raise CliError(f"sweep setting {tag}: {exc}")
+    if not runs:
+        raise CliError("sweep needs at least one setting")
     _write_echo(config)
     records = {}
-    for tag, run_cfg in runs:
+    for tag, run_cfg in runs.items():
         result, data, sem = _train_run(run_cfg)
         eval_result = ev.evaluate(result.model, *data, sem,
                                   ablation=AblationConfig.from_config(run_cfg))

@@ -27,6 +27,7 @@ the working dimension.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -235,15 +236,21 @@ RELATION_TEMPLATE = (
 )
 
 
+_HOLE = re.compile("<[A-Z ]+>")
+
+
 def emit_prompts(vocab: Vocabulary, domain: str, datatype: str, path: str) -> int:
-    """Write `kind<TAB>id<TAB>prompt` lines, entities first. Returns line count."""
+    """Write `kind<TAB>id<TAB>prompt` lines, entities first. Every hole of
+    a template is filled in one pass, so no value's text is read as a hole.
+    Returns line count."""
     lines = []
     for kind, template, hole, names in (
         ("E", ENTITY_TEMPLATE, "<ENTITY>", vocab.entity_names),
         ("R", RELATION_TEMPLATE, "<RELATION>", vocab.relation_names),
     ):
-        filled = template.replace("<DATA DOMAIN>", domain).replace("<DATA TYPE>", datatype)
-        lines += [f"{kind}\t{i}\t{filled.replace(hole, name)}\n" for i, name in enumerate(names)]
+        for i, name in enumerate(names):
+            values = {"<DATA DOMAIN>": domain, "<DATA TYPE>": datatype, hole: name}
+            lines.append(f"{kind}\t{i}\t{_HOLE.sub(lambda m: values[m[0]], template)}\n")
     write_file(path, lines)
     return len(lines)
 

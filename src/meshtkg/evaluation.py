@@ -189,9 +189,10 @@ def model_scores(model: MeshModel, sem: SemanticEmbeddingTable, cond: TemporalKG
     """The model's scorer for `ranked_queries`, the encoder conditioned on
     `cond`, which holds the queried timestamps; each call appends the
     prediction expert's weight on the first expert to `alphas`, if the
-    ablation runs that expert. The queries of every timestamp are scored
-    against `frozen_encoding`'s H at t or, with the structural path
-    disabled, against the adapted semantic entity table, built once here.
+    ablation runs that expert. Each timestamp's H, `frozen_encoding`'s at t
+    or, with the structural path disabled, the adapted semantic entity
+    table built once here, is handed to `forward_queries`, and the queries
+    it returns are scored against that same H.
     `encode_cache` keeps each timestamp's encoding across calls (the
     evaluation-mode encoder is a pure function of its frozen parameters).
     Without one, the scorer keeps its own cache and drops each timestamp's
@@ -210,7 +211,7 @@ def model_scores(model: MeshModel, sem: SemanticEmbeddingTable, cond: TemporalKG
         bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1], ablation=ablation)
         if bundle.alphas is not None:
             alphas.append(bundle.alphas.values[:, 0])
-        return score_logits(bundle.q, bundle.score_table).values
+        return score_logits(bundle.q, H).values
 
     return scores
 

@@ -9,12 +9,13 @@ expert outputs into the final query vector. The gates and the weights
 are one column per expert of two matrices, so the layer is one pass for
 any expert count. Entities are scored by their logits against the
 entity table: ranking reads `score_logits` directly, which gives the same
-ranks as probabilities would, and so does the literal loss. The losses
-take the query and the table that `forward_queries` returns and score
-them themselves (see `training`), so the forward pass builds no
-(batch, |E|) array. `forward_queries` is the one forward path of stage 0,
-stage 1 and evaluation. `MeshModel`'s fields are the parameter schema:
-every parameter name, training group and checkpoint blob comes from one
+ranks as probabilities would, and so does the literal loss. The caller
+owns the entity table: it hands the table to `forward_queries`, and the
+losses (see `training`) and the ranking score the returned queries against
+that same table themselves, so the forward pass builds no (batch, |E|)
+array. `forward_queries` is the one forward path of stage 0, stage 1 and
+evaluation. `MeshModel`'s fields are the parameter schema: every
+parameter name, training group and checkpoint blob comes from one
 `named_tensors` walk.
 """
 
@@ -182,12 +183,12 @@ def init_model(spec: ModelSpec, gen: np.random.Generator) -> MeshModel:
 
 @dataclass
 class QueryBundle:
-    """Everything the losses and the evaluator need for one query batch.
-    The expert queries q_his and q_nhis, and the weights, are None when the
+    """The queries of one batch, which the losses and the evaluator score
+    against the entity table the caller handed to `forward_queries`. The
+    expert queries q_his and q_nhis, and the weights, are None when the
     forward pass ran no experts (a path disabled)."""
 
     q: Tensor
-    score_table: Tensor            # entity table the queries are scored against
     q_his: Tensor | None = None
     q_nhis: Tensor | None = None
     alphas: Tensor | None = None   # prediction-expert weights (batch, M+N)
@@ -205,14 +206,15 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
                     s_idx: np.ndarray, r_idx: np.ndarray, *,
                     gen: np.random.Generator | None = None,
                     ablation: AblationConfig = AblationConfig()) -> QueryBundle:
-    """Run a batch of (s, r, ?) queries through the configured pipeline and
-    score them against the entity table H_g the caller hands in.
+    """Run a batch of (s, r, ?) queries through the configured pipeline;
+    the caller scores the returned queries against the entity table H_g it
+    hands in.
 
     r_idx may contain inverse relation ids (>= |R|); the semantic path maps
     them onto their base relation rows, since prompts exist only for the
     original relations. When the structural path is disabled, H_g is the
     adapted semantic entity table, `adapt_rows(model.adapter.f_h,
-    sem.entity)`, and R_g is not read.
+    sem.entity)`, which only the caller reads, and R_g is not read.
 
     The bundle carries the expert queries (q_his, q_nhis) exactly when both
     paths are on; with either path disabled there are no experts, and so
@@ -225,7 +227,7 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
         q_g = dec.decode(model.decoder_g, h_g, r_g, gen=gen)
 
     if ablation.disable_semantic:
-        return QueryBundle(q_g, H_g)
+        return QueryBundle(q_g)
 
     spec = model.spec
     base_rel = np.asarray(r_idx) % spec.num_relations
@@ -234,7 +236,7 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     q_s = dec.decode(model.decoder_l, h_l, r_l, gen=gen)
 
     if ablation.disable_structural:
-        return QueryBundle(q_s, H_g)
+        return QueryBundle(q_s)
 
     if spec.gate_input == "structural":
         gate = q_g
@@ -246,6 +248,6 @@ def forward_queries(model: MeshModel, H_g, R_g, sem: enc.SemanticEmbeddingTable,
     p, q_his, q_nhis = expert_mix(model.experts, gate, q_g, q_s, spec.num_historical,
                                   uniform=ablation.disable_prediction_expert)
     return QueryBundle(
-        ad.add(q_his, q_nhis), H_g, q_his, q_nhis,
+        ad.add(q_his, q_nhis), q_his, q_nhis,
         alphas=None if ablation.disable_prediction_expert else p,
     )

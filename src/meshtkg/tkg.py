@@ -297,6 +297,10 @@ def _normalize_timestamps(splits: dict[str, np.ndarray]) -> int:
     return len(levels)
 
 
+# the fact files of a dataset directory, `<split>.txt`, in argument order
+SPLITS = ("train", "valid", "test")
+
+
 def load_dataset(directory: str):
     """Load a dataset directory.
 
@@ -313,7 +317,7 @@ def load_dataset(directory: str):
         split: _read_fact_file(
             os.path.join(directory, f"{split}.txt"), len(names["entity"]), len(names["relation"])
         )
-        for split in ("train", "valid", "test")
+        for split in SPLITS
     }
     num_timestamps = _normalize_timestamps(splits)
     vocab = Vocabulary(names["entity"], names["relation"], num_timestamps)
@@ -322,7 +326,8 @@ def load_dataset(directory: str):
 
 def write_dataset(directory: str, vocab: Vocabulary, train, valid, test) -> None:
     """Write a normalized dataset back to the text format, its five files
-    replaced as one set (`write_files`). A name that
+    replaced as one set (`write_files`). Each graph's fact file is named by
+    its argument's role, whatever the graph's `split` label. A name that
     `load_dataset` would misread or refuse, or that UTF-8 cannot encode, is
     a ValueError before any file is written: one holding a tab, `\\n`,
     `\\r` or a lone surrogate, or one repeated within its kind."""
@@ -337,9 +342,9 @@ def write_dataset(directory: str, vocab: Vocabulary, train, valid, test) -> None
             seen.add(name)
     files = {os.path.join(directory, f"{kind}2id.txt"):
              (f"{name}\t{i}\n" for i, name in enumerate(names)) for kind, names in kinds}
-    files.update((os.path.join(directory, f"{tkg.split}.txt"),
+    files.update((os.path.join(directory, f"{split}.txt"),
                   (f"{s}\t{r}\t{o}\t{t}\n" for s, r, o, t in tkg.array.tolist()))
-                 for tkg in (train, valid, test))
+                 for split, tkg in zip(SPLITS, (train, valid, test)))
     write_files(files)
 
 

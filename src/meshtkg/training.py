@@ -16,14 +16,17 @@ rebuilds H from them and copies R on each read.
 After each stage-1 epoch, `evaluation.evaluate(split="valid")` measures
 the validation MRR, and the best epoch's parameters are kept.
 
-Every loss scores a query batch against the entity table. Two loss modes
-exist. `literal` reads each target's logit through a sigmoid and sums:
-L = -sum sigmoid(logit[o]) (and the expert terms gated by the historical
-indicator). It is exact but saturates easily, so the default
-`cross_entropy` mode applies the usual log-softmax objective to the same
-scores, through `autodiff.pick_log_softmax`: it scores the whole batch
-in one (batch, |E|) buffer and, against stage 1's constant table, keeps
-only a (batch, d) array for backward. Both share every other moving part.
+Every loss scores a query batch against the entity table that its step
+hands to `forward_queries`: the encoder's H in stage 0; in stage 1 the
+frozen encoder's H or, with the structural path disabled, the adapted
+semantic entity table. Two loss modes exist. `literal` reads each
+target's logit through a sigmoid and sums: L = -sum sigmoid(logit[o])
+(and the expert terms gated by the historical indicator). It is exact but
+saturates easily, so the default `cross_entropy` mode applies the usual
+log-softmax objective to the same scores, through
+`autodiff.pick_log_softmax`: it scores the whole batch in one
+(batch, |E|) buffer and, against stage 1's constant table, keeps only a
+(batch, d) array for backward. Both share every other moving part.
 """
 
 from __future__ import annotations
@@ -92,15 +95,15 @@ def expert_losses(q_e: Tensor, table: Tensor, targets, indicators,
     return l_his, l_nhis
 
 
-def stage1_losses(bundle: QueryBundle, targets, indicators, mode: str):
-    """The stage-1 terms of one batch: (major, historical, non-historical).
+def stage1_losses(bundle: QueryBundle, table: Tensor, targets, indicators, mode: str):
+    """The stage-1 terms of one batch scored against `table`, the entity
+    table its forward pass was handed: (major, historical, non-historical).
 
     Each event scores only its own expert's query, so a batch of B events
     does |E|-wide work on 2B rows. The expert terms come back as None when
     the forward pass ran no experts (`bundle.q_his` is None) or no
     indicators are given.
     """
-    table = bundle.score_table
     l_major = major_loss(bundle.q, table, targets, mode)
     if indicators is None or bundle.q_his is None:
         return l_major, None, None
@@ -179,7 +182,8 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
                 verbose=None) -> TrainResult:
     """Run both training stages and keep the parameters of the stage-1
     epoch with the best validation MRR, as `evaluate(split="valid")`
-    measures it.
+    measures it. A split with no facts is a DatasetError: the train split
+    when any epoch is asked for, the valid split when a stage-1 one is.
 
     The process's heap policy is set first (`_keep_freed_heap`). Stage 0
     trains the parameters under the field paths "encoder." and
@@ -190,6 +194,8 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
     _keep_freed_heap()
     ablation = AblationConfig.from_config(config)
 
+    if config.epochs_stage0 + config.epochs_stage1 > 0 and not train_tkg.num_facts:
+        raise DatasetError("the train split has no facts; a training epoch would take no step")
     if config.epochs_stage1 > 0 and not valid_tkg.num_facts:
         raise DatasetError("the valid split has no facts; stage 1 keeps the epoch "
                            "with the best validation MRR")
@@ -219,7 +225,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
             H, R = encode_structural(model.encoder, snapshots, t, gen=gen0)
             bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
                                      gen=gen0, ablation=STRUCTURAL_ONLY)
-            return major_loss(bundle.q, bundle.score_table, rows[:, 2], "cross_entropy")
+            return major_loss(bundle.q, H, rows[:, 2], "cross_entropy")
 
         for epoch in range(1, config.epochs_stage0 + 1):
             stage0_losses.append(_train_epoch(batches, stage0_loss, params0, adam0,
@@ -256,7 +262,7 @@ def train_model(config: RunConfig, vocab: Vocabulary, train_tkg: TemporalKG,
             H, R = frozen_encoding(model.encoder, snapshots, t, encoded)
         bundle = forward_queries(model, H, R, sem, rows[:, 0], rows[:, 1],
                                  gen=gen1, ablation=ablation)
-        l_major, l_his, l_nhis = stage1_losses(bundle, rows[:, 2],
+        l_major, l_his, l_nhis = stage1_losses(bundle, H, rows[:, 2],
                                                historical[t] if config.omega > 0 else None,
                                                config.loss_mode)
         return l_major if l_his is None else total_loss(l_major, l_his, l_nhis, config.omega)

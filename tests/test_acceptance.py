@@ -189,7 +189,7 @@ def test_criterion_3_gradient_integrity():
 
     def pipeline(*_):
         bundle = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
-        return ad.tensor_sum(ad.sigmoid(score_logits(bundle.q, bundle.score_table)))
+        return ad.tensor_sum(ad.sigmoid(score_logits(bundle.q, H_g)))
 
     worst = max(worst, grad_check(pipeline, probes, eps=1e-5))
     elapsed = time.monotonic() - start
@@ -429,7 +429,7 @@ def test_criterion_9_determinism_and_roundtrip(synth_dataset, tmp_path):
         for m in (result.model, loaded):
             H, R = encode_structural(m.encoder, cond, t)
             bundle = forward_queries(m, H, R, sem, s_idx, r_idx)
-            scores.append(score_logits(bundle.q, bundle.score_table).values)
+            scores.append(score_logits(bundle.q, H).values)
         bit_exact &= np.array_equal(scores[0], scores[1])
     criterion(9, identical_logs and bit_exact,
               f"identical logs across reruns: {identical_logs}; "
@@ -464,8 +464,8 @@ def test_criterion_10_gate_symmetry_at_init():
     full = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
     mean = forward_queries(model, H_g, R_g, sem, s_idx, r_idx,
                            ablation=AblationConfig(disable_prediction_expert=True))
-    coincide = np.array_equal(score_logits(full.q, full.score_table).values,
-                              score_logits(mean.q, mean.score_table).values)
+    coincide = np.array_equal(score_logits(full.q, H_g).values,
+                              score_logits(mean.q, H_g).values)
     ok &= coincide
     criterion(10, bool(ok),
               f"zero-init gates give exact 0.5 weights and q = (q_g + q_s) / 2; "

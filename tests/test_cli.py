@@ -969,6 +969,7 @@ EMPTY_SPLIT_FAULTS = {
     "naive --split valid": ("valid", lambda ds, ckpt, out: ["naive", ds, "--out", out,
                                                             "--split", "valid"]),
     "train": ("valid", lambda ds, ckpt, out: ["train", ds, *micro_flags(out)]),
+    "train, no train facts": ("train", lambda ds, ckpt, out: ["train", ds, *micro_flags(out)]),
 }
 
 
@@ -982,6 +983,23 @@ def test_empty_split_exits_3(case, synth_dataset, checkpoint, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("data error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("epochs", [("0", "2"), ("2", "0"), ("2", "2")],
+                         ids=["stage1_only", "stage0_only", "both"])
+def test_training_split_emptied_by_drop_history_exits_3(epochs, tiny_dataset_dir, tmp_path,
+                                                        capsys):
+    """`--drop-history 1` leaves no training fact: any epoch asked for is
+    refused in one line before a checkpoint or a log is written, rather
+    than written untrained with a loss of 0 from a run that took no step."""
+    out = str(tmp_path / "out")
+    code = run(["train", tiny_dataset_dir, "--out", out, "--drop-history", "1",
+                "--epochs-stage0", epochs[0], "--epochs-stage1", epochs[1]])
+    assert code == 3
+    assert capsys.readouterr().err == ("data error: the train split has no facts; "
+                                       "a training epoch would take no step\n")
+    assert not os.path.exists(os.path.join(out, "checkpoint.mesh"))
+    assert not os.path.exists(os.path.join(out, "training.log"))
 
 
 def _edit_header(edit):

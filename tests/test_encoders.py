@@ -379,6 +379,18 @@ class TestPrompts:
             "through which we can understand the Abuse?"
         )
 
+    def test_a_value_that_reads_like_a_hole_is_written_as_given(self, tmp_path):
+        """Every hole is filled once: a domain or data type that spells
+        another hole is not filled again by a later value."""
+        path = tmp_path / "prompts.tsv"
+        emit_prompts(Vocabulary(["a"], ["r"], 0), "<DATA TYPE> affairs", "<ENTITY>", str(path))
+        assert path.read_text().splitlines() == [
+            "E\t0\tIn the context of <DATA TYPE> affairs, please provide <ENTITY> background "
+            "about a.",
+            "R\t0\tIn the context of <DATA TYPE> affairs, what are the <ENTITY> perspectives "
+            "through which we can understand the r?",
+        ]
+
     def test_emit_file_layout(self, tmp_path):
         vocab = make_vocab(2, 1)
         path = tmp_path / "prompts.tsv"

@@ -204,6 +204,13 @@ def evaluated_records(trained, facts):
                     trained["valid"], TemporalKG(facts, "test"), trained["sem"]).results
 
 
+def naive_records(dataset, facts):
+    """The per-query records of the naive baseline on the test facts `facts`
+    of the session dataset."""
+    return evaluate_naive(dataset["vocab"], dataset["train"], dataset["valid"],
+                          TemporalKG(facts, "test")).results
+
+
 def expert1_weights(trained, facts):
     """The prediction expert's weight on expert 1 that `model_scores`
     collects for each query of evaluating the `trained` model on the test
@@ -217,12 +224,49 @@ def expert1_weights(trained, facts):
     return np.concatenate(alphas)
 
 
-def redraw_ends(facts, rows, vocab):
-    """A copy of `facts` whose `rows` have a new subject and object."""
-    facts = facts.copy()
-    facts[rows, 0], facts[rows, 2] = np.random.default_rng(19).integers(
-        vocab.num_entities, size=(2, len(facts[rows])))
-    return facts
+def micro_facts(data, vocab, times, min_size=0, max_size=8):
+    """A drawn (n, 4) array of (s, r, o, t) facts over `vocab`'s entities
+    and relations, at timestamps drawn from `times`."""
+    fact = st.tuples(st.integers(0, vocab.num_entities - 1),
+                     st.integers(0, vocab.num_relations - 1),
+                     st.integers(0, vocab.num_entities - 1), times)
+    facts = data.draw(st.lists(fact, min_size=min_size, max_size=max_size))
+    return np.array(facts, dtype=np.int64).reshape(-1, 4)
+
+
+# the timestamps of a micro test split: after the session dataset's last
+# valid one (16), with gaps wherever the draw leaves them
+TEST_TIMES = st.integers(17, 21)
+
+
+def later_rewritten(data, vocab):
+    """A drawn micro test split, one of its timestamps t, and the same split
+    with every fact after t replaced by a fresh draw: any number of facts
+    at any later timestamps."""
+    facts = micro_facts(data, vocab, TEST_TIMES, min_size=1)
+    t = data.draw(st.sampled_from(sorted(set(facts[:, 3].tolist()))))
+    later = micro_facts(data, vocab, st.integers(t + 1, 22))
+    return facts, np.concatenate([facts[facts[:, 3] <= t], later]), t
+
+
+def same_time_rewritten(data, vocab):
+    """A drawn micro test split with at least two facts at a drawn
+    timestamp t, and the same split with some, not all, of the facts at t
+    replaced in place by fresh facts at t."""
+    t = data.draw(TEST_TIMES)
+    facts = np.concatenate([micro_facts(data, vocab, st.just(t), min_size=2),
+                            micro_facts(data, vocab, TEST_TIMES)])
+    at_t = np.flatnonzero(facts[:, 3] == t)
+    rows = sorted(data.draw(st.sets(st.sampled_from(at_t.tolist()), min_size=1,
+                                    max_size=len(at_t) - 1)))
+    rewritten = facts.copy()
+    rewritten[rows] = micro_facts(data, vocab, st.just(t), len(rows), len(rows))
+    return facts, rewritten, t
+
+
+def same_time_kept(a, b, t):
+    """The records at t whose query the same-time rewrite left as it was."""
+    return (a.t == t) & (a.s == b.s) & (a.r == b.r) & (a.o == b.o)
 
 
 class TestEvaluate:
@@ -252,40 +296,38 @@ class TestEvaluate:
         mrr_oracle = sum(1.0 / q[4] for q in scripted) / len(scripted)
         assert result.overall.mrr == pytest.approx(mrr_oracle, abs=1e-12)
 
-    def test_rewriting_later_test_facts_changes_nothing_at_or_before_t(self, trained):
-        """Causal evaluation: redraw the subject and object of every test
-        fact after the second test timestamp t; no raw rank, filtered rank
-        or indicator at t or earlier moves, while those after t do."""
-        facts = trained["test"].array
-        t = np.unique(facts[:, 3])[1]
-        a = evaluated_records(trained, facts)
-        b = evaluated_records(trained, redraw_ends(facts, facts[:, 3] > t, trained["vocab"]))
-        assert (a.t <= t).any() and a[a.t <= t].tobytes() == b[b.t <= t].tobytes()
-        assert a[a.t > t].tobytes() != b[b.t > t].tobytes()
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rewriting_later_test_facts_changes_nothing_at_or_before_t(self, trained, data):
+        """Causal evaluation: on a drawn micro test split, replacing every
+        test fact after a timestamp t moves no raw rank, filtered rank or
+        indicator at t or earlier."""
+        facts, rewritten, t = later_rewritten(data, trained["vocab"])
+        a, b = evaluated_records(trained, facts), evaluated_records(trained, rewritten)
+        assert a[a.t <= t].tobytes() == b[b.t <= t].tobytes()
 
-    def test_rewriting_later_test_facts_moves_no_expert1_weight_at_or_before_t(self, trained):
-        """Causal evaluation of the gate statistics: redraw the subject and
-        object of every test fact after the second test timestamp t; no
-        query's weight on expert 1 at t or earlier moves."""
-        facts = trained["test"].array
-        t = np.unique(facts[:, 3])[1]
-        later = redraw_ends(facts, facts[:, 3] > t, trained["vocab"])
-        at_or_before = evaluated_records(trained, facts).t <= t
-        a, b = expert1_weights(trained, facts), expert1_weights(trained, later)
-        assert at_or_before.any() and a[at_or_before].tobytes() == b[at_or_before].tobytes()
-        assert a[~at_or_before].tobytes() != b[~at_or_before].tobytes()
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rewriting_later_test_facts_moves_no_expert1_weight_at_or_before_t(self, trained,
+                                                                               data):
+        """Causal evaluation of the gate statistics: on a drawn micro test
+        split, replacing every test fact after a timestamp t moves no
+        query's weight on expert 1 at t or earlier."""
+        facts, rewritten, t = later_rewritten(data, trained["vocab"])
+        n = np.count_nonzero(evaluated_records(trained, facts).t <= t)  # the first n, by t
+        a, b = expert1_weights(trained, facts), expert1_weights(trained, rewritten)
+        assert a[:n].tobytes() == b[:n].tobytes()
 
-    def test_same_time_facts_move_no_raw_rank(self, trained):
-        """Same-time facts act only through the filter: redrawing the subject
-        and object of every other test fact at t leaves the raw rank and
-        indicator of each query at t that was not redrawn unchanged."""
-        facts = trained["test"].array
-        t = np.unique(facts[:, 3])[1]
-        a = evaluated_records(trained, facts)
-        b = evaluated_records(trained, redraw_ends(facts, np.flatnonzero(facts[:, 3] == t)[::2],
-                                              trained["vocab"]))
-        kept = (a.t == t) & (a.s == b.s) & (a.r == b.r) & (a.o == b.o)
-        assert kept.sum() >= (a.t == t).sum() // 3
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_same_time_facts_move_no_raw_rank(self, trained, data):
+        """Same-time facts act only through the filter: on a drawn micro
+        test split, replacing some of the facts at a timestamp t leaves the
+        raw rank and indicator of each query at t that was kept unchanged."""
+        facts, rewritten, t = same_time_rewritten(data, trained["vocab"])
+        a, b = evaluated_records(trained, facts), evaluated_records(trained, rewritten)
+        kept = same_time_kept(a, b, t)
+        assert kept.any()
         assert np.array_equal(a.raw_rank[kept], b.raw_rank[kept])
         assert np.array_equal(a.indicator[kept], b.indicator[kept])
 
@@ -356,18 +398,29 @@ class TestEvaluateNaive:
         # the repetitive generator makes the frequency baseline strong
         assert result.overall.hits10 > 0.5
 
-    def test_rewriting_later_test_facts_changes_nothing_at_or_before_t(self, synth_dataset):
-        """Causal evaluation of the baseline: redraw the subject and object
-        of every test fact after the second test timestamp t; no raw rank,
-        filtered rank or indicator at t or earlier moves, while those after
-        t do."""
-        vocab, facts = synth_dataset["vocab"], synth_dataset["test"].array
-        t = np.unique(facts[:, 3])[1]
-        a, b = (evaluate_naive(vocab, synth_dataset["train"], synth_dataset["valid"],
-                               TemporalKG(split_facts, "test")).results
-                for split_facts in (facts, redraw_ends(facts, facts[:, 3] > t, vocab)))
-        assert (a.t <= t).any() and a[a.t <= t].tobytes() == b[b.t <= t].tobytes()
-        assert a[a.t > t].tobytes() != b[b.t > t].tobytes()
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rewriting_later_test_facts_changes_nothing_at_or_before_t(self, synth_dataset,
+                                                                        data):
+        """Causal evaluation of the baseline: on a drawn micro test split,
+        replacing every test fact after a timestamp t moves no raw rank,
+        filtered rank or indicator at t or earlier."""
+        facts, rewritten, t = later_rewritten(data, synth_dataset["vocab"])
+        a, b = (naive_records(synth_dataset, split_facts) for split_facts in (facts, rewritten))
+        assert a[a.t <= t].tobytes() == b[b.t <= t].tobytes()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_time_facts_move_no_raw_rank(self, synth_dataset, data):
+        """Same-time facts act on the baseline only through the filter: on a
+        drawn micro test split, replacing some of the facts at a timestamp t
+        leaves the raw rank and indicator of each kept query at t unchanged."""
+        facts, rewritten, t = same_time_rewritten(data, synth_dataset["vocab"])
+        a, b = (naive_records(synth_dataset, split_facts) for split_facts in (facts, rewritten))
+        kept = same_time_kept(a, b, t)
+        assert kept.any()
+        assert np.array_equal(a.raw_rank[kept], b.raw_rank[kept])
+        assert np.array_equal(a.indicator[kept], b.indicator[kept])
 
     def test_filtered_never_exceeds_raw(self, synth_dataset):
         result = evaluate_naive(synth_dataset["vocab"], synth_dataset["train"],

@@ -242,8 +242,8 @@ class TestForwardQueries:
             ablation=AblationConfig(disable_prediction_expert=True),
         )
         assert np.array_equal(full.q.values, mean.q.values)
-        assert np.array_equal(score_logits(full.q, full.score_table).values,
-                              score_logits(mean.q, mean.score_table).values)
+        assert np.array_equal(score_logits(full.q, H_g).values,
+                              score_logits(mean.q, H_g).values)
 
     def test_disable_semantic_scores_structural_query(self):
         model = small_model()
@@ -254,7 +254,6 @@ class TestForwardQueries:
         q_g, _ = path_queries(model, H_g, R_g, sem, s_idx, r_idx)
         assert np.array_equal(bits(bundle.q.values), bits(q_g.values))
         assert bundle.q_his is None and bundle.q_nhis is None and bundle.alphas is None
-        assert bundle.score_table is H_g
 
     def test_disable_structural_scores_semantic_table(self):
         """The caller hands in the adapted semantic entity table, and the
@@ -268,8 +267,7 @@ class TestForwardQueries:
         _, q_s = path_queries(model, H_g, R_g, sem, s_idx, r_idx)
         assert np.array_equal(bits(bundle.q.values), bits(q_s.values))
         assert bundle.q_his is None and bundle.q_nhis is None and bundle.alphas is None
-        assert bundle.score_table is table
-        assert bundle.score_table.shape == (model.spec.num_entities, model.spec.dim)
+        assert score_logits(bundle.q, table).shape == (len(s_idx), model.spec.num_entities)
 
     def test_composed_pipeline_gradients(self):
         # gradient flow through score(expert_mix(decode(adapt(...))))
@@ -282,7 +280,7 @@ class TestForwardQueries:
         }
         with ad.Tape(trained.values()) as tape:
             bundle = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
-            loss = ad.tensor_sum(ad.sigmoid(score_logits(bundle.q, bundle.score_table)))
+            loss = ad.tensor_sum(ad.sigmoid(score_logits(bundle.q, H_g)))
             grads = ad.backward(loss, tape)
         missing = [n for n, g in zip(trained, grads) if not np.any(g)]
         assert not missing, f"no gradient reached: {missing}"
@@ -299,6 +297,6 @@ class TestForwardQueries:
 
         def fn(*_):
             bundle = forward_queries(model, H_g, R_g, sem, s_idx, r_idx)
-            return ad.tensor_sum(ad.sigmoid(score_logits(bundle.q, bundle.score_table)))
+            return ad.tensor_sum(ad.sigmoid(score_logits(bundle.q, H_g)))
 
         assert grad_check(fn, probes, eps=1e-5) < 1e-4

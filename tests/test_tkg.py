@@ -465,6 +465,25 @@ class TestWriteDataset:
         for want, got in zip(splits, tkgs):
             assert got.split == want.split and np.array_equal(got.array, want.array)
 
+    @pytest.mark.parametrize("relabel", [
+        lambda train, valid, test: (train, merge(valid, group([(1, 1, 0, 1)], "valid")), test),
+        lambda train, valid, test: (group(train.array, "test"), valid, test),
+    ], ids=["merged_as_valid", "test_label_as_train"])
+    def test_files_are_named_by_role_not_by_label(self, tmp_path, relabel):
+        """Each graph is written to the fact file of the argument it came in
+        as, whatever its `split` label, and loads back in that role: a
+        merged graph passed as valid, or a graph labelled test passed as
+        train, loses no split."""
+        splits = relabel(group([(0, 0, 1, 0)], "train"), group([(1, 0, 0, 1)], "valid"),
+                         group([(0, 1, 1, 2)], "test"))
+        directory = str(tmp_path / "ds")
+        write_dataset(directory, make_vocab(2, 2, 3), *splits)
+        assert sorted(os.listdir(directory)) == ["entity2id.txt", "relation2id.txt", "test.txt",
+                                                 "train.txt", "valid.txt"]
+        _, *loaded = load_dataset(directory)
+        for role, want, got in zip(("train", "valid", "test"), splits, loaded, strict=True):
+            assert got.split == role and np.array_equal(got.array, want.array)
+
 
 class TestInverseRelations:
     def test_single_fact_mirror(self):

@@ -168,15 +168,15 @@ class TestStage1Losses:
             return [t.values for t in terms], grads
 
         def oracle(bundle):
-            full_his, full_nhis = (score_logits(q, bundle.score_table)
+            full_his, full_nhis = (score_logits(q, H)
                                    for q in (bundle.q_his, bundle.q_nhis))
             mask = np.array(ind, dtype=dtype)[:, None]
             own = ad.add(ad.mul(full_his, Tensor(mask)), ad.mul(full_nhis, Tensor(1.0 - mask)))
             identity = Tensor(np.eye(own.shape[1], dtype=dtype))  # scores own exactly
-            return (major_loss(bundle.q, bundle.score_table, rows[:, 2], mode),
+            return (major_loss(bundle.q, H, rows[:, 2], mode),
                     *expert_losses(own, identity, rows[:, 2], ind, mode))
 
-        terms, grads = step(lambda bundle: stage1_losses(bundle, rows[:, 2], ind, mode))
+        terms, grads = step(lambda bundle: stage1_losses(bundle, H, rows[:, 2], ind, mode))
         want_terms, want_grads = step(oracle)
         for got, want in zip(terms, want_terms):
             assert np.array_equal(bits(got), bits(want))
@@ -454,6 +454,21 @@ class TestTrainModel:
                     train_model(*args)
             else:
                 assert train_model(*args).best_valid_mrr is None
+
+    @pytest.mark.parametrize("epochs", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_empty_train_split(self, synth_dataset, tmp_path, epochs):
+        # an epoch over no training facts would take no step and log a loss of 0;
+        # a call with no epoch (the benchmark's set-up makes one) trains nothing
+        config = micro_config(synth_dataset["dir"], str(tmp_path), epochs_stage0=epochs[0],
+                              epochs_stage1=epochs[1])
+        sem = synthetic_embeddings(synth_dataset["vocab"], config.llm_dim, config.synthetic_seed)
+        args = (config, synth_dataset["vocab"], group([], "train"), synth_dataset["valid"], sem)
+        if any(epochs):
+            with pytest.raises(DatasetError, match="^the train split has no facts"):
+                train_model(*args)
+        else:
+            result = train_model(*args)
+            assert result.stage0_losses == [] and result.log_lines == []
 
     def test_identical_seed_identical_logs(self, synth_dataset, tmp_path):
         runs = []

@@ -580,21 +580,33 @@ def dropout(a: Tensor, p: float, gen: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero a fraction p < 1 and rescale survivors by
     1/(1-p). Without a generator (evaluation) it is the identity.
 
-    The mask keeps what `gen.random(shape, dtype=np.float32) >= p` keeps,
-    and leaves the generator in the same state, without the float32 draw:
-    that draw is (u >> 8) * 2**-24 for each 32-bit half word u, compared
-    with p in float32, so it is >= p exactly when u >= k << 8 with k =
-    ceil(float32(p) * 2**24). The half words are read from the bit
-    generator's raw 64-bit words, low half first, after the half word it
-    may hold buffered; the bit generator must split its words so (Philox,
-    PCG64 and SFC64 do). The backward keeps the 1-byte mask and the scale
-    1/(1-p) in the input dtype; (a * scale) * mask has the bits, signed
-    zeros included, of a times the mask divided by 1 - p in that dtype."""
+    The mask of n elements reads ceil(n/2) whole raw 64-bit words from the
+    bit generator and splits them into 32-bit halves, low half first; the
+    element whose half is u is kept when u >= k << 8, with k =
+    ceil(float32(p) * 2**24), and every element is dropped when float32(p)
+    rounds to 1. Each call thus advances the stream by ceil(n/2) words and
+    leaves no half word behind. For an even n the mask is the one
+    `gen.random(shape, dtype=np.float32) >= p` draws from a generator with
+    no buffered half word: that draw is (u >> 8) * 2**-24 >= float32(p),
+    which is u >= k << 8, over the same halves wherever the bit generator
+    splits its words low half first (Philox, PCG64 and SFC64 do). For an
+    odd n, which training meets only in an encoder layer with an odd
+    entity count times an odd `dim` or a decoder feature map with an odd
+    batch * channels * dim, the last word's high half is unused. The
+    backward keeps the 1-byte mask and the scale 1/(1-p) in the input
+    dtype; (a * scale) * mask has the bits, signed zeros included, of a
+    times the mask divided by 1 - p in that dtype."""
     if not p < 1.0:
         raise ValueError(f"dropout needs p < 1, got {p}")
     if gen is None or p <= 0.0:
         return a
-    mask = _keep_mask(gen.bit_generator, a.values.shape, p)
+    n = a.values.size
+    # '<u8' -> '<u4' puts each word's low half first on any host
+    halves = gen.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")
+    k = int(np.ceil(float(np.float32(p)) * 2.0 ** 24))
+    # k << 8 is 2**32, above every half, when float32(p) rounds to 1
+    mask = (halves[:n] >= k << 8).reshape(a.values.shape)
+    del halves  # the output can then reuse the words' memory
     scale = np.divide(1.0, 1.0 - p, dtype=a.values.dtype)
     out = a.values * scale
     out *= mask
@@ -605,30 +617,6 @@ def dropout(a: Tensor, p: float, gen: np.random.Generator | None) -> Tensor:
         return (ga,)
 
     return _record("dropout", (a,), out, backward_fn)
-
-
-def _keep_mask(bitgen, shape, p: float) -> np.ndarray:
-    """The mask `Generator.random(shape, dtype=np.float32) >= p` with the
-    bits and the bit-generator state that draw leaves (see `dropout`)."""
-    n = int(np.prod(shape))
-    state = bitgen.state
-    head = min(state["has_uint32"], n)  # a buffered half word is read first
-    words = bitgen.random_raw((n - head + 1) // 2)
-    # '<u8' -> '<u4' puts each word's low half first on any host
-    halves = words.astype("<u8", copy=False).view("<u4")
-    k = int(np.ceil(float(np.float32(p)) * 2.0 ** 24))
-    mask = np.zeros(n, dtype=bool)
-    if k < 2 ** 24:  # float32(p) == 1.0 drops every element
-        threshold = np.uint32(k << 8)
-        mask[:head] = state["uinteger"] >= threshold
-        np.greater_equal(halves[:n - head], threshold, out=mask[head:])
-    if len(words):
-        state = bitgen.state
-        state["uinteger"] = int(halves[-1])
-    if n:  # an odd count leaves the last word's high half buffered
-        state["has_uint32"] = (n - head) % 2
-        bitgen.state = state
-    return mask.reshape(shape)
 
 
 def tensor_sum(a: Tensor) -> Tensor:

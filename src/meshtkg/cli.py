@@ -275,8 +275,10 @@ def cmd_sweep(args) -> int:
     for item in filter(None, (args.omega_list or args.mn_grid).split(",")):
         try:
             if args.omega_list:
-                omega = float(item)
-                tag, changes = f"omega_{omega:g}", {"omega": omega}
+                omega = float(item) or 0.0  # -0 is the setting 0
+                short = f"{omega:g}"  # the tag, unless it reads back as another value
+                tag = f"omega_{short if float(short) == omega else repr(omega)}"
+                changes = {"omega": omega}
             else:
                 m, n = map(int, item.lower().split("x"))
                 tag, changes = f"m{m}n{n}", {"num_historical": m, "num_nonhistorical": n}
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("stats", help="dataset statistics incl. historical share"))
     p = sub.add_parser("naive", help="frequency-ranking baseline")
     common(p)
-    p.add_argument("--split", choices=("valid", "test"), default="test")
+    p.add_argument("--split", choices=tkg.SPLITS[1:], default="test")
     p = sub.add_parser("emit-prompts", help="write entity/relation prompts")
     common(p)
     p.add_argument("--domain", required=True)
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a trained checkpoint")
         p.add_argument("checkpoint")
         p.add_argument("dataset", nargs="?")
-        p.add_argument("--split", choices=("valid", "test"), default="test")
+        p.add_argument("--split", choices=tkg.SPLITS[1:], default="test")
         _add_config_flags(p, EVAL_FLAGS)
     p = sub.add_parser("sweep", help="omega or (M,N) hyperparameter sweep")
     common(p)

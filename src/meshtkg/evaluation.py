@@ -25,7 +25,7 @@ from . import history
 from .autodiff import numeric_guard
 from .encoders import SemanticEmbeddingTable, adapt_rows, frozen_encoding
 from .model import AblationConfig, MeshModel, forward_queries, score_logits
-from .tkg import DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
+from .tkg import SPLITS, DatasetError, TemporalKG, Vocabulary, add_inverse_relations, merge
 
 
 @dataclass
@@ -220,10 +220,10 @@ def _query_split(train: TemporalKG, valid: TemporalKG, test: TemporalKG, num_rel
                  split: str):
     """The three splits inverse-augmented, their union (which supplies every
     filter), the queried split and its historical indicators."""
-    if split not in ("valid", "test"):
+    if split not in SPLITS[1:]:
         raise ValueError(f"split must be 'valid' or 'test', got {split!r}")
     augmented = [add_inverse_relations(tkg, num_relations) for tkg in (train, valid, test)]
-    query = augmented[2 if split == "test" else 1]
+    query = augmented[SPLITS.index(split)]
     if not query.num_facts:
         raise DatasetError(f"the {split} split has no facts to rank")
     known = merge(*augmented)
@@ -238,11 +238,9 @@ def evaluate(model: MeshModel, vocab: Vocabulary, train: TemporalKG, valid: Temp
     """Evaluate one split with time-aware filtering, split metrics, and gate
     statistics. The encoder conditions on every fact that precedes each
     query timestamp, across all splits."""
-    augmented, known, query, indicators = _query_split(train, valid, test, vocab.num_relations,
-                                                       split)
-    cond = known if split == "test" else merge(*augmented[:2])
+    _, known, query, indicators = _query_split(train, valid, test, vocab.num_relations, split)
     alphas = []
-    raw, filtered = ranked_queries(query, known, model_scores(model, sem, cond, alphas, ablation,
+    raw, filtered = ranked_queries(query, known, model_scores(model, sem, known, alphas, ablation,
                                                               encode_cache))
     if not alphas:
         off = [name for name, on in vars(ablation).items() if on]

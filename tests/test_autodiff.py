@@ -2,6 +2,7 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -424,9 +425,46 @@ class TestRreluKernel:
 
 
 class TestDropoutKernel:
+    @staticmethod
+    def _float32_draw_dropout(gen, a, p):
+        """Dropout with its mask from the float32 draw, as it was built before
+        the raw-word mask; returns (mask, output)."""
+        mask = gen.random(a.shape, dtype=np.float32) >= p
+        out = a * np.divide(1.0, 1.0 - p, dtype=a.dtype)
+        out *= mask
+        return mask, out
+
+    @staticmethod
+    def _whole_word_mask(twin, shape, p):
+        """The mask by its definition, from `twin`'s next ceil(n/2) raw words:
+        each word's low 32 bits, then its high 32 bits, the first n of them,
+        each half u kept when the float32 draw's (u >> 8) * 2**-24 >=
+        float32(p)."""
+        n = int(np.prod(shape))
+        words = twin.bit_generator.random_raw((n + 1) // 2)
+        halves = np.stack([words & 0xFFFFFFFF, words >> np.uint64(32)], axis=1).ravel()[:n]
+        return ((halves >> np.uint64(8)) * 2.0 ** -24 >= float(np.float32(p))).reshape(shape)
+
+    @staticmethod
+    def _dropout_mask(gen, a, p):
+        """Run `ad.dropout` on the tape; returns (the mask its backward
+        keeps, the output)."""
+        x = Tensor(a)
+        with Tape([x]) as tape:
+            out = ad.dropout(x, p, gen).values
+        (keep,) = tape.nodes[-1].backward_fn(np.ones(a.shape, a.dtype))
+        return keep != 0, out
+
+    @staticmethod
+    def _same_next_draws(gen, ref_gen) -> bool:
+        """Whether both generators draw the same next float32 halves and raw
+        words: the same stream position and the same buffered half word."""
+        return (np.array_equal(gen.random(3, dtype=np.float32), ref_gen.random(3, dtype=np.float32))
+                and np.array_equal(gen.bit_generator.random_raw(2), ref_gen.bit_generator.random_raw(2)))
+
     @pytest.mark.parametrize("p", [0.2, 0.3, 0.5, 1.0 / 3.0])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(7,), (5, 13), (3, 1, 11)])
+    @pytest.mark.parametrize("shape", [(8,), (6, 13), (3, 2, 11)])
     def test_keep_values_and_stream_match_reference(self, p, dtype, shape):
         ref_gen, gen = np.random.default_rng(9), np.random.default_rng(9)
         # reference: float32 draw, mask cast to the input dtype, divided by 1 - p
@@ -438,57 +476,86 @@ class TestDropoutKernel:
         assert keep.dtype == out.dtype == dtype
         assert np.array_equal(bits(keep), bits(ref_keep))
         assert np.array_equal(bits(out), bits(ref_keep))
-        assert gen.bit_generator.state == ref_gen.bit_generator.state
-
-    @staticmethod
-    def _float32_draw_dropout(gen, a, p):
-        """Dropout with its mask from the float32 draw, as it was built before
-        the raw-word mask; returns (mask, output)."""
-        mask = gen.random(a.shape, dtype=np.float32) >= p
-        out = a * np.divide(1.0, 1.0 - p, dtype=a.dtype)
-        out *= mask
-        return mask, out
+        assert self._same_next_draws(gen, ref_gen)
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 1.0 / 3.0, 1e-9])
-    @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("sizes", [[(7,), (8,), (5, 13)], [(1,), (1,), (2, 3)],
+    @pytest.mark.parametrize("sizes", [[(8,), (2, 13), (4, 6)], [(2,), (0,), (2, 3)],
                                        [(7128, 100), (0,), (492, 50, 100)]])
-    def test_raw_words_match_float32_draw(self, p, buffered, sizes):
-        """Training's Philox streams, with and without a buffered half word,
-        over odd and even sizes and three calls in a row: every mask, every
-        output bit and the generator's whole state match the float32 draw."""
+    def test_raw_words_match_float32_draw(self, p, sizes):
+        """Training's Philox streams with no buffered half word, over even
+        sizes and three calls in a row: every mask, every output bit and the
+        next draws match the float32 draw's."""
         ref_gen, gen = rng.stream(3, rng.DROPOUT, 7), rng.stream(3, rng.DROPOUT, 7)
-        if buffered:
-            ref_gen.random(dtype=np.float32)
-            gen.random(dtype=np.float32)
-            assert gen.bit_generator.state["has_uint32"] == 1
         data = np.random.default_rng(10)
         for shape in sizes:
             a = data.standard_normal(shape).astype(np.float32)
             ref_mask, ref_out = self._float32_draw_dropout(ref_gen, a, p)
-            x = Tensor(a)
-            with Tape([x]) as tape:
-                out = ad.dropout(x, p, gen).values
-            (keep,) = tape.nodes[-1].backward_fn(np.ones(shape, np.float32))
-            assert np.array_equal(keep != 0, ref_mask)
+            mask, out = self._dropout_mask(gen, a, p)
+            assert np.array_equal(mask, ref_mask)
             assert np.array_equal(bits(out), bits(ref_out))
-            assert same_state(gen.bit_generator.state, ref_gen.bit_generator.state)
+        assert self._same_next_draws(gen, ref_gen)
+
+    @pytest.mark.parametrize("p", [0.2, 1.0 / 3.0, 1e-9, 1.0 - 1e-9])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_whole_words_at_odd_sizes_after_a_buffered_half(self, p, buffered):
+        """Odd and even sizes in a row, on a stream that may hold a buffered
+        half word: each mask is the twin's next whole words, the buffered
+        half is neither read nor cleared, and the two states stay equal.
+        float32(1 - 1e-9) is 1, which drops every element and still draws."""
+        twin, gen = rng.stream(3, rng.DROPOUT, 7), rng.stream(3, rng.DROPOUT, 7)
+        if buffered:
+            twin.random(dtype=np.float32)
+            gen.random(dtype=np.float32)
+            assert gen.bit_generator.state["has_uint32"] == 1
+        data = np.random.default_rng(10)
+        for shape in [(7,), (1,), (5, 13), (0,), (9, 5), (3, 1, 11)]:
+            a = data.standard_normal(shape).astype(np.float32)
+            want = self._whole_word_mask(twin, shape, p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mask, out = self._dropout_mask(gen, a, p)
+            assert np.array_equal(mask, want)
+            want_out = a * np.divide(1.0, 1.0 - p, dtype=np.float32)
+            want_out *= want
+            assert np.array_equal(bits(out), bits(want_out))
+            assert same_state(gen.bit_generator.state, twin.bit_generator.state)
+            if np.float32(p) == 1.0:
+                assert not out.any()
+
+    @pytest.mark.parametrize("p", [0.2, 1.0 / 3.0, 0.5, 1e-9, 2.0 ** -30, 1.0 - 1e-9])
+    def test_threshold_halves(self, p):
+        """Planted halves on both sides of k << 8, through a bit generator
+        that returns them as its raw words: each is kept exactly when the
+        float32 draw's (u >> 8) * 2**-24 >= float32(p)."""
+        k = int(np.ceil(float(np.float32(p)) * 2.0 ** 24))
+        edges = [(k << 8) + d for d in (-257, -256, -1, 0, 1, 255, 256)]
+        halves = np.array([u for u in edges + [0, 2 ** 32 - 1] if 0 <= u < 2 ** 32] * 2, np.uint64)
+        words = halves[0::2] | (halves[1::2] << np.uint64(32))
+        gen = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: words[:size]))
+        mask, _ = self._dropout_mask(gen, np.ones(len(halves), np.float32), p)
+        assert np.array_equal(mask, (halves >> np.uint64(8)) * 2.0 ** -24 >= float(np.float32(p)))
+
+    @given(shapes=st.lists(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=9),
+                           min_size=1, max_size=4),
+           p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           index=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_each_mask_advances_its_stream_by_whole_words(self, shapes, p, index):
+        """Any p in (0, 1) and any sizes, 0 and odd ones included: each mask
+        is the twin's next ceil(n/2) words, the stream moves by exactly those
+        words, and no half word is ever left buffered."""
+        twin, gen = rng.stream(5, rng.DROPOUT, index), rng.stream(5, rng.DROPOUT, index)
+        for shape in shapes:
+            a = np.ones(shape, np.float32)
+            want = self._whole_word_mask(twin, shape, p)
+            mask, _ = self._dropout_mask(gen, a, p)
+            assert np.array_equal(mask, want)
+            assert gen.bit_generator.state["has_uint32"] == 0
+            assert same_state(gen.bit_generator.state, twin.bit_generator.state)
 
     def test_p_of_one_refused(self):
         with pytest.raises(ValueError, match="p < 1"):
             ad.dropout(Tensor(np.ones(3, np.float32)), 1.0, np.random.default_rng(0))
-
-    def test_p_rounding_to_one_in_float32_drops_everything(self):
-        p = 1.0 - 1e-9
-        assert np.float32(p) == 1.0
-        ref_gen, gen = rng.stream(3, rng.DROPOUT), rng.stream(3, rng.DROPOUT)
-        a = np.ones((9, 5), np.float32)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = ad.dropout(Tensor(a), p, gen).values
-            ref_mask, _ = self._float32_draw_dropout(ref_gen, a, p)
-        assert not ref_mask.any() and not out.any()
-        assert same_state(gen.bit_generator.state, ref_gen.bit_generator.state)
 
 
 def same_state(a, b) -> bool:

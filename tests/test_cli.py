@@ -662,15 +662,26 @@ class TestSweep:
         assert run(argv) == 0
         assert list(results(out)) == ["m1n1", "m2n1"]
 
+    def test_omegas_alike_at_six_digits_are_two_settings(self, synth_dataset, tmp_path):
+        out = str(tmp_path / "close")
+        argv = ["sweep", synth_dataset["dir"], *micro_flags(out, epochs_stage0=1, epochs_stage1=1),
+                "--omega-list", "0.1234567,0.1234568"]
+        assert run(argv) == 0
+        assert list(results(out)) == ["omega_0.1234567", "omega_0.1234568"]
+        for tag in results(out):
+            with open(os.path.join(out, tag, "config.echo"), encoding="utf-8") as fh:
+                assert f"omega = {tag[len('omega_'):]}\n" in fh.read()
+
     @pytest.mark.parametrize("axis, message", [
         (["--mn-grid", "1x1,0x1"], "sweep setting m0n1: "),
         (["--omega-list=0.5,-1"], "sweep setting omega_-1: "),
         (["--mn-grid", "1x1,1X1"], "sweep repeats the setting m1n1"),
         (["--omega-list", "1,1.0"], "sweep repeats the setting omega_1"),
+        (["--omega-list", "0,-0"], "sweep repeats the setting omega_0\n"),
         (["--mn-grid", "1x1,2by1"], "expected MxN (like 2x1), got '2by1'"),
         (["--omega-list", "0.5,high"], "bad --omega-list value: '0.5,high'"),
     ], ids=["mn_out_of_range", "omega_out_of_range", "mn_repeated", "omega_repeated",
-            "mn_malformed", "omega_malformed"])
+            "omega_signed_zero", "mn_malformed", "omega_malformed"])
     def test_bad_setting_rejected_before_any_run(self, synth_dataset, tmp_path, capsys, axis,
                                                  message):
         out = str(tmp_path / "badset")

@@ -270,6 +270,23 @@ def same_time_kept(a, b, t):
 
 
 class TestEvaluate:
+    def test_valid_split_reads_history_from_every_split(self, trained):
+        """The train facts at t = 12, inside the valid queries' history window,
+        moved into the test split: the encoder still reads them, so every
+        valid rank and indicator stays."""
+        train, test = trained["train"].array, trained["test"].array
+        moved = train[:, 3] == 12
+        assert moved.any() and trained["valid"].array[0, 3] - 12 <= trained["config"].window
+
+        def valid_records(train_facts, test_facts):
+            return evaluate(trained["result"].model, trained["vocab"],
+                            TemporalKG(train_facts, "train"), trained["valid"],
+                            TemporalKG(test_facts, "test"), trained["sem"], split="valid").results
+
+        want = valid_records(train, test)
+        got = valid_records(train[~moved], np.concatenate([test, train[moved]]))
+        assert np.array_equal(got, want)
+
     def test_matches_scripted_per_query_oracle(self, trained):
         """Full evaluation equals a per-query recomputation from scratch."""
         from meshtkg.history import build_index
